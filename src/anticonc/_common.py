@@ -80,6 +80,24 @@ def dedupe_points(points: np.ndarray, weights: np.ndarray, tol: float):
     return merged, wsum
 
 
+def distinct_rows(points: np.ndarray):
+    """Exactly equal rows of ``points`` collapsed, with their multiplicities.
+
+    Rows are lex-sorted and split into runs of equal rows; each run keeps its
+    first row verbatim and its length as an integer count.  There is no
+    tolerance and no averaging (unlike :func:`dedupe_points`), so every
+    returned row is one of the input rows bit for bit.
+    """
+    if points.shape[0] == 0:
+        return points.copy(), np.zeros(0, dtype=np.int64)
+    p = points[np.lexsort(points.T[::-1])]
+    starts = np.empty(p.shape[0], dtype=bool)
+    starts[0] = True
+    np.any(p[1:] != p[:-1], axis=1, out=starts[1:])
+    first = np.flatnonzero(starts)
+    return p[first], np.diff(first, append=p.shape[0])
+
+
 def mirror_pair_symmetrize(points: np.ndarray, weights: np.ndarray):
     """Force an almost-symmetric support to be exactly negation-invariant.
 

@@ -31,6 +31,7 @@ from .concentration import (
 from .distributions import (
     CompoundPoisson,
     DiscreteDistribution,
+    as_seed_int,
     half_empirical_measure,
     lambda_d,
     spectral_measure,
@@ -38,7 +39,13 @@ from .distributions import (
     tail_mass,
     truncated_second_moment,
 )
-from .errors import CapacityError, ChainViolationError, DomainError, InputError
+from .errors import (
+    CapacityError,
+    ChainViolationError,
+    DomainError,
+    InputError,
+    NumericsError,
+)
 from .lcd import LcdParams, compute_lcd
 from .progressions import DEFAULT_SEARCH_BUDGET, beta_rm, gamma_rs, uncovered_mass
 
@@ -667,11 +674,8 @@ def _estimate_q(
     return mc_q(WeightedSum(x, a), tau, mc_samples, seed)
 
 
-def _reference_entry(est: ConcentrationEstimate, esseen: float | None) -> dict:
-    entry = {"value": est.value, "method": est.method, "stderr": est.stderr}
-    if esseen is not None:
-        entry["esseen_upper"] = esseen
-    return entry
+def _reference_entry(est: ConcentrationEstimate) -> dict:
+    return {"value": est.value, "method": est.method, "stderr": est.stderr}
 
 
 def _smoothed_reference(
@@ -686,14 +690,19 @@ def _smoothed_reference(
     law = smoothing_law(a, power)
     est = mc_q(law, window, mc_samples, seed)
     f_hat = h_char_fn(a)
+    entry = _reference_entry(est)
     try:
         cross = esseen_upper_q(
             lambda ts: f_hat(ts) ** power, window, a.dim, constants.c_esseen
         )
-        esseen_val = cross.value
+        entry["esseen_upper"] = cross.value
     except (DomainError, CapacityError):
-        esseen_val = None
-    return _reference_entry(est, esseen_val)
+        pass
+    except NumericsError as exc:
+        # a diagnostic only: its failure is recorded, never fatal to the report
+        entry["esseen_upper"] = None
+        entry["esseen_error"] = str(exc)
+    return entry
 
 
 def build_bound_report(
@@ -730,7 +739,7 @@ def build_bound_report(
     if not (tau > 0 and kappa > 0 and delta > 0):
         raise DomainError("tau, kappa and delta must be positive")
     c = _constants(constants)
-    seed_int = int(seed) if not hasattr(seed, "value") else seed.value
+    seed_int = as_seed_int(seed)
     d = a.dim
     n = a.n
 
@@ -765,7 +774,7 @@ def build_bound_report(
     q_est = _estimate_q(
         x, a, tau, q_method, mc_samples, derive_seed(seed_int, 1), exact_budget
     )
-    references["q"] = _reference_entry(q_est, None)
+    references["q"] = _reference_entry(q_est)
 
     # Smoothed references.  The kappa-window pair for the plain and refined
     # transfers shares one derived seed so their comparison is coupled.
@@ -1041,7 +1050,7 @@ def inverse_principle_report(
     if not isinstance(rank, (int, np.integer)) or rank < 0:
         raise DomainError("rank must be a nonnegative integer")
     c = _constants(constants)
-    seed_int = int(seed) if not hasattr(seed, "value") else seed.value
+    seed_int = as_seed_int(seed)
     d = a.dim
     n = a.n
     if n_prime is None:
@@ -1064,7 +1073,7 @@ def inverse_principle_report(
     )
     q_entries = []
     if d == 1:
-        q_entries.append(_reference_entry(q_all, None))
+        q_entries.append(_reference_entry(q_all))
     else:
         for j in range(d):
             est = _estimate_q(
@@ -1076,7 +1085,7 @@ def inverse_principle_report(
                 derive_seed(seed_int, 10 + j),
                 exact_budget,
             )
-            q_entries.append(_reference_entry(est, None))
+            q_entries.append(_reference_entry(est))
     q_coords = [e["value"] for e in q_entries]
 
     shared = {
@@ -1133,7 +1142,7 @@ def inverse_principle_report(
         n=n,
         dim=d,
         n_prime=n_prime,
-        q=_reference_entry(q_all, None),
+        q=_reference_entry(q_all),
         q_coords=q_entries,
         p_value=p_val,
         lambda1_value=lam1,

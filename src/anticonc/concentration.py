@@ -22,6 +22,7 @@ from ._common import (
     WINDOW_TOL,
     as_points,
     dedupe_points,
+    distinct_rows,
     make_rng,
 )
 from .distributions import (
@@ -37,6 +38,8 @@ DEFAULT_EXACT_BUDGET = 20_000_000
 DEFAULT_PAIR_BUDGET = 5_000_000
 _MC_MIN_SAMPLES = 1000
 _MC_CHUNK = 65536
+# Ball hits held at once while summing multiplicities in mc_q.
+_BALL_HIT_BUDGET = 1 << 20
 
 
 class WeightVector:
@@ -368,15 +371,53 @@ def _sample_from(sampler, n_samples: int, rng: np.random.Generator) -> np.ndarra
     raise DomainError("sampler must be a WeightedSum or a CompoundPoisson")
 
 
+def _max_ball_count(rows, counts, sub, rho):
+    """Largest multiplicity-weighted count of a closed radius-``rho`` ball.
+
+    ``rows`` are the distinct samples with integer ``counts``.  Candidate
+    centres are the distinct samples and the distinct midpoints of the pairs
+    of the subsample ``sub`` that lie within ``2*rho`` of each other.
+    """
+    scale = max(1.0, float(np.max(np.abs(rows))), rho)
+    radius = rho + GEOM_TOL * scale
+    ii, jj = np.triu_indices(len(sub), 1)
+    d2 = ((sub[ii] - sub[jj]) ** 2).sum(axis=1)
+    near = d2 <= (2 * rho) ** 2
+    mids, _ = distinct_rows((sub[ii[near]] + sub[jj[near]]) / 2.0)
+    centers = np.vstack([rows, mids])
+    tree = cKDTree(rows)
+    if counts.max() == 1:
+        # all samples distinct: the kd-tree counts in C, no hit lists needed
+        hits = tree.query_ball_point(centers, radius, return_length=True)
+        return int(np.max(hits))
+    best = 0
+    # each centre hits at most len(rows) rows: bound the hits held at once
+    step = max(1, _BALL_HIT_BUDGET // len(rows))
+    for i in range(0, len(centers), step):
+        hits = tree.query_ball_point(centers[i : i + step], radius)
+        lengths = np.fromiter(map(len, hits), dtype=np.intp, count=len(hits))
+        flat = np.fromiter(
+            itertools.chain.from_iterable(hits), dtype=np.intp, count=int(lengths.sum())
+        )
+        owner = np.repeat(np.arange(len(hits)), lengths)
+        mass = np.bincount(owner, weights=counts[flat], minlength=len(hits))
+        best = max(best, int(mass.max()))
+    return best
+
+
 def mc_q(
     sampler, tau: float, n_samples: int, seed
 ) -> ConcentrationEstimate:
     """Monte Carlo estimate of Q(F, tau) from ``n_samples`` seeded draws.
 
-    On the line the sweep over sample-anchored windows is exact for the
-    empirical measure.  In dimension >= 2 candidate centers are the samples
-    plus pairwise midpoints of a seeded subsample, which makes the estimate a
-    documented lower-bound heuristic for the empirical optimum.
+    Windows and balls are counted over the distinct samples weighted by their
+    multiplicities, which gives the same counts as the raw samples: lattice
+    laws such as compound-Poisson smoothing laws repeat most draws.  On the
+    line the count is the sweep ``_max_window_mass_1d`` over sample-anchored
+    windows, exact for the empirical measure.  In dimension >= 2 candidate
+    centers are the distinct samples plus the distinct pairwise midpoints of
+    a seeded 256-sample subsample, which makes the estimate a documented
+    lower-bound heuristic for the empirical optimum.
     """
     if tau < 0:
         raise DomainError("tau must be nonnegative")
@@ -384,33 +425,16 @@ def mc_q(
         raise DomainError(f"Monte Carlo needs at least {_MC_MIN_SAMPLES} samples")
     rng = make_rng(as_seed_int(seed))
     samples = _sample_from(sampler, n_samples, rng)
-    if samples.shape[1] == 1:
-        z = samples[:, 0]
-        zs = np.sort(z)
-        hi = np.searchsorted(
-            zs, zs + tau + WINDOW_TOL * np.maximum(1.0, np.abs(zs)), side="right"
-        )
-        count = int(np.max(hi - np.arange(len(zs))))
+    dim = samples.shape[1]
+    if dim > 1:
+        # counting draws nothing, so taking the subsample first keeps the stream
+        sub = samples[rng.choice(n_samples, size=min(n_samples, 256), replace=False)]
+    rows, counts = distinct_rows(samples)
+    del samples  # free the raw draws before the kd-tree is built
+    if dim == 1:
+        count = int(_max_window_mass_1d(rows[:, 0], counts, tau))
     else:
-        rho = tau / 2.0
-        scale = max(1.0, float(np.max(np.abs(samples))), rho)
-        tree = cKDTree(samples)
-        counts = tree.query_ball_point(
-            samples, rho + GEOM_TOL * scale, return_length=True
-        )
-        count = int(np.max(counts))
-        sub_n = min(n_samples, 256)
-        sub_idx = rng.choice(n_samples, size=sub_n, replace=False)
-        sub = samples[sub_idx]
-        ii, jj = np.triu_indices(sub_n, 1)
-        d2 = ((sub[ii] - sub[jj]) ** 2).sum(axis=1)
-        near = d2 <= (2 * rho) ** 2
-        if near.any():
-            mids = (sub[ii[near]] + sub[jj[near]]) / 2.0
-            counts = tree.query_ball_point(
-                mids, rho + GEOM_TOL * scale, return_length=True
-            )
-            count = max(count, int(np.max(counts)))
+        count = _max_ball_count(rows, counts, sub, tau / 2.0)
     value = count / n_samples
     stderr = math.sqrt(max(value * (1.0 - value), 0.0) / n_samples)
     return ConcentrationEstimate(value, "monte_carlo", stderr, tau)

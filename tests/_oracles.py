@@ -1,7 +1,8 @@
 """Independent oracles used to freeze expected values.
 
 Everything here is brute force on purpose: sign enumeration, interval sweeps,
-subset enclosing balls, grid scans.  Nothing imports the package under test.
+subset enclosing balls, grid scans, and the Monte Carlo count over raw
+sample rows.  Nothing imports the package under test.
 """
 
 import itertools
@@ -9,6 +10,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 KEY_DECIMALS = 9
 
@@ -101,6 +103,37 @@ def oracle_q_ball(support, probs, rows, tau):
         dist = np.linalg.norm(pts - np.asarray(c), axis=1)
         best = max(best, float(wts_f[dist <= radius + 1e-12].sum()))
     return best
+
+
+def oracle_mc_count(samples, tau, sub_idx):
+    """Largest window or ball count of Monte Carlo samples, row by row.
+
+    The estimator's count over the raw samples with no deduplication.  On the
+    line: the sorted sweep over closed windows [z, z + tau] anchored at each
+    sample, with slack 3e-12 * max(1, |z|).  In higher dimension: kd-tree
+    counts of closed balls of radius tau/2 (slack 1e-12 * scale) around every
+    sample and around the midpoints of the pairs of ``samples[sub_idx]`` that
+    lie within tau of each other.
+    """
+    samples = np.asarray(samples, dtype=float)
+    if samples.shape[1] == 1:
+        zs = np.sort(samples[:, 0])
+        hi = np.searchsorted(
+            zs, zs + tau + 3e-12 * np.maximum(1.0, np.abs(zs)), side="right"
+        )
+        return int(np.max(hi - np.arange(len(zs))))
+    rho = tau / 2.0
+    radius = rho + 1e-12 * max(1.0, float(np.max(np.abs(samples))), rho)
+    tree = cKDTree(samples)
+    count = int(np.max(tree.query_ball_point(samples, radius, return_length=True)))
+    sub = samples[sub_idx]
+    ii, jj = np.triu_indices(len(sub), 1)
+    near = ((sub[ii] - sub[jj]) ** 2).sum(axis=1) <= (2 * rho) ** 2
+    if near.any():
+        mids = (sub[ii[near]] + sub[jj[near]]) / 2.0
+        hits = tree.query_ball_point(mids, radius, return_length=True)
+        count = max(count, int(np.max(hits)))
+    return count
 
 
 def oracle_symmetrize(support, probs):

@@ -25,7 +25,7 @@ from anticonc.bounds import (
     weighted_sum_bound_gap_tail_free,
 )
 from anticonc.concentration import WeightVector
-from anticonc.distributions import DiscreteDistribution
+from anticonc.distributions import DiscreteDistribution, RngSeed
 from anticonc.errors import ChainViolationError, DomainError, InputError
 
 RAD = DiscreteDistribution.rademacher()
@@ -237,6 +237,37 @@ def test_report_seed_changes_mc_not_exact():
         rep1.references["q_h_p_kappa"]["value"]
         != rep2.references["q_h_p_kappa"]["value"]
     )
+
+
+def test_report_accepts_rng_seed():
+    assert (
+        _small_report(seed=RngSeed(3)).to_json_obj()
+        == _small_report(seed=3).to_json_obj()
+    )
+    a = WeightVector(np.arange(1.0, 5.0)[:, None])
+    reports = [
+        inverse_principle_report(
+            RAD, a, tau=2.0, kappa=1.0, delta=0.5, rank=1, seed=seed,
+            mc_samples=2000,
+        ).to_json_obj()
+        for seed in (RngSeed(3), 3)
+    ]
+    assert reports[0] == reports[1]
+
+
+def test_report_records_failed_esseen_cross_check():
+    # the 3-D dual-ball quadrature does not converge at the delta window
+    a = WeightVector(np.random.default_rng(0).uniform(0.3, 2, (8, 3)))
+    rep = build_bound_report(
+        RAD, a, tau=0.1, kappa=0.1, delta=0.05, r=1, m=3, s=3,
+        mc_samples=2000,
+    )
+    ref = rep.references["q_h_p_delta"]
+    assert ref["esseen_upper"] is None
+    assert ref["esseen_error"] == "spherical quadrature did not converge"
+    assert 0.0 <= ref["value"] <= 1.0
+    assert rep.references["q_h_p_kappa"]["esseen_upper"] > 0.0
+    json.dumps(rep.to_json_obj())
 
 
 def test_report_requires_both_lcd_params():

@@ -1,10 +1,16 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import _oracles as O
+from anticonc import concentration
+from anticonc._common import distinct_rows, make_rng
+from anticonc.bounds import smoothing_law
 from anticonc.concentration import (
     WeightVector,
     WeightedSum,
@@ -17,8 +23,9 @@ from anticonc.concentration import (
     weighted_sum_char_fn,
     weighted_sum_distribution,
 )
-from anticonc.distributions import DiscreteDistribution
+from anticonc.distributions import CompoundPoisson, DiscreteDistribution, cp_sample_rng
 from anticonc.errors import CapacityError, DomainError
+from anticonc.instances import load_corpus
 
 RAD = DiscreteDistribution.rademacher()
 U3 = DiscreteDistribution.from_shorthand("uniform{-1,0,1}")
@@ -123,6 +130,61 @@ def test_mc_q_multid_is_a_lower_bound_heuristic():
     exact = exact_q_multid(RAD, a, 2.0).value
     est = mc_q(WeightedSum(RAD, a), 2.0, 20_000, 11)
     assert est.value <= exact + 3.0 * est.stderr
+
+
+def _assert_mc_count_matches_oracle(sampler, tau, n_samples, seed):
+    """mc_q's count equals the raw-row count on the same draws."""
+    rng = make_rng(seed)
+    if isinstance(sampler, CompoundPoisson):
+        samples = cp_sample_rng(sampler, n_samples, rng)
+    else:
+        samples = sampler.sample(n_samples, rng)
+    sub_idx = None
+    if samples.shape[1] > 1:
+        sub_idx = rng.choice(n_samples, size=min(n_samples, 256), replace=False)
+    count = O.oracle_mc_count(samples, tau, sub_idx)
+    # count / n is one-to-one on integer counts, so this is count equality
+    assert mc_q(sampler, tau, n_samples, seed).value == count / n_samples
+    return samples
+
+
+@pytest.mark.parametrize("spec", load_corpus(), ids=lambda spec: spec.id)
+def test_mc_q_count_matches_raw_row_oracle_on_corpus(spec):
+    tau, kappa = spec.require("tau", "kappa")
+    law = smoothing_law(spec.a, spec.param("smoothing_power", 1.0))
+    _assert_mc_count_matches_oracle(law, kappa, 2000, 5)
+    _assert_mc_count_matches_oracle(WeightedSum(spec.x, spec.a), tau, 2000, 5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.integers(1, 3),
+    n=st.integers(1, 8),
+    lattice=st.booleans(),
+    half_width=st.sampled_from([0.5, 1.0, 1.5]),
+    seed=st.integers(0, 2**32 - 1),
+    hit_budget=st.sampled_from([1, 64, concentration._BALL_HIT_BUDGET]),
+)
+def test_mc_q_count_matches_raw_row_oracle(dim, n, lattice, half_width, seed, hit_budget):
+    # Lattice weights repeat most draws and put sample pairs at distance
+    # exactly tau/2 (and tau) apart; generic weights give distinct draws.
+    rng = np.random.default_rng(seed)
+    if lattice:
+        rows = rng.integers(-2, 3, size=(n, dim)).astype(float)
+        rows[0] = 1.0
+        x = U3
+    else:
+        rows = rng.uniform(0.3, 2.0, size=(n, dim))
+        x = RAD
+    tau = 2.0 * half_width
+    with mock.patch.object(concentration, "_BALL_HIT_BUDGET", hit_budget):
+        samples = _assert_mc_count_matches_oracle(
+            WeightedSum(x, WeightVector(rows)), tau, 1000, seed
+        )
+    rows_d, counts = distinct_rows(samples)
+    want_rows, want_counts = np.unique(samples, axis=0, return_counts=True)
+    np.testing.assert_array_equal(rows_d, want_rows)
+    np.testing.assert_array_equal(counts, want_counts)
 
 
 def test_esseen_dominates_exact_on_the_line():
