@@ -14,8 +14,7 @@ from .concentration import (
     ConcentrationEstimate,
     WeightVector,
     esseen_upper_q,
-    exact_q_1d,
-    exact_q_multid,
+    exact_q,
     mc_q,
     regularity_check,
     weighted_sum_distribution,
@@ -69,8 +68,7 @@ __all__ = [
     "build_bound_report",
     "compute_lcd",
     "esseen_upper_q",
-    "exact_q_1d",
-    "exact_q_multid",
+    "exact_q",
     "gamma_rs",
     "inverse_principle_report",
     "lambda_d",

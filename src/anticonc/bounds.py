@@ -24,8 +24,7 @@ from .concentration import (
     WeightVector,
     WeightedSum,
     esseen_upper_q,
-    exact_q_1d,
-    exact_q_multid,
+    exact_q,
     mc_q,
 )
 from .distributions import (
@@ -665,9 +664,8 @@ def _estimate_q(
     if method not in ("auto", "exact", "mc"):
         raise InputError(f"unknown concentration method {method!r}")
     if method in ("auto", "exact"):
-        exact = exact_q_1d if a.dim == 1 else exact_q_multid
         try:
-            return exact(x, a, tau, budget=exact_budget)
+            return exact_q(x, a, tau, budget=exact_budget)
         except CapacityError:
             if method == "exact":
                 raise
@@ -835,7 +833,7 @@ def build_bound_report(
         if gamma is None or alpha is None:
             raise InputError("gamma and alpha must be supplied together")
         lcd_params = LcdParams(gamma=gamma, alpha=alpha, theta_max=theta_max)
-        lcd = compute_lcd(a, lcd_params, seed=derive_seed(seed_int, 4))
+        lcd = compute_lcd(a, lcd_params)
         big_d = lcd.d_lower
         guards["lcd_d_lower"] = big_d
         guards["lcd_certified"] = bool(lcd.certified)

@@ -17,10 +17,10 @@ from pathlib import Path
 from ._common import derive_seed
 from .bounds import ConstantsConfig, bound_report_csv, build_bound_report
 from .concentration import (
+    DEFAULT_EXACT_BUDGET,
     WeightedSum,
     esseen_upper_q,
-    exact_q_1d,
-    exact_q_multid,
+    exact_q,
     mc_q,
     weighted_sum_char_fn,
 )
@@ -89,9 +89,8 @@ def cmd_q(args) -> int:
     tau = spec.require("tau")
     constants = _load_constants(args, spec)
     if args.method == "exact":
-        fn = exact_q_1d if spec.a.dim == 1 else exact_q_multid
-        budget = args.budget if args.budget else 20_000_000
-        est = fn(spec.x, spec.a, tau, budget=budget)
+        budget = args.budget if args.budget else DEFAULT_EXACT_BUDGET
+        est = exact_q(spec.x, spec.a, tau, budget=budget)
     elif args.method == "mc":
         samples = args.budget if args.budget else 200_000
         est = mc_q(WeightedSum(spec.x, spec.a), tau, samples, derive_seed(args.seed, 0))
@@ -108,7 +107,7 @@ def cmd_lcd(args) -> int:
     spec = _single_instance(args.instance)
     gamma, alpha = spec.require("gamma", "alpha")
     params = LcdParams(gamma=gamma, alpha=alpha, theta_max=spec.param("theta_max"))
-    res = compute_lcd(spec.a, params, seed=derive_seed(args.seed, 0))
+    res = compute_lcd(spec.a, params)
     obj = {
         "spec_version": SCHEMA_VERSION,
         "instance": spec.id,

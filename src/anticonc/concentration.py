@@ -304,29 +304,13 @@ def exact_q_of_distribution(
     return min(value, 1.0)
 
 
-def exact_q_1d(
+def exact_q(
     x: DiscreteDistribution,
     a: WeightVector,
     tau: float,
     budget: int = DEFAULT_EXACT_BUDGET,
 ) -> ConcentrationEstimate:
-    """Exact concentration of the weighted sum on the line."""
-    if a.dim != 1:
-        raise DomainError("exact_q_1d needs one-dimensional weights")
-    dist = weighted_sum_distribution(x, a, budget)
-    value = exact_q_of_distribution(dist, tau, budget)
-    return ConcentrationEstimate(value, "exact", 0.0, tau)
-
-
-def exact_q_multid(
-    x: DiscreteDistribution,
-    a: WeightVector,
-    tau: float,
-    budget: int = DEFAULT_EXACT_BUDGET,
-) -> ConcentrationEstimate:
-    """Exact concentration of the weighted sum in dimension >= 2."""
-    if a.dim < 2:
-        raise DomainError("exact_q_multid needs dimension >= 2")
+    """Exact concentration of the weighted sum sum_k X_k a_k."""
     dist = weighted_sum_distribution(x, a, budget)
     value = exact_q_of_distribution(dist, tau, budget)
     return ConcentrationEstimate(value, "exact", 0.0, tau)
@@ -647,8 +631,7 @@ __all__ = [
     "WeightVector",
     "WeightedSum",
     "esseen_upper_q",
-    "exact_q_1d",
-    "exact_q_multid",
+    "exact_q",
     "exact_q_of_distribution",
     "mc_q",
     "regularity_check",

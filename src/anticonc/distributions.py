@@ -277,10 +277,6 @@ def lambda_d(g: DiscreteDistribution, ratio: float, d: int = 1) -> float:
     return math.fsum(g.weights[nz] * terms)
 
 
-def char_fn(f: DiscreteDistribution, t) -> complex:
-    return f.char_fn(t)
-
-
 class CompoundPoisson:
     """Law with characteristic function exp(intensity * (base_char(t) - 1)).
 
@@ -326,10 +322,6 @@ class CompoundPoisson:
 
     def __repr__(self):
         return f"CompoundPoisson(intensity={self._intensity:.6g}, base={self._base!r})"
-
-
-def cp_char_fn(d: CompoundPoisson, t) -> complex:
-    return d.char_fn(t)
 
 
 def _poisson_inversion(rng: np.random.Generator, lam: float, size: int) -> np.ndarray:
@@ -438,8 +430,6 @@ __all__ = [
     "DiscreteDistribution",
     "RngSeed",
     "as_seed_int",
-    "char_fn",
-    "cp_char_fn",
     "cp_sample",
     "cp_sample_rng",
     "half_empirical_measure",

@@ -6,8 +6,8 @@ whose image comes closer to Z^n than min(gamma * |t.a|, alpha), with the
 strict inequality.  In dimension up to three the infimum is bracketed by a
 certified branch-and-bound: the objective is Lipschitz with constant
 (1 + gamma) * sigma_max(a), so boxes whose center clears that margin hold no
-violating point.  Higher dimensions fall back to a multistart heuristic whose
-results are flagged as uncertified.
+violating point.  Above dimension three no search runs and no bracket is
+given: the result is the trivial, uncertified [0, inf).
 """
 
 from __future__ import annotations
@@ -17,9 +17,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
-from ._common import as_vector, derive_seed, make_rng
+from ._common import as_vector
 from .concentration import WeightVector
 from .errors import DomainError
 
@@ -52,14 +51,15 @@ class LcdParams:
 
 @dataclass(frozen=True)
 class LcdResult:
-    """Certified bracket [d_lower, d_upper] for the least common denominator.
+    """Bracket [d_lower, d_upper] for the least common denominator.
 
-    No violating t with norm below ``d_lower`` exists (up to floating-point
-    evaluation of the objective); ``witness_t`` is a violating point with norm
-    exactly ``d_upper``.  ``ceiling_hit`` marks searches that exhausted the
-    ceiling without a witness, in which case ``d_upper`` is infinite.
-    ``certified`` is False for the heuristic high-dimensional path, whose
-    ``d_lower`` is 0.
+    In dimension up to three the bracket is certified: no violating t with
+    norm below ``d_lower`` exists (up to floating-point evaluation of the
+    objective), and ``witness_t`` is a violating point with norm exactly
+    ``d_upper``.  ``ceiling_hit`` marks searches that exhausted the ceiling
+    without a witness, in which case ``d_upper`` is infinite.  Above
+    dimension three there is no bracket: ``d_lower`` is 0, ``d_upper`` is
+    infinite, ``certified`` and ``converged`` are False and no witness is given.
     """
 
     d_lower: float
@@ -88,11 +88,6 @@ class LcdResult:
         }
 
 
-def dot_product_vector(t, a: WeightVector) -> np.ndarray:
-    """The image t.a = (<t, a_k>)_k in R^n."""
-    return a.rows @ as_vector(t, a.dim)
-
-
 def dist_to_lattice(v) -> float:
     """Euclidean distance from v to the nearest integer point.
 
@@ -100,11 +95,6 @@ def dist_to_lattice(v) -> float:
     """
     arr = np.asarray(v, dtype=float)
     return float(np.linalg.norm(arr - np.rint(arr)))
-
-
-def gram_matrix(a: WeightVector):
-    """Gram matrix sum_k a_k a_k^T and its determinant."""
-    return a.gram()
 
 
 def default_theta_max(a: WeightVector) -> float:
@@ -126,16 +116,24 @@ def violation_condition(t, a: WeightVector, params: LcdParams) -> bool:
     return _violation_margin(as_vector(t, a.dim), a.rows, params.gamma, params.alpha) < 0.0
 
 
-def compute_lcd(a: WeightVector, params: LcdParams, seed: int = 0) -> LcdResult:
+def compute_lcd(a: WeightVector, params: LcdParams) -> LcdResult:
     """Bracket the least common denominator of ``a``.
 
     Dimensions up to three run the certified branch-and-bound; higher
-    dimensions run a seeded multistart descent flagged as uncertified.
+    dimensions return the uncertified [0, inf) at once, without a search.
     """
+    if a.dim > 3:
+        return LcdResult(
+            d_lower=0.0,
+            d_upper=math.inf,
+            witness_t=None,
+            certified=False,
+            ceiling_hit=True,
+            converged=False,
+            iterations=0,
+        )
     theta = params.theta_max if params.theta_max is not None else default_theta_max(a)
-    if a.dim <= 3:
-        return _lcd_branch_and_bound(a, params, theta)
-    return _lcd_multistart(a, params, theta, seed)
+    return _lcd_branch_and_bound(a, params, theta)
 
 
 def _box_min_norm(lo: np.ndarray, hi: np.ndarray) -> float:
@@ -228,75 +226,11 @@ def _lcd_branch_and_bound(a: WeightVector, params: LcdParams, theta: float) -> L
     )
 
 
-def _lcd_multistart(
-    a: WeightVector, params: LcdParams, theta: float, seed: int
-) -> LcdResult:
-    """Heuristic for dimension >= 4: seeded local descent on the margin.
-
-    Returns an uncertified result: d_lower stays 0, d_upper is the smallest
-    norm among violating points found (infinite when none was found).
-    """
-    rows = a.rows
-    d = a.dim
-    gamma, alpha = params.gamma, params.alpha
-    rng = make_rng(derive_seed(seed, 0x1CD))
-    best_up = math.inf
-    witness = None
-
-    def margin_of(t):
-        return _violation_margin(np.asarray(t, dtype=float), rows, gamma, alpha)
-
-    n_starts = 60
-    for _ in range(n_starts):
-        direction = rng.standard_normal(d)
-        direction /= max(float(np.linalg.norm(direction)), 1e-300)
-        radius = float(rng.uniform(0.05 * theta, theta))
-        t0 = radius * direction
-        res = minimize(
-            margin_of,
-            t0,
-            method="Nelder-Mead",
-            options={"xatol": params.tol / 10, "fatol": 1e-12, "maxiter": 400},
-        )
-        t1 = np.asarray(res.x, dtype=float)
-        if margin_of(t1) < 0.0 and float(np.linalg.norm(t1)) <= theta:
-            # shrink toward the origin while a violation persists
-            t_best = t1
-            for scale in np.linspace(1.0, 0.02, 50):
-                cand = t1 * scale
-                res2 = minimize(
-                    margin_of,
-                    cand,
-                    method="Nelder-Mead",
-                    options={"xatol": params.tol / 10, "fatol": 1e-12, "maxiter": 200},
-                )
-                t2 = np.asarray(res2.x, dtype=float)
-                if margin_of(t2) < 0.0 and float(np.linalg.norm(t2)) < float(
-                    np.linalg.norm(t_best)
-                ):
-                    t_best = t2
-            norm_b = float(np.linalg.norm(t_best))
-            if norm_b < best_up:
-                best_up = norm_b
-                witness = t_best
-    return LcdResult(
-        d_lower=0.0,
-        d_upper=best_up,
-        witness_t=witness,
-        certified=False,
-        ceiling_hit=witness is None,
-        converged=False,
-        iterations=n_starts,
-    )
-
-
 __all__ = [
     "LcdParams",
     "LcdResult",
     "compute_lcd",
     "default_theta_max",
     "dist_to_lattice",
-    "dot_product_vector",
-    "gram_matrix",
     "violation_condition",
 ]

@@ -140,18 +140,6 @@ class Gap:
         return f"Gap(rank={self.rank}, dims={self._dims}, ambient_dim={self.ambient_dim})"
 
 
-def gap_image(p: Gap, budget: int = GAP_ENUM_BUDGET) -> np.ndarray:
-    return p.image(budget)
-
-
-def gap_is_proper(p: Gap, budget: int = GAP_ENUM_BUDGET) -> bool:
-    return p.is_proper(budget)
-
-
-def gap_dilate(p: Gap, t: float) -> Gap:
-    return p.dilate(t)
-
-
 class ConvexBody:
     """Origin-symmetric convex polytope in R^r.
 
@@ -372,10 +360,6 @@ class Cgap:
         return f"Cgap(rank={self.rank}, cap={self._cap}, body={self._body!r})"
 
 
-def cgap_image(k: Cgap, budget: int = GAP_ENUM_BUDGET) -> np.ndarray:
-    return k.points(budget)
-
-
 @dataclass(frozen=True)
 class GapImageProgression:
     """Member of the GAP-image class: K = {<nu, h> : nu in Image(P)}, P integral."""
@@ -506,10 +490,7 @@ def _candidate_steps(w: DiscreteDistribution, cap: int = 96) -> np.ndarray:
     if len(vals) > 1:
         keep = np.concatenate([[True], np.diff(vals) > 1e-12 * np.maximum(1.0, vals[1:])])
         vals = vals[keep]
-    if len(vals) > cap:
-        idx = np.unique(np.round(np.linspace(0, len(vals) - 1, cap)).astype(int))
-        vals = vals[idx]
-    return vals
+    return _stride(vals, cap)
 
 
 def _stride(pool: np.ndarray, cap: int) -> np.ndarray:
@@ -779,11 +760,7 @@ __all__ = [
     "GapImageProgression",
     "TvCoverReport",
     "beta_rm",
-    "cgap_image",
     "gamma_rs",
-    "gap_dilate",
-    "gap_image",
-    "gap_is_proper",
     "neighborhood_coverage",
     "tv_cover_check",
     "uncovered_mass",

@@ -10,18 +10,14 @@ chain facts hold at every point).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._common import derive_seed, make_rng
 from .bounds import verify_pointwise_chain
-from .concentration import (
-    exact_q_1d,
-    exact_q_multid,
-    regularity_check,
-    weighted_sum_distribution,
-)
+from .concentration import exact_q, regularity_check, weighted_sum_distribution
 from .distributions import (
     lambda_d,
     spectral_measure,
@@ -46,6 +42,8 @@ CHECK_NAMES = (
 )
 
 _SLACK = 1e-12
+# (mu, lambda) window multiples of tau probed by the regularity check.
+_REGULARITY_PAIRS = ((2.0, 1.0), (3.7, 1.45))
 
 
 @dataclass(frozen=True)
@@ -66,9 +64,13 @@ class CheckResult:
 
 @dataclass
 class VerificationReport:
+    """Check results over a corpus; ``skipped`` counts, per check name, the
+    checks dropped because an exact enumeration exceeded its budget."""
+
     results: list
     n_instances: int
     seed: int
+    skipped: dict = field(default_factory=dict)
 
     @property
     def failures(self) -> list:
@@ -87,11 +89,14 @@ class VerificationReport:
 
     def summary_lines(self) -> list:
         lines = [f"instances: {self.n_instances}"]
-        for name, (ok, bad) in sorted(self.counts().items()):
-            if ok == bad == 0:
-                continue
-            verdict = "PASS" if bad == 0 else "FAIL"
-            lines.append(f"{verdict} {name}: {ok} ok, {bad} failed")
+        counts = self.counts()
+        for name in sorted(counts.keys() | self.skipped.keys()):
+            ok, bad = counts.get(name, (0, 0))
+            if ok or bad:
+                verdict = "PASS" if bad == 0 else "FAIL"
+                lines.append(f"{verdict} {name}: {ok} ok, {bad} failed")
+            if self.skipped.get(name):
+                lines.append(f"SKIP {name}: {self.skipped[name]} skipped (budget)")
         lines.append("result: " + ("PASS" if self.passed else "FAIL"))
         return lines
 
@@ -101,6 +106,7 @@ class VerificationReport:
             "seed": self.seed,
             "passed": self.passed,
             "results": [r.to_json_obj() for r in self.results],
+            "skipped": {name: self.skipped.get(name, 0) for name in CHECK_NAMES},
         }
 
 
@@ -123,12 +129,7 @@ def _functional_ratios(g) -> list:
     return sorted(p for p in probes if p > 0)
 
 
-def _exact_estimate(spec, tau, budget):
-    fn = exact_q_1d if spec.a.dim == 1 else exact_q_multid
-    return fn(spec.x, spec.a, tau, budget=budget)
-
-
-def _check_expected(spec, budget) -> list:
+def _check_expected(spec, budget, skipped) -> list:
     results = []
     g = symmetrize(spec.x)
     for key, entries in sorted(spec.expected.items()):
@@ -141,15 +142,14 @@ def _check_expected(spec, budget) -> list:
             try:
                 results.append(_check_expected_entry(spec, g, key, entry, budget))
             except CapacityError:
-                continue
+                skipped["expected"] += 1
     return results
 
 
 def _check_expected_entry(spec, g, key, entry, budget) -> CheckResult:
     tol = float(entry.get("tol", 1e-9))
     if key == "q":
-        est = _exact_estimate(spec, float(entry["tau"]), budget)
-        got = est.value
+        got = exact_q(spec.x, spec.a, float(entry["tau"]), budget=budget).value
     elif key == "p":
         got = tail_mass(g, float(entry["ratio"]))
     elif key == "lambda1":
@@ -195,16 +195,17 @@ def _check_expected_entry(spec, g, key, entry, budget) -> CheckResult:
     return _fail(spec.id, "expected", field=key, want=want, got=got, tol=tol)
 
 
-def _check_regularity(spec, budget) -> list:
+def _check_regularity(spec, budget, skipped) -> list:
     tau = spec.param("tau")
     if tau is None:
         return []
     try:
         fa = weighted_sum_distribution(spec.x, spec.a, budget=budget)
     except CapacityError:
+        skipped["regularity"] += len(_REGULARITY_PAIRS)
         return []
     results = []
-    for mu_f, lam_f in ((2.0, 1.0), (3.7, 1.45)):
+    for mu_f, lam_f in _REGULARITY_PAIRS:
         rc = regularity_check(fa, mu_f * tau, lam_f * tau)
         if rc.holds:
             results.append(_ok(spec.id, "regularity", mu=mu_f * tau, lam=lam_f * tau))
@@ -241,15 +242,10 @@ def _chain_grid(spec, rng, lcd_radius) -> np.ndarray:
     return np.vstack([base, extra])
 
 
-def _check_chain(spec, seed) -> list:
+def _check_chain(spec, seed, lcd) -> list:
     rng = make_rng(derive_seed(seed, 17))
     gamma = spec.param("gamma")
     alpha = spec.param("alpha")
-    lcd = None
-    if gamma is not None and alpha is not None and spec.a.dim <= 3:
-        lcd = compute_lcd(
-            spec.a, LcdParams(gamma=gamma, alpha=alpha, theta_max=spec.param("theta_max"))
-        )
     grid = _chain_grid(spec, rng, None if lcd is None else lcd.d_lower)
     try:
         if lcd is not None and lcd.d_lower > 0:
@@ -303,19 +299,20 @@ def _check_functionals(spec) -> list:
     return results
 
 
-def _check_projection(spec, budget) -> list:
+def _check_projection(spec, budget, skipped) -> list:
     if spec.a.dim < 2:
         return []
     tau = spec.param("tau")
     if tau is None:
         return []
     try:
-        full = exact_q_multid(spec.x, spec.a, tau, budget=budget).value
+        full = exact_q(spec.x, spec.a, tau, budget=budget).value
         coords = [
-            exact_q_1d(spec.x, spec.a.coordinate(j), tau, budget=budget).value
+            exact_q(spec.x, spec.a.coordinate(j), tau, budget=budget).value
             for j in range(spec.a.dim)
         ]
     except CapacityError:
+        skipped["projection"] += 1
         return []
     bound = min(coords)
     if full <= bound + _SLACK:
@@ -374,13 +371,18 @@ def _scan_first_violation(a, params, theta, step) -> float | None:
     return hi
 
 
-def _check_lcd_agreement(spec) -> list:
+def _instance_lcd(spec):
+    """The instance's LCD parameters and bracket, or (None, None) without
+    gamma and alpha."""
     gamma = spec.param("gamma")
     alpha = spec.param("alpha")
     if gamma is None or alpha is None:
-        return []
+        return None, None
     params = LcdParams(gamma=gamma, alpha=alpha, theta_max=spec.param("theta_max"))
-    res = compute_lcd(spec.a, params)
+    return params, compute_lcd(spec.a, params)
+
+
+def _check_lcd_agreement(spec, params, res) -> list:
     results = []
     if res.d_lower > res.d_upper + 1e-12:
         results.append(
@@ -420,16 +422,21 @@ def run_verification(
     if len(set(ids)) != len(ids):
         raise InputError("corpus has duplicate instance ids")
     results = []
+    skipped = Counter()
     for idx, spec in enumerate(sorted(specs, key=lambda s: s.id)):
         inst_seed = derive_seed(int(seed), idx)
-        results.extend(_check_expected(spec, exact_budget))
-        results.extend(_check_regularity(spec, exact_budget))
-        results.extend(_check_chain(spec, inst_seed))
+        params, lcd = _instance_lcd(spec)
+        results.extend(_check_expected(spec, exact_budget, skipped))
+        results.extend(_check_regularity(spec, exact_budget, skipped))
+        results.extend(_check_chain(spec, inst_seed, lcd))
         results.extend(_check_functionals(spec))
-        results.extend(_check_projection(spec, exact_budget))
+        results.extend(_check_projection(spec, exact_budget, skipped))
         results.extend(_check_witness(spec))
-        results.extend(_check_lcd_agreement(spec))
-    return VerificationReport(results=results, n_instances=len(specs), seed=int(seed))
+        if lcd is not None:
+            results.extend(_check_lcd_agreement(spec, params, lcd))
+    return VerificationReport(
+        results=results, n_instances=len(specs), seed=int(seed), skipped=dict(skipped)
+    )
 
 
 __all__ = [

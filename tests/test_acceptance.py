@@ -21,7 +21,7 @@ from anticonc.cli import main
 from anticonc.concentration import (
     WeightVector,
     esseen_upper_q,
-    exact_q_1d,
+    exact_q,
     mc_q,
     regularity_check,
     weighted_sum_char_fn,
@@ -42,8 +42,6 @@ from anticonc.progressions import (
     Gap,
     beta_rm,
     gamma_rs,
-    gap_image,
-    gap_is_proper,
     uncovered_mass,
 )
 
@@ -59,7 +57,7 @@ def ones_weights(n: int) -> WeightVector:
 
 def test_criterion_01_central_window_mass_is_exact():
     start = time.monotonic()
-    est = exact_q_1d(RADEMACHER, ones_weights(10), 0.0)
+    est = exact_q(RADEMACHER, ones_weights(10), 0.0)
     elapsed = time.monotonic() - start
     assert est.value == 252 / 1024
     assert est.method == "exact"
@@ -169,7 +167,7 @@ def test_criterion_06_progression_size_accounting():
         gens = rng.integers(-5, 6, size=(rank, ambient))
         radii = rng.uniform(0.3, 3.2, size=rank)
         p = Gap(radii, gens.astype(float))
-        img = gap_image(p)
+        img = p.image()
         ranges = [range(-int(math.floor(L)), int(math.floor(L)) + 1) for L in radii]
         oracle = {
             tuple(int(v) for v in np.asarray(coef) @ gens)
@@ -177,12 +175,12 @@ def test_criterion_06_progression_size_accounting():
         }
         assert img.shape[0] == len(oracle)
         assert img.shape[0] <= p.box_total()
-        assert (img.shape[0] == p.box_total()) == gap_is_proper(p)
+        assert (img.shape[0] == p.box_total()) == p.is_proper()
 
     collapsing = Gap((1.0, 1.0), [[1.0], [2.0]])
-    assert gap_image(collapsing).shape[0] == 7
+    assert collapsing.image().shape[0] == 7
     assert collapsing.box_total() == 9
-    assert not gap_is_proper(collapsing)
+    assert not collapsing.is_proper()
     print("PASS criterion-6: 200 random progressions obey the box-count "
           "cap with equality exactly for proper ones; (1,2)x(1,1) has size 7")
 
@@ -294,7 +292,7 @@ def test_criterion_10_dual_integral_shape_audit():
         rows = rng.integers(1, 5, size=(n, 1)).astype(float)
         a = WeightVector(rows)
         tau = (0.5, 1.0, 2.0)[i % 3]
-        exact = exact_q_1d(law, a, tau).value
+        exact = exact_q(law, a, tau).value
         upper = esseen_upper_q(weighted_sum_char_fn(law, a), tau, 1).value
         assert math.isfinite(upper) and upper > 0.0
         ratios.append(exact / upper)

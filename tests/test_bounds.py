@@ -280,6 +280,19 @@ def test_report_without_lcd_params_drops_lcd_tags():
     assert not any(tag.startswith("lcd") for tag in rep.bounds)
 
 
+def test_report_above_dim_three_has_no_lcd_bracket():
+    # no LCD search runs in 4-D, so every lcd tag is vacuous
+    rep = build_bound_report(
+        RAD, WeightVector(np.eye(4)), tau=1.0, kappa=1.0, delta=0.5,
+        gamma=0.5, alpha=10.0, seed=0, mc_samples=20000,
+    )
+    for tag in ("lcd_cp", "lcd_lambda", "lcd_p", "lcd_m2"):
+        assert rep.bounds[tag] == math.inf
+    assert rep.guards["lcd_d_lower"] == 0.0
+    assert rep.guards["lcd_certified"] is False
+    assert rep.guards["lcd_converged"] is False
+
+
 def test_inverse_principle_report_full_cover():
     a = WeightVector(np.arange(1.0, 11.0)[:, None])
     rep = inverse_principle_report(

@@ -15,8 +15,7 @@ from anticonc.concentration import (
     WeightVector,
     WeightedSum,
     esseen_upper_q,
-    exact_q_1d,
-    exact_q_multid,
+    exact_q,
     exact_q_of_distribution,
     mc_q,
     regularity_check,
@@ -65,7 +64,7 @@ def test_exact_q_1d_random_instances_match_oracle():
         w = rng.integers(-5, 6, size=n)
         w[w == 0] = 1
         tau = float(rng.choice([0.0, 0.5, 1.0, 2.0, 3.3]))
-        got = exact_q_1d(x, WeightVector(w[:, None].astype(float)), tau).value
+        got = exact_q(x, WeightVector(w[:, None].astype(float)), tau).value
         want = float(O.oracle_q_1d(sup, pr, [float(v) for v in w], tau))
         assert abs(got - want) < 1e-12, (name, w.tolist(), tau)
 
@@ -77,7 +76,7 @@ def test_exact_q_2d_random_instances_match_oracle():
         rows = rng.integers(-2, 3, size=(n, 2)).astype(float)
         rows[np.all(rows == 0, axis=1)] = [1.0, 0.0]
         tau = float(rng.choice([0.0, 1.0, 2.0]))
-        got = exact_q_multid(RAD, WeightVector(rows), tau).value
+        got = exact_q(RAD, WeightVector(rows), tau).value
         want = O.oracle_q_ball(*O.RADEMACHER, rows, tau)
         assert abs(got - want) < 1e-12, (rows.tolist(), tau)
 
@@ -87,7 +86,7 @@ def test_exact_q_3d_matches_oracle():
         [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 1.0]]
     )
     for tau in (0.0, 1.0, 2.0):
-        got = exact_q_multid(RAD, WeightVector(rows), tau).value
+        got = exact_q(RAD, WeightVector(rows), tau).value
         want = O.oracle_q_ball(*O.RADEMACHER, rows, tau)
         assert abs(got - want) < 1e-12
 
@@ -97,14 +96,14 @@ def test_exact_q_capacity_error():
     rng = np.random.default_rng(0)
     a = WeightVector(rng.normal(size=(40, 1)))
     with pytest.raises(CapacityError):
-        exact_q_1d(RAD, a, 0.0, budget=10_000)
+        exact_q(RAD, a, 0.0, budget=10_000)
 
 
 def test_window_is_closed_interval():
     # atoms at -1 and 1; a window of length exactly 2 captures both
     a = WeightVector([[1.0]])
-    assert exact_q_1d(RAD, a, 2.0).value == 1.0
-    assert exact_q_1d(RAD, a, 1.999).value == 0.5
+    assert exact_q(RAD, a, 2.0).value == 1.0
+    assert exact_q(RAD, a, 1.999).value == 0.5
 
 
 def test_weighted_sum_distribution_merges():
@@ -115,7 +114,7 @@ def test_weighted_sum_distribution_merges():
 
 def test_mc_q_agrees_with_exact_and_is_seeded():
     a = WeightVector(np.ones((10, 1)))
-    exact = exact_q_1d(RAD, a, 2.0).value
+    exact = exact_q(RAD, a, 2.0).value
     est1 = mc_q(WeightedSum(RAD, a), 2.0, 50_000, 3)
     est2 = mc_q(WeightedSum(RAD, a), 2.0, 50_000, 3)
     assert est1.value == est2.value
@@ -127,7 +126,7 @@ def test_mc_q_agrees_with_exact_and_is_seeded():
 
 def test_mc_q_multid_is_a_lower_bound_heuristic():
     a = WeightVector([[1.0, 0.0], [0.0, 1.0]])
-    exact = exact_q_multid(RAD, a, 2.0).value
+    exact = exact_q(RAD, a, 2.0).value
     est = mc_q(WeightedSum(RAD, a), 2.0, 20_000, 11)
     assert est.value <= exact + 3.0 * est.stderr
 
@@ -191,7 +190,7 @@ def test_esseen_dominates_exact_on_the_line():
     for w in ([1.0] * 6, [1.0, 2.0, 3.0, 4.0], [1.0, 1.0, 5.0]):
         a = WeightVector(np.asarray(w)[:, None])
         for tau in (0.5, 1.0, 2.0):
-            exact = exact_q_1d(RAD, a, tau).value
+            exact = exact_q(RAD, a, tau).value
             ess = esseen_upper_q(weighted_sum_char_fn(RAD, a), tau, 1).value
             assert ess >= exact - 1e-9, (w, tau, exact, ess)
 

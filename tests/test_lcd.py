@@ -10,7 +10,6 @@ from anticonc.lcd import (
     LcdParams,
     compute_lcd,
     dist_to_lattice,
-    gram_matrix,
     violation_condition,
 )
 
@@ -34,7 +33,7 @@ def test_dist_to_lattice_known_values():
 
 def test_gram_matrix_matches_outer_sum():
     rows = np.array([[1.0, 2.0], [0.0, 3.0]])
-    mat, det = gram_matrix(WeightVector(rows))
+    mat, det = WeightVector(rows).gram()
     np.testing.assert_allclose(mat, rows.T @ rows)
     assert abs(det - np.linalg.det(rows.T @ rows)) < 1e-9
 
@@ -89,15 +88,14 @@ def test_dim_two_certified():
         assert violation_condition(res.witness_t, WeightVector(rows), params)
 
 
-def test_high_dim_falls_back_to_heuristic():
-    rows = np.eye(4)
-    res = compute_lcd(WeightVector(rows), LcdParams(0.5, 10.0), seed=3)
-    assert not res.certified
-    assert res.d_lower == 0.0
-    if res.witness_t is not None:
-        assert violation_condition(
-            res.witness_t, WeightVector(rows), LcdParams(0.5, 10.0)
-        )
+def test_high_dim_returns_no_bracket():
+    # above dimension three no search runs: the bracket is the trivial [0, inf)
+    for rows in (np.eye(4), np.ones((6, 5))):
+        res = compute_lcd(WeightVector(rows), LcdParams(0.5, 10.0))
+        assert res.d_lower == 0.0 and math.isinf(res.d_upper)
+        assert res.witness_t is None
+        assert not res.certified and not res.converged
+        assert res.ceiling_hit and res.iterations == 0
 
 
 def test_result_json_obj():

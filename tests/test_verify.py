@@ -30,6 +30,21 @@ def test_summary_lines_shape():
     assert all(line.startswith("PASS ") for line in lines[1:-1])
 
 
+def test_budget_skips_are_counted_and_reported():
+    assert run_verification().skipped == {}
+    report = run_verification(exact_budget=50)
+    assert report.passed
+    assert report.skipped == {"expected": 15, "projection": 3, "regularity": 10}
+    lines = report.summary_lines()
+    assert "SKIP expected: 15 skipped (budget)" in lines
+    assert "SKIP projection: 3 skipped (budget)" in lines
+    assert "SKIP regularity: 10 skipped (budget)" in lines
+    assert lines[-1] == "result: PASS"
+    skipped = report.to_json_obj()["skipped"]
+    assert set(skipped) == set(CHECK_NAMES)
+    assert skipped["projection"] == 3 and skipped["chain"] == 0
+
+
 def test_verdict_is_seed_independent():
     a = run_verification(seed=0)
     b = run_verification(seed=123456)
