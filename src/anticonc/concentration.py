@@ -185,49 +185,61 @@ def _max_window_mass_1d(z: np.ndarray, w: np.ndarray, tau: float) -> float:
     return min(best, float(cw[-1]))
 
 
-def _ball_masses(pts, w, centers, radius, tol):
-    """Weighted point counts of closed balls around each candidate center."""
+def _ball_tol(pts, rho):
+    """Slack added to the radius of every closed ball, relative to the scale."""
+    return GEOM_TOL * max(1.0, float(np.max(np.abs(pts))), rho)
+
+
+def _near_pairs(pts, reach):
+    """Index pairs i < j, in lexicographic order, at distance at most ``reach``."""
+    ii, jj = np.triu_indices(len(pts), 1)
+    near = ((pts[ii] - pts[jj]) ** 2).sum(axis=1) <= reach**2
+    return ii[near], jj[near]
+
+
+def _max_ball_mass(pts, w, centers, radius):
+    """Largest ``w``-mass of a closed ball of ``radius`` around a candidate centre.
+
+    Every ball sum runs over the hit indices in increasing order.
+    """
+    tree = cKDTree(pts)
+    if np.all(w == 1):
+        # unit weights: the kd-tree counts in C, no hit lists needed
+        return float(np.max(tree.query_ball_point(centers, radius, return_length=True)))
     best = 0.0
-    limit = (radius + tol) ** 2
-    step = max(1, int(4_000_000 // max(len(pts), 1)))
+    # each centre hits at most len(pts) points: bound the hits held at once
+    step = max(1, _BALL_HIT_BUDGET // len(pts))
     for i in range(0, len(centers), step):
-        c = centers[i : i + step]
-        d2 = ((c[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-        masses = (d2 <= limit) @ w
-        m = float(masses.max())
-        if m > best:
-            best = m
+        hits = tree.query_ball_point(centers[i : i + step], radius)
+        lengths = np.fromiter(map(len, hits), dtype=np.intp, count=len(hits))
+        flat = np.fromiter(
+            itertools.chain.from_iterable(hits), dtype=np.intp, count=int(lengths.sum())
+        )
+        owner = np.repeat(np.arange(len(hits)), lengths)
+        mass = np.bincount(owner, weights=w[flat], minlength=len(hits))
+        best = max(best, float(mass.max()))
     return best
 
 
-def _max_ball_mass_2d(pts, w, rho, pair_budget):
-    """Exact planar sweep: any optimal closed disk can be rotated about the
-    pair of support points it pins down, so disks through two atoms at the
-    fixed radius (plus single-atom disks) form a complete candidate family."""
+def _pair_circle_centers(pts, rho, tol, pair_budget):
+    """Planar family: any optimal closed disk can be rotated about the pair of
+    support points it pins down, so disks through two atoms at the fixed
+    radius (plus single-atom disks) form a complete candidate family."""
     k = len(pts)
-    scale = max(1.0, float(np.max(np.abs(pts))), rho)
-    tol = GEOM_TOL * scale
     if k * (k - 1) // 2 > pair_budget:
         raise CapacityError(
             f"candidate pairs exceed budget {pair_budget} (support {k})"
         )
-    cand = [pts]
-    if k >= 2 and rho > 0:
-        ii, jj = np.triu_indices(k, 1)
-        diff = pts[jj] - pts[ii]
-        d2 = (diff**2).sum(axis=1)
-        near = d2 <= (2 * rho + 2 * tol) ** 2
-        if near.any():
-            ii, jj, diff, d2 = ii[near], jj[near], diff[near], d2[near]
-            dist = np.sqrt(d2)
-            mid = (pts[ii] + pts[jj]) / 2.0
-            half = np.sqrt(np.maximum(rho * rho - d2 / 4.0, 0.0))
-            unit = diff / dist[:, None]
-            perp = np.stack([-unit[:, 1], unit[:, 0]], axis=1)
-            cand.append(mid + half[:, None] * perp)
-            cand.append(mid - half[:, None] * perp)
-    centers = np.vstack(cand)
-    return _ball_masses(pts, w, centers, rho, tol)
+    if rho <= 0:
+        return pts
+    ii, jj = _near_pairs(pts, 2 * rho + 2 * tol)
+    diff = pts[jj] - pts[ii]
+    d2 = (diff**2).sum(axis=1)
+    mid = (pts[ii] + pts[jj]) / 2.0
+    half = np.sqrt(np.maximum(rho * rho - d2 / 4.0, 0.0))
+    unit = diff / np.sqrt(d2)[:, None]
+    perp = np.stack([-unit[:, 1], unit[:, 0]], axis=1)
+    return np.vstack([pts, mid + half[:, None] * perp, mid - half[:, None] * perp])
 
 
 def _circumcenter(q: np.ndarray) -> np.ndarray:
@@ -240,46 +252,34 @@ def _circumcenter(q: np.ndarray) -> np.ndarray:
     return q[0] + y
 
 
-def _minimal_enclosing_center(q: np.ndarray):
-    """Center and radius of the smallest ball enclosing up to d+2 points."""
-    best_c = q[0]
-    best_r = math.inf
-    idx = range(q.shape[0])
-    for size in range(1, q.shape[0] + 1):
-        for sub in itertools.combinations(idx, size):
-            c = _circumcenter(q[list(sub)])
-            r = float(np.sqrt(((q - c) ** 2).sum(axis=1).max()))
-            if r < best_r:
-                best_r = r
-                best_c = c
-    return best_c, best_r
-
-
-def _max_ball_mass_meb(pts, w, rho, budget):
-    """d >= 3 sweep: the optimal ball is pinned by at most d+1 support points,
-    so centers of minimal enclosing balls of small subsets are complete."""
+def _clique_centers(pts, rho, tol, budget):
+    """d >= 3 family: an optimal ball is pinned by at most d+1 support points
+    (Welzl 1991), pairwise within the diameter, so the circumcentres of the
+    cliques of size <= d+1 of the near-pair graph that lie within the radius
+    of their clique are complete."""
     k, d = pts.shape
-    scale = max(1.0, float(np.max(np.abs(pts))), rho)
-    tol = GEOM_TOL * scale
     n_subsets = sum(math.comb(k, j) for j in range(1, min(d + 1, k) + 1))
     if n_subsets > budget:
         raise CapacityError(
             f"subset enumeration {n_subsets} exceeds budget {budget}"
         )
-    # pre-filter: subsets with a pair further apart than the diameter are void
-    far = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2) > (
-        2 * rho + 2 * tol
-    ) ** 2
+    ii, jj = _near_pairs(pts, 2 * rho + 2 * tol)
+    later = np.zeros((k, k), dtype=bool)  # later[i, j]: j > i and the pair is near
+    later[ii, jj] = True
     centers = [pts]
-    for size in range(2, min(d + 1, k) + 1):
-        for sub in itertools.combinations(range(k), size):
-            s = list(sub)
-            if far[np.ix_(s, s)].any():
-                continue
-            c, r = _minimal_enclosing_center(pts[s])
-            if r <= rho + tol:
-                centers.append(c.reshape(1, -1))
-    return _ball_masses(pts, w, np.vstack(centers), rho, tol)
+    cliques = np.column_stack([ii, jj])
+    while len(cliques):
+        for c in cliques:
+            q = pts[c]
+            center = _circumcenter(q)
+            if float(np.sqrt(((q - center) ** 2).sum(axis=1).max())) <= rho + tol:
+                centers.append(center.reshape(1, -1))
+        if cliques.shape[1] == d + 1:
+            break
+        # extend each clique, in increasing index order, by a later common neighbour
+        rows, ext = np.nonzero(np.logical_and.reduce(later[cliques], axis=1))
+        cliques = np.column_stack([cliques[rows], ext])
+    return np.vstack(centers)
 
 
 def exact_q_of_distribution(
@@ -293,15 +293,10 @@ def exact_q_of_distribution(
     if f.dim == 1:
         return min(_max_window_mass_1d(f.atoms[:, 0], f.weights, tau), 1.0)
     rho = tau / 2.0
-    if f.dim == 2:
-        value = _max_ball_mass_2d(
-            f.atoms, f.weights, rho, min(budget, DEFAULT_PAIR_BUDGET)
-        )
-    else:
-        value = _max_ball_mass_meb(
-            f.atoms, f.weights, rho, min(budget, DEFAULT_PAIR_BUDGET)
-        )
-    return min(value, 1.0)
+    tol = _ball_tol(f.atoms, rho)
+    family = _pair_circle_centers if f.dim == 2 else _clique_centers
+    centers = family(f.atoms, rho, tol, min(budget, DEFAULT_PAIR_BUDGET))
+    return min(_max_ball_mass(f.atoms, f.weights, centers, rho + tol), 1.0)
 
 
 def exact_q(
@@ -355,38 +350,13 @@ def _sample_from(sampler, n_samples: int, rng: np.random.Generator) -> np.ndarra
     raise DomainError("sampler must be a WeightedSum or a CompoundPoisson")
 
 
-def _max_ball_count(rows, counts, sub, rho):
-    """Largest multiplicity-weighted count of a closed radius-``rho`` ball.
-
-    ``rows`` are the distinct samples with integer ``counts``.  Candidate
-    centres are the distinct samples and the distinct midpoints of the pairs
-    of the subsample ``sub`` that lie within ``2*rho`` of each other.
-    """
-    scale = max(1.0, float(np.max(np.abs(rows))), rho)
-    radius = rho + GEOM_TOL * scale
-    ii, jj = np.triu_indices(len(sub), 1)
-    d2 = ((sub[ii] - sub[jj]) ** 2).sum(axis=1)
-    near = d2 <= (2 * rho) ** 2
-    mids, _ = distinct_rows((sub[ii[near]] + sub[jj[near]]) / 2.0)
-    centers = np.vstack([rows, mids])
-    tree = cKDTree(rows)
-    if counts.max() == 1:
-        # all samples distinct: the kd-tree counts in C, no hit lists needed
-        hits = tree.query_ball_point(centers, radius, return_length=True)
-        return int(np.max(hits))
-    best = 0
-    # each centre hits at most len(rows) rows: bound the hits held at once
-    step = max(1, _BALL_HIT_BUDGET // len(rows))
-    for i in range(0, len(centers), step):
-        hits = tree.query_ball_point(centers[i : i + step], radius)
-        lengths = np.fromiter(map(len, hits), dtype=np.intp, count=len(hits))
-        flat = np.fromiter(
-            itertools.chain.from_iterable(hits), dtype=np.intp, count=int(lengths.sum())
-        )
-        owner = np.repeat(np.arange(len(hits)), lengths)
-        mass = np.bincount(owner, weights=counts[flat], minlength=len(hits))
-        best = max(best, int(mass.max()))
-    return best
+def _mc_centers(rows, sub, rho):
+    """Candidate centres of ``mc_q``: the distinct samples ``rows`` and the
+    distinct midpoints of the pairs of the subsample ``sub`` that lie within
+    ``2*rho`` of each other."""
+    ii, jj = _near_pairs(sub, 2 * rho)
+    mids, _ = distinct_rows((sub[ii] + sub[jj]) / 2.0)
+    return np.vstack([rows, mids])
 
 
 def mc_q(
@@ -418,7 +388,9 @@ def mc_q(
     if dim == 1:
         count = int(_max_window_mass_1d(rows[:, 0], counts, tau))
     else:
-        count = _max_ball_count(rows, counts, sub, tau / 2.0)
+        rho = tau / 2.0
+        radius = rho + _ball_tol(rows, rho)
+        count = int(_max_ball_mass(rows, counts, _mc_centers(rows, sub, rho), radius))
     value = count / n_samples
     stderr = math.sqrt(max(value * (1.0 - value), 0.0) / n_samples)
     return ConcentrationEstimate(value, "monte_carlo", stderr, tau)

@@ -349,14 +349,40 @@ def _check_witness(spec) -> list:
     return results
 
 
+# Grid points whose margins the LCD scan computes at once.
+_SCAN_CHUNK = 8192
+# Vectorised margins below this go to the scalar ``violation_condition``; their
+# roundoff is far smaller, so no violating grid point is passed over.
+_SCAN_SLACK = 1e-12
+
+
+def _near_violations(ts, w, params):
+    """The grid points ``ts``, in order, whose vectorised margin for the
+    one-dimensional weights ``w`` is below ``_SCAN_SLACK``."""
+    for i in range(0, len(ts), _SCAN_CHUNK):
+        chunk = ts[i : i + _SCAN_CHUNK]
+        v = np.multiply.outer(chunk, w)
+        dist = np.sqrt(((v - np.rint(v)) ** 2).sum(axis=1))
+        bar = np.minimum(params.gamma * np.sqrt((v**2).sum(axis=1)), params.alpha)
+        yield from chunk[dist - bar < _SCAN_SLACK]
+
+
 def _scan_first_violation(a, params, theta, step) -> float | None:
-    """Coarse one-dimensional scan for a violating scalar t, refined by bisection."""
+    """Coarse one-dimensional scan for a violating scalar t, refined by bisection.
+
+    The grid is screened a chunk at a time and the near points are confirmed
+    in order by the scalar check, so the first hit is the one a point-by-point
+    scan finds.
+    """
     ts = np.arange(step, theta + step, step)
-    hit = None
-    for t in ts:
-        if violation_condition(np.array([t]), a, params):
-            hit = float(t)
-            break
+    hit = next(
+        (
+            float(t)
+            for t in _near_violations(ts, a.rows[:, 0], params)
+            if violation_condition(np.array([t]), a, params)
+        ),
+        None,
+    )
     if hit is None:
         return None
     lo, hi = max(hit - step, 0.0), hit

@@ -173,14 +173,22 @@ def lcd_violates(t, a, gamma, alpha):
 
 
 def oracle_lcd_scan_1d(a, gamma, alpha, t_max, coarse=1e-4):
-    """First scalar t with a lattice violation, refined by bisection."""
-    t = coarse
-    hit = None
-    while t <= t_max:
-        if lcd_violates(t, a, gamma, alpha):
-            hit = t
-            break
-        t += coarse
+    """First scalar t with a lattice violation, refined by bisection.
+
+    The coarse grid is coarse, 2*coarse, ... summed one step at a time.  Its
+    points are screened with vectorised margins; those within 1e-12 of a
+    violation are confirmed in order by ``lcd_violates``, so the first hit is
+    the one a point-by-point loop finds.
+    """
+    ts = np.add.accumulate(np.full(int(t_max / coarse) + 3, coarse))
+    ts = ts[ts <= t_max]
+    x = np.multiply.outer(ts, np.asarray(a, dtype=float))
+    dist = np.sqrt(((x - np.round(x)) ** 2).sum(axis=1))
+    margin = dist - np.minimum(gamma * np.sqrt((x**2).sum(axis=1)), alpha)
+    hit = next(
+        (float(t) for t in ts[margin < 1e-12] if lcd_violates(t, a, gamma, alpha)),
+        None,
+    )
     if hit is None:
         return None
     lo, hi = max(hit - coarse, 0.0), hit

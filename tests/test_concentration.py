@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import _oracles as O
@@ -85,10 +85,66 @@ def test_exact_q_3d_matches_oracle():
     rows = np.array(
         [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 1.0]]
     )
-    for tau in (0.0, 1.0, 2.0):
-        got = exact_q(RAD, WeightVector(rows), tau).value
-        want = O.oracle_q_ball(*O.RADEMACHER, rows, tau)
-        assert abs(got - want) < 1e-12
+    # 0 and the three rows are a regular tetrahedron (circumradius 0.866):
+    # at tau/2 = 0.9 only the centre pinned by all four atoms covers them
+    tetra = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+    cases = [("rademacher", rows, tau) for tau in (0.0, 1.0, 2.0)]
+    cases.append(("bernoulli", tetra, 1.8))
+    for law, r, tau in cases:
+        x, oracle_law = _ORACLE_LAWS[law]
+        got = exact_q(x, WeightVector(r), tau).value
+        want = O.oracle_q_ball(*oracle_law, r, tau)
+        assert abs(got - want) < 1e-12, (law, tau, got, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    law=st.sampled_from(sorted(_ORACLE_LAWS)),
+    dim=st.integers(2, 3),
+    integer=st.booleans(),
+    tau=st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+)
+def test_exact_q_multid_matches_oracle(data, law, dim, integer, tau):
+    # Non-dyadic step weights (uniform3, bernoulli(0.3)) make the ball sums
+    # depend on summation order; real rows with three decimals are generic
+    # but keep every distance that is not an exact tie far from the radius.
+    x, (sup, pr) = _ORACLE_LAWS[law]
+    # the oracle enumerates every subset of up to d+1 atoms: keep 16-32 atoms
+    max_n = 3 if law == "uniform3" else 7 - dim
+    n = data.draw(st.integers(1, max_n), label="n")
+    entry = st.integers(-2, 2) if integer else st.integers(-2000, 2000).map(lambda v: v / 1000)
+    rows = np.array(
+        data.draw(
+            st.lists(st.lists(entry, min_size=dim, max_size=dim), min_size=n, max_size=n),
+            label="rows",
+        ),
+        dtype=float,
+    )
+    assume(np.any(rows))
+    got = exact_q(x, WeightVector(rows), tau).value
+    want = O.oracle_q_ball(sup, pr, rows, tau)
+    assert abs(got - want) < 1e-12, (law, rows.tolist(), tau, got, want)
+
+
+def test_multid_budgets_are_pinned():
+    rng = np.random.default_rng(3)
+    # 3-D generic rows: 2^n atoms, sum_{j <= 4} C(2^n, j) subsets against 5M
+    exact_q(RAD, WeightVector(rng.uniform(0.3, 2.0, size=(6, 3))), 1.0)  # 679,120
+    with pytest.raises(CapacityError):
+        exact_q(RAD, WeightVector(rng.uniform(0.3, 2.0, size=(7, 3))), 1.0)  # 11,017,632
+    f3 = weighted_sum_distribution(RAD, WeightVector(rng.uniform(0.3, 2.0, size=(6, 3))))
+    assert f3.n_atoms == 64
+    exact_q_of_distribution(f3, 1.0, budget=679_120)
+    with pytest.raises(CapacityError):
+        exact_q_of_distribution(f3, 1.0, budget=679_119)
+    # 2-D: k atoms give k(k-1)/2 candidate pairs
+    f2 = weighted_sum_distribution(RAD, WeightVector(rng.uniform(0.3, 2.0, size=(6, 2))))
+    k = f2.n_atoms
+    assert k == 64
+    exact_q_of_distribution(f2, 1.0, budget=k * (k - 1) // 2)
+    with pytest.raises(CapacityError):
+        exact_q_of_distribution(f2, 1.0, budget=k * (k - 1) // 2 - 1)
 
 
 def test_exact_q_capacity_error():

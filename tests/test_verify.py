@@ -1,11 +1,16 @@
 import json
 import shutil
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 
+from anticonc import verify
+from anticonc.concentration import WeightVector
 from anticonc.errors import InputError
 from anticonc.instances import load_corpus
+from anticonc.lcd import LcdParams, violation_condition
 from anticonc.verify import CHECK_NAMES, run_verification
 
 CORPUS = Path(__file__).resolve().parents[1] / "src" / "anticonc" / "data" / "corpus"
@@ -103,3 +108,48 @@ def test_corpus_covers_check_surface():
     assert len(with_lcd) >= 8
     assert any(s.a.dim == 3 for s in specs)
     assert any(s.x.n_atoms == 3 for s in specs)
+
+
+def _scan_point_by_point(a, params, theta, step):
+    """Reference LCD scan: the scalar check at every grid point, then bisection."""
+    hit = next(
+        (
+            float(t)
+            for t in np.arange(step, theta + step, step)
+            if violation_condition(np.array([t]), a, params)
+        ),
+        None,
+    )
+    if hit is None:
+        return None
+    lo, hi = max(hit - step, 0.0), hit
+    for _ in range(50):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if violation_condition(np.array([mid]), a, params):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@pytest.mark.parametrize("chunk", [7, verify._SCAN_CHUNK])
+def test_chunked_lcd_scan_matches_point_by_point(chunk):
+    rng = np.random.default_rng(4)
+    for trial in range(12):
+        n = int(rng.integers(1, 17))
+        w = (
+            np.ones(n),
+            rng.integers(1, 6, size=n).astype(float),
+            rng.uniform(0.2, 3.0, size=n),
+        )[trial % 3]
+        a = WeightVector(w[:, None])
+        params = LcdParams(
+            gamma=float(rng.choice([0.1, 0.5, 0.9])),
+            alpha=float(rng.choice([0.02, 0.5, 10.0])),
+        )
+        theta = float(rng.uniform(0.5, 1.5))
+        with mock.patch.object(verify, "_SCAN_CHUNK", chunk):
+            got = verify._scan_first_violation(a, params, theta, 1e-4)
+        assert got == _scan_point_by_point(a, params, theta, 1e-4), (w.tolist(), params, theta)
