@@ -4,9 +4,17 @@ A Gap is a symmetric generalized arithmetic progression: image
 {sum_j m_j g_j : m_j integer, |m_j| <= L_j}.  A Cgap is its convex-body
 counterpart: {<nu, h> : nu in Z^r intersect V} for a symmetric convex V whose
 lattice-point count is capped.  The two approximation functionals search for a
-small progression whose tau-neighborhood (max norm) covers as much of a given
-measure as possible; values are certified upper bounds with an explicit
+small progression whose tau-neighborhood covers as much of a given measure on
+the line as possible; values are certified upper bounds with an explicit
 witness, exact only at rank zero where the class collapses to {0}.
+
+The search draws its step candidates from one vectorised continued-fraction
+pass over all atom pairs, builds the coefficient lattice of each box
+allocation once, and scores a candidate by the distance from every atom to
+its nearest progression point, found by binary search in the sorted point
+set.  Witness points come from the same helper (``coeffs @ h``, then the
+1e-12 merge), so re-evaluating ``uncovered_mass`` on a reported witness
+reproduces its value bit for bit.  Coverage is defined on the line only.
 """
 
 from __future__ import annotations
@@ -26,6 +34,9 @@ GAP_ENUM_BUDGET = 10_000_000
 DEFAULT_SEARCH_BUDGET = 20_000
 # Runtime guard on the point count of any single searched progression.
 _MAX_SEARCH_POINTS = 20_000
+# Coefficient rows the search keeps cached across candidates; lattices past
+# this total are rebuilt for each candidate instead.
+_LATTICE_CACHE_ROWS = 1 << 20
 _KEY_SCALE = 1e9  # rounding grid for set-membership keys
 
 
@@ -333,9 +344,7 @@ class Cgap:
         lattice = self.lattice_points(budget)
         if self.rank == 0:
             return np.zeros((1, 1))
-        vals = lattice.astype(float) @ self._h
-        pts, _ = dedupe_points(vals.reshape(-1, 1), np.ones(len(vals)), 1e-12)
-        return pts
+        return _line_points(lattice.astype(float), self._h)
 
     def to_json_obj(self) -> dict:
         return {
@@ -381,52 +390,75 @@ class GapImageProgression:
         return self.gap.size(budget)
 
     def points(self, budget: int = GAP_ENUM_BUDGET) -> np.ndarray:
-        img = self.gap.image(budget)
-        vals = img @ np.asarray(self.h)
-        pts, _ = dedupe_points(vals.reshape(-1, 1), np.ones(len(vals)), 1e-12)
-        return pts
+        return _line_points(self.gap.image(budget), np.asarray(self.h))
 
     def to_json_obj(self) -> dict:
         return {"gap": self.gap.to_json_obj(), "h": list(self.h)}
 
 
-def neighborhood_coverage(points, k_points, delta: float):
-    """How many of ``points`` lie within max-norm ``delta`` of the set ``k_points``.
+def _line_points(coeffs: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Distinct values of ``coeffs @ h`` as a sorted (s, 1) array.
 
-    Returns (covered_count, uncovered_indices); membership is a plain closed
-    comparison with no slack.
+    Values within 1e-12 merge to their mean.  The searches and the witness
+    classes both go through here, so a witness replays to its search value.
+    """
+    vals = coeffs @ h
+    pts, _ = dedupe_points(vals.reshape(-1, 1), np.ones(len(vals)), 1e-12)
+    return pts
+
+
+def _nearest_dist(x: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """Distance from each value of ``x`` to the nearest value of sorted ``ks``.
+
+    Only the two neighbours of x in ``ks`` can be nearest: rounding of x - k
+    is monotone in k, so the result equals the minimum over all of ``ks``.
+    """
+    if ks.size == 0:
+        return np.full(x.shape, np.inf)
+    idx = np.searchsorted(ks, x)
+    left = ks[np.maximum(idx - 1, 0)]
+    right = ks[np.minimum(idx, ks.size - 1)]
+    return np.minimum(np.abs(x - left), np.abs(x - right))
+
+
+def _line_values(points, what: str) -> np.ndarray:
+    pts = as_points(points)
+    if pts.shape[1] != 1:
+        raise DomainError(f"coverage is defined on the line; {what} lie in R^{pts.shape[1]}")
+    return pts[:, 0]
+
+
+def neighborhood_coverage(points, k_points, delta: float):
+    """How many of ``points`` lie within distance ``delta`` of the set ``k_points``.
+
+    Both sets lie on the line.  Returns (covered_count, uncovered_indices);
+    membership is a plain closed comparison with no slack.
     """
     if delta < 0:
         raise DomainError("delta must be nonnegative")
-    pts = as_points(points)
-    kp = as_points(k_points, pts.shape[1])
-    mind = _min_maxnorm_dist(pts, kp)
-    covered = mind <= delta
+    x = _line_values(points, "points")
+    ks = np.sort(_line_values(k_points, "progression points"))
+    covered = _nearest_dist(x, ks) <= delta
     return int(covered.sum()), [int(i) for i in np.nonzero(~covered)[0]]
 
 
-def _min_maxnorm_dist(pts: np.ndarray, kp: np.ndarray) -> np.ndarray:
-    mind = np.full(pts.shape[0], np.inf)
-    for i in range(0, kp.shape[0], 1024):
-        block = kp[i : i + 1024]
-        d = np.max(np.abs(pts[:, None, :] - block[None, :, :]), axis=2)
-        mind = np.minimum(mind, d.min(axis=1))
-    return mind
+def _outside_mass(x: np.ndarray, weights: np.ndarray, ks: np.ndarray, tau: float) -> float:
+    # fsum keeps the value correctly rounded, so subset relations between
+    # masses survive in floating point (matching tail_mass).
+    return math.fsum(weights[_nearest_dist(x, ks) > tau].tolist())
 
 
 def uncovered_mass(w: DiscreteDistribution, k_points, tau: float) -> float:
-    """Mass of ``w`` strictly outside the closed max-norm tau-neighborhood of K.
+    """Mass of ``w`` strictly outside the closed tau-neighborhood of K.
 
-    This is the single evaluation path used both inside the searches and when
-    re-checking a reported witness, so witness values reproduce exactly.
+    ``w`` and K lie on the line.  The searches score candidates with the same
+    kernel and summation, so witness values reproduce exactly.
     """
     if tau < 0:
         raise DomainError("tau must be nonnegative")
-    kp = as_points(k_points, w.dim)
-    mind = _min_maxnorm_dist(w.atoms, kp)
-    # fsum keeps the value correctly rounded, so subset relations between
-    # masses survive in floating point (matching tail_mass).
-    return math.fsum(w.weights[mind > tau])
+    x = _line_values(w.atoms, "atoms")
+    ks = np.sort(_line_values(k_points, "progression points"))
+    return _outside_mass(x, w.weights, ks, tau)
 
 
 @dataclass(frozen=True)
@@ -442,50 +474,43 @@ class ApproxResult:
     evaluations: int
 
 
-def _convergents(x: float, depth: int = 12):
-    """Continued-fraction convergents (p, q) of a positive real."""
-    out = []
-    h0, k0 = 1, 0
-    a = int(math.floor(x))
-    h1, k1 = a, 1
-    out.append((h1, k1))
-    frac = x - a
-    for _ in range(depth - 1):
-        if frac < 1e-12:
-            break
-        x = 1.0 / frac
-        a = int(math.floor(x))
-        h0, k0, h1, k1 = h1, k1, a * h1 + h0, a * k1 + k0
-        if k1 > 1_000_000 or h1 > 1_000_000:
-            break
-        out.append((h1, k1))
-        frac = x - a
-    return out
-
-
 def _candidate_steps(w: DiscreteDistribution, cap: int = 96) -> np.ndarray:
     """Deterministic pool of step candidates built from the atom values alone.
 
-    Uses |atoms|, pairwise differences, and continued-fraction convergents of
-    pairwise ratios (so near-commensurable atoms suggest a common step).  The
-    pool depends only on the measure, never on (tau, rank, cap): searches over
-    different parameters therefore range over nested candidate families.
+    Uses |atoms|, pairwise differences, and the continued-fraction
+    convergents p/q (depth 12, numerators and denominators up to 1e6) of
+    pairwise ratios zj/zi, contributing zj/p and zi/q, so near-commensurable
+    atoms suggest a common step.  All pairs advance through the expansion
+    together.  The pool depends only on the measure, never on (tau, rank,
+    cap): searches over different parameters therefore range over nested
+    candidate families.
     """
     zn = np.max(np.abs(w.atoms), axis=1)
     zs = np.unique(zn[zn > 0])
-    pool = set(float(z) for z in zs)
-    for i in range(len(zs)):
-        for j in range(i + 1, len(zs)):
-            zi, zj = float(zs[i]), float(zs[j])
-            d = zj - zi
-            if d > 1e-12:
-                pool.add(d)
-            for p, q in _convergents(zj / zi):
-                if p > 0 and zj / p > 1e-12:
-                    pool.add(zj / p)
-                if q > 0 and zi / q > 1e-12:
-                    pool.add(zi / q)
-    vals = np.sort(np.asarray(sorted(pool)))
+    ii, jj = np.triu_indices(len(zs), 1)
+    zi, zj = zs[ii], zs[jj]
+    diff = zj - zi
+    parts = [zs, diff[diff > 1e-12]]
+    # Convergents p/q of zj/zi; a pair's expansion stops at the first p or q
+    # past 1e6.  A remainder below 1e-12 (zero included) would make the next
+    # partial quotient, and so q, exceed 1e12, so the cap also ends every
+    # expansion whose remainder has vanished.
+    x = zj / zi
+    a = np.floor(x)
+    h0, k0, h1, k1 = np.ones_like(x), np.zeros_like(x), a, np.ones_like(x)
+    frac = x - a
+    steps = [zj / h1, zi / k1]
+    for _ in range(11):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = 1.0 / frac
+            a = np.floor(x)
+            hn, kn = a * h1 + h0, a * k1 + k0
+            frac = x - a
+        go = (kn <= 1_000_000) & (hn <= 1_000_000)
+        zi, zj, frac, h0, k0, h1, k1 = (v[go] for v in (zi, zj, frac, h1, k1, hn, kn))
+        steps += [zj / h1, zi / k1]
+    parts += [v[v > 1e-12] for v in steps]
+    vals = np.unique(np.concatenate(parts))
     # drop near-duplicates (relative 1e-12)
     if len(vals) > 1:
         keep = np.concatenate([[True], np.diff(vals) > 1e-12 * np.maximum(1.0, vals[1:])])
@@ -544,12 +569,20 @@ def _witness_key(steps, radii):
     )
 
 
+def _step_vector(steps, rank: int) -> np.ndarray:
+    """Steps padded with ones to ``rank`` entries (padded axes carry nu_j = 0)."""
+    h = np.ones(rank)
+    h[: len(steps)] = steps
+    return h
+
+
 def _coverage_search(
     w: DiscreteDistribution,
     tau: float,
     rank_budget: int,
     cap_count: int,
     make_witness,
+    coefficients,
     search_budget: int,
 ) -> ApproxResult:
     """Shared search core for both progression classes.
@@ -557,11 +590,19 @@ def _coverage_search(
     Minimizes the uncovered mass over a candidate family that is nested in
     rank, cap, and (pointwise) tau, so reported values are antitone in all
     three.  Budget exhaustion returns the best candidate found so far.
+
+    ``make_witness(steps, radii)`` builds a class member and
+    ``coefficients(witness)`` its coefficient rows, whose product with the
+    padded step vector lists the points.  The rows depend on the radii
+    alone, so each allocation's rows are built once; the witness object is
+    built only for the start and for the winner.
     """
     pool = _candidate_steps(w)
-    best_w = make_witness((), ())
-    best_v = uncovered_mass(w, best_w.points(), tau)
+    best_v = uncovered_mass(w, make_witness((), ()).points(), tau)
+    best = ((), ())
     best_key = _witness_key((), ())
+    x, weights = w.atoms[:, 0], w.weights
+    lattices, cached_rows = {}, 0
     evals = 1
     for rho in range(1, min(rank_budget, 3) + 1):
         if best_v == 0.0 or evals >= search_budget:
@@ -582,6 +623,7 @@ def _coverage_search(
             ]
         allocs = _box_allocations(rho, cap_count)
         for steps in step_sets:
+            h = _step_vector(steps, rank_budget)
             for radii in allocs:
                 if evals >= search_budget:
                     break
@@ -590,17 +632,24 @@ def _coverage_search(
                     count *= 2 * b + 1
                 if count > _MAX_SEARCH_POINTS:
                     continue
-                wit = make_witness(steps, radii)
-                val = uncovered_mass(w, wit.points(), tau)
+                coeffs = lattices.get(radii)
+                if coeffs is None:
+                    coeffs = coefficients(make_witness((), radii))
+                    if cached_rows + len(coeffs) <= _LATTICE_CACHE_ROWS:
+                        lattices[radii] = coeffs
+                        cached_rows += len(coeffs)
+                val = _outside_mass(x, weights, _line_points(coeffs, h).ravel(), tau)
                 evals += 1
-                key = _witness_key(steps, radii)
-                if val < best_v or (val == best_v and key < best_key):
-                    best_v, best_w, best_key = val, wit, key
+                if val < best_v or (
+                    val == best_v and _witness_key(steps, radii) < best_key
+                ):
+                    best_v, best = val, (steps, radii)
+                    best_key = _witness_key(steps, radii)
             if best_v == 0.0 or evals >= search_budget:
                 break
         if best_v == 0.0:
             break
-    return ApproxResult(best_v, best_w, False, evals)
+    return ApproxResult(best_v, make_witness(*best), False, evals)
 
 
 def _check_search_args(w: DiscreteDistribution, tau: float, rank: int, count: int):
@@ -634,13 +683,14 @@ def beta_rm(
         return ApproxResult(val, wit, True, 1)
 
     def make_witness(steps, radii) -> Cgap:
-        h = np.ones(r)
         bounds = np.full(r, 0.4)  # trivial axes admit only nu_j = 0
-        h[: len(steps)] = steps
         bounds[: len(radii)] = [float(b) for b in radii]
-        return Cgap(h, ConvexBody.box(bounds), int(m))
+        return Cgap(_step_vector(steps, r), ConvexBody.box(bounds), int(m))
 
-    return _coverage_search(w, tau, int(r), int(m), make_witness, search_budget)
+    return _coverage_search(
+        w, tau, int(r), int(m), make_witness,
+        lambda wit: wit.lattice_points().astype(float), search_budget,
+    )
 
 
 def gamma_rs(
@@ -665,11 +715,13 @@ def gamma_rs(
     def make_witness(steps, radii) -> GapImageProgression:
         dims = np.full(r, 0.4)
         dims[: len(radii)] = [max(float(b), 0.4) for b in radii]
-        h = np.ones(r)
-        h[: len(steps)] = steps
-        return GapImageProgression(Gap(tuple(dims), np.eye(r)), tuple(h))
+        return GapImageProgression(
+            Gap(tuple(dims), np.eye(r)), tuple(_step_vector(steps, r))
+        )
 
-    return _coverage_search(w, tau, int(r), int(s), make_witness, search_budget)
+    return _coverage_search(
+        w, tau, int(r), int(s), make_witness, lambda wit: wit.gap.image(), search_budget
+    )
 
 
 class _ZeroProgression:

@@ -1,8 +1,11 @@
 """Independent oracles used to freeze expected values.
 
 Everything here is brute force on purpose: sign enumeration, interval sweeps,
-subset enclosing balls, grid scans, and the Monte Carlo count over raw
-sample rows.  Nothing imports the package under test.
+subset enclosing balls, grid scans, the Monte Carlo count over raw sample
+rows, and the coverage search one candidate object at a time.  Nothing
+imports the package under test, except the coverage oracles: they build the
+package's witness classes, so that their JSON can be compared, and use its
+allocation, tie-break and merge helpers.
 """
 
 import itertools
@@ -206,6 +209,168 @@ def oracle_lcd_scan_1d(a, gamma, alpha, t_max, coarse=1e-4):
 def oracle_lcd_ones(n, gamma, alpha):
     """Closed form for n equal unit weights."""
     return max(1.0 / (1.0 + gamma), 1.0 - alpha / math.sqrt(n))
+
+
+def oracle_min_maxnorm_dist(pts, kp):
+    """Max-norm distance from each row of ``pts`` to the nearest row of ``kp``.
+
+    Dense comparison of every point with every progression point, in blocks
+    of 1024 progression points.
+    """
+    pts = np.asarray(pts, dtype=float)
+    kp = np.asarray(kp, dtype=float)
+    mind = np.full(pts.shape[0], np.inf)
+    for i in range(0, kp.shape[0], 1024):
+        block = kp[i : i + 1024]
+        d = np.max(np.abs(pts[:, None, :] - block[None, :, :]), axis=2)
+        mind = np.minimum(mind, d.min(axis=1))
+    return mind
+
+
+def _convergents(x, depth=12):
+    """Continued-fraction convergents (p, q) of a positive real."""
+    out = []
+    h0, k0 = 1, 0
+    a = int(math.floor(x))
+    h1, k1 = a, 1
+    out.append((h1, k1))
+    frac = x - a
+    for _ in range(depth - 1):
+        if frac < 1e-12:
+            break
+        x = 1.0 / frac
+        a = int(math.floor(x))
+        h0, k0, h1, k1 = h1, k1, a * h1 + h0, a * k1 + k0
+        if k1 > 1_000_000 or h1 > 1_000_000:
+            break
+        out.append((h1, k1))
+        frac = x - a
+    return out
+
+
+def _stride(pool, cap):
+    if len(pool) <= cap:
+        return pool
+    idx = np.unique(np.round(np.linspace(0, len(pool) - 1, cap)).astype(int))
+    return pool[idx]
+
+
+def oracle_candidate_steps(atoms, cap=96):
+    """Step pool from |atoms|, pair differences and pair-ratio convergents.
+
+    One pair at a time, with exact integer convergents and a Python set.
+    """
+    zn = np.max(np.abs(np.asarray(atoms, dtype=float).reshape(len(atoms), -1)), axis=1)
+    zs = np.unique(zn[zn > 0])
+    pool = set(float(z) for z in zs)
+    for i in range(len(zs)):
+        for j in range(i + 1, len(zs)):
+            zi, zj = float(zs[i]), float(zs[j])
+            d = zj - zi
+            if d > 1e-12:
+                pool.add(d)
+            for p, q in _convergents(zj / zi):
+                if p > 0 and zj / p > 1e-12:
+                    pool.add(zj / p)
+                if q > 0 and zi / q > 1e-12:
+                    pool.add(zi / q)
+    vals = np.sort(np.asarray(sorted(pool), dtype=float))
+    if len(vals) > 1:
+        keep = np.concatenate([[True], np.diff(vals) > 1e-12 * np.maximum(1.0, vals[1:])])
+        vals = vals[keep]
+    return _stride(vals, cap)
+
+
+def oracle_witness_points(wit):
+    """Points of a Cgap or GapImageProgression: coefficient rows times h.
+
+    The product is one matrix-vector product, and values within 1e-12 merge
+    to their mean (the package's ``dedupe_points``).
+    """
+    from anticonc._common import dedupe_points
+
+    if hasattr(wit, "gap"):
+        vals = wit.gap.image() @ np.asarray(wit.h)
+    else:
+        vals = wit.lattice_points().astype(float) @ wit.h
+    pts, _ = dedupe_points(vals.reshape(-1, 1), np.ones(len(vals)), 1e-12)
+    return pts
+
+
+def oracle_coverage_search(w, tau, r, cap, kind, search_budget=20_000):
+    """The coverage search one witness object per candidate, for r >= 1.
+
+    ``kind`` is "beta" (Cgap witnesses with at most ``cap`` lattice points)
+    or "gamma" (GapImageProgression witnesses of size at most ``cap``).
+    Every candidate is built as a witness, and its value is the fsum of the
+    weights whose dense distance to the witness points exceeds tau.
+    Returns (value, witness, evaluations).
+    """
+    from anticonc.progressions import (
+        _MAX_SEARCH_POINTS,
+        Cgap,
+        ConvexBody,
+        Gap,
+        GapImageProgression,
+        _box_allocations,
+        _witness_key,
+    )
+
+    def make_witness(steps, radii):
+        h = np.ones(r)
+        h[: len(steps)] = steps
+        if kind == "beta":
+            bounds = np.full(r, 0.4)
+            bounds[: len(radii)] = [float(b) for b in radii]
+            return Cgap(h, ConvexBody.box(bounds), int(cap))
+        dims = np.full(r, 0.4)
+        dims[: len(radii)] = [max(float(b), 0.4) for b in radii]
+        return GapImageProgression(Gap(tuple(dims), np.eye(r)), tuple(h))
+
+    def value(wit):
+        mind = oracle_min_maxnorm_dist(w.atoms, oracle_witness_points(wit))
+        return math.fsum(w.weights[mind > tau])
+
+    pool = oracle_candidate_steps(w.atoms)
+    best_w = make_witness((), ())
+    best_v = value(best_w)
+    best_key = _witness_key((), ())
+    evals = 1
+    for rho in range(1, min(r, 3) + 1):
+        if best_v == 0.0 or evals >= search_budget:
+            break
+        if rho == 1:
+            step_sets = [(float(h),) for h in pool]
+        elif rho == 2:
+            sub = _stride(pool, 24)
+            step_sets = [
+                (float(sub[i]), float(sub[j]))
+                for i in range(len(sub))
+                for j in range(i + 1, len(sub))
+            ]
+        else:
+            sub = _stride(pool, 10)
+            step_sets = [
+                tuple(float(v) for v in c) for c in itertools.combinations(sub, 3)
+            ]
+        allocs = _box_allocations(rho, cap)
+        for steps in step_sets:
+            for radii in allocs:
+                if evals >= search_budget:
+                    break
+                if math.prod(2 * b + 1 for b in radii) > _MAX_SEARCH_POINTS:
+                    continue
+                wit = make_witness(steps, radii)
+                val = value(wit)
+                evals += 1
+                key = _witness_key(steps, radii)
+                if val < best_v or (val == best_v and key < best_key):
+                    best_v, best_w, best_key = val, wit, key
+            if best_v == 0.0 or evals >= search_budget:
+                break
+        if best_v == 0.0:
+            break
+    return best_v, best_w, evals
 
 
 def oracle_poisson_pmf(mean, k):

@@ -1,13 +1,22 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from anticonc.distributions import spectral_measure, tail_mass
+import _oracles as O
+from anticonc import progressions
+from anticonc.distributions import DiscreteDistribution, spectral_measure, tail_mass
 from anticonc.errors import CapacityError, ClassCapError, DomainError
 from anticonc.progressions import (
     ApproxResult,
     Cgap,
     ConvexBody,
     Gap,
+    GapImageProgression,
+    _candidate_steps,
+    _nearest_dist,
     beta_rm,
     gamma_rs,
     neighborhood_coverage,
@@ -164,3 +173,156 @@ def test_approx_result_fields():
     res = beta_rm(w, 1.0, 0, 1)
     assert isinstance(res, ApproxResult)
     assert res.evaluations >= 1
+
+
+def test_coverage_is_on_the_line_only():
+    plane = spectral_measure(np.array([[1.0, 0.0], [0.5, 2.0]]))
+    with pytest.raises(DomainError):
+        uncovered_mass(plane, [[0.0, 0.0]], 1.0)
+    line = spectral_measure(np.array([[1.0]]))
+    with pytest.raises(DomainError):
+        uncovered_mass(line, [[0.0, 0.0]], 1.0)
+    with pytest.raises(DomainError):
+        neighborhood_coverage([[0.0, 1.0]], [[0.0, 0.0]], 1.0)
+    with pytest.raises(DomainError):
+        neighborhood_coverage([0.0, 1.0], [[0.0, 0.0]], 1.0)
+
+
+_REALS = st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    kind=st.sampled_from(["generic", "lattice", "tau_apart"]),
+    tau=st.sampled_from([0.0, 1e-9, 0.01, 0.3, 1.0]),
+)
+def test_nearest_distance_matches_dense_oracle(data, kind, tau):
+    ks = np.array(data.draw(st.lists(_REALS, min_size=1, max_size=12), label="K"))
+    if kind == "generic":
+        x = np.array(data.draw(st.lists(_REALS, min_size=1, max_size=30), label="x"))
+    elif kind == "lattice":
+        step = data.draw(st.floats(0.01, 3.0), label="step")
+        ks = step * np.arange(-len(ks), len(ks) + 1)
+        coeffs = data.draw(st.lists(st.integers(-40, 40), min_size=1, max_size=30))
+        x = step * np.array(coeffs, dtype=float)
+    else:
+        signs = data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=len(ks), max_size=len(ks)))
+        x = np.concatenate([ks + np.array(signs) * tau, ks - tau, ks + tau])
+    dense = O.oracle_min_maxnorm_dist(x[:, None], ks[:, None])
+    got = _nearest_dist(x, np.sort(ks))
+    assert np.array_equal(got, dense)
+    w = DiscreteDistribution(x, np.full(len(x), 1.0 / len(x)), normalized=False)
+    want = math.fsum(w.weights[O.oracle_min_maxnorm_dist(w.atoms, ks[:, None]) > tau])
+    assert uncovered_mass(w, ks, tau) == want
+    covered, uncovered = neighborhood_coverage(x, ks, tau)
+    assert uncovered == [int(i) for i in np.flatnonzero(dense > tau)]
+    assert covered == len(x) - len(uncovered)
+
+
+def _pool_weights(kind, data):
+    n = data.draw(st.integers(1, 25), label="n")
+    if kind == "generic":
+        vals = data.draw(st.lists(st.floats(0.3, 2.0), min_size=n, max_size=n))
+    elif kind == "integer":
+        vals = data.draw(st.lists(st.integers(1, 60), min_size=n, max_size=n))
+    elif kind == "commensurable":
+        step = data.draw(st.floats(0.05, 2.0), label="step")
+        mult = data.draw(st.lists(st.integers(1, 40), min_size=n, max_size=n))
+        noise = data.draw(st.lists(st.floats(-1e-7, 1e-7), min_size=n, max_size=n))
+        vals = [step * k * (1.0 + e) for k, e in zip(mult, noise)]
+    else:
+        small = data.draw(st.floats(1e-9, 1e-7), label="small")
+        big = data.draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n))
+        vals = [small] + big
+        assert max(vals) / small > 1e6
+    return np.array(vals, dtype=float).reshape(-1, 1)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    data=st.data(),
+    kind=st.sampled_from(["generic", "integer", "commensurable", "tiny_ratio"]),
+)
+def test_candidate_pool_matches_oracle(data, kind):
+    w = spectral_measure(_pool_weights(kind, data))
+    for cap in (96, 10**9):
+        assert np.array_equal(_candidate_steps(w, cap), O.oracle_candidate_steps(w.atoms, cap))
+
+
+def test_candidate_pool_keeps_convergents_at_the_cap():
+    # zj/zi = 3 + 1/333333.5: the second convergent 1000000/333333 sits at
+    # the cap and alone contributes steps near 3e-6
+    w = spectral_measure(np.array([[1.0], [3.0 + 1.0 / 333333.5]]))
+    pool = _candidate_steps(w, 10**9)
+    assert np.array_equal(pool, O.oracle_candidate_steps(w.atoms, 10**9))
+    assert np.any(pool < 1e-5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    steps=st.lists(st.floats(0.01, 3.0), min_size=3, max_size=3),
+    radii=st.lists(st.integers(0, 4), min_size=3, max_size=3),
+)
+def test_witness_points_are_the_matrix_product(steps, radii):
+    cgap = Cgap(steps, ConvexBody.box(radii), 10**4)
+    fit = GapImageProgression(Gap([max(b, 0.4) for b in radii], np.eye(3)), tuple(steps))
+    for wit in (cgap, fit):
+        assert np.array_equal(wit.points(), O.oracle_witness_points(wit))
+
+
+def _assert_search_matches_oracle(w, tau, r, cap, budget=20_000):
+    for search, kind in ((beta_rm, "beta"), (gamma_rs, "gamma")):
+        res = search(w, tau, r, cap, budget)
+        value, witness, evals = O.oracle_coverage_search(w, tau, r, cap, kind, budget)
+        assert res.value == value
+        assert res.witness.to_json_obj() == witness.to_json_obj()
+        assert res.evaluations == evals
+        assert uncovered_mass(w, res.witness.points(), tau) == res.value
+
+
+_ROWS = st.lists(st.floats(0.3, 2.0), min_size=1, max_size=6).map(
+    lambda v: np.array(v).reshape(-1, 1)
+)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    rows=_ROWS,
+    r=st.sampled_from([1, 2, 3]),
+    cap=st.integers(2, 63),
+    tau=st.sampled_from([0.001, 0.02, 0.1]),
+)
+def test_searches_match_oracle(rows, r, cap, tau):
+    _assert_search_matches_oracle(spectral_measure(rows), tau, r, cap)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    rows=_ROWS,
+    r=st.sampled_from([1, 2, 3]),
+    cap=st.integers(2, 63),
+    budget=st.sampled_from([1, 2, 57, 100]),
+)
+def test_searches_match_oracle_at_budget(rows, r, cap, budget):
+    _assert_search_matches_oracle(spectral_measure(rows), 0.001, r, cap, budget)
+
+
+def test_search_past_the_lattice_cache_matches_oracle(monkeypatch):
+    # room for about two 63-point lattices: the rest are rebuilt per candidate
+    monkeypatch.setattr(progressions, "_LATTICE_CACHE_ROWS", 150)
+    rows = np.array([[0.7], [1.3], [1.9], [0.45], [2.6], [3.3], [0.95], [4.1]])
+    _assert_search_matches_oracle(spectral_measure(rows), 0.05, 3, 63, 600)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    step=st.floats(0.1, 2.0),
+    mult=st.lists(st.integers(1, 4), min_size=1, max_size=6),
+    r=st.sampled_from([1, 2, 3]),
+    cap=st.integers(9, 63),
+)
+def test_searches_match_oracle_on_perfect_cover(step, mult, r, cap):
+    w = spectral_measure(step * np.array(mult, dtype=float).reshape(-1, 1))
+    _assert_search_matches_oracle(w, 1e-9, r, cap)
+    assert beta_rm(w, 1e-9, r, cap).value == 0.0
