@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from ._common import (
     CONVOLUTION_MERGE_TOL,
@@ -202,6 +201,8 @@ def _max_ball_mass(pts, w, centers, radius):
 
     Every ball sum runs over the hit indices in increasing order.
     """
+    from scipy.spatial import cKDTree
+
     tree = cKDTree(pts)
     if np.all(w == 1):
         # unit weights: the kd-tree counts in C, no hit lists needed

@@ -9,22 +9,27 @@ the line as possible; values are certified upper bounds with an explicit
 witness, exact only at rank zero where the class collapses to {0}.
 
 The search draws its step candidates from one vectorised continued-fraction
-pass over all atom pairs, builds the coefficient lattice of each box
-allocation once, and scores a candidate by the distance from every atom to
-its nearest progression point, found by binary search in the sorted point
-set.  Witness points come from the same helper (``coeffs @ h``, then the
-1e-12 merge), so re-evaluating ``uncovered_mass`` on a reported witness
-reproduces its value bit for bit.  Coverage is defined on the line only.
+pass over all atom pairs, memoised per measure, and builds the coefficient
+lattice of each box allocation once.  It scores a block of step sets per
+allocation: one ``coeffs @ h`` per candidate, rows sorted, and one binary
+search of all points into the sorted atoms gives every atom's two
+neighbouring points in every row (rows with points within 1e-12 take the
+merge instead).  A float sum of the uncovered weights screens candidates;
+the exact ``math.fsum`` runs only where that sum, less a rigorous rounding
+slack, does not exceed the best value so far.  Witness points come from the
+same helper (``coeffs @ h``, then the 1e-12 merge), so re-evaluating
+``uncovered_mass`` on a reported witness reproduces its value bit for bit.
+Coverage is defined on the line only.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from ._common import CONVOLUTION_MERGE_TOL, as_points, dedupe_points
 from .distributions import DiscreteDistribution
@@ -34,9 +39,11 @@ GAP_ENUM_BUDGET = 10_000_000
 DEFAULT_SEARCH_BUDGET = 20_000
 # Runtime guard on the point count of any single searched progression.
 _MAX_SEARCH_POINTS = 20_000
-# Coefficient rows the search keeps cached across candidates; lattices past
-# this total are rebuilt for each candidate instead.
+# Coefficient rows the search keeps cached across blocks; lattices past this
+# total are rebuilt for each block instead.
 _LATTICE_CACHE_ROWS = 1 << 20
+# Points plus atom-mask entries one scoring block of step sets may hold.
+_BLOCK_ELEMENTS = 1 << 20
 _KEY_SCALE = 1e9  # rounding grid for set-membership keys
 
 
@@ -220,6 +227,8 @@ class ConvexBody:
         """Per-coordinate extent; raises DomainError for an unbounded body."""
         if self._kind == "box":
             return self._bounds.copy()
+        from scipy.optimize import linprog
+
         r = self._dim
         out = np.empty(r)
         a_ub = np.vstack([self._normals, -self._normals])
@@ -442,23 +451,19 @@ def neighborhood_coverage(points, k_points, delta: float):
     return int(covered.sum()), [int(i) for i in np.nonzero(~covered)[0]]
 
 
-def _outside_mass(x: np.ndarray, weights: np.ndarray, ks: np.ndarray, tau: float) -> float:
-    # fsum keeps the value correctly rounded, so subset relations between
-    # masses survive in floating point (matching tail_mass).
-    return math.fsum(weights[_nearest_dist(x, ks) > tau].tolist())
-
-
 def uncovered_mass(w: DiscreteDistribution, k_points, tau: float) -> float:
     """Mass of ``w`` strictly outside the closed tau-neighborhood of K.
 
-    ``w`` and K lie on the line.  The searches score candidates with the same
-    kernel and summation, so witness values reproduce exactly.
+    ``w`` and K lie on the line.  The searches find the same distances and
+    take the same fsum, so witness values reproduce exactly.
     """
     if tau < 0:
         raise DomainError("tau must be nonnegative")
     x = _line_values(w.atoms, "atoms")
     ks = np.sort(_line_values(k_points, "progression points"))
-    return _outside_mass(x, w.weights, ks, tau)
+    # fsum keeps the value correctly rounded, so subset relations between
+    # masses survive in floating point (matching tail_mass).
+    return math.fsum(w.weights[_nearest_dist(x, ks) > tau].tolist())
 
 
 @dataclass(frozen=True)
@@ -483,9 +488,15 @@ def _candidate_steps(w: DiscreteDistribution, cap: int = 96) -> np.ndarray:
     atoms suggest a common step.  All pairs advance through the expansion
     together.  The pool depends only on the measure, never on (tau, rank,
     cap): searches over different parameters therefore range over nested
-    candidate families.
+    candidate families.  It is memoised on the atom bytes, so the searches
+    that one report or one ``gapfit`` runs on a measure build it once.
     """
-    zn = np.max(np.abs(w.atoms), axis=1)
+    return _pool_of(w.atoms.shape[1], w.atoms.tobytes(), cap)
+
+
+@functools.lru_cache(maxsize=8)
+def _pool_of(dim: int, atom_bytes: bytes, cap: int) -> np.ndarray:
+    zn = np.max(np.abs(np.frombuffer(atom_bytes).reshape(-1, dim)), axis=1)
     zs = np.unique(zn[zn > 0])
     ii, jj = np.triu_indices(len(zs), 1)
     zi, zj = zs[ii], zs[jj]
@@ -515,7 +526,9 @@ def _candidate_steps(w: DiscreteDistribution, cap: int = 96) -> np.ndarray:
     if len(vals) > 1:
         keep = np.concatenate([[True], np.diff(vals) > 1e-12 * np.maximum(1.0, vals[1:])])
         vals = vals[keep]
-    return _stride(vals, cap)
+    pool = _stride(vals, cap)
+    pool.flags.writeable = False  # shared by every search on the measure
+    return pool
 
 
 def _stride(pool: np.ndarray, cap: int) -> np.ndarray:
@@ -561,19 +574,81 @@ def _box_allocations(rank: int, cap_count: int):
     return out
 
 
-def _witness_key(steps, radii):
-    return (
-        len(steps),
-        tuple(round(float(s), 12) for s in steps),
-        tuple(int(b) for b in radii),
-    )
-
-
 def _step_vector(steps, rank: int) -> np.ndarray:
     """Steps padded with ones to ``rank`` entries (padded axes carry nu_j = 0)."""
     h = np.ones(rank)
     h[: len(steps)] = steps
     return h
+
+
+def _far_atoms(pts: np.ndarray, x: np.ndarray, tau: float) -> np.ndarray:
+    """Mask (B, n): atom ``x[i]`` lies farther than tau from every point of row b.
+
+    ``pts`` holds one candidate's sorted points per row and ``x`` the sorted
+    atoms.  One binary search of every point into the atoms, a per-row
+    ``bincount`` and a ``cumsum`` give #{k < x[i]}, the index that
+    ``_nearest_dist`` finds by searching x[i] in the row, so the two
+    neighbours and the distances are the same floats.
+    """
+    rows, size = pts.shape
+    n = x.size
+    slot = np.searchsorted(x, pts, side="right")
+    slot += (n + 1) * np.arange(rows)[:, None]
+    below = np.bincount(slot.ravel(), minlength=rows * (n + 1)).reshape(rows, n + 1)
+    idx = np.cumsum(below[:, :n], axis=1)
+    left = np.take_along_axis(pts, np.maximum(idx - 1, 0), axis=1)
+    right = np.take_along_axis(pts, np.minimum(idx, size - 1), axis=1)
+    return np.minimum(np.abs(x - left), np.abs(x - right)) > tau
+
+
+def _block_far(coeffs: np.ndarray, hs: list, x: np.ndarray, tau: float) -> np.ndarray:
+    """``_far_atoms`` for the points ``_line_points(coeffs, h)`` of each h in ``hs``.
+
+    Each row is its own ``coeffs @ h`` (one product per step vector, as in
+    ``_line_points``), so the points are the witness points bit for bit.  A
+    row with two points within 1e-12 goes through ``_line_points`` itself;
+    every other row is already its merged point set once sorted.
+    """
+    vals = np.empty((len(hs), len(coeffs)))
+    for i, h in enumerate(hs):
+        vals[i] = coeffs @ h
+    pts = np.sort(vals, axis=1)
+    far = _far_atoms(pts, x, tau)
+    for i in np.flatnonzero(np.any(np.diff(pts, axis=1) <= 1e-12, axis=1)):
+        far[i] = _nearest_dist(x, _line_points(coeffs, hs[i]).ravel()) > tau
+    return far
+
+
+def _sum_slack(weights: np.ndarray) -> float:
+    """Bound on |float sum - fsum| for any subset of ``weights``, in any order.
+
+    A float sum of k <= n nonnegative terms lies within (k-1)u/(1-(k-1)u)
+    times their sum of the exact value, and fsum within u of it (u = 2^-53);
+    (n + 2) * 2^-52 * fsum(weights) covers both, and its own rounding.
+    """
+    return (weights.size + 2) * 2.0**-52 * math.fsum(weights.tolist())
+
+
+def _scored_step_sets(step_sets, allocs, lattice, rank, x, weights, tau):
+    """Yield ``(steps, [(radii, mass, far), ...])`` per step set, in search order.
+
+    ``far`` masks the atoms the candidate leaves uncovered and ``mass`` is
+    ``far @ weights``, a float sum within rounding of the exact one.  Step
+    sets are scored a block at a time, so each allocation's lattice serves a
+    whole block; the block holds at most ``_BLOCK_ELEMENTS`` points and
+    atom masks (one step set when a single one needs more).
+    """
+    per_set = sum(math.prod(2 * b + 1 for b in radii) + x.size for radii in allocs)
+    block = max(1, _BLOCK_ELEMENTS // per_set)
+    for start in range(0, len(step_sets), block):
+        sets = step_sets[start : start + block]
+        hs = [_step_vector(steps, rank) for steps in sets]
+        fars = [_block_far(lattice(radii), hs, x, tau) for radii in allocs]
+        masses = np.stack([far @ weights for far in fars], axis=1).tolist()
+        for b, steps in enumerate(sets):
+            yield steps, [
+                (radii, masses[b][a], fars[a][b]) for a, radii in enumerate(allocs)
+            ]
 
 
 def _coverage_search(
@@ -595,14 +670,28 @@ def _coverage_search(
     ``coefficients(witness)`` its coefficient rows, whose product with the
     padded step vector lists the points.  The rows depend on the radii
     alone, so each allocation's rows are built once; the witness object is
-    built only for the start and for the winner.
+    built only for the start and for the winner.  Candidates are visited in
+    ascending (rank, steps, radii) order and only a strictly smaller mass
+    replaces the best, so the first minimiser wins.
     """
     pool = _candidate_steps(w)
     best_v = uncovered_mass(w, make_witness((), ()).points(), tau)
     best = ((), ())
-    best_key = _witness_key((), ())
+    # the atoms of a DiscreteDistribution are sorted (lexsorted at construction)
     x, weights = w.atoms[:, 0], w.weights
+    slack = _sum_slack(weights)
     lattices, cached_rows = {}, 0
+
+    def lattice(radii):
+        nonlocal cached_rows
+        coeffs = lattices.get(radii)
+        if coeffs is None:
+            coeffs = coefficients(make_witness((), radii))
+            if cached_rows + len(coeffs) <= _LATTICE_CACHE_ROWS:
+                lattices[radii] = coeffs
+                cached_rows += len(coeffs)
+        return coeffs
+
     evals = 1
     for rho in range(1, min(rank_budget, 3) + 1):
         if best_v == 0.0 or evals >= search_budget:
@@ -621,30 +710,26 @@ def _coverage_search(
             step_sets = [
                 tuple(float(v) for v in c) for c in itertools.combinations(sub, 3)
             ]
-        allocs = _box_allocations(rho, cap_count)
-        for steps in step_sets:
-            h = _step_vector(steps, rank_budget)
-            for radii in allocs:
+        allocs = [
+            radii
+            for radii in _box_allocations(rho, cap_count)
+            if math.prod(2 * b + 1 for b in radii) <= _MAX_SEARCH_POINTS
+        ]
+        if not allocs:
+            continue
+        # every step set evaluates every allocation: score no set past the budget
+        step_sets = step_sets[: -(-(search_budget - evals) // len(allocs))]
+        scored = _scored_step_sets(step_sets, allocs, lattice, rank_budget, x, weights, tau)
+        for steps, candidates in scored:
+            for radii, mass, far in candidates:
                 if evals >= search_budget:
                     break
-                count = 1
-                for b in radii:
-                    count *= 2 * b + 1
-                if count > _MAX_SEARCH_POINTS:
-                    continue
-                coeffs = lattices.get(radii)
-                if coeffs is None:
-                    coeffs = coefficients(make_witness((), radii))
-                    if cached_rows + len(coeffs) <= _LATTICE_CACHE_ROWS:
-                        lattices[radii] = coeffs
-                        cached_rows += len(coeffs)
-                val = _outside_mass(x, weights, _line_points(coeffs, h).ravel(), tau)
                 evals += 1
-                if val < best_v or (
-                    val == best_v and _witness_key(steps, radii) < best_key
-                ):
-                    best_v, best = val, (steps, radii)
-                    best_key = _witness_key(steps, radii)
+                # only a candidate whose mass may lie below best_v gets its fsum
+                if mass - slack <= best_v:
+                    val = math.fsum(weights[far].tolist())
+                    if val < best_v:
+                        best_v, best = val, (steps, radii)
             if best_v == 0.0 or evals >= search_budget:
                 break
         if best_v == 0.0:

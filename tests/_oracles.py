@@ -5,7 +5,7 @@ subset enclosing balls, grid scans, the Monte Carlo count over raw sample
 rows, and the coverage search one candidate object at a time.  Nothing
 imports the package under test, except the coverage oracles: they build the
 package's witness classes, so that their JSON can be compared, and use its
-allocation, tie-break and merge helpers.
+allocation and merge helpers.
 """
 
 import itertools
@@ -297,13 +297,22 @@ def oracle_witness_points(wit):
     return pts
 
 
+def _witness_key(steps, radii):
+    return (
+        len(steps),
+        tuple(round(float(s), 12) for s in steps),
+        tuple(int(b) for b in radii),
+    )
+
+
 def oracle_coverage_search(w, tau, r, cap, kind, search_budget=20_000):
     """The coverage search one witness object per candidate, for r >= 1.
 
     ``kind`` is "beta" (Cgap witnesses with at most ``cap`` lattice points)
     or "gamma" (GapImageProgression witnesses of size at most ``cap``).
     Every candidate is built as a witness, and its value is the fsum of the
-    weights whose dense distance to the witness points exceeds tau.
+    weights whose dense distance to the witness points exceeds tau.  Equal
+    values are broken towards the smaller (rank, rounded steps, radii) key.
     Returns (value, witness, evaluations).
     """
     from anticonc.progressions import (
@@ -313,7 +322,6 @@ def oracle_coverage_search(w, tau, r, cap, kind, search_budget=20_000):
         Gap,
         GapImageProgression,
         _box_allocations,
-        _witness_key,
     )
 
     def make_witness(steps, radii):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -200,3 +203,12 @@ def test_constants_file_applies(capsys, tmp_path):
     )
     assert code == 2
     assert "nope" in err
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # scipy is imported where a kd-tree or a linear program is first needed
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, anticonc.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

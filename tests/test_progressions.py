@@ -15,8 +15,12 @@ from anticonc.progressions import (
     ConvexBody,
     Gap,
     GapImageProgression,
+    _block_far,
     _candidate_steps,
+    _far_atoms,
+    _line_points,
     _nearest_dist,
+    _sum_slack,
     beta_rm,
     gamma_rs,
     neighborhood_coverage,
@@ -326,3 +330,132 @@ def test_searches_match_oracle_on_perfect_cover(step, mult, r, cap):
     w = spectral_measure(step * np.array(mult, dtype=float).reshape(-1, 1))
     _assert_search_matches_oracle(w, 1e-9, r, cap)
     assert beta_rm(w, 1e-9, r, cap).value == 0.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    kind=st.sampled_from(["generic", "on_points", "tau_apart"]),
+    tau=st.sampled_from([0.0, 1e-9, 0.01, 0.3, 1.0]),
+)
+def test_block_kernel_matches_nearest_dist(data, kind, tau):
+    rows = data.draw(st.integers(1, 6), label="rows")
+    size = data.draw(st.integers(1, 12), label="size")
+    pts = np.sort(
+        np.array(data.draw(st.lists(_REALS, min_size=rows * size, max_size=rows * size))).reshape(
+            rows, size
+        ),
+        axis=1,
+    )
+    if kind == "generic":
+        x = np.array(data.draw(st.lists(_REALS, min_size=1, max_size=30), label="x"))
+    else:
+        # atoms on the points of some row, or exactly tau away from them
+        shift = 0.0 if kind == "on_points" else tau
+        x = np.concatenate([pts.ravel() - shift, pts.ravel() + shift, pts[0]])
+    x = np.sort(x)
+    far = _far_atoms(pts, x, tau)
+    for b in range(rows):
+        assert np.array_equal(far[b], _nearest_dist(x, pts[b]) > tau)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    h1=st.floats(0.01, 3.0),
+    factor=st.sampled_from([1.0, 2.0, 3.0, 0.5, 1.0 + 1e-13]),
+    radii=st.lists(st.integers(0, 3), min_size=2, max_size=2),
+    atoms=st.lists(_REALS, min_size=1, max_size=20),
+    tau=st.sampled_from([0.0, 0.01, 0.3]),
+)
+def test_block_kernel_merges_colliding_points(h1, factor, radii, atoms, tau):
+    # h2 = factor * h1 makes points of one row coincide (or fall within
+    # 1e-12), so those rows take the _line_points merge
+    coeffs = Cgap([1.0, 1.0], ConvexBody.box(radii), 10**4).lattice_points().astype(float)
+    hs = [np.array([h1, factor * h1]), np.array([h1, math.pi * h1])]
+    x = np.sort(np.array(atoms))
+    far = _block_far(coeffs, hs, x, tau)
+    for b, h in enumerate(hs):
+        assert np.array_equal(far[b], _nearest_dist(x, _line_points(coeffs, h).ravel()) > tau)
+
+
+def test_search_merges_colliding_points_like_the_oracle(monkeypatch):
+    # integer atoms put commensurable steps (h, 2h, ...) in the rank-2 and
+    # rank-3 step sets, whose points collide
+    merged = []
+
+    def counting(coeffs, h):
+        merged.append(len(coeffs))
+        return _line_points(coeffs, h)
+
+    monkeypatch.setattr(progressions, "_line_points", counting)
+    rows = np.array([[1.0], [2.0], [4.0], [6.0], [9.0], [12.0], [15.0]])
+    _assert_search_matches_oracle(spectral_measure(rows), 0.01, 3, 25)
+    assert len(merged) > 20  # more than the start and witness replays
+
+
+_NON_DYADIC = st.sampled_from([0.1, 0.2, 0.3, 0.7, 1.0 / 3.0, 0.6, 0.9, 1.1])
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    atoms=st.lists(st.floats(0.3, 3.0), min_size=2, max_size=6, unique=True),
+    weights=st.lists(_NON_DYADIC, min_size=6, max_size=6),
+    r=st.sampled_from([1, 2, 3]),
+    cap=st.integers(3, 30),
+    tau=st.sampled_from([0.02, 0.1]),
+)
+def test_searches_match_oracle_on_near_tied_masses(atoms, weights, r, cap, tau):
+    # sums such as 0.1 + 0.2 and 0.3 tie in exact arithmetic but not in
+    # floating point: the float prefilter must never decide between them
+    w = DiscreteDistribution(atoms, weights[: len(atoms)], normalized=False)
+    _assert_search_matches_oracle(w, tau, r, cap)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    weights=st.lists(
+        st.one_of(_NON_DYADIC, st.floats(1e-17, 1e-15), st.floats(0.0, 1e6)),
+        min_size=1,
+        max_size=200,
+    ),
+    data=st.data(),
+)
+def test_float_mass_is_within_slack_of_fsum(weights, data):
+    w = np.array(weights)
+    far = np.array(data.draw(st.lists(st.booleans(), min_size=len(w), max_size=len(w))))
+    exact = math.fsum(w[far].tolist())
+    slack = _sum_slack(w)
+    for approx in (far @ w, np.sum(w[far]), sum(w[far].tolist()), sum(reversed(w[far].tolist()))):
+        assert abs(approx - exact) <= slack
+
+
+def test_perfect_cover_between_allocations_matches_oracle():
+    # the cover is found at radii (1, 2), the second of the four rank-2
+    # allocations; the step set's last two still count as evaluations
+    w = spectral_measure(1.342 * np.array([[2.0], [5.0], [10.0]]))
+    assert progressions._box_allocations(2, 16) == [(0, 7), (1, 2), (2, 1), (7, 0)]
+    res = beta_rm(w, 1e-9, 2, 16)
+    assert res.value == 0.0
+    assert list(res.witness.body.to_json_obj()["box"]) == [1.0, 2.0]
+    assert res.evaluations == 44
+    _assert_search_matches_oracle(w, 1e-9, 2, 16)
+
+
+@pytest.mark.parametrize("elements", [1, 200, 1500])
+def test_search_in_small_blocks_matches_oracle(monkeypatch, elements):
+    # 1 element: one step set per block; 200 and 1500: a few rows each
+    monkeypatch.setattr(progressions, "_BLOCK_ELEMENTS", elements)
+    rows = np.array([[0.7], [1.3], [1.9], [0.45], [2.6], [3.3], [0.95], [4.1]])
+    _assert_search_matches_oracle(spectral_measure(rows), 0.05, 3, 30, 700)
+    _assert_search_matches_oracle(spectral_measure(rows[:3]), 1e-9, 2, 16)
+
+
+def test_step_pool_is_built_once_per_measure():
+    rows = np.array([[0.31], [1.7], [2.25], [0.83]])
+    w = spectral_measure(rows)
+    progressions._pool_of.cache_clear()
+    for tau in (0.01, 0.2):
+        beta_rm(w, tau, 2, 9)
+        gamma_rs(w, tau, 2, 9)
+    assert progressions._pool_of.cache_info().misses == 1
+    assert not _candidate_steps(w).flags.writeable
