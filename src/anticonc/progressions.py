@@ -486,18 +486,19 @@ def _candidate_steps(w: DiscreteDistribution, cap: int = 96) -> np.ndarray:
     convergents p/q (depth 12, numerators and denominators up to 1e6) of
     pairwise ratios zj/zi, contributing zj/p and zi/q, so near-commensurable
     atoms suggest a common step.  All pairs advance through the expansion
-    together.  The pool depends only on the measure, never on (tau, rank,
-    cap): searches over different parameters therefore range over nested
-    candidate families.  It is memoised on the atom bytes, so the searches
-    that one report or one ``gapfit`` runs on a measure build it once.
+    together.  The pool depends only on the distinct nonzero |atoms|, never
+    on (tau, rank, cap): searches over different parameters therefore range
+    over nested candidate families.  It is memoised on those values, so the
+    searches on one weight vector's measures (a report's four, a
+    ``gapfit``'s two) build it once.
     """
-    return _pool_of(w.atoms.shape[1], w.atoms.tobytes(), cap)
+    zn = np.max(np.abs(w.atoms), axis=1)
+    return _pool_of(np.unique(zn[zn > 0]).tobytes(), cap)
 
 
 @functools.lru_cache(maxsize=8)
-def _pool_of(dim: int, atom_bytes: bytes, cap: int) -> np.ndarray:
-    zn = np.max(np.abs(np.frombuffer(atom_bytes).reshape(-1, dim)), axis=1)
-    zs = np.unique(zn[zn > 0])
+def _pool_of(z_bytes: bytes, cap: int) -> np.ndarray:
+    zs = np.frombuffer(z_bytes)
     ii, jj = np.triu_indices(len(zs), 1)
     zi, zj = zs[ii], zs[jj]
     diff = zj - zi

@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 
 import _oracles as O
 from anticonc import progressions
-from anticonc.distributions import DiscreteDistribution, spectral_measure, tail_mass
+from anticonc.distributions import (
+    DiscreteDistribution,
+    half_empirical_measure,
+    spectral_measure,
+    tail_mass,
+)
 from anticonc.errors import CapacityError, ClassCapError, DomainError
 from anticonc.progressions import (
     ApproxResult,
@@ -450,12 +455,21 @@ def test_search_in_small_blocks_matches_oracle(monkeypatch, elements):
     _assert_search_matches_oracle(spectral_measure(rows[:3]), 1e-9, 2, 16)
 
 
-def test_step_pool_is_built_once_per_measure():
+def test_step_pool_is_built_once_per_weight_vector():
     rows = np.array([[0.31], [1.7], [2.25], [0.83]])
-    w = spectral_measure(rows)
     progressions._pool_of.cache_clear()
-    for tau in (0.01, 0.2):
-        beta_rm(w, tau, 2, 9)
-        gamma_rs(w, tau, 2, 9)
+    for w in (spectral_measure(rows), half_empirical_measure(rows)):
+        for tau in (0.01, 0.2):
+            beta_rm(w, tau, 2, 9)
+            gamma_rs(w, tau, 2, 9)
     assert progressions._pool_of.cache_info().misses == 1
-    assert not _candidate_steps(w).flags.writeable
+    assert not _candidate_steps(spectral_measure(rows)).flags.writeable
+
+
+def test_search_skips_allocations_past_the_point_guard():
+    # the one rank-1 box holds 20,003 > _MAX_SEARCH_POINTS points: nothing
+    # past the start is evaluated
+    w = spectral_measure(np.array([[0.4], [1.1], [2.7]]))
+    res = beta_rm(w, 0.01, 1, 20_003)
+    assert res.evaluations == 1 and res.value == tail_mass(w, 0.01)
+    _assert_search_matches_oracle(w, 0.01, 1, 20_003)
