@@ -775,13 +775,17 @@ def build_bound_report(
     references["q"] = _reference_entry(q_est)
 
     # Smoothed references.  The kappa-window pair for the plain and refined
-    # transfers shares one derived seed so their comparison is coupled.
+    # transfers shares one derived seed so their comparison is coupled; with
+    # equal powers the two entries are the same computation, made once.
     q_h_p_kappa = _smoothed_reference(
         a, p_val, kappa, mc_samples, derive_seed(seed_int, 2), c
     )
-    q_h_lambda_kappa = _smoothed_reference(
-        a, lam_transfer, kappa, mc_samples, derive_seed(seed_int, 2), c
-    )
+    if lam_transfer == p_val:
+        q_h_lambda_kappa = dict(q_h_p_kappa)
+    else:
+        q_h_lambda_kappa = _smoothed_reference(
+            a, lam_transfer, kappa, mc_samples, derive_seed(seed_int, 2), c
+        )
     q_h_p_delta = _smoothed_reference(
         a, p_val, delta, mc_samples, derive_seed(seed_int, 3), c
     )

@@ -9,6 +9,7 @@ Esseen-type upper bound c * tau^d * integral of |char fn| over the dual ball.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -39,6 +40,8 @@ _MC_MIN_SAMPLES = 1000
 _MC_CHUNK = 65536
 # Ball hits held at once while summing multiplicities in mc_q.
 _BALL_HIT_BUDGET = 1 << 20
+# Centres of a cell that _max_ball_mass counts one by one rather than split.
+_CELL_CENTERS = 16
 
 
 class WeightVector:
@@ -196,29 +199,83 @@ def _near_pairs(pts, reach):
     return ii[near], jj[near]
 
 
-def _max_ball_mass(pts, w, centers, radius):
-    """Largest ``w``-mass of a closed ball of ``radius`` around a candidate centre.
-
-    Every ball sum runs over the hit indices in increasing order.
-    """
-    from scipy.spatial import cKDTree
-
-    tree = cKDTree(pts)
-    if np.all(w == 1):
+def _ball_masses(tree, w, centers, radius):
+    """Mass of the closed ball of ``radius`` (a scalar, or one per centre)
+    around each centre; ``w`` is None for unit weights.  Every sum runs over
+    the hit indices in increasing order."""
+    if w is None:
         # unit weights: the kd-tree counts in C, no hit lists needed
-        return float(np.max(tree.query_ball_point(centers, radius, return_length=True)))
-    best = 0.0
-    # each centre hits at most len(pts) points: bound the hits held at once
-    step = max(1, _BALL_HIT_BUDGET // len(pts))
+        return tree.query_ball_point(centers, radius, return_length=True)
+    radius = np.broadcast_to(radius, len(centers))
+    mass = np.empty(len(centers))
+    # each centre hits at most tree.n points: bound the hits held at once
+    step = max(1, _BALL_HIT_BUDGET // tree.n)
     for i in range(0, len(centers), step):
-        hits = tree.query_ball_point(centers[i : i + step], radius)
+        hits = tree.query_ball_point(centers[i : i + step], radius[i : i + step])
         lengths = np.fromiter(map(len, hits), dtype=np.intp, count=len(hits))
         flat = np.fromiter(
             itertools.chain.from_iterable(hits), dtype=np.intp, count=int(lengths.sum())
         )
         owner = np.repeat(np.arange(len(hits)), lengths)
-        mass = np.bincount(owner, weights=w[flat], minlength=len(hits))
-        best = max(best, float(mass.max()))
+        mass[i : i + step] = np.bincount(owner, weights=w[flat], minlength=len(hits))
+    return mass
+
+
+def _max_ball_mass(pts, w, centers, radius):
+    """Largest ``w``-mass of a closed ball of ``radius`` around a candidate centre.
+
+    Every ball sum runs over the hit indices in increasing order.  Inputs with
+    more than ``_BALL_HIT_BUDGET`` centre-point pairs are searched best first:
+    the centres are grouped into grid cells of side ``2*radius``, and a cell is
+    bounded by the mass of one ball around the midpoint of its centres'
+    bounding box, enlarged by their largest distance from it plus a rounding
+    slack.  That ball holds every hit of every centre of the cell, and the
+    weights are nonnegative, so its sum (same helper, same increasing order;
+    floating-point addition is monotone) is at least each centre's mass.  The
+    cell with the largest bound is taken next: one of at most
+    ``_CELL_CENTERS`` centres is counted centre by centre, a larger one is
+    split at its midpoint into children of half the side, and only children
+    whose bound beats the best mass so far are kept.  The search stops when
+    no bound beats it, so every skipped centre has a mass at most the
+    maximum, which is returned bit for bit.
+    """
+    from scipy.spatial import cKDTree
+
+    tree = cKDTree(pts, leafsize=64)
+    w = None if np.all(w == 1) else w
+    if len(centers) * len(pts) <= _BALL_HIT_BUDGET:
+        return float(np.max(_ball_masses(tree, w, centers, radius)))
+    # covers the rounding of midpoints, reaches and the tree's distances
+    scale = max(float(np.max(np.abs(pts))), float(np.max(np.abs(centers))))
+    slack = 1e-9 * max(1.0, scale, radius)
+    heap = []
+    tick = itertools.count()
+    best = 0.0
+
+    def push(idx, keys):
+        """Bound the cells of centres ``idx`` that share a row of ``keys``."""
+        order = np.lexsort(keys.T[::-1])
+        idx, keys, c = idx[order], keys[order], centers[idx[order]]
+        starts = np.flatnonzero(np.r_[True, np.any(keys[1:] != keys[:-1], axis=1)])
+        mid = (np.minimum.reduceat(c, starts) + np.maximum.reduceat(c, starts)) / 2.0
+        owner = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(c)))
+        dist = np.sqrt(((c - mid[owner]) ** 2).sum(axis=1))
+        reach = np.maximum.reduceat(dist, starts)
+        bound = _ball_masses(tree, w, mid, radius + reach + slack)
+        for cell, stop in enumerate(np.append(starts[1:], len(c))):
+            if bound[cell] > best:
+                heapq.heappush(
+                    heap, (-bound[cell], next(tick), idx[starts[cell] : stop], mid[cell])
+                )
+
+    push(np.arange(len(centers)), np.floor((centers - centers.min(axis=0)) / (2 * radius)))
+    while heap and -heap[0][0] > best:
+        _, _, idx, mid = heapq.heappop(heap)
+        halves = centers[idx] > mid
+        if len(idx) <= _CELL_CENTERS or np.all(halves == halves[0]):
+            best = max(best, float(np.max(_ball_masses(tree, w, centers[idx], radius))))
+        else:
+            push(idx, halves)
     return best
 
 

@@ -108,6 +108,22 @@ def oracle_q_ball(support, probs, rows, tau):
     return best
 
 
+def oracle_max_ball_mass(pts, w, centers, radius):
+    """Largest ``w``-mass of a closed ball of ``radius`` around any centre.
+
+    Every centre is counted, by a default-leafsize kd-tree, and each ball sum
+    adds the weights of its hits one at a time in increasing index order.
+    """
+    tree = cKDTree(pts)
+    best = 0.0
+    for hits in tree.query_ball_point(centers, radius):
+        mass = 0.0
+        for i in sorted(hits):
+            mass += float(w[i])
+        best = max(best, mass)
+    return best
+
+
 def oracle_mc_count(samples, tau, sub_idx):
     """Largest window or ball count of Monte Carlo samples, row by row.
 

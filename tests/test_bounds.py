@@ -1,9 +1,12 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from anticonc import bounds
+from anticonc._common import derive_seed
 from anticonc.bounds import (
     BoundReport,
     ConstantsConfig,
@@ -268,6 +271,30 @@ def test_report_records_failed_esseen_cross_check():
     assert 0.0 <= ref["value"] <= 1.0
     assert rep.references["q_h_p_kappa"]["esseen_upper"] > 0.0
     json.dumps(rep.to_json_obj())
+
+
+@pytest.mark.parametrize(
+    "x, calls", [(RAD, 2), (DiscreteDistribution.from_shorthand("uniform{-1,0,1}"), 3)]
+)
+def test_report_computes_equal_kappa_references_once(x, calls):
+    # Rademacher steps give p == lambda at tau/kappa = 1.5; uniform{-1,0,1} does not
+    a = WeightVector(np.ones((6, 1)))
+    args = dict(tau=1.5, kappa=1.0, delta=0.5, seed=4, mc_samples=2000)
+    with mock.patch.object(
+        bounds, "_smoothed_reference", wraps=bounds._smoothed_reference
+    ) as spy:
+        rep = build_bound_report(x, a, **args)
+    assert spy.call_count == calls
+    assert (rep.guards["lambda_tau_over_kappa"] == rep.guards["p_tau_over_kappa"]) == (
+        calls == 2
+    )
+    # the entry the report would hold had the kappa reference been recomputed
+    direct = bounds._smoothed_reference(
+        a, rep.guards["lambda_tau_over_kappa"], 1.0, 2000, derive_seed(4, 2),
+        ConstantsConfig(),
+    )
+    assert rep.references["q_h_lambda_kappa"] == direct
+    assert rep.references["q_h_lambda_kappa"] is not rep.references["q_h_p_kappa"]
 
 
 def test_report_requires_both_lcd_params():

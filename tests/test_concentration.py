@@ -242,6 +242,56 @@ def test_mc_q_count_matches_raw_row_oracle(dim, n, lattice, half_width, seed, hi
     np.testing.assert_array_equal(counts, want_counts)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.integers(2, 3),
+    k=st.integers(1, 300),
+    lattice=st.booleans(),
+    weights=st.sampled_from(["unit", "multiplicity", "fraction"]),
+    tau=st.sampled_from([0.5, 1.0, 2.0]),
+    seed=st.integers(0, 2**32 - 1),
+    hit_budget=st.sampled_from([1, 64]),
+    cell_centers=st.sampled_from([1, 4, concentration._CELL_CENTERS]),
+)
+def test_pruned_ball_mass_matches_every_centre_oracle(
+    dim, k, lattice, weights, tau, seed, hit_budget, cell_centers
+):
+    # Lattice rows on a tau/2 grid put pairs exactly tau/2 and tau apart, so
+    # distances tie with the radius; generic rows give no ties.
+    rng = np.random.default_rng(seed)
+    if lattice:
+        pts = rng.integers(-4, 5, size=(k, dim)) * (tau / 2.0)
+    else:
+        pts = rng.uniform(-3.0, 3.0, size=(k, dim))
+    if weights == "unit":
+        w = np.ones(k)
+    elif weights == "multiplicity":
+        w = rng.integers(1, 6, size=k).astype(float)
+    else:
+        # probabilities, as in the exact route
+        w = rng.integers(1, 50, size=k) / 49.0
+        w /= w.sum()
+    ii, jj = np.triu_indices(k, 1)
+    pick = rng.choice(len(ii), size=min(len(ii), 200), replace=False)
+    centers = np.vstack([pts, (pts[ii[pick]] + pts[jj[pick]]) / 2.0])
+    radius = tau / 2.0 + concentration._ball_tol(pts, tau / 2.0)
+    with mock.patch.object(concentration, "_BALL_HIT_BUDGET", hit_budget), mock.patch.object(
+        concentration, "_CELL_CENTERS", cell_centers
+    ):
+        got = concentration._max_ball_mass(pts, w, centers, radius)
+    assert got == O.oracle_max_ball_mass(pts, w, centers, radius)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_mc_q_count_matches_raw_row_oracle_at_scale(dim):
+    # 20k distinct generic draws: far above the hit budget, so the
+    # branch-and-bound search runs with its real settings
+    rows = np.random.default_rng(dim).uniform(0.3, 2.0, size=(40, dim))
+    sampler = WeightedSum(RAD, WeightVector(rows))
+    samples = _assert_mc_count_matches_oracle(sampler, 4.0, 20_000, 1)
+    assert len(distinct_rows(samples)[0]) ** 2 > concentration._BALL_HIT_BUDGET
+
+
 def test_esseen_dominates_exact_on_the_line():
     for w in ([1.0] * 6, [1.0, 2.0, 3.0, 4.0], [1.0, 1.0, 5.0]):
         a = WeightVector(np.asarray(w)[:, None])
