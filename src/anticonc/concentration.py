@@ -344,7 +344,7 @@ def exact_q_of_distribution(
     f: DiscreteDistribution, tau: float, budget: int = DEFAULT_EXACT_BUDGET
 ) -> float:
     """Exact Q(F, tau) for a finitely supported probability distribution."""
-    if tau < 0:
+    if not tau >= 0:
         raise DomainError("tau must be nonnegative")
     if not f.normalized:
         raise DomainError("Q is defined for probability distributions")
@@ -431,7 +431,7 @@ def mc_q(
     a seeded 256-sample subsample, which makes the estimate a documented
     lower-bound heuristic for the empirical optimum.
     """
-    if tau < 0:
+    if not tau >= 0:
         raise DomainError("tau must be nonnegative")
     if n_samples < _MC_MIN_SAMPLES:
         raise DomainError(f"Monte Carlo needs at least {_MC_MIN_SAMPLES} samples")

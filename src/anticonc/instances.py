@@ -4,6 +4,7 @@ optional frozen expected values used by the verification suite."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -43,7 +44,12 @@ def _check_parameters(params: dict) -> dict:
         elif key in _NUMERIC_PARAMS:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise InputError(f"parameters.{key}: expected a number")
-            out[key] = float(value)
+            try:
+                out[key] = float(value)
+            except OverflowError:  # an integer literal past the float range
+                out[key] = math.inf
+            if not math.isfinite(out[key]):
+                raise InputError(f"parameters.{key}: expected a finite number")
         else:
             raise InputError(f"parameters: unknown field {key!r}")
     return out

@@ -8,8 +8,11 @@ small progression whose tau-neighborhood covers as much of a given measure on
 the line as possible; values are certified upper bounds with an explicit
 witness, exact only at rank zero where the class collapses to {0}.
 
-The search draws its step candidates from one vectorised continued-fraction
-pass over all atom pairs, memoised per measure, and builds the coefficient
+Both functionals run one search over axis boxes of integer radii and a
+padded step vector h; ``beta_rm`` states the winner as a box Cgap,
+``gamma_rs`` as the identity-generator Gap of the same box under h.  The
+search draws its step candidates from one vectorised continued-fraction pass
+over all atom pairs, memoised per measure, and builds the coefficient
 lattice of each box allocation once.  It scores a block of step sets per
 allocation: one ``coeffs @ h`` per candidate, rows sorted, and one binary
 search of all points into the sorted atoms gives every atom's two
@@ -96,10 +99,7 @@ class Gap:
         return tuple(2 * int(math.floor(L)) + 1 for L in self._dims)
 
     def box_total(self) -> int:
-        total = 1
-        for c in self.box_counts():
-            total *= c
-        return total
+        return math.prod(self.box_counts())
 
     def image(self, budget: int = GAP_ENUM_BUDGET) -> np.ndarray:
         """All distinct progression points, lexicographically sorted.
@@ -107,19 +107,11 @@ class Gap:
         Generator relations within 1e-9 count as collisions.  Raises
         CapacityError when the coefficient box exceeds ``budget``.
         """
-        if self.rank == 0:
-            return np.zeros((1, self.ambient_dim))
         if self.box_total() > budget:
             raise CapacityError(
                 f"coefficient box {self.box_total()} exceeds budget {budget}"
             )
-        ranges = [
-            np.arange(-int(math.floor(L)), int(math.floor(L)) + 1)
-            for L in self._dims
-        ]
-        mesh = np.meshgrid(*ranges, indexing="ij")
-        coeffs = np.stack([m.reshape(-1) for m in mesh], axis=1).astype(float)
-        pts = coeffs @ self._gens
+        pts = _integer_box(self._dims).astype(float) @ self._gens
         pts, _ = dedupe_points(pts, np.ones(len(pts)), CONVOLUTION_MERGE_TOL)
         return pts
 
@@ -276,28 +268,28 @@ class ConvexBody:
         return f"ConvexBody({self._kind}, dim={self._dim})"
 
 
+def _integer_box(bounds) -> np.ndarray:
+    """Integer points with |nu_j| <= floor(b_j), one int64 row each.
+
+    Rows are in lexicographic order (meshgrid ``ij`` order); no bounds give
+    the single empty point.
+    """
+    radii = np.floor(np.asarray(bounds, dtype=float)).astype(np.int64)
+    counts = 2 * radii + 1
+    grid = np.indices(counts).reshape(radii.size, math.prod(counts.tolist()))
+    return grid.T - radii
+
+
 def _lattice_points_in_body(body: ConvexBody, budget: int) -> np.ndarray:
     """Integer points of Z^r inside a closed symmetric convex body."""
-    r = body.dim
-    if r == 0:
-        return np.zeros((1, 0), dtype=np.int64)
-    bbox = body.bounding_box()
-    counts = [2 * int(math.floor(b + 1e-12)) + 1 for b in bbox]
-    total = 1
-    for c in counts:
-        total *= c
+    bbox = body.bounding_box() + 1e-12
+    total = math.prod(2 * int(math.floor(b)) + 1 for b in bbox)
     if total > budget:
         raise CapacityError(
             f"bounding-box lattice enumeration {total} exceeds budget {budget}"
         )
-    ranges = [
-        np.arange(-int(math.floor(b + 1e-12)), int(math.floor(b + 1e-12)) + 1)
-        for b in bbox
-    ]
-    mesh = np.meshgrid(*ranges, indexing="ij")
-    pts = np.stack([m.reshape(-1) for m in mesh], axis=1).astype(np.int64)
-    mask = body.contains(pts.astype(float))
-    return pts[mask]
+    pts = _integer_box(bbox)
+    return pts[body.contains(pts.astype(float))]
 
 
 class Cgap:
@@ -350,10 +342,7 @@ class Cgap:
 
     def points(self, budget: int = GAP_ENUM_BUDGET) -> np.ndarray:
         """Distinct progression values as a (s, 1) array, sorted."""
-        lattice = self.lattice_points(budget)
-        if self.rank == 0:
-            return np.zeros((1, 1))
-        return _line_points(lattice.astype(float), self._h)
+        return _line_points(self.lattice_points(budget).astype(float), self._h)
 
     def to_json_obj(self) -> dict:
         return {
@@ -652,31 +641,35 @@ def _scored_step_sets(step_sets, allocs, lattice, rank, x, weights, tau):
             ]
 
 
+def _box_cgap(steps, radii, r: int, m: int) -> Cgap:
+    """Box witness: ``radii`` on the first axes, 0.4 (only nu_j = 0) on the rest."""
+    bounds = np.full(r, 0.4)
+    bounds[: len(radii)] = radii
+    return Cgap(_step_vector(steps, r), ConvexBody.box(bounds), m)
+
+
 def _coverage_search(
-    w: DiscreteDistribution,
-    tau: float,
-    rank_budget: int,
-    cap_count: int,
-    make_witness,
-    coefficients,
-    search_budget: int,
+    w: DiscreteDistribution, tau: float, r: int, cap: int, search_budget: int
 ) -> ApproxResult:
-    """Shared search core for both progression classes.
+    """Shared search core for both progression classes; the winner is a box Cgap.
 
     Minimizes the uncovered mass over a candidate family that is nested in
     rank, cap, and (pointwise) tau, so reported values are antitone in all
-    three.  Budget exhaustion returns the best candidate found so far.
+    three.  Budget exhaustion returns the best candidate found so far.  Rank
+    zero has the single member K = {0} and returns it as exact.
 
-    ``make_witness(steps, radii)`` builds a class member and
-    ``coefficients(witness)`` its coefficient rows, whose product with the
-    padded step vector lists the points.  The rows depend on the radii
-    alone, so each allocation's rows are built once; the witness object is
-    built only for the start and for the winner.  Candidates are visited in
-    ascending (rank, steps, radii) order and only a strictly smaller mass
-    replaces the best, so the first minimiser wins.
+    A candidate is a step set and integer box radii with at most ``cap``
+    lattice points; its points are the box's lattice rows (radii padded with
+    zeros to r) times the step vector padded with ones.  The rows depend on
+    the radii alone, so each allocation's rows are built once; the witness
+    is built only for the winner.  Candidates are visited in ascending
+    (rank, steps, radii) order and only a strictly smaller mass replaces the
+    best, so the first minimiser wins.
     """
+    best_v = uncovered_mass(w, np.zeros((1, 1)), tau)
+    if r == 0:
+        return ApproxResult(best_v, _box_cgap((), (), 0, cap), True, 1)
     pool = _candidate_steps(w)
-    best_v = uncovered_mass(w, make_witness((), ()).points(), tau)
     best = ((), ())
     # the atoms of a DiscreteDistribution are sorted (lexsorted at construction)
     x, weights = w.atoms[:, 0], w.weights
@@ -687,40 +680,28 @@ def _coverage_search(
         nonlocal cached_rows
         coeffs = lattices.get(radii)
         if coeffs is None:
-            coeffs = coefficients(make_witness((), radii))
+            coeffs = _integer_box(radii + (0,) * (r - len(radii))).astype(float)
             if cached_rows + len(coeffs) <= _LATTICE_CACHE_ROWS:
                 lattices[radii] = coeffs
                 cached_rows += len(coeffs)
         return coeffs
 
     evals = 1
-    for rho in range(1, min(rank_budget, 3) + 1):
+    for rho in range(1, min(r, 3) + 1):
         if best_v == 0.0 or evals >= search_budget:
             break
-        if rho == 1:
-            step_sets = [(float(h),) for h in pool]
-        elif rho == 2:
-            sub = _stride(pool, 24)
-            step_sets = [
-                (float(sub[i]), float(sub[j]))
-                for i in range(len(sub))
-                for j in range(i + 1, len(sub))
-            ]
-        else:
-            sub = _stride(pool, 10)
-            step_sets = [
-                tuple(float(v) for v in c) for c in itertools.combinations(sub, 3)
-            ]
+        sub = _stride(pool, (len(pool), 24, 10)[rho - 1])
+        step_sets = list(itertools.combinations(sub, rho))
         allocs = [
             radii
-            for radii in _box_allocations(rho, cap_count)
+            for radii in _box_allocations(rho, cap)
             if math.prod(2 * b + 1 for b in radii) <= _MAX_SEARCH_POINTS
         ]
         if not allocs:
             continue
         # every step set evaluates every allocation: score no set past the budget
         step_sets = step_sets[: -(-(search_budget - evals) // len(allocs))]
-        scored = _scored_step_sets(step_sets, allocs, lattice, rank_budget, x, weights, tau)
+        scored = _scored_step_sets(step_sets, allocs, lattice, r, x, weights, tau)
         for steps, candidates in scored:
             for radii, mass, far in candidates:
                 if evals >= search_budget:
@@ -735,7 +716,7 @@ def _coverage_search(
                 break
         if best_v == 0.0:
             break
-    return ApproxResult(best_v, make_witness(*best), False, evals)
+    return ApproxResult(best_v, _box_cgap(*best, r, cap), False, evals)
 
 
 def _check_search_args(w: DiscreteDistribution, tau: float, rank: int, count: int):
@@ -763,20 +744,7 @@ def beta_rm(
     is exact (the class contains only K = {0}).
     """
     _check_search_args(w, tau, r, m)
-    if r == 0:
-        wit = Cgap(np.zeros(0), ConvexBody.box([]), int(m))
-        val = uncovered_mass(w, wit.points(), tau)
-        return ApproxResult(val, wit, True, 1)
-
-    def make_witness(steps, radii) -> Cgap:
-        bounds = np.full(r, 0.4)  # trivial axes admit only nu_j = 0
-        bounds[: len(radii)] = [float(b) for b in radii]
-        return Cgap(_step_vector(steps, r), ConvexBody.box(bounds), int(m))
-
-    return _coverage_search(
-        w, tau, int(r), int(m), make_witness,
-        lambda wit: wit.lattice_points().astype(float), search_budget,
-    )
+    return _coverage_search(w, tau, int(r), int(m), search_budget)
 
 
 def gamma_rs(
@@ -789,25 +757,19 @@ def gamma_rs(
     """Least uncovered mass over searched GAP-image progressions of rank <= r.
 
     The witness applies a real step vector to an integral progression of size
-    at most ``s`` (axis boxes, hence proper).  Values are upper bounds; they
-    are never compared against ``beta_rm`` because the classes differ.
+    at most ``s`` (axis boxes with identity generators, hence proper).  The
+    searched family is the one ``beta_rm`` searches: a box's image under h is
+    the box Cgap's point set, so at equal caps the two values agree.  Values
+    are upper bounds; rank zero is exact.
     """
     _check_search_args(w, tau, r, s)
+    res = _coverage_search(w, tau, int(r), int(s), search_budget)
     if r == 0:
         wit = _ZeroProgression()
-        val = uncovered_mass(w, wit.points(), tau)
-        return ApproxResult(val, wit, True, 1)
-
-    def make_witness(steps, radii) -> GapImageProgression:
-        dims = np.full(r, 0.4)
-        dims[: len(radii)] = [max(float(b), 0.4) for b in radii]
-        return GapImageProgression(
-            Gap(tuple(dims), np.eye(r)), tuple(_step_vector(steps, r))
-        )
-
-    return _coverage_search(
-        w, tau, int(r), int(s), make_witness, lambda wit: wit.gap.image(), search_budget
-    )
+    else:
+        dims = np.maximum(res.witness.body.bounding_box(), 0.4)
+        wit = GapImageProgression(Gap(dims, np.eye(r)), tuple(res.witness.h))
+    return ApproxResult(res.value, wit, res.exact, res.evaluations)
 
 
 class _ZeroProgression:

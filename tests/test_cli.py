@@ -65,6 +65,19 @@ def test_missing_parameter_is_exit_two(capsys, tmp_path):
     assert "tau" in err
 
 
+@pytest.mark.parametrize("method", ["exact", "mc"])
+def test_non_finite_tau_is_exit_two(capsys, tmp_path, method):
+    inst = tmp_path / "inst.json"
+    inst.write_text(
+        '{"id": "nan-tau", "distribution": "rademacher", "weights": [[1.0]], '
+        '"parameters": {"tau": NaN}}'
+    )
+    code, out, err = run(["q", str(inst), "--method", method], capsys)
+    assert code == 2
+    assert out == ""
+    assert "tau" in err
+
+
 def test_capacity_is_exit_three(capsys, tmp_path):
     import numpy as np
     rng = np.random.default_rng(1)

@@ -178,6 +178,8 @@ def test_mc_q_agrees_with_exact_and_is_seeded():
     assert abs(est1.value - exact) <= 5.0 * est1.stderr
     with pytest.raises(DomainError):
         mc_q(WeightedSum(RAD, a), 2.0, 10, 3)
+    with pytest.raises(DomainError):
+        mc_q(WeightedSum(RAD, a), math.nan, 50_000, 3)
 
 
 def test_mc_q_multid_is_a_lower_bound_heuristic():
@@ -349,3 +351,5 @@ def test_exact_q_of_distribution_guards():
         exact_q_of_distribution(f, 1.0)
     with pytest.raises(DomainError):
         exact_q_of_distribution(DiscreteDistribution([[0.0]], [1.0]), -1.0)
+    with pytest.raises(DomainError):
+        exact_q_of_distribution(DiscreteDistribution([[0.0]], [1.0]), math.nan)

@@ -50,6 +50,17 @@ def test_parameter_type_enforced():
         InstanceSpec.from_json_obj(bad_int)
 
 
+@pytest.mark.parametrize(
+    "value",
+    [float("nan"), float("inf"), float("-inf"), 10**400],
+    ids=["nan", "inf", "-inf", "int-past-float-range"],
+)
+def test_non_finite_parameter_rejected(value):
+    bad = dict(GOOD, parameters={"tau": value})
+    with pytest.raises(InputError, match="tau"):
+        InstanceSpec.from_json_obj(bad)
+
+
 def test_load_instances_file_and_dir(tmp_path):
     p = tmp_path / "a.json"
     p.write_text(json.dumps(GOOD))

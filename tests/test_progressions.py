@@ -138,9 +138,12 @@ def test_beta_rm_never_exceeds_tail(r, m):
 def test_beta_rm_rank_zero_is_tail():
     w = spectral_measure(np.array([[1.0], [4.0]]))
     for tau in (0.5, 1.0, 3.0, 4.0):
-        res = beta_rm(w, tau, 0, 1)
-        assert res.exact
-        assert res.value == tail_mass(w, tau)
+        for m in (1, 7):
+            res = beta_rm(w, tau, 0, m)
+            assert res.exact and res.evaluations == 1
+            assert res.value == tail_mass(w, tau)
+            assert res.witness.to_json_obj() == {"V": {"box": []}, "h": [], "m": m}
+        assert not beta_rm(w, tau, 1, 3).exact
 
 
 def test_beta_rm_finds_perfect_cover():
@@ -154,8 +157,12 @@ def test_gamma_rs_witness_replay_and_zero_rank():
     w = spectral_measure(np.array([[1.0], [2.0], [4.0]]))
     res = gamma_rs(w, 0.5, 1, 4)
     assert uncovered_mass(w, res.witness.points(), 0.5) == res.value
-    base = gamma_rs(w, 0.5, 0, 1)
-    assert base.exact and base.value == tail_mass(w, 0.5)
+    assert not res.exact
+    for tau in (0.5, 1.0, 3.0, 4.0):
+        base = gamma_rs(w, tau, 0, 5)
+        assert base.exact and base.evaluations == 1
+        assert base.value == tail_mass(w, tau)
+        assert base.witness.to_json_obj() == {"gap": {"L": [], "g": [], "dim": 1}, "h": []}
 
 
 def test_beta_rm_rejects_bad_args():
