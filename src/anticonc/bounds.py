@@ -19,7 +19,6 @@ import numpy as np
 
 from ._common import derive_seed
 from .concentration import (
-    DEFAULT_EXACT_BUDGET,
     ConcentrationEstimate,
     WeightVector,
     WeightedSum,
@@ -46,7 +45,7 @@ from .errors import (
     NumericsError,
 )
 from .lcd import LcdParams, compute_lcd
-from .progressions import DEFAULT_SEARCH_BUDGET, beta_rm, gamma_rs, uncovered_mass
+from .progressions import beta_rm, gamma_rs, uncovered_mass
 
 _TWO_PI = 2.0 * math.pi
 
@@ -527,22 +526,7 @@ def verify_pointwise_chain(
     )
 
 
-_TAG_ORDER = (
-    "cp_cgap",
-    "cp_gap",
-    "ws_cgap_p",
-    "ws_cgap_lambda",
-    "ws_gap_lambda",
-    "transfer_plain",
-    "transfer_window",
-    "transfer_refined",
-    "lcd_cp",
-    "lcd_lambda",
-    "lcd_p",
-    "lcd_m2",
-)
-
-# Which estimate each tag is an upper bound for.
+# Which estimate each tag is an upper bound for, in CSV row order.
 _TAG_TARGET = {
     "cp_cgap": "q_h_p_kappa",
     "cp_gap": "q_h_p_kappa",
@@ -557,6 +541,7 @@ _TAG_TARGET = {
     "lcd_p": "q",
     "lcd_m2": "q",
 }
+_TAG_ORDER = tuple(_TAG_TARGET)
 
 _CSV_COLUMNS = (
     "instance",
@@ -603,7 +588,7 @@ class BoundReport:
         out_bounds = {}
         for tag in sorted(self.bounds):
             entry = _json_bound_value(self.bounds[tag])
-            entry["target"] = _TAG_TARGET.get(tag, "q")
+            entry["target"] = _TAG_TARGET[tag]
             out_bounds[tag] = entry
         return {
             "instance": self.instance,
@@ -621,7 +606,7 @@ class BoundReport:
             if tag not in self.bounds:
                 continue
             v = self.bounds[tag]
-            target = _TAG_TARGET.get(tag, "q")
+            target = _TAG_TARGET[tag]
             ref = self.references.get(target, {})
             rows.append(
                 {
@@ -653,23 +638,13 @@ def bound_report_csv(reports) -> str:
 
 
 def _estimate_q(
-    x: DiscreteDistribution,
-    a: WeightVector,
-    tau: float,
-    method: str,
-    mc_samples: int,
-    seed: int,
-    exact_budget: int,
+    x: DiscreteDistribution, a: WeightVector, tau: float, mc_samples: int, seed: int
 ) -> ConcentrationEstimate:
-    if method not in ("auto", "exact", "mc"):
-        raise InputError(f"unknown concentration method {method!r}")
-    if method in ("auto", "exact"):
-        try:
-            return exact_q(x, a, tau, budget=exact_budget)
-        except CapacityError:
-            if method == "exact":
-                raise
-    return mc_q(WeightedSum(x, a), tau, mc_samples, seed)
+    """Exact Q when the enumeration fits its budget, Monte Carlo otherwise."""
+    try:
+        return exact_q(x, a, tau)
+    except CapacityError:
+        return mc_q(WeightedSum(x, a), tau, mc_samples, seed)
 
 
 def _reference_entry(est: ConcentrationEstimate) -> dict:
@@ -694,8 +669,10 @@ def _smoothed_reference(
             lambda ts: f_hat(ts) ** power, window, a.dim, constants.c_esseen
         )
         entry["esseen_upper"] = cross.value
-    except (DomainError, CapacityError):
-        pass
+    except DomainError as exc:
+        # no quadrature for this dimension: the skip is recorded, not dropped
+        entry["esseen_upper"] = None
+        entry["esseen_skipped"] = str(exc)
     except NumericsError as exc:
         # a diagnostic only: its failure is recorded, never fatal to the report
         entry["esseen_upper"] = None
@@ -718,10 +695,7 @@ def build_bound_report(
     constants: ConstantsConfig | None = None,
     instance: str = "instance",
     seed=0,
-    q_method: str = "auto",
     mc_samples: int = 500_000,
-    search_budget: int = DEFAULT_SEARCH_BUDGET,
-    exact_budget: int = DEFAULT_EXACT_BUDGET,
     theta_max: float | None = None,
 ) -> BoundReport:
     """Evaluate every applicable bound for one instance.
@@ -769,9 +743,7 @@ def build_bound_report(
         "mc_samples": int(mc_samples),
     }
 
-    q_est = _estimate_q(
-        x, a, tau, q_method, mc_samples, derive_seed(seed_int, 1), exact_budget
-    )
+    q_est = _estimate_q(x, a, tau, mc_samples, derive_seed(seed_int, 1))
     references["q"] = _reference_entry(q_est)
 
     # Smoothed references.  The kappa-window pair for the plain and refined
@@ -803,10 +775,10 @@ def build_bound_report(
 
     if d == 1:
         m_star = spectral_measure(a.rows)
-        beta_delta = beta_rm(m_star, delta, r, m, search_budget)
-        gamma_delta = gamma_rs(m_star, delta, r, s, search_budget)
-        beta_kappa = beta_rm(m_star, kappa, r, m, search_budget)
-        gamma_kappa = gamma_rs(m_star, kappa, r, s, search_budget)
+        beta_delta = beta_rm(m_star, delta, r, m)
+        gamma_delta = gamma_rs(m_star, delta, r, s)
+        beta_kappa = beta_rm(m_star, kappa, r, m)
+        gamma_kappa = gamma_rs(m_star, kappa, r, s)
         guards["beta_star_delta"] = beta_delta.value
         guards["gamma_star_delta"] = gamma_delta.value
         guards["beta_star_kappa"] = beta_kappa.value
@@ -1019,19 +991,14 @@ def inverse_principle_report(
     kappa: float,
     delta: float,
     rank: int,
-    witness=None,
     n_prime: int | None = None,
     a_exp: float = 1.0,
     b_exp: float = 0.0,
     b_n: float | None = None,
-    witness_cap: int | None = None,
     constants: ConstantsConfig | None = None,
     instance: str = "instance",
     seed=0,
-    q_method: str = "auto",
     mc_samples: int = 200_000,
-    search_budget: int = DEFAULT_SEARCH_BUDGET,
-    exact_budget: int = DEFAULT_EXACT_BUDGET,
 ) -> InversePrincipleReport:
     """Compare the structure budgets against an actual covering progression.
 
@@ -1039,9 +1006,9 @@ def inverse_principle_report(
     small-size progression neighborhood; this report evaluates every size,
     rank and uncovered-count budget at the instance's concentration value
     and, on the line, searches for a witness progression to put its actual
-    rank, size and uncovered count side by side.  ``witness`` may be a
-    precomputed search result; otherwise one is searched with cap
-    ``witness_cap`` (derived from the cap budget when omitted).
+    rank, size and uncovered count side by side.  The witness cap is the
+    smaller finite cap-point budget (at most 4096), or 3^min(rank, 6) when
+    neither is finite.
     """
     if x.dim != 1:
         raise DomainError("step distribution must live on the line")
@@ -1070,22 +1037,14 @@ def inverse_principle_report(
     p_val = tail_mass(g, ratio)
     lam1 = lambda_d(g, ratio, 1)
 
-    q_all = _estimate_q(
-        x, a, tau, q_method, mc_samples, derive_seed(seed_int, 9), exact_budget
-    )
+    q_all = _estimate_q(x, a, tau, mc_samples, derive_seed(seed_int, 9))
     q_entries = []
     if d == 1:
         q_entries.append(_reference_entry(q_all))
     else:
         for j in range(d):
             est = _estimate_q(
-                x,
-                a.coordinate(j),
-                tau,
-                q_method,
-                mc_samples,
-                derive_seed(seed_int, 10 + j),
-                exact_budget,
+                x, a.coordinate(j), tau, mc_samples, derive_seed(seed_int, 10 + j)
             )
             q_entries.append(_reference_entry(est))
     q_coords = [e["value"] for e in q_entries]
@@ -1114,24 +1073,21 @@ def inverse_principle_report(
     witness_block = None
     if d == 1:
         half = half_empirical_measure(a.rows)
-        if witness is None:
-            if witness_cap is None:
-                cap_candidates = [
-                    budgets["tail_mass"]["cap_points"][0],
-                    budgets["tail_free"]["cap_points"][0],
-                ]
-                finite = [v for v in cap_candidates if math.isfinite(v)]
-                if finite:
-                    witness_cap = int(max(1, min(min(finite), 4096.0)))
-                else:
-                    witness_cap = 3 ** min(rank, 6)
-            witness = beta_rm(half, delta, int(rank), int(witness_cap), search_budget)
-        wit_obj = witness.witness if hasattr(witness, "witness") else witness
-        points = wit_obj.points()
+        cap_candidates = [
+            budgets["tail_mass"]["cap_points"][0],
+            budgets["tail_free"]["cap_points"][0],
+        ]
+        finite = [v for v in cap_candidates if math.isfinite(v)]
+        if finite:
+            witness_cap = int(max(1, min(min(finite), 4096.0)))
+        else:
+            witness_cap = 3 ** min(rank, 6)
+        witness = beta_rm(half, delta, int(rank), int(witness_cap)).witness
+        points = witness.points()
         unc = uncovered_mass(half, points, delta)
         count = unc * 2.0 * n
         witness_block = {
-            "rank": int(getattr(wit_obj, "rank", 0)),
+            "rank": witness.rank,
             "size": int(points.shape[0]),
             "uncovered_mass": unc,
             "uncovered_count": count,

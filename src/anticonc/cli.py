@@ -223,15 +223,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, instance=True):
-        if instance:
-            p.add_argument("instance", help="instance file (or directory of files)")
+    def command(name, fn, help):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("instance", help="instance file (or directory of files)")
+        p.add_argument("--out", help="write output to this path instead of stdout")
+        p.set_defaults(fn=fn)
+        return p
+
+    def estimate_flags(p):
+        """Flags of the commands that estimate Q: q and bounds."""
         p.add_argument("--seed", type=int, default=0, help="master random seed")
         p.add_argument("--constants", help="JSON file overriding bound constants")
-        p.add_argument("--out", help="write output to this path instead of stdout")
-        p.add_argument(
-            "--format", choices=("json", "csv"), default="json", help="output format"
-        )
         p.add_argument(
             "--budget",
             type=int,
@@ -239,24 +241,21 @@ def build_parser() -> argparse.ArgumentParser:
             help="enumeration budget or Monte Carlo sample count",
         )
 
-    p_q = sub.add_parser("q", help="concentration value of one instance")
+    p_q = command("q", cmd_q, "concentration value of one instance")
     p_q.add_argument(
         "--method", choices=("exact", "mc", "esseen"), default="exact"
     )
-    common(p_q)
-    p_q.set_defaults(fn=cmd_q)
+    estimate_flags(p_q)
 
-    p_lcd = sub.add_parser("lcd", help="least common denominator bracket")
-    common(p_lcd)
-    p_lcd.set_defaults(fn=cmd_lcd)
+    command("lcd", cmd_lcd, "least common denominator bracket")
 
-    p_b = sub.add_parser("bounds", help="bound report for an instance or grid")
-    common(p_b)
-    p_b.set_defaults(fn=cmd_bounds)
+    p_b = command("bounds", cmd_bounds, "bound report for an instance or grid")
+    estimate_flags(p_b)
+    p_b.add_argument(
+        "--format", choices=("json", "csv"), default="json", help="output format"
+    )
 
-    p_g = sub.add_parser("gapfit", help="fit a covering progression to the weights")
-    common(p_g)
-    p_g.set_defaults(fn=cmd_gapfit)
+    command("gapfit", cmd_gapfit, "fit a covering progression to the weights")
 
     p_v = sub.add_parser("verify", help="run the self-verification suite")
     p_v.add_argument(

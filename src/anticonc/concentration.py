@@ -574,7 +574,6 @@ def esseen_upper_q(
     tau: float,
     dim: int,
     c_esseen: float = 1.0,
-    rel_tol: float | None = None,
 ) -> ConcentrationEstimate:
     """Bound shape c * tau^d * integral_{|t| <= 1/tau} |f_hat(t)| dt.
 
@@ -590,17 +589,11 @@ def esseen_upper_q(
         raise DomainError("c_esseen must be positive")
     radius = 1.0 / tau
     if dim == 1:
-        integral = _adaptive_simpson_abs(
-            f_hat, -radius, radius, rel_tol if rel_tol is not None else 1e-8
-        )
+        integral = _adaptive_simpson_abs(f_hat, -radius, radius, 1e-8)
     elif dim == 2:
-        integral = _polar_integral_2d(
-            f_hat, radius, rel_tol if rel_tol is not None else 1e-5
-        )
+        integral = _polar_integral_2d(f_hat, radius, 1e-5)
     elif dim == 3:
-        integral = _spherical_integral_3d(
-            f_hat, radius, rel_tol if rel_tol is not None else 1e-5
-        )
+        integral = _spherical_integral_3d(f_hat, radius, 1e-5)
     else:
         raise DomainError("the dual-ball quadrature supports dimensions 1 to 3")
     value = c_esseen * tau**dim * integral

@@ -109,20 +109,6 @@ class DiscreteDistribution:
     def total_mass(self) -> float:
         return float(self._weights.sum())
 
-    def support_radius(self) -> float:
-        """Largest max-norm of any atom."""
-        return float(np.max(np.abs(self._atoms)))
-
-    def is_symmetric(self, tol: float = 0.0) -> bool:
-        """Whether the measure is invariant under z -> -z within ``tol``."""
-        order = np.lexsort(self._atoms.T[::-1])
-        p = self._atoms[order]
-        w = self._weights[order]
-        return bool(
-            np.all(np.abs(p + p[::-1]) <= tol)
-            and np.all(np.abs(w - w[::-1]) <= tol)
-        )
-
     def char_fn(self, t) -> complex:
         """Characteristic function sum_z w(z) exp(i <t, z>) at one point."""
         v = as_vector(t, self.dim)
@@ -200,13 +186,6 @@ class DiscreteDistribution:
         if isinstance(obj, str):
             return cls.from_shorthand(obj)
         return cls.from_json_obj(obj)
-
-    @classmethod
-    def point_mass(cls, y, dim: int | None = None) -> "DiscreteDistribution":
-        pt = np.asarray(y, dtype=float).reshape(1, -1)
-        if dim is not None and pt.shape[1] != dim:
-            raise DomainError(f"point mass expected in R^{dim}")
-        return cls(pt, [1.0])
 
     @classmethod
     def rademacher(cls) -> "DiscreteDistribution":

@@ -21,11 +21,8 @@ _NUMERIC_PARAMS = {
     "alpha",
     "theta_max",
     "smoothing_power",
-    "a_exp",
-    "b_exp",
-    "b_n",
 }
-_INT_PARAMS = {"r", "m", "s", "seed", "n_prime", "rank", "mc_samples"}
+_INT_PARAMS = {"r", "m", "s"}
 
 
 def _check_parameters(params: dict) -> dict:

@@ -23,6 +23,7 @@ from .concentration import WeightVector
 from .errors import DomainError
 
 _MAX_NODES = 2_000_000
+_TOL = 1e-6  # requested bracket width
 
 
 @dataclass(frozen=True)
@@ -30,13 +31,12 @@ class LcdParams:
     """Parameters of the denominator search.
 
     ``theta_max`` is the search ceiling (derived from the weight scale when
-    omitted); ``tol`` the requested bracket width.
+    omitted).
     """
 
     gamma: float
     alpha: float
     theta_max: float | None = None
-    tol: float = 1e-6
 
     def __post_init__(self):
         if not (0.0 < self.gamma < 1.0):
@@ -45,8 +45,6 @@ class LcdParams:
             raise DomainError("alpha must be positive and finite")
         if self.theta_max is not None and not (self.theta_max > 0.0):
             raise DomainError("theta_max must be positive")
-        if not (self.tol > 0.0):
-            raise DomainError("tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -148,13 +146,13 @@ def _box_max_norm(lo: np.ndarray, hi: np.ndarray) -> float:
 def _lcd_branch_and_bound(a: WeightVector, params: LcdParams, theta: float) -> LcdResult:
     rows = a.rows
     d = a.dim
-    gamma, alpha, tol = params.gamma, params.alpha, params.tol
+    gamma, alpha = params.gamma, params.alpha
     sigma = a.spectral_norm()
     lip = (1.0 + gamma) * sigma
     # inside |t.a| <= 1/2 the lattice distance equals |t.a| itself, which
     # gamma * |t.a| can never strictly exceed
     safe_norm = 0.5 / sigma
-    min_width = tol / 8.0
+    min_width = _TOL / 8.0
 
     lo0 = np.full(d, -theta)
     hi0 = np.full(d, theta)
@@ -168,7 +166,7 @@ def _lcd_branch_and_bound(a: WeightVector, params: LcdParams, theta: float) -> L
     while heap:
         min_norm, _, lo, hi = heapq.heappop(heap)
         frontier = min(min_norm, residual_lower, best_up, theta)
-        if best_up - frontier <= tol or min_norm >= min(best_up, theta):
+        if best_up - frontier <= _TOL or min_norm >= min(best_up, theta):
             # bracket is tight enough, or everything left lies beyond it
             heapq.heappush(heap, (min_norm, counter, lo, hi))
             counter += 1
@@ -213,7 +211,7 @@ def _lcd_branch_and_bound(a: WeightVector, params: LcdParams, theta: float) -> L
         ceiling = True
     else:
         d_upper = best_up
-        converged = (d_upper - d_lower) <= tol
+        converged = (d_upper - d_lower) <= _TOL
         ceiling = False
     return LcdResult(
         d_lower=float(d_lower),

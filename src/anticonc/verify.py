@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .distributions import (
     tail_mass,
     truncated_second_moment,
 )
-from .errors import CapacityError, ChainViolationError, InputError
+from .errors import CapacityError, ChainViolationError, DomainError, InputError
 from .instances import load_corpus
 from .lcd import LcdParams, compute_lcd, violation_condition
 from .progressions import beta_rm, gamma_rs, uncovered_mass
@@ -143,28 +144,49 @@ def _check_expected(spec, budget, skipped) -> list:
                 results.append(_check_expected_entry(spec, g, key, entry, budget))
             except CapacityError:
                 skipped["expected"] += 1
+            except (InputError, DomainError) as exc:
+                results.append(_fail(spec.id, "expected", field=key, reason=str(exc)))
     return results
 
 
+def _entry_field(entry, name, kind=float, default=None):
+    """The entry's ``name`` field as ``kind`` (float or int); an absent field
+    is ``default``, or malformed when there is no default."""
+    if name not in entry:
+        if default is None:
+            raise InputError(f"missing field {name!r}")
+        return default
+    v = entry[name]
+    if isinstance(v, bool) or not isinstance(v, int if kind is int else (int, float)):
+        wanted = "an integer" if kind is int else "a number"
+        raise InputError(f"field {name!r}: expected {wanted}, got {v!r}")
+    try:
+        return kind(v)
+    except OverflowError:  # an integer literal past the float range
+        raise InputError(f"field {name!r}: {v!r} is out of range") from None
+
+
 def _check_expected_entry(spec, g, key, entry, budget) -> CheckResult:
-    tol = float(entry.get("tol", 1e-9))
+    if not isinstance(entry, dict):
+        raise InputError(f"entry {entry!r} is not an object")
+    num = partial(_entry_field, entry)
     if key == "q":
-        got = exact_q(spec.x, spec.a, float(entry["tau"]), budget=budget).value
+        got = exact_q(spec.x, spec.a, num("tau"), budget=budget).value
     elif key == "p":
-        got = tail_mass(g, float(entry["ratio"]))
+        got = tail_mass(g, num("ratio"))
     elif key == "lambda1":
-        got = lambda_d(g, float(entry["ratio"]), 1)
+        got = lambda_d(g, num("ratio"), 1)
     elif key == "m2":
-        got = truncated_second_moment(g, float(entry["ratio"]))
+        got = truncated_second_moment(g, num("ratio"))
     elif key == "lcd":
         params = LcdParams(
-            gamma=float(entry["gamma"]),
-            alpha=float(entry["alpha"]),
-            theta_max=entry.get("theta_max"),
+            gamma=num("gamma"),
+            alpha=num("alpha"),
+            theta_max=num("theta_max") if "theta_max" in entry else None,
         )
+        value = num("value")
+        tol = num("tol", default=1e-5)
         res = compute_lcd(spec.a, params)
-        value = float(entry["value"])
-        tol = float(entry.get("tol", 1e-5))
         inside = res.d_lower - tol <= value and (
             math.isinf(res.d_upper) or value <= res.d_upper + tol
         )
@@ -181,15 +203,14 @@ def _check_expected_entry(spec, g, key, entry, budget) -> CheckResult:
         )
     elif key == "beta":
         w = spectral_measure(spec.a.rows)
-        got = beta_rm(w, float(entry["tau"]), int(entry["r"]), int(entry["m"])).value
-        tol = float(entry.get("tol", 1e-12))
+        got = beta_rm(w, num("tau"), num("r", int), num("m", int)).value
     elif key == "gamma_fit":
         w = spectral_measure(spec.a.rows)
-        got = gamma_rs(w, float(entry["tau"]), int(entry["r"]), int(entry["s"])).value
-        tol = float(entry.get("tol", 1e-12))
+        got = gamma_rs(w, num("tau"), num("r", int), num("s", int)).value
     else:
         return _fail(spec.id, "expected", field=key, reason="unknown expected field")
-    want = float(entry["value"])
+    want = num("value")
+    tol = num("tol", default=1e-12 if key in ("beta", "gamma_fit") else 1e-9)
     if abs(got - want) <= tol:
         return _ok(spec.id, "expected", field=key, value=want)
     return _fail(spec.id, "expected", field=key, want=want, got=got, tol=tol)

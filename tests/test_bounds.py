@@ -320,6 +320,18 @@ def test_report_above_dim_three_has_no_lcd_bracket():
     assert rep.guards["lcd_converged"] is False
 
 
+def test_report_above_dim_three_records_skipped_esseen_cross_check():
+    rep = build_bound_report(
+        RAD, WeightVector(np.eye(4)), tau=1.0, kappa=1.0, delta=0.5, mc_samples=2000,
+    )
+    for name in ("q_h_p_kappa", "q_h_lambda_kappa", "q_h_p_delta"):
+        ref = rep.references[name]
+        assert ref["esseen_upper"] is None
+        assert ref["esseen_skipped"] == "the dual-ball quadrature supports dimensions 1 to 3"
+        assert 0.0 <= ref["value"] <= 1.0
+    json.dumps(rep.to_json_obj())
+
+
 def test_inverse_principle_report_full_cover():
     a = WeightVector(np.arange(1.0, 11.0)[:, None])
     rep = inverse_principle_report(

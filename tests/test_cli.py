@@ -181,6 +181,18 @@ def test_verify_text_and_exit_codes(capsys, tmp_path):
     assert "result: FAIL" in out
 
 
+def test_verify_malformed_expected_entry_is_a_counterexample(capsys, tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    obj = json.loads(ONES10.read_text())
+    obj["expected"] = {"q": {"tau": 1.0}}
+    (corpus / ONES10.name).write_text(json.dumps(obj))
+    code, out, _ = run(["verify", str(corpus)], capsys)
+    assert code == 1
+    assert "first counterexample:" in out
+    assert "missing field 'value'" in out
+
+
 def test_verify_seed_determinism(tmp_path):
     a = tmp_path / "a.txt"
     b = tmp_path / "b.txt"
@@ -225,3 +237,19 @@ def test_importing_the_cli_loads_no_scipy():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("q", "--format")]
+    + [
+        (command, flag)
+        for command in ("lcd", "gapfit")
+        for flag in ("--seed", "--constants", "--format", "--budget")
+    ],
+)
+def test_unread_flags_are_rejected(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(ONES10), flag, "1"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err

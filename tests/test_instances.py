@@ -51,6 +51,17 @@ def test_parameter_type_enforced():
 
 
 @pytest.mark.parametrize(
+    "key, value",
+    [("seed", 1), ("mc_samples", 5000), ("n_prime", 3), ("rank", 1),
+     ("a_exp", 1.0), ("b_exp", 0.0), ("b_n", 2.0)],
+)
+def test_unread_parameter_rejected(key, value):
+    bad = dict(GOOD, parameters={"tau": 1.0, key: value})
+    with pytest.raises(InputError, match=f"unknown field '{key}'"):
+        InstanceSpec.from_json_obj(bad)
+
+
+@pytest.mark.parametrize(
     "value",
     [float("nan"), float("inf"), float("-inf"), 10**400],
     ids=["nan", "inf", "-inf", "int-past-float-range"],

@@ -89,6 +89,35 @@ def test_corrupted_lcd_expectation_is_caught(tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "key, entry, reason",
+    [
+        ("q", {"tau": 1.0}, "missing field 'value'"),
+        ("p", {"ratio": "wide", "value": 0.5}, "field 'ratio': expected a number, got 'wide'"),
+        ("lcd", {"gamma": 0.5, "alpha": 10.0, "value": 0.7, "theta_max": "x"},
+         "field 'theta_max': expected a number, got 'x'"),
+        ("lcd", {"gamma": 2.0, "alpha": 10.0, "value": 0.7},
+         "gamma must lie strictly between 0 and 1"),
+        ("beta", {"tau": 0.5, "r": 1.5, "m": 1, "value": 1.0},
+         "field 'r': expected an integer, got 1.5"),
+        ("q", [3], "entry 3 is not an object"),
+    ],
+    ids=["missing", "non-numeric", "lcd-non-numeric", "out-of-domain", "non-integer",
+         "list-item"],
+)
+def test_malformed_expected_entry_fails_with_reason(tmp_path, key, entry, reason):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    obj = json.loads((CORPUS / "01-ones-04.json").read_text())
+    obj["expected"] = {key: entry}
+    (corpus / "01-ones-04.json").write_text(json.dumps(obj))
+    report = run_verification(corpus)
+    assert [f.to_json_obj() for f in report.failures] == [
+        {"instance": "01-ones-04", "check": "expected", "passed": False,
+         "detail": {"field": key, "reason": reason}}
+    ]
+
+
 def test_duplicate_ids_rejected(tmp_path):
     bad_dir = tmp_path / "corpus"
     bad_dir.mkdir()
