@@ -45,7 +45,7 @@ from .errors import (
     NumericsError,
 )
 from .lcd import LcdParams, compute_lcd
-from .progressions import beta_rm, gamma_rs, uncovered_mass
+from .progressions import beta_rm
 
 _TWO_PI = 2.0 * math.pi
 
@@ -775,34 +775,35 @@ def build_bound_report(
 
     if d == 1:
         m_star = spectral_measure(a.rows)
-        beta_delta = beta_rm(m_star, delta, r, m)
-        gamma_delta = gamma_rs(m_star, delta, r, s)
-        beta_kappa = beta_rm(m_star, kappa, r, m)
-        gamma_kappa = gamma_rs(m_star, kappa, r, s)
-        guards["beta_star_delta"] = beta_delta.value
-        guards["gamma_star_delta"] = gamma_delta.value
-        guards["beta_star_kappa"] = beta_kappa.value
-        guards["gamma_star_kappa"] = gamma_kappa.value
+        # gamma_rs searches beta_rm's family, so gamma* at cap s is the beta search at cap s
+        star = {
+            (t, k): beta_rm(m_star, t, r, k).value
+            for t, k in {(t, k) for t in (delta, kappa) for k in (m, s)}
+        }
+        beta_delta, gamma_delta = star[delta, m], star[delta, s]
+        beta_kappa, gamma_kappa = star[kappa, m], star[kappa, s]
+        guards.update(beta_star_delta=beta_delta, gamma_star_delta=gamma_delta,
+                      beta_star_kappa=beta_kappa, gamma_star_kappa=gamma_kappa)
 
         cp_intensity = 0.5 * n * p_val
         if cp_intensity > 0:
             bounds["cp_cgap"] = compound_poisson_bound_cgap(
-                cp_intensity, beta_kappa.value, r, m, c
+                cp_intensity, beta_kappa, r, m, c
             )
             bounds["cp_gap"] = compound_poisson_bound_gap(
-                cp_intensity, gamma_kappa.value, r, s, c
+                cp_intensity, gamma_kappa, r, s, c
             )
         else:
             bounds["cp_cgap"] = math.inf
             bounds["cp_gap"] = math.inf
         bounds["ws_cgap_p"] = weighted_sum_bound_cgap(
-            kappa, delta, n, p_val, beta_delta.value, r, m, c
+            kappa, delta, n, p_val, beta_delta, r, m, c
         )
         bounds["ws_cgap_lambda"] = weighted_sum_bound_cgap_tail_free(
-            kappa, delta, n, beta_delta.value, r, m, c
+            kappa, delta, n, beta_delta, r, m, c
         )
         bounds["ws_gap_lambda"] = weighted_sum_bound_gap_tail_free(
-            kappa, delta, n, gamma_delta.value, r, s, c
+            kappa, delta, n, gamma_delta, r, s, c
         )
 
     if gamma is not None or alpha is not None:
@@ -1082,9 +1083,9 @@ def inverse_principle_report(
             witness_cap = int(max(1, min(min(finite), 4096.0)))
         else:
             witness_cap = 3 ** min(rank, 6)
-        witness = beta_rm(half, delta, int(rank), int(witness_cap)).witness
+        res = beta_rm(half, delta, int(rank), int(witness_cap))
+        witness, unc = res.witness, res.value
         points = witness.points()
-        unc = uncovered_mass(half, points, delta)
         count = unc * 2.0 * n
         witness_block = {
             "rank": witness.rank,

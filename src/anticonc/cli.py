@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 
 from ._common import derive_seed
@@ -142,15 +143,10 @@ def _one_bound_report(args, spec, idx):
 
 def cmd_bounds(args) -> int:
     specs = sorted(load_instances(args.instance), key=lambda s: s.id)
-    threads = _thread_count()
-    if threads > 1 and len(specs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(
-                pool.map(lambda pair: _one_bound_report(args, *pair[::-1]),
-                         enumerate(specs))
-            )
-    else:
-        reports = [_one_bound_report(args, spec, idx) for idx, spec in enumerate(specs)]
+    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
+        reports = list(
+            pool.map(partial(_one_bound_report, args), specs, range(len(specs)))
+        )
     if args.format == "csv":
         _emit(bound_report_csv(reports), args.out)
     else:

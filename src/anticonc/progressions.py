@@ -13,8 +13,8 @@ padded step vector h; ``beta_rm`` states the winner as a box Cgap,
 ``gamma_rs`` as the identity-generator Gap of the same box under h.  The
 search draws its step candidates from one vectorised continued-fraction pass
 over all atom pairs, memoised per measure, and builds the coefficient
-lattice of each box allocation once.  It scores a block of step sets per
-allocation: one ``coeffs @ h`` per candidate, rows sorted, and one binary
+lattice of each box allocation once per block of step sets.  It scores the
+block: one ``coeffs @ h`` per candidate, rows sorted, and one binary
 search of all points into the sorted atoms gives every atom's two
 neighbouring points in every row (rows with points within 1e-12 take the
 merge instead).  A float sum of the uncovered weights screens candidates;
@@ -42,9 +42,6 @@ GAP_ENUM_BUDGET = 10_000_000
 DEFAULT_SEARCH_BUDGET = 20_000
 # Runtime guard on the point count of any single searched progression.
 _MAX_SEARCH_POINTS = 20_000
-# Coefficient rows the search keeps cached across blocks; lattices past this
-# total are rebuilt for each block instead.
-_LATTICE_CACHE_ROWS = 1 << 20
 # Points plus atom-mask entries one scoring block of step sets may hold.
 _BLOCK_ELEMENTS = 1 << 20
 _KEY_SCALE = 1e9  # rounding grid for set-membership keys
@@ -532,35 +529,18 @@ def _box_allocations(rank: int, cap_count: int):
     """Pareto-maximal integer box radii with prod(2 b_i + 1) <= cap_count."""
     if rank == 1:
         return [((cap_count - 1) // 2,)]
-    allocs = []
     b1_max = (cap_count - 1) // 2
     if rank == 2:
-        for b1 in range(0, b1_max + 1):
-            rest = cap_count // (2 * b1 + 1)
-            if rest < 1:
-                break
-            b2 = (rest - 1) // 2
-            allocs.append((b1, b2))
-        # keep only Pareto-maximal pairs
-        out = []
-        for cand in allocs:
-            if not any(
-                o != cand and o[0] >= cand[0] and o[1] >= cand[1] for o in allocs
-            ):
-                out.append(cand)
-        return out
-    # rank 3: coarse Pareto family
+        # b2 never grows with b1, so (b1, b2) is dominated exactly when b1 + 1
+        # keeps b2; the b1_max + 1 entry is -1 and keeps the last pair
+        b2 = [(cap_count // (2 * b1 + 1) - 1) // 2 for b1 in range(b1_max + 2)]
+        return [(b1, b2[b1]) for b1 in range(b1_max + 1) if b2[b1 + 1] != b2[b1]]
+    # rank 3: coarse Pareto family, b1 <= b2 and the largest b3 that fits
     out = []
-    for b1 in range(0, b1_max + 1):
+    for b1 in range(b1_max + 1):
         r1 = cap_count // (2 * b1 + 1)
-        if r1 < 1:
-            break
         for b2 in range(b1, (r1 - 1) // 2 + 1):
-            r2 = r1 // (2 * b2 + 1)
-            if r2 < 1:
-                break
-            b3 = (r2 - 1) // 2
-            out.append((b1, b2, b3))
+            out.append((b1, b2, (r1 // (2 * b2 + 1) - 1) // 2))
     return out
 
 
@@ -619,21 +599,24 @@ def _sum_slack(weights: np.ndarray) -> float:
     return (weights.size + 2) * 2.0**-52 * math.fsum(weights.tolist())
 
 
-def _scored_step_sets(step_sets, allocs, lattice, rank, x, weights, tau):
+def _scored_step_sets(step_sets, allocs, rank, x, weights, tau):
     """Yield ``(steps, [(radii, mass, far), ...])`` per step set, in search order.
 
     ``far`` masks the atoms the candidate leaves uncovered and ``mass`` is
     ``far @ weights``, a float sum within rounding of the exact one.  Step
-    sets are scored a block at a time, so each allocation's lattice serves a
-    whole block; the block holds at most ``_BLOCK_ELEMENTS`` points and
-    atom masks (one step set when a single one needs more).
+    sets are scored a block at a time, each allocation's lattice built once
+    per block; the block holds at most ``_BLOCK_ELEMENTS`` points and atom
+    masks (one step set when a single one needs more).
     """
     per_set = sum(math.prod(2 * b + 1 for b in radii) + x.size for radii in allocs)
     block = max(1, _BLOCK_ELEMENTS // per_set)
     for start in range(0, len(step_sets), block):
         sets = step_sets[start : start + block]
         hs = [_step_vector(steps, rank) for steps in sets]
-        fars = [_block_far(lattice(radii), hs, x, tau) for radii in allocs]
+        fars = []
+        for radii in allocs:
+            coeffs = _integer_box(radii + (0,) * (rank - len(radii))).astype(float)
+            fars.append(_block_far(coeffs, hs, x, tau))
         masses = np.stack([far @ weights for far in fars], axis=1).tolist()
         for b, steps in enumerate(sets):
             yield steps, [
@@ -661,10 +644,10 @@ def _coverage_search(
     A candidate is a step set and integer box radii with at most ``cap``
     lattice points; its points are the box's lattice rows (radii padded with
     zeros to r) times the step vector padded with ones.  The rows depend on
-    the radii alone, so each allocation's rows are built once; the witness
-    is built only for the winner.  Candidates are visited in ascending
-    (rank, steps, radii) order and only a strictly smaller mass replaces the
-    best, so the first minimiser wins.
+    the radii alone, so each scoring block builds each allocation's rows
+    once; the witness is built only for the winner.  Candidates are visited
+    in ascending (rank, steps, radii) order and only a strictly smaller mass
+    replaces the best, so the first minimiser wins.
     """
     best_v = uncovered_mass(w, np.zeros((1, 1)), tau)
     if r == 0:
@@ -674,18 +657,6 @@ def _coverage_search(
     # the atoms of a DiscreteDistribution are sorted (lexsorted at construction)
     x, weights = w.atoms[:, 0], w.weights
     slack = _sum_slack(weights)
-    lattices, cached_rows = {}, 0
-
-    def lattice(radii):
-        nonlocal cached_rows
-        coeffs = lattices.get(radii)
-        if coeffs is None:
-            coeffs = _integer_box(radii + (0,) * (r - len(radii))).astype(float)
-            if cached_rows + len(coeffs) <= _LATTICE_CACHE_ROWS:
-                lattices[radii] = coeffs
-                cached_rows += len(coeffs)
-        return coeffs
-
     evals = 1
     for rho in range(1, min(r, 3) + 1):
         if best_v == 0.0 or evals >= search_budget:
@@ -701,7 +672,7 @@ def _coverage_search(
             continue
         # every step set evaluates every allocation: score no set past the budget
         step_sets = step_sets[: -(-(search_budget - evals) // len(allocs))]
-        scored = _scored_step_sets(step_sets, allocs, lattice, r, x, weights, tau)
+        scored = _scored_step_sets(step_sets, allocs, r, x, weights, tau)
         for steps, candidates in scored:
             for radii, mass, far in candidates:
                 if evals >= search_budget:

@@ -130,7 +130,7 @@ def _functional_ratios(g) -> list:
     return sorted(p for p in probes if p > 0)
 
 
-def _check_expected(spec, budget, skipped) -> list:
+def _check_expected(spec, budget, skipped, instance_lcd) -> list:
     results = []
     g = symmetrize(spec.x)
     for key, entries in sorted(spec.expected.items()):
@@ -141,7 +141,7 @@ def _check_expected(spec, budget, skipped) -> list:
             continue
         for entry in entries:
             try:
-                results.append(_check_expected_entry(spec, g, key, entry, budget))
+                results.append(_check_expected_entry(spec, g, key, entry, budget, instance_lcd))
             except CapacityError:
                 skipped["expected"] += 1
             except (InputError, DomainError) as exc:
@@ -166,7 +166,7 @@ def _entry_field(entry, name, kind=float, default=None):
         raise InputError(f"field {name!r}: {v!r} is out of range") from None
 
 
-def _check_expected_entry(spec, g, key, entry, budget) -> CheckResult:
+def _check_expected_entry(spec, g, key, entry, budget, instance_lcd) -> CheckResult:
     if not isinstance(entry, dict):
         raise InputError(f"entry {entry!r} is not an object")
     num = partial(_entry_field, entry)
@@ -186,7 +186,9 @@ def _check_expected_entry(spec, g, key, entry, budget) -> CheckResult:
         )
         value = num("value")
         tol = num("tol", default=1e-5)
-        res = compute_lcd(spec.a, params)
+        # an entry with the instance's parameters reads the instance's bracket
+        inst_params, inst_res = instance_lcd
+        res = inst_res if params == inst_params else compute_lcd(spec.a, params)
         inside = res.d_lower - tol <= value and (
             math.isinf(res.d_upper) or value <= res.d_upper + tol
         )
@@ -473,7 +475,7 @@ def run_verification(
     for idx, spec in enumerate(sorted(specs, key=lambda s: s.id)):
         inst_seed = derive_seed(int(seed), idx)
         params, lcd = _instance_lcd(spec)
-        results.extend(_check_expected(spec, exact_budget, skipped))
+        results.extend(_check_expected(spec, exact_budget, skipped, (params, lcd)))
         results.extend(_check_regularity(spec, exact_budget, skipped))
         results.extend(_check_chain(spec, inst_seed, lcd))
         results.extend(_check_functionals(spec))

@@ -313,6 +313,20 @@ def oracle_witness_points(wit):
     return pts
 
 
+def oracle_box_allocations_2(cap):
+    """Pareto-maximal rank-2 box radii, by the quadratic dominance filter.
+
+    For each b1 the largest b2 with (2 b1 + 1)(2 b2 + 1) <= cap, then every
+    pair is kept unless another pair is at least as large in both radii.
+    """
+    pairs = [(b1, (cap // (2 * b1 + 1) - 1) // 2) for b1 in range((cap - 1) // 2 + 1)]
+    return [
+        p
+        for p in pairs
+        if not any(o != p and o[0] >= p[0] and o[1] >= p[1] for o in pairs)
+    ]
+
+
 def _witness_key(steps, radii):
     return (
         len(steps),

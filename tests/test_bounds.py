@@ -5,7 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from anticonc import bounds
+from anticonc import bounds, progressions
 from anticonc._common import derive_seed
 from anticonc.bounds import (
     BoundReport,
@@ -28,8 +28,9 @@ from anticonc.bounds import (
     weighted_sum_bound_gap_tail_free,
 )
 from anticonc.concentration import WeightVector
-from anticonc.distributions import DiscreteDistribution, RngSeed
+from anticonc.distributions import DiscreteDistribution, RngSeed, spectral_measure
 from anticonc.errors import ChainViolationError, DomainError, InputError
+from anticonc.progressions import beta_rm, gamma_rs, uncovered_mass
 
 RAD = DiscreteDistribution.rademacher()
 
@@ -297,6 +298,27 @@ def test_report_computes_equal_kappa_references_once(x, calls):
     assert rep.references["q_h_lambda_kappa"] is not rep.references["q_h_p_kappa"]
 
 
+_GENERIC = WeightVector(np.array([[0.7], [1.3], [1.9], [0.45], [2.6], [3.3]]))
+
+
+@pytest.mark.parametrize(
+    "m, s, delta, searches", [(3, 3, 0.05, 2), (3, 9, 0.05, 4), (5, 5, 1.0, 1)]
+)
+def test_report_runs_one_coverage_search_per_window_and_cap(m, s, delta, searches):
+    # gamma* at cap s is read from the beta search at cap s; kappa = 1.0
+    args = dict(tau=1.5, kappa=1.0, delta=delta, r=2, m=m, s=s, mc_samples=2000)
+    with mock.patch.object(bounds, "beta_rm", wraps=beta_rm) as beta_spy, mock.patch.object(
+        progressions, "gamma_rs", wraps=gamma_rs
+    ) as gamma_spy:
+        rep = build_bound_report(RAD, _GENERIC, **args)
+    assert beta_spy.call_count == searches
+    assert gamma_spy.call_count == 0
+    w = spectral_measure(_GENERIC.rows)
+    for name, window in (("delta", delta), ("kappa", 1.0)):
+        assert rep.guards[f"beta_star_{name}"] == beta_rm(w, window, 2, m).value
+        assert rep.guards[f"gamma_star_{name}"] == gamma_rs(w, window, 2, s).value
+
+
 def test_report_requires_both_lcd_params():
     with pytest.raises(InputError):
         _small_report(gamma=0.5, alpha=None)
@@ -348,6 +370,21 @@ def test_inverse_principle_report_full_cover():
     shared = obj["budgets"]["shared"]
     assert shared["uncovered_pair_count"] == 2 * a.n
     assert len(shared["rank_log"]) == a.dim
+
+
+@pytest.mark.parametrize("rank", [0, 1, 2, 3])
+def test_inverse_witness_mass_is_the_replayed_search_value(rank):
+    # at windows 0.002 the witness caps (33-37 points) leave mass uncovered
+    with mock.patch.object(bounds, "beta_rm", wraps=beta_rm) as spy:
+        rep = inverse_principle_report(
+            RAD, _GENERIC, tau=0.002, kappa=0.002, delta=0.002, rank=rank,
+            mc_samples=2000,
+        )
+    assert rep.witness["uncovered_mass"] > 0
+    (half, delta, r, cap), _ = spy.call_args
+    witness = beta_rm(half, delta, r, cap).witness
+    assert rep.witness["uncovered_mass"] == uncovered_mass(half, witness.points(), delta)
+    assert rep.witness["size"] == len(witness.points())
 
 
 def test_inverse_principle_validates_windows():

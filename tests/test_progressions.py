@@ -324,9 +324,8 @@ def test_searches_match_oracle_at_budget(rows, r, cap, budget):
     _assert_search_matches_oracle(spectral_measure(rows), 0.001, r, cap, budget)
 
 
-def test_search_past_the_lattice_cache_matches_oracle(monkeypatch):
-    # room for about two 63-point lattices: the rest are rebuilt per candidate
-    monkeypatch.setattr(progressions, "_LATTICE_CACHE_ROWS", 150)
+def test_search_over_rank_three_lattices_matches_oracle():
+    # rank 3 at cap 63 scores many allocations; each block builds their rows anew
     rows = np.array([[0.7], [1.3], [1.9], [0.45], [2.6], [3.3], [0.95], [4.1]])
     _assert_search_matches_oracle(spectral_measure(rows), 0.05, 3, 63, 600)
 
@@ -451,6 +450,11 @@ def test_perfect_cover_between_allocations_matches_oracle():
     assert list(res.witness.body.to_json_obj()["box"]) == [1.0, 2.0]
     assert res.evaluations == 44
     _assert_search_matches_oracle(w, 1e-9, 2, 16)
+
+
+def test_rank_two_allocations_match_the_quadratic_filter():
+    for cap in range(1, 601):
+        assert progressions._box_allocations(2, cap) == O.oracle_box_allocations_2(cap)
 
 
 @pytest.mark.parametrize("elements", [1, 200, 1500])

@@ -118,6 +118,31 @@ def test_malformed_expected_entry_fails_with_reason(tmp_path, key, entry, reason
     ]
 
 
+def test_lcd_entry_with_the_instance_parameters_reuses_its_bracket(tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    obj = json.loads((CORPUS / "11-lcd-ones-04-g9a10.json").read_text())
+    same = obj["expected"]["lcd"]  # gamma 0.9, alpha 10: the instance's parameters
+    other = {"gamma": 0.5, "alpha": 10.0, "tol": 1e-5, "value": 2.0 / 3.0}
+    obj["expected"] = {"lcd": [same, other, dict(other, value=same["value"])]}
+    (corpus / "11.json").write_text(json.dumps(obj))
+    with mock.patch.object(verify, "compute_lcd", wraps=verify.compute_lcd) as spy:
+        report = run_verification(corpus)
+    # one bracket for the instance (and the entry sharing its parameters), one
+    # for each gamma = 0.5 entry, each judged against its own bracket
+    gammas = [call.args[1].gamma for call in spy.call_args_list]
+    assert gammas == [0.9, 0.5, 0.5]
+    lcd = [r for r in report.results if r.detail.get("field") == "lcd"]
+    assert [r.passed for r in lcd] == [True, True, False]
+    assert lcd[2].detail["d_lower"] == pytest.approx(2.0 / 3.0, abs=1e-5)
+
+
+def test_bundled_verify_brackets_each_lcd_parameter_set_once():
+    with mock.patch.object(verify, "compute_lcd", wraps=verify.compute_lcd) as spy:
+        run_verification()
+    assert spy.call_count == 10
+
+
 def test_duplicate_ids_rejected(tmp_path):
     bad_dir = tmp_path / "corpus"
     bad_dir.mkdir()
