@@ -120,19 +120,6 @@ class DiscreteDistribution:
         phases = grid @ self._atoms.T
         return np.exp(1j * phases) @ self._weights.astype(complex)
 
-    def marginal(self, j: int) -> "DiscreteDistribution":
-        """Pushforward under the j-th coordinate projection."""
-        if not (0 <= j < self.dim):
-            raise DomainError(f"coordinate {j} out of range for R^{self.dim}")
-        return DiscreteDistribution(
-            self._atoms[:, j], self._weights, normalized=self._normalized
-        )
-
-    def negated(self) -> "DiscreteDistribution":
-        return DiscreteDistribution(
-            -self._atoms, self._weights, normalized=self._normalized
-        )
-
     def to_json_obj(self) -> dict:
         return {
             "atoms": self._atoms.tolist(),

@@ -133,18 +133,8 @@ def load_corpus(corpus_dir=None) -> list:
     """Load the named corpus directory, or the bundled one when None."""
     if corpus_dir is not None:
         return load_instances(corpus_dir)
-    root = resources.files("anticonc").joinpath("data/corpus")
-    specs = []
-    for entry in sorted(root.iterdir(), key=lambda e: e.name):
-        if entry.name.endswith(".json"):
-            try:
-                obj = json.loads(entry.read_text())
-            except json.JSONDecodeError as exc:
-                raise InputError(f"{entry.name}: malformed JSON: {exc}") from exc
-            specs.append(InstanceSpec.from_json_obj(obj))
-    if not specs:
-        raise InputError("bundled corpus is empty")
-    return specs
+    with resources.as_file(resources.files("anticonc") / "data" / "corpus") as root:
+        return load_instances(root)
 
 
 __all__ = ["InstanceSpec", "load_corpus", "load_instances"]

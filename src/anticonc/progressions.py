@@ -9,20 +9,21 @@ the line as possible; values are certified upper bounds with an explicit
 witness, exact only at rank zero where the class collapses to {0}.
 
 Both functionals run one search over axis boxes of integer radii and a
-padded step vector h; ``beta_rm`` states the winner as a box Cgap,
-``gamma_rs`` as the identity-generator Gap of the same box under h.  The
-search draws its step candidates from one vectorised continued-fraction pass
-over all atom pairs, memoised per measure, and builds the coefficient
-lattice of each box allocation once per block of step sets.  It scores the
-block: one ``coeffs @ h`` per candidate, rows sorted, and one binary
-search of all points into the sorted atoms gives every atom's two
-neighbouring points in every row (rows with points within 1e-12 take the
-merge instead).  A float sum of the uncovered weights screens candidates;
-the exact ``math.fsum`` runs only where that sum, less a rigorous rounding
-slack, does not exceed the best value so far.  Witness points come from the
-same helper (``coeffs @ h``, then the 1e-12 merge), so re-evaluating
-``uncovered_mass`` on a reported witness reproduces its value bit for bit.
-Coverage is defined on the line only.
+padded step vector h, scoring no box that another box within the cap
+contains; ``beta_rm`` states the winner as a box Cgap, ``gamma_rs`` as the
+identity-generator Gap of the same box under h.  The search draws its step
+candidates from one vectorised continued-fraction pass over all atom pairs,
+memoised per measure, and builds the coefficient lattice of each box
+allocation once per block of step sets.  It scores the block: one
+``coeffs @ h`` per candidate, rows sorted, and one binary search of all
+points into the sorted atoms gives every atom's two neighbouring points in
+every row (rows with points within 1e-12 take the merge instead).  A float
+sum of the uncovered weights screens candidates; the exact ``math.fsum``
+runs only where that sum, less a rigorous rounding slack, does not exceed
+the best value so far.  Witness points come from the same helper
+(``coeffs @ h``, then the 1e-12 merge), so re-evaluating ``uncovered_mass``
+on a reported witness reproduces its value bit for bit.  Coverage is
+defined on the line only.
 """
 
 from __future__ import annotations
@@ -526,22 +527,27 @@ def _stride(pool: np.ndarray, cap: int) -> np.ndarray:
 
 
 def _box_allocations(rank: int, cap_count: int):
-    """Pareto-maximal integer box radii with prod(2 b_i + 1) <= cap_count."""
-    if rank == 1:
-        return [((cap_count - 1) // 2,)]
-    b1_max = (cap_count - 1) // 2
-    if rank == 2:
-        # b2 never grows with b1, so (b1, b2) is dominated exactly when b1 + 1
-        # keeps b2; the b1_max + 1 entry is -1 and keeps the last pair
-        b2 = [(cap_count // (2 * b1 + 1) - 1) // 2 for b1 in range(b1_max + 2)]
-        return [(b1, b2[b1]) for b1 in range(b1_max + 1) if b2[b1 + 1] != b2[b1]]
-    # rank 3: coarse Pareto family, b1 <= b2 and the largest b3 that fits
-    out = []
-    for b1 in range(b1_max + 1):
-        r1 = cap_count // (2 * b1 + 1)
-        for b2 in range(b1, (r1 - 1) // 2 + 1):
-            out.append((b1, b2, (r1 // (2 * b2 + 1) - 1) // 2))
-    return out
+    """Box radii with prod(2 b_i + 1) <= cap_count that no other such box contains.
+
+    The first rank - 1 radii are nondecreasing (lexicographic order) and the
+    last is the largest that fits, which never grows with a first radius: a
+    box lies in another exactly when raising a first radius by one keeps the last.
+    """
+    def last(p):  # the largest last radius beside first radii of p points
+        return (cap_count // p - 1) // 2
+
+    heads = [((), 1)]  # first radii and their point count p
+    for _ in range(rank - 1):
+        heads = [
+            (h + (b,), p * (2 * b + 1))
+            for h, p in heads
+            for b in range(max(h, default=0), last(p) + 1)
+        ]
+    return [
+        head + (last(p),)
+        for head, p in heads
+        if all(last(p // (2 * c + 1) * (2 * c + 3)) != last(p) for c in head)
+    ]
 
 
 def _step_vector(steps, rank: int) -> np.ndarray:
@@ -636,18 +642,17 @@ def _coverage_search(
 ) -> ApproxResult:
     """Shared search core for both progression classes; the winner is a box Cgap.
 
-    Minimizes the uncovered mass over a candidate family that is nested in
-    rank, cap, and (pointwise) tau, so reported values are antitone in all
-    three.  Budget exhaustion returns the best candidate found so far.  Rank
-    zero has the single member K = {0} and returns it as exact.
-
     A candidate is a step set and integer box radii with at most ``cap``
-    lattice points; its points are the box's lattice rows (radii padded with
-    zeros to r) times the step vector padded with ones.  The rows depend on
-    the radii alone, so each scoring block builds each allocation's rows
-    once; the witness is built only for the winner.  Candidates are visited
-    in ascending (rank, steps, radii) order and only a strictly smaller mass
-    replaces the best, so the first minimiser wins.
+    lattice points that no other such box contains; its points are the box's
+    lattice rows (radii padded with zeros to r) times the step vector padded
+    with ones.  Candidates grow with rank and (pointwise) tau, and every box
+    lies in a box at any larger cap, so unless the budget binds, values are
+    antitone in all three; in cap only up to the point guard, which skips
+    boxes of more than ``_MAX_SEARCH_POINTS`` points.  Budget exhaustion
+    returns the best candidate so far, and rank zero the single member
+    K = {0}, as exact.  Candidates are visited in ascending (rank, steps,
+    radii) order and only a strictly smaller mass replaces the best, so the
+    first minimiser wins; the witness is built only for the winner.
     """
     best_v = uncovered_mass(w, np.zeros((1, 1)), tau)
     if r == 0:
@@ -663,17 +668,14 @@ def _coverage_search(
             break
         sub = _stride(pool, (len(pool), 24, 10)[rho - 1])
         step_sets = list(itertools.combinations(sub, rho))
-        allocs = [
-            radii
-            for radii in _box_allocations(rho, cap)
-            if math.prod(2 * b + 1 for b in radii) <= _MAX_SEARCH_POINTS
-        ]
+        # each box holds over cap / 3 points: past 3 * guard the guard takes none
+        allocs = _box_allocations(rho, min(cap, 3 * _MAX_SEARCH_POINTS))
+        allocs = [radii for radii in allocs if math.prod(2 * b + 1 for b in radii) <= _MAX_SEARCH_POINTS]
         if not allocs:
             continue
         # every step set evaluates every allocation: score no set past the budget
         step_sets = step_sets[: -(-(search_budget - evals) // len(allocs))]
-        scored = _scored_step_sets(step_sets, allocs, r, x, weights, tau)
-        for steps, candidates in scored:
+        for steps, candidates in _scored_step_sets(step_sets, allocs, r, x, weights, tau):
             for radii, mass, far in candidates:
                 if evals >= search_budget:
                     break
@@ -685,8 +687,6 @@ def _coverage_search(
                         best_v, best = val, (steps, radii)
             if best_v == 0.0 or evals >= search_budget:
                 break
-        if best_v == 0.0:
-            break
     return ApproxResult(best_v, _box_cgap(*best, r, cap), False, evals)
 
 

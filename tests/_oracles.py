@@ -5,7 +5,7 @@ subset enclosing balls, grid scans, the Monte Carlo count over raw sample
 rows, and the coverage search one candidate object at a time.  Nothing
 imports the package under test, except the coverage oracles: they build the
 package's witness classes, so that their JSON can be compared, and use its
-allocation and merge helpers.
+merge helper.
 """
 
 import itertools
@@ -313,18 +313,38 @@ def oracle_witness_points(wit):
     return pts
 
 
-def oracle_box_allocations_2(cap):
-    """Pareto-maximal rank-2 box radii, by the quadratic dominance filter.
+def oracle_box_allocations(rank, cap):
+    """The coarse box family: nondecreasing first radii, the largest last that fits.
 
-    For each b1 the largest b2 with (2 b1 + 1)(2 b2 + 1) <= cap, then every
-    pair is kept unless another pair is at least as large in both radii.
+    Every rank - 1 nondecreasing radii (b_1, ...) with prod(2 b_i + 1) <= cap,
+    in lexicographic order, each with the largest last radius that fits.  At
+    rank 3 this is the family the coverage search scored before it dropped
+    the boxes that another box contains.
     """
-    pairs = [(b1, (cap // (2 * b1 + 1) - 1) // 2) for b1 in range((cap - 1) // 2 + 1)]
-    return [
-        p
-        for p in pairs
-        if not any(o != p and o[0] >= p[0] and o[1] >= p[1] for o in pairs)
-    ]
+
+    def grow(head, room):  # room = cap // prod(2 b_i + 1) over the head
+        if len(head) == rank - 1:
+            return [head + ((room - 1) // 2,)]
+        lo = head[-1] if head else 0
+        return [
+            box
+            for b in range(lo, (room - 1) // 2 + 1)
+            for box in grow(head + (b,), room // (2 * b + 1))
+        ]
+
+    return grow((), cap)
+
+
+def oracle_pareto_allocations(rank, cap):
+    """The coarse family less every box that another of its boxes contains.
+
+    One (N, N) comparison over the N coarse boxes: memory is quadratic.
+    """
+    boxes = oracle_box_allocations(rank, cap)
+    arr = np.array(boxes).reshape(len(boxes), 1, rank)
+    ge = np.all(arr.transpose(1, 0, 2) >= arr, axis=2)  # ge[i, j]: box j >= box i
+    contained = np.any(ge & ~np.eye(len(boxes), dtype=bool), axis=1)
+    return [box for box, c in zip(boxes, contained) if not c]
 
 
 def _witness_key(steps, radii):
@@ -335,11 +355,14 @@ def _witness_key(steps, radii):
     )
 
 
-def oracle_coverage_search(w, tau, r, cap, kind, search_budget=20_000):
+def oracle_coverage_search(
+    w, tau, r, cap, kind, search_budget=20_000, allocations=oracle_pareto_allocations
+):
     """The coverage search one witness object per candidate, for r >= 1.
 
     ``kind`` is "beta" (Cgap witnesses with at most ``cap`` lattice points)
     or "gamma" (GapImageProgression witnesses of size at most ``cap``).
+    ``allocations(rank, cap)`` lists the box radii scored at each rank.
     Every candidate is built as a witness, and its value is the fsum of the
     weights whose dense distance to the witness points exceeds tau.  Equal
     values are broken towards the smaller (rank, rounded steps, radii) key.
@@ -351,7 +374,6 @@ def oracle_coverage_search(w, tau, r, cap, kind, search_budget=20_000):
         ConvexBody,
         Gap,
         GapImageProgression,
-        _box_allocations,
     )
 
     def make_witness(steps, radii):
@@ -391,7 +413,7 @@ def oracle_coverage_search(w, tau, r, cap, kind, search_budget=20_000):
             step_sets = [
                 tuple(float(v) for v in c) for c in itertools.combinations(sub, 3)
             ]
-        allocs = _box_allocations(rho, cap)
+        allocs = allocations(rho, cap)
         for steps in step_sets:
             for radii in allocs:
                 if evals >= search_budget:

@@ -197,14 +197,6 @@ def test_cp_sampling_large_mean_splits():
     assert abs(s.var() - 75.0) < 8.0
 
 
-def test_marginal_and_negated():
-    d = DiscreteDistribution([[1.0, 2.0], [3.0, -4.0]], [0.5, 0.5])
-    m = d.marginal(1)
-    np.testing.assert_array_equal(np.sort(m.atoms[:, 0]), [-4.0, 2.0])
-    n = d.negated()
-    np.testing.assert_array_equal(np.sort(n.atoms[:, 0]), [-3.0, -1.0])
-
-
 def test_poisson_pmf_oracle_sanity():
     # oracle self-check used when freezing sampler expectations
     total = sum(O.oracle_poisson_pmf(3.0, k) for k in range(40))

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _oracles as O
@@ -452,9 +452,67 @@ def test_perfect_cover_between_allocations_matches_oracle():
     _assert_search_matches_oracle(w, 1e-9, 2, 16)
 
 
-def test_rank_two_allocations_match_the_quadratic_filter():
-    for cap in range(1, 601):
-        assert progressions._box_allocations(2, cap) == O.oracle_box_allocations_2(cap)
+def test_allocations_match_the_dominance_filter():
+    for rank, caps in ((1, range(1, 601)), (2, range(1, 601)), (3, range(1, 301))):
+        for cap in caps:
+            expected = O.oracle_pareto_allocations(rank, cap)
+            assert progressions._box_allocations(rank, cap) == expected
+
+
+def test_rank_three_allocations_drop_contained_boxes():
+    # of the coarse family's 48 and 5,072 boxes, 35 and 4,825 lie in another
+    assert [len(O.oracle_box_allocations(3, cap)) for cap in (63, 4097)] == [48, 5072]
+    assert len(progressions._box_allocations(3, 63)) == 13
+    assert len(progressions._box_allocations(3, 4097)) == 247
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    rows=st.lists(st.floats(0.3, 2.0), min_size=1, max_size=5).map(
+        lambda v: np.array(v).reshape(-1, 1)
+    ),
+    cap=st.integers(1, 63),
+    tau=st.sampled_from([1e-9, 1e-4, 0.01]),
+    budget=st.sampled_from([60, 400, 3000]),
+)
+# at cap 4097 the coarse rank-2 family alone holds 2,049 boxes: the budget binds
+@example(rows=np.array([[1.0], [2**0.5]]), cap=4097, tau=1e-9, budget=300)
+@example(rows=np.array([[1.0], [2**0.5], [3**0.5]]), cap=4097, tau=1e-9, budget=600)
+def test_rank_three_search_is_no_worse_than_the_coarse_family(rows, cap, tau, budget):
+    # the first j coarse boxes all lie in the first j kept ones, and the search
+    # spends no more per step set, so wherever the coarse search stops, the
+    # search has scored a container of every candidate it scored
+    w = spectral_measure(rows)
+    value, _, evals = O.oracle_coverage_search(
+        w, tau, 3, cap, "beta", budget, O.oracle_box_allocations
+    )
+    res = beta_rm(w, tau, 3, cap, budget)
+    if evals < budget:
+        assert res.value == value
+    else:
+        assert res.value <= value
+
+
+def test_search_enumerates_boxes_up_to_three_times_the_point_guard(monkeypatch):
+    # every listed box holds more than cap / 3 points: past 60,000 the
+    # guard rejects them all, so a larger cap searches the same candidates
+    seen = []
+    box_allocations = progressions._box_allocations
+
+    def spy(rank, cap):
+        seen.append(cap)
+        return box_allocations(rank, cap)
+
+    monkeypatch.setattr(progressions, "_box_allocations", spy)
+    w = spectral_measure(np.array([[0.4], [1.1], [2.7]]))
+    for search in (beta_rm, gamma_rs):
+        big, small = search(w, 0.01, 3, 10**7), search(w, 0.01, 3, 60_000)
+        assert (big.value, big.evaluations) == (small.value, small.evaluations)
+        big_box, small_box = big.witness.to_json_obj(), small.witness.to_json_obj()
+        if search is beta_rm:
+            assert (big_box.pop("m"), small_box.pop("m")) == (10**7, 60_000)
+        assert big_box == small_box
+    assert set(seen) == {60_000}
 
 
 @pytest.mark.parametrize("elements", [1, 200, 1500])
