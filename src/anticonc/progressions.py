@@ -647,8 +647,8 @@ def _coverage_search(
     lattice rows (radii padded with zeros to r) times the step vector padded
     with ones.  Candidates grow with rank and (pointwise) tau, and every box
     lies in a box at any larger cap, so unless the budget binds, values are
-    antitone in all three; in cap only up to the point guard, which skips
-    boxes of more than ``_MAX_SEARCH_POINTS`` points.  Budget exhaustion
+    antitone in all three.  A cap above the point guard
+    ``_MAX_SEARCH_POINTS`` searches the boxes of the guard.  Budget exhaustion
     returns the best candidate so far, and rank zero the single member
     K = {0}, as exact.  Candidates are visited in ascending (rank, steps,
     radii) order and only a strictly smaller mass replaces the best, so the
@@ -668,11 +668,7 @@ def _coverage_search(
             break
         sub = _stride(pool, (len(pool), 24, 10)[rho - 1])
         step_sets = list(itertools.combinations(sub, rho))
-        # each box holds over cap / 3 points: past 3 * guard the guard takes none
-        allocs = _box_allocations(rho, min(cap, 3 * _MAX_SEARCH_POINTS))
-        allocs = [radii for radii in allocs if math.prod(2 * b + 1 for b in radii) <= _MAX_SEARCH_POINTS]
-        if not allocs:
-            continue
+        allocs = _box_allocations(rho, min(cap, _MAX_SEARCH_POINTS))
         # every step set evaluates every allocation: score no set past the budget
         step_sets = step_sets[: -(-(search_budget - evals) // len(allocs))]
         for steps, candidates in _scored_step_sets(step_sets, allocs, r, x, weights, tau):

@@ -130,7 +130,7 @@ def _functional_ratios(g) -> list:
     return sorted(p for p in probes if p > 0)
 
 
-def _check_expected(spec, budget, skipped, instance_lcd) -> list:
+def _check_expected(spec, budget, skipped, instance_lcd, searches) -> list:
     results = []
     g = symmetrize(spec.x)
     for key, entries in sorted(spec.expected.items()):
@@ -141,7 +141,9 @@ def _check_expected(spec, budget, skipped, instance_lcd) -> list:
             continue
         for entry in entries:
             try:
-                results.append(_check_expected_entry(spec, g, key, entry, budget, instance_lcd))
+                results.append(
+                    _check_expected_entry(spec, g, key, entry, budget, instance_lcd, searches)
+                )
             except CapacityError:
                 skipped["expected"] += 1
             except (InputError, DomainError) as exc:
@@ -166,7 +168,7 @@ def _entry_field(entry, name, kind=float, default=None):
         raise InputError(f"field {name!r}: {v!r} is out of range") from None
 
 
-def _check_expected_entry(spec, g, key, entry, budget, instance_lcd) -> CheckResult:
+def _check_expected_entry(spec, g, key, entry, budget, instance_lcd, searches) -> CheckResult:
     if not isinstance(entry, dict):
         raise InputError(f"entry {entry!r} is not an object")
     num = partial(_entry_field, entry)
@@ -203,12 +205,16 @@ def _check_expected_entry(spec, g, key, entry, budget, instance_lcd) -> CheckRes
             d_upper=res.d_upper,
             converged=res.converged,
         )
-    elif key == "beta":
-        w = spectral_measure(spec.a.rows)
-        got = beta_rm(w, num("tau"), num("r", int), num("m", int)).value
-    elif key == "gamma_fit":
-        w = spectral_measure(spec.a.rows)
-        got = gamma_rs(w, num("tau"), num("r", int), num("s", int)).value
+    elif key in ("beta", "gamma_fit"):
+        search = (num("tau"), num("r", int), num("m" if key == "beta" else "s", int))
+        # both classes share one search: an entry with the window, rank and
+        # cap of one of the instance's witness searches reads its value
+        if search in searches:
+            got = searches[search].value
+        else:
+            got = (beta_rm if key == "beta" else gamma_rs)(
+                spectral_measure(spec.a.rows), *search
+            ).value
     else:
         return _fail(spec.id, "expected", field=key, reason="unknown expected field")
     want = num("value")
@@ -343,16 +349,24 @@ def _check_projection(spec, budget, skipped) -> list:
     return [_fail(spec.id, "projection", q=full, coordinate_min=bound)]
 
 
-def _check_witness(spec) -> list:
+def _witness_searches(spec) -> dict:
+    """The instance's ``beta_rm`` results keyed by (window, rank, cap): first
+    its witness search, then the rank-zero search at cap 1; none off the line."""
     if spec.a.dim != 1:
-        return []
+        return {}
     w = spectral_measure(spec.a.rows)
     window = spec.param("delta", spec.param("tau", 1.0))
-    r = int(spec.param("r", 1))
-    m = int(spec.param("m", 3))
+    searches = ((window, int(spec.param("r", 1)), int(spec.param("m", 3))), (window, 0, 1))
+    return {search: beta_rm(w, *search) for search in dict.fromkeys(searches)}
+
+
+def _check_witness(spec, searches) -> list:
+    if not searches:
+        return []
+    w = spectral_measure(spec.a.rows)
+    (window, _, _), res = next(iter(searches.items()))  # the witness search
     results = []
 
-    res = beta_rm(w, window, r, m)
     again = uncovered_mass(w, res.witness.points(), window)
     if again == res.value:
         results.append(_ok(spec.id, "witness", kind="replay", value=res.value))
@@ -361,7 +375,7 @@ def _check_witness(spec) -> list:
             _fail(spec.id, "witness", kind="replay", value=res.value, replayed=again)
         )
 
-    base = beta_rm(w, window, 0, 1)
+    base = searches[window, 0, 1]
     tail = tail_mass(w, window)
     if base.value == tail and base.exact:
         results.append(_ok(spec.id, "witness", kind="rank_zero", value=tail))
@@ -475,12 +489,13 @@ def run_verification(
     for idx, spec in enumerate(sorted(specs, key=lambda s: s.id)):
         inst_seed = derive_seed(int(seed), idx)
         params, lcd = _instance_lcd(spec)
-        results.extend(_check_expected(spec, exact_budget, skipped, (params, lcd)))
+        searches = _witness_searches(spec)
+        results.extend(_check_expected(spec, exact_budget, skipped, (params, lcd), searches))
         results.extend(_check_regularity(spec, exact_budget, skipped))
         results.extend(_check_chain(spec, inst_seed, lcd))
         results.extend(_check_functionals(spec))
         results.extend(_check_projection(spec, exact_budget, skipped))
-        results.extend(_check_witness(spec))
+        results.extend(_check_witness(spec, searches))
         if lcd is not None:
             results.extend(_check_lcd_agreement(spec, params, lcd))
     return VerificationReport(

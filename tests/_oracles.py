@@ -362,7 +362,8 @@ def oracle_coverage_search(
 
     ``kind`` is "beta" (Cgap witnesses with at most ``cap`` lattice points)
     or "gamma" (GapImageProgression witnesses of size at most ``cap``).
-    ``allocations(rank, cap)`` lists the box radii scored at each rank.
+    ``allocations(rank, cap)`` lists the box radii scored at each rank; a
+    cap above the point guard ``_MAX_SEARCH_POINTS`` lists at the guard.
     Every candidate is built as a witness, and its value is the fsum of the
     weights whose dense distance to the witness points exceeds tau.  Equal
     values are broken towards the smaller (rank, rounded steps, radii) key.
@@ -413,13 +414,11 @@ def oracle_coverage_search(
             step_sets = [
                 tuple(float(v) for v in c) for c in itertools.combinations(sub, 3)
             ]
-        allocs = allocations(rho, cap)
+        allocs = allocations(rho, min(cap, _MAX_SEARCH_POINTS))
         for steps in step_sets:
             for radii in allocs:
                 if evals >= search_budget:
                     break
-                if math.prod(2 * b + 1 for b in radii) > _MAX_SEARCH_POINTS:
-                    continue
                 wit = make_witness(steps, radii)
                 val = value(wit)
                 evals += 1

@@ -253,7 +253,7 @@ def test_mc_q_count_matches_raw_row_oracle(dim, n, lattice, half_width, seed, hi
     tau=st.sampled_from([0.5, 1.0, 2.0]),
     seed=st.integers(0, 2**32 - 1),
     hit_budget=st.sampled_from([1, 64]),
-    cell_centers=st.sampled_from([1, 4, concentration._CELL_CENTERS]),
+    cell_centers=st.sampled_from([1, concentration._CELL_CENTERS, 16]),
 )
 def test_pruned_ball_mass_matches_every_centre_oracle(
     dim, k, lattice, weights, tau, seed, hit_budget, cell_centers
@@ -285,13 +285,53 @@ def test_pruned_ball_mass_matches_every_centre_oracle(
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-def test_mc_q_count_matches_raw_row_oracle_at_scale(dim):
+def test_mc_q_count_matches_raw_row_oracle_at_scale(dim, monkeypatch):
     # 20k distinct generic draws: far above the hit budget, so the
-    # branch-and-bound search runs with its real settings
+    # level search runs with its real settings and bounds each level in one call
+    calls = []
+    ball_masses, max_ball_mass = concentration._ball_masses, concentration._max_ball_mass
+
+    def count_ball_masses(*args):
+        calls[-1] += 1
+        return ball_masses(*args)
+
+    def count_calls(*args):
+        calls.append(0)
+        return max_ball_mass(*args)
+
+    monkeypatch.setattr(concentration, "_ball_masses", count_ball_masses)
+    monkeypatch.setattr(concentration, "_max_ball_mass", count_calls)
     rows = np.random.default_rng(dim).uniform(0.3, 2.0, size=(40, dim))
     sampler = WeightedSum(RAD, WeightVector(rows))
     samples = _assert_mc_count_matches_oracle(sampler, 4.0, 20_000, 1)
     assert len(distinct_rows(samples)[0]) ** 2 > concentration._BALL_HIT_BUDGET
+    assert len(calls) == 1 and 0 < calls[0] <= 32
+
+
+def _degenerate_centres(kind, dim, rng):
+    """Centres that all coincide, that lie on one axis-parallel line, or that
+    share one grid cell, with the radius for each."""
+    if kind == "equal":
+        return np.tile(rng.uniform(-1.0, 1.0, size=dim), (40, 1)), 0.5
+    if kind == "line":
+        centers = np.tile(rng.uniform(-1.0, 1.0, size=dim), (60, 1))
+        centers[:, 0] = rng.integers(-6, 7, size=60) * 0.25  # with repeats
+        return centers, 0.5
+    return rng.uniform(0.0, 1.0, size=(60, dim)), 3.0  # one cell of side 6
+
+
+@pytest.mark.parametrize("kind", ["equal", "line", "one-cell"])
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("unit", [True, False])
+def test_level_search_on_degenerate_centres_matches_oracle(kind, dim, unit, monkeypatch):
+    # a hit budget of 1 sends every input to the level search
+    monkeypatch.setattr(concentration, "_BALL_HIT_BUDGET", 1)
+    rng = np.random.default_rng(dim)
+    pts = rng.uniform(-2.0, 2.0, size=(50, dim))
+    w = np.ones(50) if unit else rng.integers(1, 50, size=50) / 49.0
+    centers, radius = _degenerate_centres(kind, dim, rng)
+    got = concentration._max_ball_mass(pts, w, centers, radius)
+    assert got == O.oracle_max_ball_mass(pts, w, centers, radius)
 
 
 def test_esseen_dominates_exact_on_the_line():

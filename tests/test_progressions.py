@@ -493,9 +493,9 @@ def test_rank_three_search_is_no_worse_than_the_coarse_family(rows, cap, tau, bu
         assert res.value <= value
 
 
-def test_search_enumerates_boxes_up_to_three_times_the_point_guard(monkeypatch):
-    # every listed box holds more than cap / 3 points: past 60,000 the
-    # guard rejects them all, so a larger cap searches the same candidates
+def test_search_enumerates_boxes_up_to_the_point_guard(monkeypatch):
+    # a cap above the guard lists the boxes of the guard, so it searches
+    # the same candidates as a cap at the guard
     seen = []
     box_allocations = progressions._box_allocations
 
@@ -506,13 +506,13 @@ def test_search_enumerates_boxes_up_to_three_times_the_point_guard(monkeypatch):
     monkeypatch.setattr(progressions, "_box_allocations", spy)
     w = spectral_measure(np.array([[0.4], [1.1], [2.7]]))
     for search in (beta_rm, gamma_rs):
-        big, small = search(w, 0.01, 3, 10**7), search(w, 0.01, 3, 60_000)
+        big, small = search(w, 0.01, 3, 10**7), search(w, 0.01, 3, 20_000)
         assert (big.value, big.evaluations) == (small.value, small.evaluations)
         big_box, small_box = big.witness.to_json_obj(), small.witness.to_json_obj()
         if search is beta_rm:
-            assert (big_box.pop("m"), small_box.pop("m")) == (10**7, 60_000)
+            assert (big_box.pop("m"), small_box.pop("m")) == (10**7, 20_000)
         assert big_box == small_box
-    assert set(seen) == {60_000}
+    assert set(seen) == {20_000}
 
 
 @pytest.mark.parametrize("elements", [1, 200, 1500])
@@ -536,9 +536,11 @@ def test_step_pool_is_built_once_per_weight_vector():
 
 
 def test_search_skips_allocations_past_the_point_guard():
-    # the one rank-1 box holds 20,003 > _MAX_SEARCH_POINTS points: nothing
-    # past the start is evaluated
+    # the one rank-1 box at cap 20,003 holds more than _MAX_SEARCH_POINTS
+    # points: the search scores the box of the guard in its place
     w = spectral_measure(np.array([[0.4], [1.1], [2.7]]))
-    res = beta_rm(w, 0.01, 1, 20_003)
-    assert res.evaluations == 1 and res.value == tail_mass(w, 0.01)
+    res, at_guard = beta_rm(w, 0.01, 1, 20_003), beta_rm(w, 0.01, 1, 20_000)
+    assert res.evaluations == at_guard.evaluations > 1
+    assert res.value == at_guard.value < tail_mass(w, 0.01)
+    assert res.witness.body.bounding_box().tolist() == [9999.0]
     _assert_search_matches_oracle(w, 0.01, 1, 20_003)

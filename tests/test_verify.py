@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from anticonc import verify
+from anticonc import progressions, verify
 from anticonc.concentration import WeightVector
 from anticonc.errors import InputError
 from anticonc.instances import load_corpus
@@ -141,6 +141,36 @@ def test_bundled_verify_brackets_each_lcd_parameter_set_once():
     with mock.patch.object(verify, "compute_lcd", wraps=verify.compute_lcd) as spy:
         run_verification()
     assert spy.call_count == 10
+
+
+def test_search_entry_with_a_witness_search_key_reuses_its_result(tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    obj = json.loads((CORPUS / "02-ones-10.json").read_text())
+    # delta 0.5 and the default r = 1, m = 3: the witness searches are
+    # (0.5, 1, 3) and the rank-zero (0.5, 0, 1)
+    fit = {"r": 1, "s": 3, "tau": 0.5, "value": 0.0}
+    obj["expected"] = {
+        "beta": [{"m": 1, "r": 0, "tau": 0.5, "value": 1.0}, dict(fit, m=5, value=0.0)],
+        "gamma_fit": [fit, dict(fit, value=0.5)],
+    }
+    (corpus / "02.json").write_text(json.dumps(obj))
+    search = progressions._coverage_search
+    with mock.patch.object(progressions, "_coverage_search", wraps=search) as spy:
+        report = run_verification(corpus)
+    assert [call.args[1:4] for call in spy.call_args_list] == [
+        (0.5, 1, 3), (0.5, 0, 1), (0.5, 1, 5)
+    ]
+    entries = [r for r in report.results if r.check == "expected"]
+    assert [r.passed for r in entries] == [True, True, True, False]
+    assert entries[3].detail["got"] == 0.0
+
+
+def test_bundled_verify_runs_each_witness_search_once():
+    search = progressions._coverage_search
+    with mock.patch.object(progressions, "_coverage_search", wraps=search) as spy:
+        run_verification()
+    assert spy.call_count == 43
 
 
 def test_duplicate_ids_rejected(tmp_path):
