@@ -9,10 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from functools import partial
 from pathlib import Path
 
 from ._common import derive_seed
@@ -41,15 +38,14 @@ from .verify import run_verification
 SCHEMA_VERSION = "1"
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("ANTICONC_THREADS", "1")
+def _budget(text: str) -> int:
+    """argparse type of --budget: an integer of at least 1."""
     try:
-        n = int(raw)
+        if int(text) >= 1:
+            return int(text)
     except ValueError:
-        raise InputError(f"ANTICONC_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise InputError("ANTICONC_THREADS must be at least 1")
-    return n
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
 
 
 def _emit(text: str, out_path) -> None:
@@ -90,10 +86,10 @@ def cmd_q(args) -> int:
     tau = spec.require("tau")
     constants = _load_constants(args, spec)
     if args.method == "exact":
-        budget = args.budget if args.budget else DEFAULT_EXACT_BUDGET
+        budget = DEFAULT_EXACT_BUDGET if args.budget is None else args.budget
         est = exact_q(spec.x, spec.a, tau, budget=budget)
     elif args.method == "mc":
-        samples = args.budget if args.budget else 200_000
+        samples = 200_000 if args.budget is None else args.budget
         est = mc_q(WeightedSum(spec.x, spec.a), tau, samples, derive_seed(args.seed, 0))
     else:
         f_hat = weighted_sum_char_fn(spec.x, spec.a)
@@ -136,17 +132,14 @@ def _one_bound_report(args, spec, idx):
         constants=constants,
         instance=spec.id,
         seed=derive_seed(args.seed, idx),
-        mc_samples=args.budget if args.budget else 100_000,
+        mc_samples=100_000 if args.budget is None else args.budget,
         theta_max=spec.param("theta_max"),
     )
 
 
 def cmd_bounds(args) -> int:
     specs = sorted(load_instances(args.instance), key=lambda s: s.id)
-    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-        reports = list(
-            pool.map(partial(_one_bound_report, args), specs, range(len(specs)))
-        )
+    reports = [_one_bound_report(args, spec, idx) for idx, spec in enumerate(specs)]
     if args.format == "csv":
         _emit(bound_report_csv(reports), args.out)
     else:
@@ -169,33 +162,22 @@ def cmd_gapfit(args) -> int:
     m = int(spec.param("m", 3))
     s = int(spec.param("s", 3))
     w = half_empirical_measure(spec.a.rows)
-    n = spec.a.n
-    beta = beta_rm(w, window, r, m)
-    gfit = gamma_rs(w, window, r, s)
-    obj = {
-        "spec_version": SCHEMA_VERSION,
-        "instance": spec.id,
-        "window": window,
-        "beta": {
-            "value": beta.value,
-            "uncovered_count": beta.value * 2.0 * n,
-            "exact": beta.exact,
-            "witness": beta.witness.to_json_obj(),
-        },
-        "gamma_fit": {
-            "value": gfit.value,
-            "uncovered_count": gfit.value * 2.0 * n,
-            "exact": gfit.exact,
-            "witness": gfit.witness.to_json_obj(),
-        },
-    }
+    obj = {"spec_version": SCHEMA_VERSION, "instance": spec.id, "window": window}
+    fits = (("beta", beta_rm(w, window, r, m)), ("gamma_fit", gamma_rs(w, window, r, s)))
+    for name, res in fits:
+        obj[name] = {
+            "value": res.value,
+            "uncovered_count": res.value * 2.0 * spec.a.n,
+            "exact": res.exact,
+            "witness": res.witness.to_json_obj(),
+        }
     _emit(_render_json(obj), args.out)
     return 0
 
 
 def cmd_verify(args) -> int:
-    budget = args.budget if args.budget else 2_000_000
-    report = run_verification(args.corpus, seed=args.seed, exact_budget=budget)
+    budget = {} if args.budget is None else {"exact_budget": args.budget}
+    report = run_verification(args.corpus, seed=args.seed, **budget)
     if args.format == "json":
         text = _render_json(
             {"spec_version": SCHEMA_VERSION, **report.to_json_obj()}
@@ -232,8 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--constants", help="JSON file overriding bound constants")
         p.add_argument(
             "--budget",
-            type=int,
-            default=None,
+            type=_budget,
             help="enumeration budget or Monte Carlo sample count",
         )
 
@@ -266,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("text", "json"), default="text", help="output format"
     )
     p_v.add_argument(
-        "--budget", type=int, default=None, help="exact enumeration budget"
+        "--budget", type=_budget, help="exact enumeration budget"
     )
     p_v.set_defaults(fn=cmd_verify)
     return parser

@@ -528,11 +528,24 @@ def _adaptive_simpson_abs(
     raise NumericsError("adaptive Simpson did not converge")
 
 
+def _doubled_until_converged(integral_at, m: int, m_max: int, rel_tol: float, name: str):
+    """``integral_at(m)`` for m doubling up to ``m_max``, until two successive
+    values agree to ``rel_tol``; NumericsError naming the ``name`` quadrature."""
+    prev = None
+    while m <= m_max:
+        integral = integral_at(m)
+        tol = rel_tol * max(abs(integral), 1e-300)
+        if prev is not None and abs(integral - prev) <= tol:
+            return integral
+        prev = integral
+        m *= 2
+    raise NumericsError(f"{name} quadrature did not converge")
+
+
 def _polar_integral_2d(f, radius: float, rel_tol: float) -> float:
     """Integral of |f| over the disk via Gauss-Legendre in r, trapezoid in angle."""
-    prev = None
-    m = 16
-    while m <= 1024:
+
+    def integral_at(m):
         nodes, wts = np.polynomial.legendre.leggauss(m)
         r = (nodes + 1.0) * (radius / 2.0)
         rw = wts * (radius / 2.0)
@@ -544,21 +557,15 @@ def _polar_integral_2d(f, radius: float, rel_tol: float) -> float:
         ts[:, 0] = np.repeat(r, n_th) * np.tile(ct, m)
         ts[:, 1] = np.repeat(r, n_th) * np.tile(st, m)
         vals = np.abs(f(ts)).reshape(m, n_th)
-        integral = float(np.sum(rw * r * vals.sum(axis=1) * w_th))
-        if prev is not None and abs(integral - prev) <= rel_tol * max(
-            abs(integral), 1e-300
-        ):
-            return integral
-        prev = integral
-        m *= 2
-    raise NumericsError("planar quadrature did not converge")
+        return float(np.sum(rw * r * vals.sum(axis=1) * w_th))
+
+    return _doubled_until_converged(integral_at, 16, 1024, rel_tol, "planar")
 
 
 def _spherical_integral_3d(f, radius: float, rel_tol: float) -> float:
     """Integral of |f| over the 3-ball in spherical coordinates."""
-    prev = None
-    m = 8
-    while m <= 128:
+
+    def integral_at(m):
         nodes, wts = np.polynomial.legendre.leggauss(m)
         r = (nodes + 1.0) * (radius / 2.0)
         rw = wts * (radius / 2.0)
@@ -580,14 +587,9 @@ def _spherical_integral_3d(f, radius: float, rel_tol: float) -> float:
         vals = np.abs(f(ts)).reshape(m, m, n_th)
         inner = vals.sum(axis=2) * w_th  # over theta
         mid = inner @ (pw * sp)  # over phi with jacobian sin(phi)
-        integral = float(np.sum(rw * r * r * mid))
-        if prev is not None and abs(integral - prev) <= rel_tol * max(
-            abs(integral), 1e-300
-        ):
-            return integral
-        prev = integral
-        m *= 2
-    raise NumericsError("spherical quadrature did not converge")
+        return float(np.sum(rw * r * r * mid))
+
+    return _doubled_until_converged(integral_at, 8, 128, rel_tol, "spherical")
 
 
 def esseen_upper_q(

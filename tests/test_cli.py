@@ -135,21 +135,16 @@ def test_bounds_grid_is_sorted_and_repeatable(tmp_path):
     assert names == sorted(names)
 
 
-def test_threads_do_not_change_output(tmp_path, monkeypatch):
-    args = ["bounds", str(CORPUS), "--budget", "3000", "--format", "csv"]
-    seq = tmp_path / "seq.csv"
-    par = tmp_path / "par.csv"
-    assert main(args + ["--out", str(seq)]) == 0
-    monkeypatch.setenv("ANTICONC_THREADS", "4")
-    assert main(args + ["--out", str(par)]) == 0
-    assert seq.read_bytes() == par.read_bytes()
-
-
-def test_bad_thread_count_is_exit_two(capsys, monkeypatch):
-    monkeypatch.setenv("ANTICONC_THREADS", "zero")
-    code, _, err = run(["bounds", str(ONES10), "--budget", "3000"], capsys)
-    assert code == 2
-    assert "ANTICONC_THREADS" in err
+@pytest.mark.parametrize(
+    "argv",
+    [["q", str(ONES10), "--budget", "0"], ["bounds", str(ONES10), "--budget", "-1"],
+     ["verify", "--budget", "0"]],
+)
+def test_budget_below_one_is_exit_two(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--budget: expected an integer of at least 1" in capsys.readouterr().err
 
 
 def test_gapfit_command(capsys):

@@ -1,12 +1,14 @@
+import inspect
 import json
 import shutil
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from anticonc import progressions, verify
+from anticonc import concentration, progressions, verify
 from anticonc.concentration import WeightVector
 from anticonc.errors import InputError
 from anticonc.instances import load_corpus
@@ -39,11 +41,11 @@ def test_budget_skips_are_counted_and_reported():
     assert run_verification().skipped == {}
     report = run_verification(exact_budget=50)
     assert report.passed
-    assert report.skipped == {"expected": 15, "projection": 3, "regularity": 10}
+    assert report.skipped == {"expected": 15, "projection": 3, "regularity": 16}
     lines = report.summary_lines()
     assert "SKIP expected: 15 skipped (budget)" in lines
     assert "SKIP projection: 3 skipped (budget)" in lines
-    assert "SKIP regularity: 10 skipped (budget)" in lines
+    assert "SKIP regularity: 16 skipped (budget)" in lines
     assert lines[-1] == "result: PASS"
     skipped = report.to_json_obj()["skipped"]
     assert set(skipped) == set(CHECK_NAMES)
@@ -171,6 +173,32 @@ def test_bundled_verify_runs_each_witness_search_once():
     with mock.patch.object(progressions, "_coverage_search", wraps=search) as spy:
         run_verification()
     assert spy.call_count == 43
+
+
+def test_bundled_verify_convolves_each_law_once_at_the_verify_budget():
+    conv = mock.Mock(wraps=concentration.weighted_sum_distribution)
+    sweep = mock.Mock(wraps=concentration.exact_q_of_distribution)
+    with mock.patch.object(concentration, "weighted_sum_distribution", conv), \
+         mock.patch.object(verify, "weighted_sum_distribution", conv), \
+         mock.patch.object(concentration, "exact_q_of_distribution", sweep), \
+         mock.patch.object(verify, "exact_q_of_distribution", sweep, create=True):
+        run_verification()
+    # one law per instance, plus one per coordinate of a multi-d instance
+    # for the projection check: 25 + 11
+    specs = load_corpus()
+    laws = [(s.x, s.a) for s in specs]
+    laws += [(s.x, s.a.coordinate(j)) for s in specs if s.a.dim > 1 for j in range(s.a.dim)]
+    key = lambda x, a: (x.atoms.tobytes(), x.weights.tobytes(), a.rows.tobytes(), a.dim)
+    convolved = Counter(key(*call.args[:2]) for call in conv.call_args_list)
+    assert convolved == Counter(key(x, a) for x, a in laws)
+    assert conv.call_count == 36
+    budget = inspect.signature(run_verification).parameters["exact_budget"].default
+    signature = inspect.signature(concentration.exact_q_of_distribution)
+    budgets = {
+        signature.bind(*call.args, **call.kwargs).arguments.get("budget")
+        for call in sweep.call_args_list
+    }
+    assert sweep.call_count > 0 and budgets == {budget}
 
 
 def test_duplicate_ids_rejected(tmp_path):
