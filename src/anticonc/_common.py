@@ -40,8 +40,6 @@ def as_points(arr, dim: int | None = None) -> np.ndarray:
 def as_vector(t, dim: int) -> np.ndarray:
     """Coerce a scalar or sequence to a (dim,) float vector."""
     v = np.asarray(t, dtype=float).reshape(-1)
-    if v.size == 1 and dim == 1:
-        return v
     if v.size != dim:
         raise DomainError(f"expected a vector in R^{dim}, got size {v.size}")
     return v

@@ -33,8 +33,6 @@ from .distributions import (
 from .errors import CapacityError, DomainError, NumericsError
 
 DEFAULT_EXACT_BUDGET = 20_000_000
-# Cap on candidate pairs in the multidimensional exact sweep.
-DEFAULT_PAIR_BUDGET = 5_000_000
 _MC_MIN_SAMPLES = 1000
 _MC_CHUNK = 65536
 # Ball hits held at once while summing multiplicities in mc_q.
@@ -191,9 +189,22 @@ def _ball_tol(pts, rho):
     return GEOM_TOL * max(1.0, float(np.max(np.abs(pts))), rho)
 
 
-def _near_pairs(pts, reach):
-    """Index pairs i < j, in lexicographic order, at distance at most ``reach``."""
-    ii, jj = np.triu_indices(len(pts), 1)
+def _near_pairs(pts, reach, budget=math.inf):
+    """Index pairs i < j, in lexicographic order, at distance at most ``reach``;
+    CapacityError past ``budget`` pairs within a hair of it.  A kd-tree lists
+    only those pairs, so memory follows the near pairs, not the support squared."""
+    from scipy.spatial import cKDTree
+
+    tree = cKDTree(pts)
+    wide = reach * (1 + 1e-9)  # the tree rounds its distances its own way
+    count = (int(tree.count_neighbors(tree, wide)) - len(pts)) // 2
+    if count > budget:
+        raise CapacityError(
+            f"near pairs {count} exceed budget {budget} (support {len(pts)})"
+        )
+    pairs = tree.query_pairs(wide, output_type="ndarray")
+    # the key i*k + j of a pair i < j orders the pairs lexicographically
+    ii, jj = np.divmod(np.sort(pairs[:, 0] * len(pts) + pairs[:, 1]), len(pts))
     near = ((pts[ii] - pts[jj]) ** 2).sum(axis=1) <= reach**2
     return ii[near], jj[near]
 
@@ -300,18 +311,13 @@ def _max_ball_mass(pts, w, centers, radius):
     return descend(*top, descend(*top, 0.0, True), False)
 
 
-def _pair_circle_centers(pts, rho, tol, pair_budget):
+def _pair_circle_centers(pts, rho, tol, budget):
     """Planar family: any optimal closed disk can be rotated about the pair of
     support points it pins down, so disks through two atoms at the fixed
     radius (plus single-atom disks) form a complete candidate family."""
-    k = len(pts)
-    if k * (k - 1) // 2 > pair_budget:
-        raise CapacityError(
-            f"candidate pairs exceed budget {pair_budget} (support {k})"
-        )
     if rho <= 0:
         return pts
-    ii, jj = _near_pairs(pts, 2 * rho + 2 * tol)
+    ii, jj = _near_pairs(pts, 2 * rho + 2 * tol, budget)
     diff = pts[jj] - pts[ii]
     d2 = (diff**2).sum(axis=1)
     mid = (pts[ii] + pts[jj]) / 2.0
@@ -335,18 +341,16 @@ def _clique_centers(pts, rho, tol, budget):
     """d >= 3 family: an optimal ball is pinned by at most d+1 support points
     (Welzl 1991), pairwise within the diameter, so the circumcentres of the
     cliques of size <= d+1 of the near-pair graph that lie within the radius
-    of their clique are complete."""
+    of their clique are complete.  Every near pair and clique enumerated is
+    charged against ``budget``."""
     k, d = pts.shape
-    n_subsets = sum(math.comb(k, j) for j in range(1, min(d + 1, k) + 1))
-    if n_subsets > budget:
-        raise CapacityError(
-            f"subset enumeration {n_subsets} exceeds budget {budget}"
-        )
-    ii, jj = _near_pairs(pts, 2 * rho + 2 * tol)
-    later = np.zeros((k, k), dtype=bool)  # later[i, j]: j > i and the pair is near
-    later[ii, jj] = True
+    ii, jj = _near_pairs(pts, 2 * rho + 2 * tol, budget)
+    # CSR rows: the later neighbours of i are jj[first[i]:first[i + 1]], ascending
+    first = np.searchsorted(ii, np.arange(k + 1))
+    keys = ii * k + jj  # ascending: the near pair (i, j), i < j, is key i*k + j
     centers = [pts]
     cliques = np.column_stack([ii, jj])
+    spent = len(cliques)
     while len(cliques):
         for c in cliques:
             q = pts[c]
@@ -355,9 +359,22 @@ def _clique_centers(pts, rho, tol, budget):
                 centers.append(center.reshape(1, -1))
         if cliques.shape[1] == d + 1:
             break
-        # extend each clique, in increasing index order, by a later common neighbour
-        rows, ext = np.nonzero(np.logical_and.reduce(later[cliques], axis=1))
-        cliques = np.column_stack([cliques[rows], ext])
+        # extend each clique, in increasing index order, by a later neighbour
+        # of its last vertex that is near every other member
+        start = first[cliques[:, -1]]
+        size = first[cliques[:, -1] + 1] - start
+        rows = np.repeat(np.arange(len(cliques)), size)
+        # a candidate's place in jj: its row's start plus its rank in the row
+        ext = jj[np.arange(len(rows)) + np.repeat(start - np.cumsum(size) + size, size)]
+        want = cliques[rows, :-1] * k + ext[:, None]
+        at = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+        keep = np.all(keys[at] == want, axis=1)
+        cliques = np.column_stack([cliques[rows[keep]], ext[keep]])
+        spent += len(cliques)
+        if spent > budget:
+            raise CapacityError(
+                f"near cliques {spent} exceed budget {budget} (support {k})"
+            )
     return np.vstack(centers)
 
 
@@ -374,7 +391,7 @@ def exact_q_of_distribution(
     rho = tau / 2.0
     tol = _ball_tol(f.atoms, rho)
     family = _pair_circle_centers if f.dim == 2 else _clique_centers
-    centers = family(f.atoms, rho, tol, min(budget, DEFAULT_PAIR_BUDGET))
+    centers = family(f.atoms, rho, tol, budget)
     return min(_max_ball_mass(f.atoms, f.weights, centers, rho + tol), 1.0)
 
 
@@ -429,15 +446,6 @@ def _sample_from(sampler, n_samples: int, rng: np.random.Generator) -> np.ndarra
     raise DomainError("sampler must be a WeightedSum or a CompoundPoisson")
 
 
-def _mc_centers(rows, sub, rho):
-    """Candidate centres of ``mc_q``: the distinct samples ``rows`` and the
-    distinct midpoints of the pairs of the subsample ``sub`` that lie within
-    ``2*rho`` of each other."""
-    ii, jj = _near_pairs(sub, 2 * rho)
-    mids, _ = distinct_rows((sub[ii] + sub[jj]) / 2.0)
-    return np.vstack([rows, mids])
-
-
 def mc_q(
     sampler, tau: float, n_samples: int, seed
 ) -> ConcentrationEstimate:
@@ -448,9 +456,9 @@ def mc_q(
     laws such as compound-Poisson smoothing laws repeat most draws.  On the
     line the count is the sweep ``_max_window_mass_1d`` over sample-anchored
     windows, exact for the empirical measure.  In dimension >= 2 candidate
-    centers are the distinct samples plus the distinct pairwise midpoints of
-    a seeded 256-sample subsample, which makes the estimate a documented
-    lower-bound heuristic for the empirical optimum.
+    centers are the distinct samples plus the distinct midpoints of the pairs
+    within ``tau`` of a seeded 256-sample subsample, which makes the estimate
+    a documented lower-bound heuristic for the empirical optimum.
     """
     if not tau >= 0:
         raise DomainError("tau must be nonnegative")
@@ -469,7 +477,9 @@ def mc_q(
     else:
         rho = tau / 2.0
         radius = rho + _ball_tol(rows, rho)
-        count = int(_max_ball_mass(rows, counts, _mc_centers(rows, sub, rho), radius))
+        ii, jj = _near_pairs(sub, 2 * rho)
+        mids, _ = distinct_rows((sub[ii] + sub[jj]) / 2.0)
+        count = int(_max_ball_mass(rows, counts, np.vstack([rows, mids]), radius))
     value = count / n_samples
     stderr = math.sqrt(max(value * (1.0 - value), 0.0) / n_samples)
     return ConcentrationEstimate(value, "monte_carlo", stderr, tau)

@@ -18,7 +18,6 @@ import numpy as np
 from ._common import (
     DEDUP_TOL,
     as_points,
-    as_vector,
     dedupe_points,
     make_rng,
     mirror_pair_symmetrize,
@@ -108,11 +107,6 @@ class DiscreteDistribution:
     @property
     def total_mass(self) -> float:
         return float(self._weights.sum())
-
-    def char_fn(self, t) -> complex:
-        """Characteristic function sum_z w(z) exp(i <t, z>) at one point."""
-        v = as_vector(t, self.dim)
-        return complex(np.sum(self._weights * np.exp(1j * (self._atoms @ v))))
 
     def char_fn_grid(self, ts) -> np.ndarray:
         """Vectorized characteristic function on a (m, d) grid of points."""
@@ -279,9 +273,6 @@ class CompoundPoisson:
         if not math.isfinite(lam) or lam < 0:
             raise DomainError("power must be finite and nonnegative")
         return CompoundPoisson(self._intensity * lam, self._base)
-
-    def char_fn(self, t) -> complex:
-        return complex(np.exp(self._intensity * (self._base.char_fn(t) - 1.0)))
 
     def char_fn_grid(self, ts) -> np.ndarray:
         return np.exp(self._intensity * (self._base.char_fn_grid(ts) - 1.0))

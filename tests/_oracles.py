@@ -101,11 +101,61 @@ def oracle_q_ball(support, probs, rows, tau):
             c = _circumcenter(sub)
             if c is not None:
                 centers.append(c)
+    return _densest_ball(pts, wts_f, centers, radius)
+
+
+def _densest_ball(pts, wts, centers, radius):
+    """Largest mass of a closed ball of ``radius`` (slack 1e-12) about a centre,
+    every centre checked against every atom."""
     best = 0.0
     for c in centers:
         dist = np.linalg.norm(pts - np.asarray(c), axis=1)
-        best = max(best, float(wts_f[dist <= radius + 1e-12].sum()))
+        best = max(best, float(wts[dist <= radius + 1e-12].sum()))
     return best
+
+
+def oracle_near_pairs(pts, reach):
+    """Index pairs i < j, in lexicographic order, at distance at most
+    ``reach``: the squared distance of every pair against ``reach**2``."""
+    ii, jj = np.triu_indices(len(pts), 1)
+    near = ((pts[ii] - pts[jj]) ** 2).sum(axis=1) <= reach**2
+    return ii[near], jj[near]
+
+
+def oracle_near_cliques(pts, reach, max_size):
+    """Index tuples i_1 < ... < i_m, 2 <= m <= ``max_size``, whose atoms lie
+    pairwise within ``reach``, grown one index at a time by recursion over
+    the dense distance matrix."""
+    pts = np.asarray(pts, dtype=float)
+    near = (np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2) <= reach).tolist()
+    found = []
+
+    def grow(clique):
+        if len(clique) > 1:
+            found.append(clique)
+        if len(clique) < max_size:
+            for j in range(clique[-1] + 1, len(pts)):
+                if all(near[i][j] for i in clique):
+                    grow(clique + (j,))
+
+    for i in range(len(pts)):
+        grow((i,))
+    return found
+
+
+def oracle_q_ball_near(support, probs, rows, tau):
+    """``oracle_q_ball`` with only the subsets whose atoms lie pairwise within
+    tau + 1e-9 as candidate centres: an optimal ball's pinning atoms lie
+    within its diameter of each other, so no other subset is needed, and
+    supports of a few hundred atoms stay within reach."""
+    pts, wts = enumerate_weighted_sum(support, probs, rows)
+    centers = list(pts)
+    for clique in oracle_near_cliques(pts, tau + 1e-9, pts.shape[1] + 1):
+        sub = pts[list(clique)]
+        c = 0.5 * (sub[0] + sub[1]) if len(clique) == 2 else _circumcenter(sub)
+        if c is not None:
+            centers.append(c)
+    return _densest_ball(pts, np.array([float(w) for w in wts]), centers, tau / 2.0)
 
 
 def oracle_max_ball_mass(pts, w, centers, radius):
@@ -146,10 +196,9 @@ def oracle_mc_count(samples, tau, sub_idx):
     tree = cKDTree(samples)
     count = int(np.max(tree.query_ball_point(samples, radius, return_length=True)))
     sub = samples[sub_idx]
-    ii, jj = np.triu_indices(len(sub), 1)
-    near = ((sub[ii] - sub[jj]) ** 2).sum(axis=1) <= (2 * rho) ** 2
-    if near.any():
-        mids = (sub[ii[near]] + sub[jj[near]]) / 2.0
+    ii, jj = oracle_near_pairs(sub, 2 * rho)
+    if len(ii):
+        mids = (sub[ii] + sub[jj]) / 2.0
         hits = tree.query_ball_point(mids, radius, return_length=True)
         count = max(count, int(np.max(hits)))
     return count

@@ -128,23 +128,79 @@ def test_exact_q_multid_matches_oracle(data, law, dim, integer, tau):
 
 
 def test_multid_budgets_are_pinned():
+    # one budget caps the near pairs and, in 3-D, every clique grown from
+    # them; generic rows put no distance within 1e-9 of tau
     rng = np.random.default_rng(3)
-    # 3-D generic rows: 2^n atoms, sum_{j <= 4} C(2^n, j) subsets against 5M
-    exact_q(RAD, WeightVector(rng.uniform(0.3, 2.0, size=(6, 3))), 1.0)  # 679,120
-    with pytest.raises(CapacityError):
-        exact_q(RAD, WeightVector(rng.uniform(0.3, 2.0, size=(7, 3))), 1.0)  # 11,017,632
-    f3 = weighted_sum_distribution(RAD, WeightVector(rng.uniform(0.3, 2.0, size=(6, 3))))
-    assert f3.n_atoms == 64
-    exact_q_of_distribution(f3, 1.0, budget=679_120)
-    with pytest.raises(CapacityError):
-        exact_q_of_distribution(f3, 1.0, budget=679_119)
-    # 2-D: k atoms give k(k-1)/2 candidate pairs
     f2 = weighted_sum_distribution(RAD, WeightVector(rng.uniform(0.3, 2.0, size=(6, 2))))
-    k = f2.n_atoms
-    assert k == 64
-    exact_q_of_distribution(f2, 1.0, budget=k * (k - 1) // 2)
-    with pytest.raises(CapacityError):
-        exact_q_of_distribution(f2, 1.0, budget=k * (k - 1) // 2 - 1)
+    f3 = weighted_sum_distribution(RAD, WeightVector(rng.uniform(0.3, 2.0, size=(7, 3))))
+    pairs2 = len(O.oracle_near_pairs(f2.atoms, 1.0)[0])
+    cliques3 = O.oracle_near_cliques(f3.atoms, 1.5, 4)
+    # 91 of 2,016 pairs; 292 pairs, 210 triples and 42 quadruples, so one
+    # less than the count passes the pairs and stops at the last quadruple
+    assert pairs2 == 91 and len(cliques3) == 544
+    for f, tau, count in [(f2, 1.0, pairs2), (f3, 1.5, len(cliques3))]:
+        exact_q_of_distribution(f, tau, budget=count)
+        with pytest.raises(CapacityError):
+            exact_q_of_distribution(f, tau, budget=count - 1)
+
+
+def test_near_atoms_at_tau_zero_need_no_budget():
+    # at tau = 0 no two distinct atoms are near: the candidates are the atoms
+    rng = np.random.default_rng(5)
+    for dim, n in [(2, 12), (3, 7)]:
+        a = WeightVector(rng.uniform(0.3, 2.0, size=(n, dim)))
+        assert exact_q(RAD, a, 0.0).value == 2.0**-n
+        f = weighted_sum_distribution(RAD, a)
+        assert exact_q_of_distribution(f, 0.0, budget=1) == 2.0**-n
+
+
+def test_exact_q_3d_past_the_subset_count_matches_near_oracle():
+    # 2^n atoms have sum_{j <= 4} C(2^n, j) subsets: 11M at n = 7, 2.9G at n = 9
+    for n in (7, 8, 9):
+        rows = np.random.default_rng(3).uniform(0.3, 2.0, size=(n, 3))
+        for tau in (0.0, 1.0):
+            got = exact_q(RAD, WeightVector(rows), tau).value
+            assert got == O.oracle_q_ball_near(*O.RADEMACHER, rows, tau), (n, tau)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    law=st.sampled_from(sorted(_ORACLE_LAWS)),
+    dim=st.integers(2, 3),
+    n=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+    tau=st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+)
+def test_near_oracle_matches_all_subset_oracle(law, dim, n, seed, tau):
+    _, (sup, pr) = _ORACLE_LAWS[law]
+    # the all-subset oracle takes seconds past 16-32 atoms
+    n = min(n, 3 if law == "uniform3" else 7 - dim)
+    rows = make_rng(seed).integers(-2, 3, size=(n, dim)).astype(float)
+    rows[0, 0] = 1.0
+    want = O.oracle_q_ball(sup, pr, rows, tau)
+    assert O.oracle_q_ball_near(sup, pr, rows, tau) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.integers(1, 3),
+    k=st.integers(1, 40),
+    step=st.sampled_from([1.0, 0.1, 0.3, 1 / 3, 2.5e-7]),
+    seed=st.integers(0, 2**32 - 1),
+    reach_sq=st.integers(0, 12),
+)
+def test_near_pairs_match_dense_oracle_on_ties(dim, k, step, seed, reach_sq):
+    # lattice points with a step: many distances tie with the reach, where
+    # the kd-tree's rounding could differ from the dense test's
+    pts = make_rng(seed).integers(-3, 4, size=(k, dim)) * step
+    for reach in (math.sqrt(reach_sq) * step, float(np.linalg.norm(pts[0] - pts[-1]))):
+        got = concentration._near_pairs(pts, reach)
+        want = O.oracle_near_pairs(pts, reach)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+        if len(want[0]):
+            with pytest.raises(CapacityError):
+                concentration._near_pairs(pts, reach, len(want[0]) - 1)
 
 
 def test_exact_q_capacity_error():

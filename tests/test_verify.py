@@ -41,15 +41,16 @@ def test_budget_skips_are_counted_and_reported():
     assert run_verification().skipped == {}
     report = run_verification(exact_budget=50)
     assert report.passed
-    assert report.skipped == {"expected": 15, "projection": 3, "regularity": 16}
+    # laws of more than 50 atoms, or sweeps of more than 50 near pairs and cliques
+    assert report.skipped == {"expected": 9, "regularity": 14}
     lines = report.summary_lines()
-    assert "SKIP expected: 15 skipped (budget)" in lines
-    assert "SKIP projection: 3 skipped (budget)" in lines
-    assert "SKIP regularity: 16 skipped (budget)" in lines
+    assert "SKIP expected: 9 skipped (budget)" in lines
+    assert "SKIP regularity: 14 skipped (budget)" in lines
+    assert not any(line.startswith("SKIP projection") for line in lines)
     assert lines[-1] == "result: PASS"
     skipped = report.to_json_obj()["skipped"]
     assert set(skipped) == set(CHECK_NAMES)
-    assert skipped["projection"] == 3 and skipped["chain"] == 0
+    assert skipped["projection"] == 0 and skipped["chain"] == 0
 
 
 def test_verdict_is_seed_independent():
