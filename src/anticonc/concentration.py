@@ -341,8 +341,8 @@ def _clique_centers(pts, rho, tol, budget):
     """d >= 3 family: an optimal ball is pinned by at most d+1 support points
     (Welzl 1991), pairwise within the diameter, so the circumcentres of the
     cliques of size <= d+1 of the near-pair graph that lie within the radius
-    of their clique are complete.  Every near pair and clique enumerated is
-    charged against ``budget``."""
+    of their clique are complete.  Every near pair, and every candidate a
+    clique is grown from, is charged against ``budget`` before it is built."""
     k, d = pts.shape
     ii, jj = _near_pairs(pts, 2 * rho + 2 * tol, budget)
     # CSR rows: the later neighbours of i are jj[first[i]:first[i + 1]], ascending
@@ -352,6 +352,15 @@ def _clique_centers(pts, rho, tol, budget):
     cliques = np.column_stack([ii, jj])
     spent = len(cliques)
     while len(cliques):
+        # charge the next level's candidates, each clique with each later
+        # neighbour of its last vertex, before any is built
+        start = first[cliques[:, -1]]
+        size = first[cliques[:, -1] + 1] - start
+        spent += int(size.sum()) if cliques.shape[1] <= d else 0
+        if spent > budget:
+            raise CapacityError(
+                f"clique candidates {spent} exceed budget {budget} (support {k})"
+            )
         for c in cliques:
             q = pts[c]
             center = _circumcenter(q)
@@ -359,10 +368,7 @@ def _clique_centers(pts, rho, tol, budget):
                 centers.append(center.reshape(1, -1))
         if cliques.shape[1] == d + 1:
             break
-        # extend each clique, in increasing index order, by a later neighbour
-        # of its last vertex that is near every other member
-        start = first[cliques[:, -1]]
-        size = first[cliques[:, -1] + 1] - start
+        # keep the candidates, in increasing index order, near every other member
         rows = np.repeat(np.arange(len(cliques)), size)
         # a candidate's place in jj: its row's start plus its rank in the row
         ext = jj[np.arange(len(rows)) + np.repeat(start - np.cumsum(size) + size, size)]
@@ -370,11 +376,6 @@ def _clique_centers(pts, rho, tol, budget):
         at = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
         keep = np.all(keys[at] == want, axis=1)
         cliques = np.column_stack([cliques[rows[keep]], ext[keep]])
-        spent += len(cliques)
-        if spent > budget:
-            raise CapacityError(
-                f"near cliques {spent} exceed budget {budget} (support {k})"
-            )
     return np.vstack(centers)
 
 

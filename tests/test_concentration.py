@@ -128,20 +128,39 @@ def test_exact_q_multid_matches_oracle(data, law, dim, integer, tau):
 
 
 def test_multid_budgets_are_pinned():
-    # one budget caps the near pairs and, in 3-D, every clique grown from
-    # them; generic rows put no distance within 1e-9 of tau
+    # one budget caps the near pairs and, in 3-D, every candidate a clique is
+    # grown from: a clique with a later neighbour of its last vertex; generic
+    # rows put no distance within 1e-9 of tau
     rng = np.random.default_rng(3)
     f2 = weighted_sum_distribution(RAD, WeightVector(rng.uniform(0.3, 2.0, size=(6, 2))))
     f3 = weighted_sum_distribution(RAD, WeightVector(rng.uniform(0.3, 2.0, size=(7, 3))))
     pairs2 = len(O.oracle_near_pairs(f2.atoms, 1.0)[0])
+    ii, _ = O.oracle_near_pairs(f3.atoms, 1.5)
+    later = np.bincount(ii, minlength=len(f3.atoms))
     cliques3 = O.oracle_near_cliques(f3.atoms, 1.5, 4)
-    # 91 of 2,016 pairs; 292 pairs, 210 triples and 42 quadruples, so one
-    # less than the count passes the pairs and stops at the last quadruple
-    assert pairs2 == 91 and len(cliques3) == 544
-    for f, tau, count in [(f2, 1.0, pairs2), (f3, 1.5, len(cliques3))]:
+    grown = sum(int(later[c[-1]]) for c in cliques3 if len(c) < 4)
+    # 91 of 2,016 pairs; 292 pairs, grown into 1,336 candidates of which 210
+    # triples and 42 quadruples are kept, so one less than the count passes
+    # the pairs and stops before the quadruples are built
+    assert pairs2 == 91 and len(ii) == 292 and grown == 1336
+    for f, tau, count in [(f2, 1.0, pairs2), (f3, 1.5, len(ii) + grown)]:
         exact_q_of_distribution(f, tau, budget=count)
         with pytest.raises(CapacityError):
             exact_q_of_distribution(f, tau, budget=count - 1)
+
+
+def test_clique_candidates_are_charged_before_they_are_built(monkeypatch):
+    # 2^10 atoms pairwise within tau: 523,776 pairs fit the default budget,
+    # but their C(1024, 3) = 178,956,800 triple candidates do not; the sweep
+    # must stop before it fits a single centre or lists a triple
+    rows = np.random.default_rng(1).uniform(0.3, 2.0, size=(10, 3))
+    f = weighted_sum_distribution(RAD, WeightVector(rows))
+    tau = 2 * float(np.abs(rows).sum())
+    spy = mock.Mock(wraps=concentration._circumcenter)
+    monkeypatch.setattr(concentration, "_circumcenter", spy)
+    with pytest.raises(CapacityError, match="178956800"):
+        exact_q_of_distribution(f, tau)
+    assert spy.call_count == 0
 
 
 def test_near_atoms_at_tau_zero_need_no_budget():

@@ -41,10 +41,11 @@ def test_budget_skips_are_counted_and_reported():
     assert run_verification().skipped == {}
     report = run_verification(exact_budget=50)
     assert report.passed
-    # laws of more than 50 atoms, or sweeps of more than 50 near pairs and cliques
-    assert report.skipped == {"expected": 9, "regularity": 14}
+    # laws of more than 50 atoms, or sweeps of more than 50 near pairs and
+    # clique candidates
+    assert report.skipped == {"expected": 10, "regularity": 14}
     lines = report.summary_lines()
-    assert "SKIP expected: 9 skipped (budget)" in lines
+    assert "SKIP expected: 10 skipped (budget)" in lines
     assert "SKIP regularity: 14 skipped (budget)" in lines
     assert not any(line.startswith("SKIP projection") for line in lines)
     assert lines[-1] == "result: PASS"
