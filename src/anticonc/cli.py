@@ -208,26 +208,28 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
         return p
 
-    def estimate_flags(p):
+    def estimate_flags(p, budget_help):
         """Flags of the commands that estimate Q: q and bounds."""
         p.add_argument("--seed", type=int, default=0, help="master random seed")
         p.add_argument("--constants", help="JSON file overriding bound constants")
-        p.add_argument(
-            "--budget",
-            type=_budget,
-            help="enumeration budget or Monte Carlo sample count",
-        )
+        p.add_argument("--budget", type=_budget, help=budget_help)
 
     p_q = command("q", cmd_q, "concentration value of one instance")
     p_q.add_argument(
         "--method", choices=("exact", "mc", "esseen"), default="exact"
     )
-    estimate_flags(p_q)
+    estimate_flags(
+        p_q,
+        "exact enumeration cap for exact; Monte Carlo sample count for mc "
+        "(200,000 when omitted)",
+    )
 
     command("lcd", cmd_lcd, "least common denominator bracket")
 
     p_b = command("bounds", cmd_bounds, "bound report for an instance or grid")
-    estimate_flags(p_b)
+    estimate_flags(
+        p_b, "Monte Carlo sample count of every estimate (100,000 when omitted)"
+    )
     p_b.add_argument(
         "--format", choices=("json", "csv"), default="json", help="output format"
     )

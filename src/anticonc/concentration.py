@@ -3,8 +3,9 @@
 On the line the window is a closed interval of length tau; in higher dimension
 a closed Euclidean ball of radius tau/2.  Three routes are provided: exact
 computation for finitely supported laws (sequential convolution plus a sweep
-over a complete candidate-center family), seeded Monte Carlo, and the
-Esseen-type upper bound c * tau^d * integral of |char fn| over the dual ball.
+over atom-anchored windows on the line, and over one complete family of ball
+centres for every d >= 2), seeded Monte Carlo, and the Esseen-type upper
+bound c * tau^d * integral of |char fn| over the dual ball.
 """
 
 from __future__ import annotations
@@ -311,38 +312,64 @@ def _max_ball_mass(pts, w, centers, radius):
     return descend(*top, descend(*top, 0.0, True), False)
 
 
-def _pair_circle_centers(pts, rho, tol, budget):
-    """Planar family: any optimal closed disk can be rotated about the pair of
-    support points it pins down, so disks through two atoms at the fixed
-    radius (plus single-atom disks) form a complete candidate family."""
+def _det(mat):
+    """Determinants of a stack of small square matrices, ``mat[i, j]`` holding
+    entry (i, j) of each, by the Leibniz formula, elementwise."""
+    total = 0.0
+    for perm in itertools.permutations(range(len(mat))):
+        # a permutation's sign is the parity of its inversions
+        sign = (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+        total = total + sign * math.prod(mat[i, p] for i, p in enumerate(perm))
+    return total
+
+
+def _fit_cliques(pts, cliques, rho, tol):
+    """The centres of one level of cliques, fitted in one batched step: the
+    circumcentre of a clique of fewer than d atoms, if within ``rho + tol`` of
+    them, and the two points at distance ``rho`` from a d-clique's atoms on
+    the normal through its circumcentre.  Affinely dependent cliques (zero
+    Gram determinant) give none.  The last axis of every array runs over the
+    cliques, so each step runs over long contiguous rows."""
+    q = pts.T.take(cliques.T, axis=1)  # coordinate, atom, clique
+    edges = (q[:, 1:] - q[:, :1]).transpose(1, 0, 2)  # edge, coordinate, clique
+    m, d = edges.shape[:2]
+    gram = (edges[:, None] * edges[None, :]).sum(axis=2)
+    det = _det(gram)
+    half = 0.5 * np.einsum("iin->in", gram)
+    # a zero determinant gives inf or nan below; the mask drops those cliques
+    with np.errstate(all="ignore"):
+        # the circumcentre is the first atom plus y @ edges, gram @ y = half
+        # the squared edges (Cramer's rule); its squared radius is y @ half
+        col = np.arange(m)[:, None]
+        y = [_det(np.where(col == i, half[:, None], gram)) / det for i in range(m)]
+        center = q[:, 0] + sum(y[i] * edges[i] for i in range(m))
+        r2 = sum(y[i] * half[i] for i in range(m))
+        fit = (det > 0) & (r2 <= (rho + tol) ** 2)
+        if m == d - 1:
+            # the cofactors of the d-1 edges make a normal of length sqrt(det)
+            normal = np.stack([(-1) ** j * _det(np.delete(edges, j, 1)) for j in range(d)])
+            lift = np.sqrt(np.maximum(rho * rho - r2, 0.0) / det) * normal
+            center, fit = np.hstack([center + lift, center - lift]), np.tile(fit, 2)
+    return np.compress(fit, center, axis=1).T
+
+
+def _sphere_centers(pts, rho, tol, budget):
+    """The atoms, and the centres ``_fit_cliques`` fits to the cliques of at
+    most d atoms of the near-pair graph: a complete family for every d >= 2.
+
+    Completeness: take a centre of a radius-``rho`` ball that holds an
+    optimal atom set, and T the atoms at distance exactly ``rho`` from it.
+    Move the centre along the sphere of points at distance ``rho`` from T
+    (all of space while T is empty) until a new atom of the set becomes
+    tight.  That atom lies outside aff T, so the rank of T grows.  The walk
+    ends at a point tight on d affinely independent atoms, unless the whole
+    sphere keeps the set in the ball; then, by convexity, so does its
+    centre, the circumcentre of T.  The atoms of T lie pairwise within the
+    diameter, so they form a clique.  Every near pair, and every candidate a
+    clique of fewer than d atoms is grown from, is charged against
+    ``budget`` before it is built."""
     if rho <= 0:
         return pts
-    ii, jj = _near_pairs(pts, 2 * rho + 2 * tol, budget)
-    diff = pts[jj] - pts[ii]
-    d2 = (diff**2).sum(axis=1)
-    mid = (pts[ii] + pts[jj]) / 2.0
-    half = np.sqrt(np.maximum(rho * rho - d2 / 4.0, 0.0))
-    unit = diff / np.sqrt(d2)[:, None]
-    perp = np.stack([-unit[:, 1], unit[:, 0]], axis=1)
-    return np.vstack([pts, mid + half[:, None] * perp, mid - half[:, None] * perp])
-
-
-def _circumcenter(q: np.ndarray) -> np.ndarray:
-    """Equidistant point of minimal radius in the affine hull of ``q``."""
-    if q.shape[0] == 1:
-        return q[0]
-    rel = q[1:] - q[0]
-    rhs = 0.5 * (rel**2).sum(axis=1)
-    y, *_ = np.linalg.lstsq(rel, rhs, rcond=None)
-    return q[0] + y
-
-
-def _clique_centers(pts, rho, tol, budget):
-    """d >= 3 family: an optimal ball is pinned by at most d+1 support points
-    (Welzl 1991), pairwise within the diameter, so the circumcentres of the
-    cliques of size <= d+1 of the near-pair graph that lie within the radius
-    of their clique are complete.  Every near pair, and every candidate a
-    clique is grown from, is charged against ``budget`` before it is built."""
     k, d = pts.shape
     ii, jj = _near_pairs(pts, 2 * rho + 2 * tol, budget)
     # CSR rows: the later neighbours of i are jj[first[i]:first[i + 1]], ascending
@@ -356,17 +383,13 @@ def _clique_centers(pts, rho, tol, budget):
         # neighbour of its last vertex, before any is built
         start = first[cliques[:, -1]]
         size = first[cliques[:, -1] + 1] - start
-        spent += int(size.sum()) if cliques.shape[1] <= d else 0
+        spent += int(size.sum()) if cliques.shape[1] < d else 0
         if spent > budget:
             raise CapacityError(
                 f"clique candidates {spent} exceed budget {budget} (support {k})"
             )
-        for c in cliques:
-            q = pts[c]
-            center = _circumcenter(q)
-            if float(np.sqrt(((q - center) ** 2).sum(axis=1).max())) <= rho + tol:
-                centers.append(center.reshape(1, -1))
-        if cliques.shape[1] == d + 1:
+        centers.append(_fit_cliques(pts, cliques, rho, tol))
+        if cliques.shape[1] == d:
             break
         # keep the candidates, in increasing index order, near every other member
         rows = np.repeat(np.arange(len(cliques)), size)
@@ -382,7 +405,10 @@ def _clique_centers(pts, rho, tol, budget):
 def exact_q_of_distribution(
     f: DiscreteDistribution, tau: float, budget: int = DEFAULT_EXACT_BUDGET
 ) -> float:
-    """Exact Q(F, tau) for a finitely supported probability distribution."""
+    """Exact Q(F, tau) for a finitely supported probability distribution: the
+    largest mass of an atom-anchored window on the line and, in d >= 2, of a
+    closed ball around a centre of ``_sphere_centers``, whose near pairs and
+    clique candidates ``budget`` caps (CapacityError past it)."""
     if not tau >= 0:
         raise DomainError("tau must be nonnegative")
     if not f.normalized:
@@ -391,8 +417,7 @@ def exact_q_of_distribution(
         return min(_max_window_mass_1d(f.atoms[:, 0], f.weights, tau), 1.0)
     rho = tau / 2.0
     tol = _ball_tol(f.atoms, rho)
-    family = _pair_circle_centers if f.dim == 2 else _clique_centers
-    centers = family(f.atoms, rho, tol, budget)
+    centers = _sphere_centers(f.atoms, rho, tol, budget)
     return min(_max_ball_mass(f.atoms, f.weights, centers, rho + tol), 1.0)
 
 

@@ -236,7 +236,8 @@ def _check_expected_entry(
 
 def _check_regularity(spec, law, budget, skipped) -> list:
     tau = spec.param("tau")
-    if tau is None:
+    # the pairs scale tau, and both radii of a regularity check must be positive
+    if tau is None or tau <= 0:
         return []
     try:
         checks = [

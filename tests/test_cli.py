@@ -147,6 +147,25 @@ def test_budget_below_one_is_exit_two(capsys, argv):
     assert "--budget: expected an integer of at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("q", "exact enumeration cap for exact; Monte Carlo sample count for mc"),
+        ("bounds", "Monte Carlo sample count of every estimate (100,000 when omitted)"),
+    ],
+)
+def test_budget_help_says_what_each_command_counts(capsys, command, text):
+    # bounds takes its exact references at the default budget: its --budget
+    # counts only Monte Carlo samples
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert f"--budget BUDGET {text}" in help_text
+    if command == "bounds":
+        assert "enumeration" not in help_text
+
+
 def test_gapfit_command(capsys):
     code, out, _ = run(["gapfit", str(ONES10)], capsys)
     assert code == 0

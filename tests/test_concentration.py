@@ -86,7 +86,8 @@ def test_exact_q_3d_matches_oracle():
         [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 1.0]]
     )
     # 0 and the three rows are a regular tetrahedron (circumradius 0.866):
-    # at tau/2 = 0.9 only the centre pinned by all four atoms covers them
+    # at tau/2 = 0.9 no centre pinned by one or two of the atoms covers all
+    # four, but a vertex pinned by three of them does
     tetra = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
     cases = [("rademacher", rows, tau) for tau in (0.0, 1.0, 2.0)]
     cases.append(("bernoulli", tetra, 1.8))
@@ -101,7 +102,7 @@ def test_exact_q_3d_matches_oracle():
 @given(
     data=st.data(),
     law=st.sampled_from(sorted(_ORACLE_LAWS)),
-    dim=st.integers(2, 3),
+    dim=st.integers(2, 4),
     integer=st.booleans(),
     tau=st.sampled_from([0.5, 1.0, 2.0, 3.0]),
 )
@@ -110,8 +111,11 @@ def test_exact_q_multid_matches_oracle(data, law, dim, integer, tau):
     # depend on summation order; real rows with three decimals are generic
     # but keep every distance that is not an exact tie far from the radius.
     x, (sup, pr) = _ORACLE_LAWS[law]
-    # the oracle enumerates every subset of up to d+1 atoms: keep 16-32 atoms
+    # the oracle enumerates every subset of up to d+1 atoms: keep 16-32 atoms,
+    # and 8-9 in 4-D
     max_n = 3 if law == "uniform3" else 7 - dim
+    if dim == 4:
+        max_n = 2 if law == "uniform3" else 3
     n = data.draw(st.integers(1, max_n), label="n")
     entry = st.integers(-2, 2) if integer else st.integers(-2000, 2000).map(lambda v: v / 1000)
     rows = np.array(
@@ -128,21 +132,20 @@ def test_exact_q_multid_matches_oracle(data, law, dim, integer, tau):
 
 
 def test_multid_budgets_are_pinned():
-    # one budget caps the near pairs and, in 3-D, every candidate a clique is
-    # grown from: a clique with a later neighbour of its last vertex; generic
+    # one budget caps the near pairs and, in 3-D, every candidate a triple is
+    # grown from: a pair with a later neighbour of its last vertex; generic
     # rows put no distance within 1e-9 of tau
     rng = np.random.default_rng(3)
     f2 = weighted_sum_distribution(RAD, WeightVector(rng.uniform(0.3, 2.0, size=(6, 2))))
     f3 = weighted_sum_distribution(RAD, WeightVector(rng.uniform(0.3, 2.0, size=(7, 3))))
     pairs2 = len(O.oracle_near_pairs(f2.atoms, 1.0)[0])
-    ii, _ = O.oracle_near_pairs(f3.atoms, 1.5)
+    ii, jj = O.oracle_near_pairs(f3.atoms, 1.5)
     later = np.bincount(ii, minlength=len(f3.atoms))
-    cliques3 = O.oracle_near_cliques(f3.atoms, 1.5, 4)
-    grown = sum(int(later[c[-1]]) for c in cliques3 if len(c) < 4)
-    # 91 of 2,016 pairs; 292 pairs, grown into 1,336 candidates of which 210
-    # triples and 42 quadruples are kept, so one less than the count passes
-    # the pairs and stops before the quadruples are built
-    assert pairs2 == 91 and len(ii) == 292 and grown == 1336
+    grown = int(later[jj].sum())
+    # 91 of 2,016 pairs; 292 pairs, grown into 746 triple candidates, so one
+    # less than the count passes the pairs and stops before the triples are
+    # built
+    assert pairs2 == 91 and len(ii) == 292 and grown == 746
     for f, tau, count in [(f2, 1.0, pairs2), (f3, 1.5, len(ii) + grown)]:
         exact_q_of_distribution(f, tau, budget=count)
         with pytest.raises(CapacityError):
@@ -151,13 +154,13 @@ def test_multid_budgets_are_pinned():
 
 def test_clique_candidates_are_charged_before_they_are_built(monkeypatch):
     # 2^10 atoms pairwise within tau: 523,776 pairs fit the default budget,
-    # but their C(1024, 3) = 178,956,800 triple candidates do not; the sweep
-    # must stop before it fits a single centre or lists a triple
+    # but with their C(1024, 3) triple candidates they make 178,956,800; the
+    # sweep must stop before it fits a single centre or lists a triple
     rows = np.random.default_rng(1).uniform(0.3, 2.0, size=(10, 3))
     f = weighted_sum_distribution(RAD, WeightVector(rows))
     tau = 2 * float(np.abs(rows).sum())
-    spy = mock.Mock(wraps=concentration._circumcenter)
-    monkeypatch.setattr(concentration, "_circumcenter", spy)
+    spy = mock.Mock(wraps=concentration._fit_cliques)
+    monkeypatch.setattr(concentration, "_fit_cliques", spy)
     with pytest.raises(CapacityError, match="178956800"):
         exact_q_of_distribution(f, tau)
     assert spy.call_count == 0

@@ -122,6 +122,28 @@ def test_malformed_expected_entry_fails_with_reason(tmp_path, key, entry, reason
     ]
 
 
+def test_tau_zero_instance_skips_only_the_regularity_pairs(tmp_path):
+    # q accepts tau = 0 (two of the eight sums of +-1 +-2 +-3 are 0), but the
+    # regularity pairs scale tau and need positive radii
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    obj = {
+        "id": "tau-zero",
+        "distribution": "rademacher",
+        "weights": [1, 2, 3],
+        "parameters": {"tau": 0},
+        "expected": {"q": [{"tau": 0, "value": 0.25}]},
+    }
+    (corpus / "tau-zero.json").write_text(json.dumps(obj))
+    report = run_verification(corpus)
+    assert report.passed
+    counts = report.counts()
+    assert counts["regularity"] == [0, 0]
+    for name in ("expected", "chain", "lambda_ge_p", "m2_ge_p", "witness"):
+        assert counts[name][0] > 0, name
+    assert report.skipped == {}
+
+
 def test_lcd_entry_with_the_instance_parameters_reuses_its_bracket(tmp_path):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
