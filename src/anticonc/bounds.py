@@ -872,9 +872,6 @@ def _structure_budgets(
     r: int,
     norm_a: float,
     d: int,
-    a_exp: float,
-    b_exp: float,
-    b_n: float,
     c: ConstantsConfig,
 ) -> dict:
     """Budgets that involve the step functional ``f_val`` (tail mass or its
@@ -903,15 +900,11 @@ def _structure_budgets(
         uncovered_log = [
             c.c_d * _log_capacity(q, kappa, delta) ** 3 / f_val for q in q_coords
         ]
-        uncovered_parametric = (
-            c.c_d * d * ((a_exp + b_exp) * math.log(b_n) + 1.0) ** 3 / f_val
-        )
     else:
         n_prime_min = [math.inf] * d
         cap_points = [math.inf] * d
         size_product = math.inf
         uncovered_log = [math.inf] * d
-        uncovered_parametric = math.inf
     feasible = all(v < n_prime for v in n_prime_min) and n_prime <= n
     inflate_sym = (c.c10 * r) ** (1.5 * r * r)
     inflate_proper = (c.c11 * r) ** (7.5 * r * r)
@@ -928,7 +921,6 @@ def _structure_budgets(
         "size_product": size_product,
         "uncovered_log": uncovered_log,
         "uncovered_log_total": float(sum(uncovered_log)),
-        "uncovered_parametric": uncovered_parametric,
     }
 
 
@@ -993,9 +985,6 @@ def inverse_principle_report(
     delta: float,
     rank: int,
     n_prime: int | None = None,
-    a_exp: float = 1.0,
-    b_exp: float = 0.0,
-    b_n: float | None = None,
     constants: ConstantsConfig | None = None,
     instance: str = "instance",
     seed=0,
@@ -1028,10 +1017,6 @@ def inverse_principle_report(
     n_prime = int(n_prime)
     if not 1 <= n_prime <= n:
         raise DomainError("n_prime must lie in [1, n]")
-    if b_n is None:
-        b_n = float(n)
-    if not b_n > 1.0:
-        raise DomainError("b_n must exceed 1")
 
     g = symmetrize(x)
     ratio = tau / kappa
@@ -1052,7 +1037,6 @@ def inverse_principle_report(
 
     shared = {
         "rank_log": [c.c_d * _log_capacity(q, kappa, delta) for q in q_coords],
-        "rank_parametric": c.c_d * d * ((a_exp + b_exp) * math.log(b_n) + 1.0),
         "size_single": max(c.c_d / (q_all.value * math.sqrt(n_prime)), 1.0),
         "uncovered_pair_count": 2 * n_prime,
     }
@@ -1061,11 +1045,11 @@ def inverse_principle_report(
         "shared": shared,
         "tail_mass": _structure_budgets(
             q_coords, p_val, n, n_prime, kappa, delta, rank,
-            a.norm(), d, a_exp, b_exp, b_n, c,
+            a.norm(), d, c,
         ),
         "tail_free": _structure_budgets(
             q_coords, lam1, n, n_prime, kappa, delta, rank,
-            a.norm(), d, a_exp, b_exp, b_n, c,
+            a.norm(), d, c,
         ),
     }
     budgets["tail_free"]["guard_value"] = lam1
@@ -1113,9 +1097,6 @@ def inverse_principle_report(
             "kappa": kappa,
             "delta": delta,
             "rank": int(rank),
-            "a_exp": a_exp,
-            "b_exp": b_exp,
-            "b_n": b_n,
             "seed": seed_int,
             "mc_samples": int(mc_samples),
         },

@@ -19,7 +19,6 @@ from ._common import (
     DEDUP_TOL,
     as_points,
     dedupe_points,
-    make_rng,
     mirror_pair_symmetrize,
 )
 from .errors import DomainError, InputError
@@ -240,9 +239,8 @@ def lambda_d(g: DiscreteDistribution, ratio: float, d: int = 1) -> float:
 class CompoundPoisson:
     """Law with characteristic function exp(intensity * (base_char(t) - 1)).
 
-    ``base`` must be a probability distribution.  Raising to a power
-    multiplies the intensity: ``cp.power(lam)`` is the law whose characteristic
-    function is the lam-th power of ``cp``'s.
+    ``base`` must be a probability distribution.  Multiplying the intensity
+    by lam gives the law whose characteristic function is the lam-th power.
     """
 
     __slots__ = ("_intensity", "_base")
@@ -267,12 +265,6 @@ class CompoundPoisson:
     @property
     def dim(self) -> int:
         return self._base.dim
-
-    def power(self, lam: float) -> "CompoundPoisson":
-        lam = float(lam)
-        if not math.isfinite(lam) or lam < 0:
-            raise DomainError("power must be finite and nonnegative")
-        return CompoundPoisson(self._intensity * lam, self._base)
 
     def char_fn_grid(self, ts) -> np.ndarray:
         return np.exp(self._intensity * (self._base.char_fn_grid(ts) - 1.0))
@@ -324,7 +316,12 @@ def _poisson_counts(rng: np.random.Generator, lam: float, size: int) -> np.ndarr
 def cp_sample_rng(
     d: CompoundPoisson, n_samples: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Sample using an existing generator; see ``cp_sample``."""
+    """Draw ``n_samples`` i.i.d. points: a Poisson count of base-atom summands.
+
+    Deterministic for a fixed generator state; counts come from sequential
+    CDF inversion (split into sub-chunks for means above 30), atoms from
+    inverse-CDF lookups.
+    """
     if n_samples < 1:
         raise DomainError("n_samples must be positive")
     counts = _poisson_counts(rng, d.intensity, n_samples)
@@ -343,15 +340,6 @@ def cp_sample_rng(
             sample_ids, weights=contrib[:, j], minlength=n_samples
         )
     return out
-
-
-def cp_sample(d: CompoundPoisson, n_samples: int, seed) -> np.ndarray:
-    """Draw ``n_samples`` i.i.d. points: a Poisson count of base-atom summands.
-
-    Deterministic for a fixed seed; counts come from sequential CDF inversion
-    (split into sub-chunks for means above 30), atoms from inverse-CDF lookups.
-    """
-    return cp_sample_rng(d, n_samples, make_rng(as_seed_int(seed)))
 
 
 def spectral_measure(a) -> DiscreteDistribution:
@@ -387,7 +375,6 @@ __all__ = [
     "DiscreteDistribution",
     "RngSeed",
     "as_seed_int",
-    "cp_sample",
     "cp_sample_rng",
     "half_empirical_measure",
     "lambda_d",

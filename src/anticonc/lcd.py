@@ -86,15 +86,6 @@ class LcdResult:
         }
 
 
-def dist_to_lattice(v) -> float:
-    """Euclidean distance from v to the nearest integer point.
-
-    Ties at half-integers resolve to distance 1/2 regardless of rounding side.
-    """
-    arr = np.asarray(v, dtype=float)
-    return float(np.linalg.norm(arr - np.rint(arr)))
-
-
 def default_theta_max(a: WeightVector) -> float:
     """Search ceiling 10 * (1 + 1/s) with s the smallest nonzero entry scale."""
     entries = np.abs(a.rows[a.rows != 0.0])
@@ -229,6 +220,5 @@ __all__ = [
     "LcdResult",
     "compute_lcd",
     "default_theta_max",
-    "dist_to_lattice",
     "violation_condition",
 ]

@@ -2,7 +2,7 @@
 
 A Gap is a symmetric generalized arithmetic progression: image
 {sum_j m_j g_j : m_j integer, |m_j| <= L_j}.  A Cgap is its convex-body
-counterpart: {<nu, h> : nu in Z^r intersect V} for a symmetric convex V whose
+counterpart: {<nu, h> : nu in Z^r intersect V} for a symmetric axis box V whose
 lattice-point count is capped.  The two approximation functionals search for a
 small progression whose tau-neighborhood covers as much of a given measure on
 the line as possible; values are certified upper bounds with an explicit
@@ -45,7 +45,6 @@ DEFAULT_SEARCH_BUDGET = 20_000
 _MAX_SEARCH_POINTS = 20_000
 # Points plus atom-mask entries one scoring block of step sets may hold.
 _BLOCK_ELEMENTS = 1 << 20
-_KEY_SCALE = 1e9  # rounding grid for set-membership keys
 
 
 class Gap:
@@ -120,14 +119,6 @@ class Gap:
         """Whether all coefficient boxes map to distinct points."""
         return self.size(budget) == self.box_total()
 
-    def dilate(self, t: float) -> "Gap":
-        t = float(t)
-        if not math.isfinite(t) or t <= 0:
-            raise DomainError("dilation factor must be positive")
-        return Gap(
-            tuple(t * L for L in self._dims), self._gens, self.ambient_dim
-        )
-
     def to_json_obj(self) -> dict:
         return {
             "L": list(self._dims),
@@ -149,121 +140,47 @@ class Gap:
 
 
 class ConvexBody:
-    """Origin-symmetric convex polytope in R^r.
+    """Origin-symmetric axis box {|nu_j| <= b_j} in R^r.
 
-    Either an axis box {|nu_j| <= b_j} or an intersection of symmetric slabs
-    {|<u_i, nu>| <= b_i}.  Rank zero is the trivial body containing only the
-    empty tuple.
+    Rank zero is the trivial body containing only the empty tuple.
     """
 
-    __slots__ = ("_kind", "_bounds", "_normals", "_dim")
+    __slots__ = ("_bounds",)
 
-    def __init__(self, kind: str, bounds, normals=None):
-        if kind == "box":
-            b = np.asarray(bounds, dtype=float).reshape(-1)
-            if np.any(b < 0) or not np.all(np.isfinite(b)):
-                raise DomainError("box bounds must be finite and nonnegative")
-            self._kind = "box"
-            self._bounds = b
-            self._normals = None
-            self._dim = b.size
-        elif kind == "halfspaces":
-            normals_arr = np.asarray(normals, dtype=float)
-            b = np.asarray(bounds, dtype=float).reshape(-1)
-            if normals_arr.ndim != 2 or normals_arr.shape[0] != b.size:
-                raise DomainError("each halfspace needs a normal and a bound")
-            if np.any(b < 0) or not np.all(np.isfinite(b)):
-                raise DomainError("halfspace bounds must be finite and nonnegative")
-            if not np.all(np.isfinite(normals_arr)) or not np.all(
-                np.any(normals_arr != 0, axis=1)
-            ):
-                raise DomainError("halfspace normals must be finite and nonzero")
-            self._kind = "halfspaces"
-            self._bounds = b
-            self._normals = normals_arr
-            self._dim = normals_arr.shape[1]
-        else:
-            raise DomainError(f"unknown body kind {kind!r}")
-
-    @classmethod
-    def box(cls, bounds) -> "ConvexBody":
-        return cls("box", bounds)
-
-    @classmethod
-    def halfspaces(cls, normals, bounds) -> "ConvexBody":
-        return cls("halfspaces", bounds, normals)
-
-    @property
-    def kind(self) -> str:
-        return self._kind
+    def __init__(self, bounds):
+        b = np.asarray(bounds, dtype=float).reshape(-1)
+        if np.any(b < 0) or not np.all(np.isfinite(b)):
+            raise DomainError("box bounds must be finite and nonnegative")
+        self._bounds = b
 
     @property
     def dim(self) -> int:
-        return self._dim
+        return self._bounds.size
 
     def contains(self, pts) -> np.ndarray:
         """Closed membership mask for a (N, r) array of points."""
         arr = np.asarray(pts, dtype=float)
-        if self._dim == 0:
+        if self.dim == 0:
             return np.ones(arr.shape[0], dtype=bool)
-        arr = as_points(arr, self._dim)
+        arr = as_points(arr, self.dim)
         tol = 1e-12 * max(1.0, float(np.max(self._bounds, initial=0.0)))
-        if self._kind == "box":
-            return np.all(np.abs(arr) <= self._bounds + tol, axis=1)
-        proj = np.abs(arr @ self._normals.T)
-        return np.all(proj <= self._bounds + tol, axis=1)
+        return np.all(np.abs(arr) <= self._bounds + tol, axis=1)
 
     def bounding_box(self) -> np.ndarray:
-        """Per-coordinate extent; raises DomainError for an unbounded body."""
-        if self._kind == "box":
-            return self._bounds.copy()
-        from scipy.optimize import linprog
-
-        r = self._dim
-        out = np.empty(r)
-        a_ub = np.vstack([self._normals, -self._normals])
-        b_ub = np.concatenate([self._bounds, self._bounds])
-        for j in range(r):
-            c = np.zeros(r)
-            c[j] = -1.0
-            res = linprog(
-                c, A_ub=a_ub, b_ub=b_ub, bounds=[(None, None)] * r, method="highs"
-            )
-            if res.status == 3:
-                raise DomainError("halfspace body is unbounded")
-            if not res.success:
-                raise DomainError(f"bounding-box LP failed: {res.message}")
-            out[j] = -res.fun
-        return out
+        """Per-coordinate extent: the box bounds."""
+        return self._bounds.copy()
 
     def to_json_obj(self) -> dict:
-        if self._kind == "box":
-            return {"box": self._bounds.tolist()}
-        return {
-            "halfspaces": [
-                [self._normals[i].tolist(), float(self._bounds[i])]
-                for i in range(self._bounds.size)
-            ]
-        }
+        return {"box": self._bounds.tolist()}
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ConvexBody":
-        if not isinstance(obj, dict):
-            raise InputError("V: expected an object")
-        if "box" in obj:
-            return cls.box(obj["box"])
-        if "halfspaces" in obj:
-            entries = obj["halfspaces"]
-            try:
-                normals = [e[0] for e in entries]
-                bounds = [e[1] for e in entries]
-            except (TypeError, IndexError) as exc:
-                raise InputError("V: halfspaces must be [normal, bound] pairs") from exc
-            return cls.halfspaces(normals, bounds)
-        raise InputError("V: expected a 'box' or 'halfspaces' field")
+        if not isinstance(obj, dict) or "box" not in obj:
+            raise InputError("V: expected an object with a 'box' field")
+        return cls(obj["box"])
 
     def __repr__(self):
-        return f"ConvexBody({self._kind}, dim={self._dim})"
+        return f"ConvexBody(box, dim={self.dim})"
 
 
 def _integer_box(bounds) -> np.ndarray:
@@ -279,15 +196,14 @@ def _integer_box(bounds) -> np.ndarray:
 
 
 def _lattice_points_in_body(body: ConvexBody, budget: int) -> np.ndarray:
-    """Integer points of Z^r inside a closed symmetric convex body."""
+    """Integer points of Z^r inside the closed box, with 1e-12 of slack."""
     bbox = body.bounding_box() + 1e-12
     total = math.prod(2 * int(math.floor(b)) + 1 for b in bbox)
     if total > budget:
         raise CapacityError(
             f"bounding-box lattice enumeration {total} exceeds budget {budget}"
         )
-    pts = _integer_box(bbox)
-    return pts[body.contains(pts.astype(float))]
+    return _integer_box(bbox)
 
 
 class Cgap:
@@ -422,20 +338,6 @@ def _line_values(points, what: str) -> np.ndarray:
     if pts.shape[1] != 1:
         raise DomainError(f"coverage is defined on the line; {what} lie in R^{pts.shape[1]}")
     return pts[:, 0]
-
-
-def neighborhood_coverage(points, k_points, delta: float):
-    """How many of ``points`` lie within distance ``delta`` of the set ``k_points``.
-
-    Both sets lie on the line.  Returns (covered_count, uncovered_indices);
-    membership is a plain closed comparison with no slack.
-    """
-    if delta < 0:
-        raise DomainError("delta must be nonnegative")
-    x = _line_values(points, "points")
-    ks = np.sort(_line_values(k_points, "progression points"))
-    covered = _nearest_dist(x, ks) <= delta
-    return int(covered.sum()), [int(i) for i in np.nonzero(~covered)[0]]
 
 
 def uncovered_mass(w: DiscreteDistribution, k_points, tau: float) -> float:
@@ -634,7 +536,7 @@ def _box_cgap(steps, radii, r: int, m: int) -> Cgap:
     """Box witness: ``radii`` on the first axes, 0.4 (only nu_j = 0) on the rest."""
     bounds = np.full(r, 0.4)
     bounds[: len(radii)] = radii
-    return Cgap(_step_vector(steps, r), ConvexBody.box(bounds), m)
+    return Cgap(_step_vector(steps, r), ConvexBody(bounds), m)
 
 
 def _coverage_search(
@@ -754,69 +656,6 @@ class _ZeroProgression:
         return {"gap": {"L": [], "g": [], "dim": 1}, "h": []}
 
 
-def _point_keys(pts: np.ndarray) -> set:
-    scaled = np.round(np.asarray(pts, dtype=float) * _KEY_SCALE).astype(np.int64)
-    return {tuple(int(v) for v in row) for row in scaled}
-
-
-@dataclass(frozen=True)
-class TvCoverReport:
-    """Outcome of the two-sided covering comparison between a Gap and a body."""
-
-    image_in_lattice_body: bool
-    lattice_in_dilated_image: bool
-    size_bound_holds: bool
-    dilation: float
-    image_size: int
-    dilated_image_size: int
-    lattice_size: int
-    size_bound: float
-
-    @property
-    def all_hold(self) -> bool:
-        return (
-            self.image_in_lattice_body
-            and self.lattice_in_dilated_image
-            and self.size_bound_holds
-        )
-
-
-def tv_cover_check(
-    p: Gap, body: ConvexBody, c1: float = 1.0, budget: int = GAP_ENUM_BUDGET
-) -> TvCoverReport:
-    """Check the two inclusions and the size inequality of the covering step.
-
-    With r = rank(P) and t = (c1 * r)^(3r/2) (t = 1 at rank zero), verifies
-    Image(P) inside V intersect Z^D, the integer points of V inside
-    Image(P^t), and size(P^t) <= (2t + 1)^r * |V intersect Z^D|.
-    """
-    if c1 <= 0:
-        raise DomainError("c1 must be positive")
-    if body.dim != p.ambient_dim:
-        raise DomainError("body dimension must match the progression's ambient dim")
-    r = p.rank
-    img = p.image(budget)
-    lattice = _lattice_points_in_body(body, budget).astype(float)
-    lattice_keys = _point_keys(lattice)
-    int_valued = bool(np.all(np.abs(img - np.rint(img)) <= 1e-9))
-    incl1 = int_valued and _point_keys(img) <= lattice_keys
-    t = (c1 * r) ** (1.5 * r) if r > 0 else 1.0
-    img_t = p.dilate(t).image(budget)
-    incl2 = lattice_keys <= _point_keys(img_t)
-    size_bound = (2.0 * t + 1.0) ** r * lattice.shape[0]
-    size_ok = img_t.shape[0] <= size_bound + 1e-9
-    return TvCoverReport(
-        image_in_lattice_body=incl1,
-        lattice_in_dilated_image=incl2,
-        size_bound_holds=size_ok,
-        dilation=float(t),
-        image_size=int(img.shape[0]),
-        dilated_image_size=int(img_t.shape[0]),
-        lattice_size=int(lattice.shape[0]),
-        size_bound=float(size_bound),
-    )
-
-
 __all__ = [
     "ApproxResult",
     "Cgap",
@@ -825,10 +664,7 @@ __all__ = [
     "GAP_ENUM_BUDGET",
     "Gap",
     "GapImageProgression",
-    "TvCoverReport",
     "beta_rm",
     "gamma_rs",
-    "neighborhood_coverage",
-    "tv_cover_check",
     "uncovered_mass",
 ]

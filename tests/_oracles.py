@@ -432,7 +432,7 @@ def oracle_coverage_search(
         if kind == "beta":
             bounds = np.full(r, 0.4)
             bounds[: len(radii)] = [float(b) for b in radii]
-            return Cgap(h, ConvexBody.box(bounds), int(cap))
+            return Cgap(h, ConvexBody(bounds), int(cap))
         dims = np.full(r, 0.4)
         dims[: len(radii)] = [max(float(b), 0.4) for b in radii]
         return GapImageProgression(Gap(tuple(dims), np.eye(r)), tuple(h))

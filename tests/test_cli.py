@@ -245,12 +245,28 @@ def test_constants_file_applies(capsys, tmp_path):
 
 
 def test_importing_the_cli_loads_no_scipy():
-    # scipy is imported where a kd-tree or a linear program is first needed
+    # scipy is imported where a kd-tree is first needed: 1-D commands never need one
     src = Path(__file__).resolve().parents[1] / "src"
-    code = "import sys, anticonc.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    lcd = CORPUS / "11-lcd-ones-04-g9a10.json"
+    commands = [
+        ["q", str(ONES10)],
+        ["q", str(ONES10), "--method", "mc", "--budget", "2000"],
+        ["q", str(ONES10), "--method", "esseen"],
+        ["lcd", str(lcd)],
+        ["gapfit", str(ONES10)],
+    ]
+    code = (
+        "import contextlib, io, json, sys, anticonc.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [anticonc.cli.main(args) for args in json.loads(sys.argv[1])]\n"
+        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    out = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(commands)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == f"{[0] * len(commands)} []"
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,6 @@ from anticonc.errors import DomainError
 from anticonc.lcd import (
     LcdParams,
     compute_lcd,
-    dist_to_lattice,
     violation_condition,
 )
 
@@ -23,12 +22,6 @@ def test_params_validation():
         LcdParams(gamma=0.5, alpha=0.0)
     with pytest.raises(DomainError):
         LcdParams(gamma=0.5, alpha=1.0, theta_max=-1.0)
-
-
-def test_dist_to_lattice_known_values():
-    assert dist_to_lattice(np.array([0.5])) == 0.5
-    assert dist_to_lattice(np.array([1.0, 2.0])) == 0.0
-    assert abs(dist_to_lattice(np.array([0.5, 0.5])) - math.sqrt(0.5)) < 1e-15
 
 
 def test_gram_matrix_matches_outer_sum():
