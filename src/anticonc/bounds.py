@@ -45,7 +45,7 @@ from .errors import (
     NumericsError,
 )
 from .lcd import LcdParams, compute_lcd
-from .progressions import beta_rm
+from .progressions import DEFAULT_CAPS, beta_rm
 
 _TWO_PI = 2.0 * math.pi
 
@@ -423,16 +423,6 @@ class PointwiseChainReport:
     premise_failures: int
     slack: float
 
-    def to_json_obj(self) -> dict:
-        return {
-            "n_points": self.n_points,
-            "cosine_checks": self.cosine_checks,
-            "envelope_checks": self.envelope_checks,
-            "lcd_checks": self.lcd_checks,
-            "premise_failures": self.premise_failures,
-            "slack": self.slack,
-        }
-
 
 def _first_violation(mask: np.ndarray):
     idx = np.flatnonzero(mask)
@@ -686,25 +676,23 @@ def build_bound_report(
     tau: float,
     kappa: float,
     delta: float,
-    r: int = 1,
-    m: int = 1,
-    s: int = 1,
-    gamma: float | None = None,
-    alpha: float | None = None,
+    r: int = DEFAULT_CAPS["r"],
+    m: int = DEFAULT_CAPS["m"],
+    s: int = DEFAULT_CAPS["s"],
+    lcd: LcdParams | None = None,
     smoothing_power: float = 1.0,
     constants: ConstantsConfig | None = None,
     instance: str = "instance",
     seed=0,
     mc_samples: int = 500_000,
-    theta_max: float | None = None,
 ) -> BoundReport:
     """Evaluate every applicable bound for one instance.
 
     The progression-class tags (cp_*, ws_*) are one-dimensional statements
     and are emitted only when the weights live on the line; the transfer
-    tags work in any dimension, and the lcd_* tags additionally need gamma
-    and alpha.  Randomness is derived from ``seed`` per reference estimate,
-    so equal seeds give identical reports.
+    tags work in any dimension, and the lcd_* tags additionally need the
+    LCD parameters ``lcd``.  Randomness is derived from ``seed`` per
+    reference estimate, so equal seeds give identical reports.
     """
     if x.dim != 1:
         raise DomainError("step distribution must live on the line")
@@ -806,17 +794,14 @@ def build_bound_report(
             kappa, delta, n, gamma_delta, r, s, c
         )
 
-    if gamma is not None or alpha is not None:
-        if gamma is None or alpha is None:
-            raise InputError("gamma and alpha must be supplied together")
-        lcd_params = LcdParams(gamma=gamma, alpha=alpha, theta_max=theta_max)
-        lcd = compute_lcd(a, lcd_params)
-        big_d = lcd.d_lower
+    if lcd is not None:
+        bracket = compute_lcd(a, lcd)
+        big_d = bracket.d_lower
         guards["lcd_d_lower"] = big_d
-        guards["lcd_certified"] = bool(lcd.certified)
-        guards["lcd_converged"] = bool(lcd.converged)
-        parameters["gamma"] = gamma
-        parameters["alpha"] = alpha
+        guards["lcd_certified"] = bool(bracket.certified)
+        guards["lcd_converged"] = bool(bracket.converged)
+        parameters["gamma"] = lcd.gamma
+        parameters["alpha"] = lcd.alpha
         parameters["D"] = big_d
         if big_d > 0:
             _, det_gram = a.gram()
@@ -827,13 +812,13 @@ def build_bound_report(
             guards["lambda_tau_d"] = lam_td
             guards["m2_tau_d"] = m2_td
             via_lambda, via_p, via_m2 = lcd_weighted_sum_bounds(
-                lam_td, p_td, m2_td, gamma, big_d, alpha, det_gram, d, c
+                lam_td, p_td, m2_td, lcd.gamma, big_d, lcd.alpha, det_gram, d, c
             )
             bounds["lcd_lambda"] = via_lambda
             bounds["lcd_p"] = via_p
             bounds["lcd_m2"] = via_m2
             bounds["lcd_cp"] = lcd_compound_poisson_bound(
-                smoothing_power, gamma, big_d, alpha, det_gram, d, c
+                smoothing_power, lcd.gamma, big_d, lcd.alpha, det_gram, d, c
             )
             references["q_h_b_invd"] = _smoothed_reference(
                 a,

@@ -31,7 +31,7 @@ from .errors import (
     InputError,
 )
 from .instances import load_instances
-from .lcd import LcdParams, compute_lcd
+from .lcd import compute_lcd
 from .progressions import beta_rm, gamma_rs
 from .verify import run_verification
 
@@ -59,18 +59,19 @@ def _render_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _load_constants(args, spec=None) -> ConstantsConfig:
+def _load_constants(args, spec) -> ConstantsConfig:
     table = {}
     if args.constants:
         path = Path(args.constants)
         try:
-            table.update(json.loads(path.read_text()))
+            table = json.loads(path.read_text())
         except OSError as exc:
             raise InputError(f"cannot read constants file {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise InputError(f"{path}: malformed JSON: {exc}") from exc
-    if spec is not None:
-        table.update(spec.param("constants", {}))
+        if not isinstance(table, dict):
+            raise InputError("constants: expected a JSON object")
+    table.update(spec.param("constants", {}))
     return ConstantsConfig.from_json_obj(table)
 
 
@@ -102,9 +103,8 @@ def cmd_q(args) -> int:
 
 def cmd_lcd(args) -> int:
     spec = _single_instance(args.instance)
-    gamma, alpha = spec.require("gamma", "alpha")
-    params = LcdParams(gamma=gamma, alpha=alpha, theta_max=spec.param("theta_max"))
-    res = compute_lcd(spec.a, params)
+    spec.require("gamma", "alpha")  # spec.lcd is None only without both
+    res = compute_lcd(spec.a, spec.lcd)
     obj = {
         "spec_version": SCHEMA_VERSION,
         "instance": spec.id,
@@ -123,17 +123,13 @@ def _one_bound_report(args, spec, idx):
         tau,
         kappa,
         delta,
-        r=int(spec.param("r", 1)),
-        m=int(spec.param("m", 1)),
-        s=int(spec.param("s", 1)),
-        gamma=spec.param("gamma"),
-        alpha=spec.param("alpha"),
-        smoothing_power=spec.param("smoothing_power", 1.0),
+        *spec.caps,
+        lcd=spec.lcd,
+        smoothing_power=spec.smoothing_power,
         constants=constants,
         instance=spec.id,
         seed=derive_seed(args.seed, idx),
         mc_samples=100_000 if args.budget is None else args.budget,
-        theta_max=spec.param("theta_max"),
     )
 
 
@@ -155,12 +151,10 @@ def cmd_gapfit(args) -> int:
     spec = _single_instance(args.instance)
     if spec.a.dim != 1:
         raise DomainError("gapfit operates on one-dimensional weight vectors")
-    window = spec.param("delta", spec.param("tau"))
+    window = spec.window
     if window is None:
         raise InputError(f"instance {spec.id!r}: needs parameter delta (or tau)")
-    r = int(spec.param("r", 1))
-    m = int(spec.param("m", 3))
-    s = int(spec.param("s", 3))
+    r, m, s = spec.caps
     w = half_empirical_measure(spec.a.rows)
     obj = {"spec_version": SCHEMA_VERSION, "instance": spec.id, "window": window}
     fits = (("beta", beta_rm(w, window, r, m)), ("gamma_fit", gamma_rs(w, window, r, s)))

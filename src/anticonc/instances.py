@@ -5,13 +5,17 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
 from .concentration import WeightVector
 from .distributions import DiscreteDistribution
 from .errors import DomainError, InputError
+from .lcd import LcdParams
+from .progressions import DEFAULT_CAPS
 
 _NUMERIC_PARAMS = {
     "tau",
@@ -49,18 +53,42 @@ def _check_parameters(params: dict) -> dict:
                 raise InputError(f"parameters.{key}: expected a finite number")
         else:
             raise InputError(f"parameters: unknown field {key!r}")
+    lcd_keys = {"gamma", "alpha", "theta_max"} & out.keys()
+    if lcd_keys and not {"gamma", "alpha"} <= lcd_keys:
+        raise InputError("parameters: gamma and alpha come together, theta_max beside them")
     return out
 
 
 @dataclass(frozen=True)
 class InstanceSpec:
-    """One parsed problem instance."""
+    """One parsed problem instance; every command reads its settings from here."""
 
     id: str
     x: DiscreteDistribution
     a: WeightVector
     parameters: dict = field(default_factory=dict)
     expected: dict = field(default_factory=dict)
+
+    @cached_property
+    def lcd(self) -> LcdParams | None:
+        """The LCD parameters, or None when the instance sets none of them."""
+        p = self.parameters
+        return LcdParams(p["gamma"], p["alpha"], p.get("theta_max")) if "gamma" in p else None
+
+    @property
+    def caps(self) -> tuple:
+        """The rank r and the point caps m and s of the coverage searches."""
+        return tuple(self.parameters.get(k, v) for k, v in DEFAULT_CAPS.items())
+
+    @property
+    def window(self) -> float | None:
+        """The coverage window: delta, else tau, else None."""
+        return self.parameters.get("delta", self.parameters.get("tau"))
+
+    @property
+    def smoothing_power(self) -> float:
+        """The power b of the bound report's compound Poisson smoothing law."""
+        return self.parameters.get("smoothing_power", 1.0)
 
     def param(self, name: str, default=None):
         return self.parameters.get(name, default)
@@ -125,7 +153,11 @@ def load_instances(path) -> list:
         files = sorted(p for p in path.iterdir() if p.suffix == ".json")
         if not files:
             raise InputError(f"no .json instance files in {path}")
-        return [InstanceSpec.from_path(p) for p in files]
+        specs = [InstanceSpec.from_path(p) for p in files]
+        twice = sorted(i for i, k in Counter(s.id for s in specs).items() if k > 1)
+        if twice:
+            raise InputError(f"{path}: duplicate instance ids {twice}")
+        return specs
     return [InstanceSpec.from_path(path)]
 
 

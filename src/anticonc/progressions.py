@@ -41,6 +41,8 @@ from .errors import CapacityError, ClassCapError, DomainError, InputError
 
 GAP_ENUM_BUDGET = 10_000_000
 DEFAULT_SEARCH_BUDGET = 20_000
+# Rank r and point caps m (beta) and s (gamma) of a search an instance leaves unset.
+DEFAULT_CAPS = {"r": 1, "m": 3, "s": 3}
 # Runtime guard on the point count of any single searched progression.
 _MAX_SEARCH_POINTS = 20_000
 # Points plus atom-mask entries one scoring block of step sets may hold.

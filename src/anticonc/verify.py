@@ -135,7 +135,7 @@ def _functional_ratios(g) -> list:
     return sorted(p for p in probes if p > 0)
 
 
-def _check_expected(spec, law, budget, skipped, instance_lcd, searches) -> list:
+def _check_expected(spec, law, budget, skipped, bracket, searches) -> list:
     results = []
     g = symmetrize(spec.x)
     for key, entries in sorted(spec.expected.items()):
@@ -148,7 +148,7 @@ def _check_expected(spec, law, budget, skipped, instance_lcd, searches) -> list:
             try:
                 results.append(
                     _check_expected_entry(
-                        spec, g, key, entry, law, budget, instance_lcd, searches
+                        spec, g, key, entry, law, budget, bracket, searches
                     )
                 )
             except CapacityError:
@@ -159,8 +159,8 @@ def _check_expected(spec, law, budget, skipped, instance_lcd, searches) -> list:
 
 
 def _entry_field(entry, name, kind=float, default=None):
-    """The entry's ``name`` field as ``kind`` (float or int); an absent field
-    is ``default``, or malformed when there is no default."""
+    """The entry's ``name`` field as ``kind`` (a finite float, or an int); an
+    absent field is ``default``, or malformed when there is no default."""
     if name not in entry:
         if default is None:
             raise InputError(f"missing field {name!r}")
@@ -170,13 +170,16 @@ def _entry_field(entry, name, kind=float, default=None):
         wanted = "an integer" if kind is int else "a number"
         raise InputError(f"field {name!r}: expected {wanted}, got {v!r}")
     try:
-        return kind(v)
+        v = kind(v)
     except OverflowError:  # an integer literal past the float range
-        raise InputError(f"field {name!r}: {v!r} is out of range") from None
+        v = math.inf
+    if kind is float and not math.isfinite(v):
+        raise InputError(f"field {name!r}: expected a finite number, got {v!r}")
+    return v
 
 
 def _check_expected_entry(
-    spec, g, key, entry, law, budget, instance_lcd, searches
+    spec, g, key, entry, law, budget, bracket, searches
 ) -> CheckResult:
     if not isinstance(entry, dict):
         raise InputError(f"entry {entry!r} is not an object")
@@ -199,8 +202,7 @@ def _check_expected_entry(
         value = num("value")
         tol = num("tol", default=1e-5)
         # an entry with the instance's parameters reads the instance's bracket
-        inst_params, inst_res = instance_lcd
-        res = inst_res if params == inst_params else compute_lcd(spec.a, params)
+        res = bracket if params == spec.lcd else compute_lcd(spec.a, params)
         inside = res.d_lower - tol <= value and (
             math.isinf(res.d_upper) or value <= res.d_upper + tol
         )
@@ -284,24 +286,22 @@ def _chain_grid(spec, rng, lcd_radius) -> np.ndarray:
     return np.vstack([base, extra])
 
 
-def _check_chain(spec, seed, lcd) -> list:
+def _check_chain(spec, seed, bracket) -> list:
     rng = make_rng(derive_seed(seed, 17))
-    gamma = spec.param("gamma")
-    alpha = spec.param("alpha")
-    grid = _chain_grid(spec, rng, None if lcd is None else lcd.d_lower)
+    grid = _chain_grid(spec, rng, None if bracket is None else bracket.d_lower)
     try:
-        if lcd is not None and lcd.d_lower > 0:
+        if bracket is not None and bracket.d_lower > 0:
             rep = verify_pointwise_chain(
-                spec.a, grid, gamma=gamma, alpha=alpha, big_d=lcd.d_lower
+                spec.a, grid, spec.lcd.gamma, spec.lcd.alpha, bracket.d_lower
             )
-            if lcd.certified and rep.premise_failures:
+            if bracket.certified and rep.premise_failures:
                 return [
                     _fail(
                         spec.id,
                         "chain",
                         reason="denominator premise failed below certified level",
                         premise_failures=rep.premise_failures,
-                        d_lower=lcd.d_lower,
+                        d_lower=bracket.d_lower,
                     )
                 ]
         else:
@@ -362,12 +362,13 @@ def _check_projection(spec, law, budget, skipped) -> list:
 
 def _witness_searches(spec) -> dict:
     """The instance's ``beta_rm`` results keyed by (window, rank, cap): first
-    its witness search, then the rank-zero search at cap 1; none off the line."""
-    if spec.a.dim != 1:
+    its witness search, then the rank-zero search at cap 1; none off the line
+    or without a window."""
+    window = spec.window
+    if spec.a.dim != 1 or window is None:
         return {}
     w = spectral_measure(spec.a.rows)
-    window = spec.param("delta", spec.param("tau", 1.0))
-    searches = ((window, int(spec.param("r", 1)), int(spec.param("m", 3))), (window, 0, 1))
+    searches = ((window, *spec.caps[:2]), (window, 0, 1))
     return {search: beta_rm(w, *search) for search in dict.fromkeys(searches)}
 
 
@@ -445,18 +446,7 @@ def _scan_first_violation(a, params, theta, step) -> float | None:
     return hi
 
 
-def _instance_lcd(spec):
-    """The instance's LCD parameters and bracket, or (None, None) without
-    gamma and alpha."""
-    gamma = spec.param("gamma")
-    alpha = spec.param("alpha")
-    if gamma is None or alpha is None:
-        return None, None
-    params = LcdParams(gamma=gamma, alpha=alpha, theta_max=spec.param("theta_max"))
-    return params, compute_lcd(spec.a, params)
-
-
-def _check_lcd_agreement(spec, params, res) -> list:
+def _check_lcd_agreement(spec, res) -> list:
     results = []
     if res.d_lower > res.d_upper + 1e-12:
         results.append(
@@ -465,7 +455,7 @@ def _check_lcd_agreement(spec, params, res) -> list:
         )
         return results
     if res.witness_t is not None:
-        if violation_condition(res.witness_t, spec.a, params):
+        if violation_condition(res.witness_t, spec.a, spec.lcd):
             results.append(_ok(spec.id, "lcd_agreement", kind="witness"))
         else:
             results.append(
@@ -475,7 +465,7 @@ def _check_lcd_agreement(spec, params, res) -> list:
             )
     if spec.a.dim == 1 and res.certified:
         theta = res.d_upper if math.isfinite(res.d_upper) else res.d_lower
-        scan = _scan_first_violation(spec.a, params, theta * 1.001 + 1e-9, 1e-4)
+        scan = _scan_first_violation(spec.a, spec.lcd, theta * 1.001 + 1e-9, 1e-4)
         if scan is not None and scan < res.d_lower - 1e-6:
             results.append(
                 _fail(spec.id, "lcd_agreement", kind="scan",
@@ -492,29 +482,26 @@ def run_verification(
 ) -> VerificationReport:
     """Run every check over the corpus; the verdict is seed-independent."""
     specs = load_corpus(corpus_dir)
-    ids = [s.id for s in specs]
-    if len(set(ids)) != len(ids):
-        raise InputError("corpus has duplicate instance ids")
     results = []
     skipped = Counter()
     for idx, spec in enumerate(sorted(specs, key=lambda s: s.id)):
         inst_seed = derive_seed(int(seed), idx)
-        params, lcd = _instance_lcd(spec)
+        bracket = None if spec.lcd is None else compute_lcd(spec.a, spec.lcd)
         searches = _witness_searches(spec)
         # the instance's exact law, convolved at its first use: every exact Q
         # of the instance sweeps it, and a law past the budget raises
         # CapacityError at each use, so each check counts its own skips
         law = cache(partial(weighted_sum_distribution, spec.x, spec.a, exact_budget))
         results.extend(
-            _check_expected(spec, law, exact_budget, skipped, (params, lcd), searches)
+            _check_expected(spec, law, exact_budget, skipped, bracket, searches)
         )
         results.extend(_check_regularity(spec, law, exact_budget, skipped))
-        results.extend(_check_chain(spec, inst_seed, lcd))
+        results.extend(_check_chain(spec, inst_seed, bracket))
         results.extend(_check_functionals(spec))
         results.extend(_check_projection(spec, law, exact_budget, skipped))
         results.extend(_check_witness(spec, searches))
-        if lcd is not None:
-            results.extend(_check_lcd_agreement(spec, params, lcd))
+        if bracket is not None:
+            results.extend(_check_lcd_agreement(spec, bracket))
     return VerificationReport(
         results=results, n_instances=len(specs), seed=int(seed), skipped=dict(skipped)
     )

@@ -242,20 +242,15 @@ def test_criterion_08_smoothing_power_monotonicity_via_coupled_mc():
 def test_criterion_09_second_moment_bound_dominates_tail_bound():
     comparable = 0
     for idx, spec in enumerate(sorted(load_corpus(), key=lambda s: s.id)):
-        if spec.param("gamma") is None or spec.param("alpha") is None:
+        if spec.lcd is None:
             continue
         tau, kappa, delta = spec.require("tau", "kappa", "delta")
         rep = build_bound_report(
-            spec.x, spec.a, tau, kappa, delta,
-            r=int(spec.param("r", 1)),
-            m=int(spec.param("m", 1)),
-            s=int(spec.param("s", 1)),
-            gamma=spec.param("gamma"),
-            alpha=spec.param("alpha"),
+            spec.x, spec.a, tau, kappa, delta, *spec.caps,
+            lcd=spec.lcd,
             instance=spec.id,
             seed=derive_seed(9, idx),
             mc_samples=20_000,
-            theta_max=spec.param("theta_max"),
         )
         if rep.vacuous("lcd_m2") or rep.vacuous("lcd_p"):
             continue
@@ -270,7 +265,7 @@ def test_criterion_09_second_moment_bound_dominates_tail_bound():
     for tau in (2.2, 2.5, 2.8, 3.3):
         rep = build_bound_report(
             UNIFORM3, ones_weights(25), tau, 1.0, 0.5,
-            gamma=0.9, alpha=10.0, instance=f"strict-{tau}", seed=9,
+            lcd=LcdParams(gamma=0.9, alpha=10.0), instance=f"strict-{tau}", seed=9,
             mc_samples=20_000,
         )
         if rep.vacuous("lcd_m2") or rep.vacuous("lcd_p"):

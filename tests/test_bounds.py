@@ -30,7 +30,8 @@ from anticonc.bounds import (
 from anticonc.concentration import WeightVector
 from anticonc.distributions import DiscreteDistribution, RngSeed, spectral_measure
 from anticonc.errors import ChainViolationError, DomainError, InputError
-from anticonc.progressions import beta_rm, gamma_rs, uncovered_mass
+from anticonc.lcd import LcdParams
+from anticonc.progressions import DEFAULT_CAPS, beta_rm, gamma_rs, uncovered_mass
 
 RAD = DiscreteDistribution.rademacher()
 
@@ -193,8 +194,7 @@ def _small_report(**kw):
         r=1,
         m=3,
         s=3,
-        gamma=0.5,
-        alpha=2.0,
+        lcd=LcdParams(gamma=0.5, alpha=2.0),
         instance="unit",
         seed=0,
         mc_samples=2000,
@@ -319,21 +319,23 @@ def test_report_runs_one_coverage_search_per_window_and_cap(m, s, delta, searche
         assert rep.guards[f"gamma_star_{name}"] == gamma_rs(w, window, 2, s).value
 
 
-def test_report_requires_both_lcd_params():
-    with pytest.raises(InputError):
-        _small_report(gamma=0.5, alpha=None)
-
-
 def test_report_without_lcd_params_drops_lcd_tags():
-    rep = _small_report(gamma=None, alpha=None)
+    rep = _small_report(lcd=None)
     assert not any(tag.startswith("lcd") for tag in rep.bounds)
+
+
+def test_report_caps_default_to_the_instance_defaults():
+    rep = build_bound_report(
+        RAD, WeightVector(np.ones((6, 1))), tau=1.5, kappa=1.0, delta=0.5, mc_samples=2000
+    )
+    assert tuple(rep.parameters[k] for k in "rms") == tuple(DEFAULT_CAPS.values())
 
 
 def test_report_above_dim_three_has_no_lcd_bracket():
     # no LCD search runs in 4-D, so every lcd tag is vacuous
     rep = build_bound_report(
         RAD, WeightVector(np.eye(4)), tau=1.0, kappa=1.0, delta=0.5,
-        gamma=0.5, alpha=10.0, seed=0, mc_samples=20000,
+        lcd=LcdParams(gamma=0.5, alpha=10.0), seed=0, mc_samples=20000,
     )
     for tag in ("lcd_cp", "lcd_lambda", "lcd_p", "lcd_m2"):
         assert rep.bounds[tag] == math.inf

@@ -283,3 +283,58 @@ def test_unread_flags_are_rejected(capsys, command, flag):
         main([command, str(ONES10), flag, "1"])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
+def test_capless_instance_uses_the_default_caps_in_every_command(capsys):
+    # 03-steps-08 sets none of r, m, s: bounds and gapfit both search at
+    # r = 1, m = s = 3 (verify's witness key is tested in test_verify)
+    steps = str(CORPUS / "03-steps-08.json")
+    code, out, _ = run(["bounds", steps, "--budget", "2000"], capsys)
+    assert code == 0
+    rep = json.loads(out)["reports"][0]
+    assert {k: rep["parameters"][k] for k in "rms"} == {"r": 1, "m": 3, "s": 3}
+    assert rep["guards"]["beta_star_delta"] == 0.75
+    code, out, _ = run(["gapfit", steps], capsys)
+    assert code == 0
+    assert json.loads(out)["beta"]["witness"]["m"] == 3
+
+
+@pytest.mark.parametrize("command", ["q", "lcd", "bounds", "gapfit", "verify"])
+@pytest.mark.parametrize(
+    "params", [{"gamma": 0.5}, {"theta_max": 4.0}], ids=["gamma-only", "theta_max-only"]
+)
+def test_half_given_lcd_parameters_exit_two(capsys, tmp_path, command, params):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    obj = json.loads(ONES10.read_text())
+    for key in ("gamma", "alpha"):
+        del obj["parameters"][key]
+    obj["parameters"].update(params)
+    inst = corpus / ONES10.name
+    inst.write_text(json.dumps(obj))
+    code, out, err = run([command, str(corpus if command == "verify" else inst)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "gamma and alpha come together" in err
+
+
+def test_lcd_without_parameters_names_the_missing_one(capsys, tmp_path):
+    inst = tmp_path / "inst.json"
+    inst.write_text((CORPUS / "04-dyadic-06.json").read_text())
+    code, out, err = run(["lcd", str(inst)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "missing required parameter 'gamma'" in err
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", '"ab"', '[["c2", 2.0]]'])
+@pytest.mark.parametrize(
+    "argv", [["q", str(ONES10), "--method", "esseen"], ["bounds", str(ONES10), "--budget", "2000"]]
+)
+def test_constants_file_must_hold_an_object(capsys, tmp_path, argv, text):
+    consts = tmp_path / "c.json"
+    consts.write_text(text)
+    code, out, err = run(argv + ["--constants", str(consts)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "constants: expected a JSON object" in err

@@ -286,7 +286,7 @@ def _assert_mc_count_matches_oracle(sampler, tau, n_samples, seed):
 @pytest.mark.parametrize("spec", load_corpus(), ids=lambda spec: spec.id)
 def test_mc_q_count_matches_raw_row_oracle_on_corpus(spec):
     tau, kappa = spec.require("tau", "kappa")
-    law = smoothing_law(spec.a, spec.param("smoothing_power", 1.0))
+    law = smoothing_law(spec.a, spec.smoothing_power)
     _assert_mc_count_matches_oracle(law, kappa, 2000, 5)
     _assert_mc_count_matches_oracle(WeightedSum(spec.x, spec.a), tau, 2000, 5)
 

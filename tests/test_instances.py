@@ -4,6 +4,8 @@ import pytest
 
 from anticonc.errors import InputError
 from anticonc.instances import InstanceSpec, load_corpus, load_instances
+from anticonc.lcd import LcdParams
+from anticonc.progressions import DEFAULT_CAPS
 
 GOOD = {
     "id": "demo",
@@ -105,3 +107,32 @@ def test_bundled_corpus_loads():
         assert s.param("tau") is not None
         assert s.param("kappa") is not None
         assert s.param("delta") is not None
+
+
+def test_settings_defaults_are_resolved_once():
+    # no caps, no delta, no LCD parameters: every default applies
+    spec = InstanceSpec.from_json_obj(dict(GOOD, parameters={"tau": 1.0}))
+    assert spec.caps == tuple(DEFAULT_CAPS.values()) == (1, 3, 3)
+    assert spec.window == 1.0
+    assert spec.lcd is None
+    assert spec.smoothing_power == 1.0
+    spec = InstanceSpec.from_json_obj(dict(GOOD, parameters={
+        "tau": 1.0, "delta": 0.25, "m": 5, "gamma": 0.5, "alpha": 2.0, "theta_max": 4.0,
+    }))
+    assert spec.caps == (1, 5, 3)
+    assert spec.window == 0.25
+    assert spec.lcd == LcdParams(gamma=0.5, alpha=2.0, theta_max=4.0)
+    assert spec.lcd is spec.lcd
+    assert InstanceSpec.from_json_obj(dict(GOOD, parameters={})).window is None
+
+
+@pytest.mark.parametrize(
+    "params",
+    [{"gamma": 0.5}, {"alpha": 2.0}, {"theta_max": 4.0}, {"gamma": 0.5, "theta_max": 4.0}],
+    ids=["gamma-only", "alpha-only", "theta_max-only", "gamma-theta_max"],
+)
+def test_half_given_lcd_parameters_rejected(params):
+    # gamma and alpha come together, and theta_max only beside them
+    bad = dict(GOOD, parameters={"tau": 1.0, **params})
+    with pytest.raises(InputError, match="gamma and alpha come together"):
+        InstanceSpec.from_json_obj(bad)

@@ -11,7 +11,8 @@ import pytest
 from anticonc import concentration, progressions, verify
 from anticonc.concentration import WeightVector
 from anticonc.errors import InputError
-from anticonc.instances import load_corpus
+from anticonc.cli import main
+from anticonc.instances import load_corpus, load_instances
 from anticonc.lcd import LcdParams, violation_condition
 from anticonc.verify import CHECK_NAMES, run_verification
 
@@ -105,9 +106,14 @@ def test_corrupted_lcd_expectation_is_caught(tmp_path):
         ("beta", {"tau": 0.5, "r": 1.5, "m": 1, "value": 1.0},
          "field 'r': expected an integer, got 1.5"),
         ("q", [3], "entry 3 is not an object"),
+        # Python's json reads Infinity and NaN: an infinite tol would pass any value
+        ("q", {"tau": 1.5, "value": 0.999, "tol": float("inf")},
+         "field 'tol': expected a finite number, got inf"),
+        ("q", {"tau": 1.0, "value": float("nan")},
+         "field 'value': expected a finite number, got nan"),
     ],
     ids=["missing", "non-numeric", "lcd-non-numeric", "out-of-domain", "non-integer",
-         "list-item"],
+         "list-item", "tol-inf", "value-nan"],
 )
 def test_malformed_expected_entry_fails_with_reason(tmp_path, key, entry, reason):
     corpus = tmp_path / "corpus"
@@ -235,12 +241,39 @@ def test_duplicate_ids_rejected(tmp_path):
         run_verification(bad_dir)
 
 
+def test_duplicate_ids_rejected_by_bounds(tmp_path, capsys):
+    bad_dir = tmp_path / "corpus"
+    bad_dir.mkdir()
+    src = json.loads((CORPUS / "01-ones-04.json").read_text())
+    (bad_dir / "a.json").write_text(json.dumps(src))
+    (bad_dir / "b.json").write_text(json.dumps(src))
+    assert main(["bounds", str(bad_dir), "--budget", "2000"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "duplicate instance ids ['01-ones-04']" in out.err
+
+
+def test_witness_search_reads_the_instance_caps():
+    # 03-steps-08 sets no caps: r = 1 and m = 3 by default, window delta = 0.5
+    (spec,) = load_instances(CORPUS / "03-steps-08.json")
+    assert list(verify._witness_searches(spec)) == [(0.5, 1, 3), (0.5, 0, 1)]
+
+
+def test_instance_without_a_window_runs_no_witness_search(tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    obj = {"id": "no-window", "distribution": "rademacher", "weights": [1, 2, 3]}
+    (corpus / "no-window.json").write_text(json.dumps(obj))
+    with mock.patch.object(verify, "beta_rm", wraps=progressions.beta_rm) as spy:
+        report = run_verification(corpus)
+    assert report.passed
+    assert spy.call_count == 0
+    assert report.counts()["witness"] == [0, 0]
+
+
 def test_corpus_covers_check_surface():
     specs = load_corpus()
-    with_lcd = [
-        s for s in specs
-        if s.param("gamma") is not None and s.param("alpha") is not None
-    ]
+    with_lcd = [s for s in specs if s.lcd is not None]
     assert len(with_lcd) >= 8
     assert any(s.a.dim == 3 for s in specs)
     assert any(s.x.n_atoms == 3 for s in specs)
