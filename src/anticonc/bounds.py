@@ -45,7 +45,7 @@ from .errors import (
     NumericsError,
 )
 from .lcd import LcdParams, compute_lcd
-from .progressions import DEFAULT_CAPS, beta_rm
+from .progressions import DEFAULT_CAPS, beta_rm, check_caps
 
 _TWO_PI = 2.0 * math.pi
 
@@ -114,17 +114,6 @@ class ConstantsConfig:
 DEFAULT_CONSTANTS = ConstantsConfig()
 
 
-def _constants(constants) -> ConstantsConfig:
-    return DEFAULT_CONSTANTS if constants is None else constants
-
-
-def _check_rank_count(r: int, count: int, count_name: str):
-    if not isinstance(r, (int, np.integer)) or r < 0:
-        raise DomainError("rank r must be a nonnegative integer")
-    if not isinstance(count, (int, np.integer)) or count < 1:
-        raise DomainError(f"{count_name} must be a positive integer")
-
-
 def _check_unit_mass(value: float, name: str) -> float:
     value = float(value)
     if not 0.0 <= value <= 1.0 + 1e-12:
@@ -142,7 +131,7 @@ def _two_term(lead: float, first_num: float, count: int, mass: float, r: int) ->
 
 
 def compound_poisson_bound_cgap(
-    alpha: float, beta: float, r: int, m: int, constants: ConstantsConfig | None = None
+    alpha: float, beta: float, r: int, m: int, constants: ConstantsConfig = DEFAULT_CONSTANTS
 ) -> float:
     """Concentration bound for a compound Poisson law with intensity ``alpha``.
 
@@ -151,12 +140,11 @@ def compound_poisson_bound_cgap(
     ``beta`` means the driving measure is essentially supported on such a
     progression and the bound degenerates to ``inf``.
     """
-    c = _constants(constants)
     if not alpha > 0:
         raise DomainError("intensity alpha must be positive")
-    _check_rank_count(r, m, "cap m")
+    check_caps(r, m=m)
     beta = _check_unit_mass(beta, "beta")
-    return _two_term(c.c2 ** (r + 1), 1.0, m, alpha * beta, r)
+    return _two_term(constants.c2 ** (r + 1), 1.0, m, alpha * beta, r)
 
 
 def weighted_sum_bound_cgap(
@@ -167,7 +155,7 @@ def weighted_sum_bound_cgap(
     beta_star: float,
     r: int,
     m: int,
-    constants: ConstantsConfig | None = None,
+    constants: ConstantsConfig = DEFAULT_CONSTANTS,
 ) -> float:
     """Weighted-sum bound routed through the symmetrized tail mass.
 
@@ -175,16 +163,15 @@ def weighted_sum_bound_cgap(
     step tail at ratio tau/kappa and beta_star the coverage deficit of the
     spectral weight measure at window delta.
     """
-    c = _constants(constants)
     if not (kappa > 0 and delta > 0):
         raise DomainError("kappa and delta must be positive")
     if n < 1:
         raise DomainError("n must be a positive integer")
-    _check_rank_count(r, m, "cap m")
+    check_caps(r, m=m)
     p_val = _check_unit_mass(p_val, "p_val")
     beta_star = _check_unit_mass(beta_star, "beta_star")
     window = 1 + math.floor(kappa / delta)
-    return window * _two_term(c.c3 ** (r + 1), 1.0, m, n * p_val * beta_star, r)
+    return window * _two_term(constants.c3 ** (r + 1), 1.0, m, n * p_val * beta_star, r)
 
 
 def weighted_sum_bound_cgap_tail_free(
@@ -194,7 +181,7 @@ def weighted_sum_bound_cgap_tail_free(
     beta_star: float,
     r: int,
     m: int,
-    constants: ConstantsConfig | None = None,
+    constants: ConstantsConfig = DEFAULT_CONSTANTS,
 ) -> float:
     """Tail-free variant of :func:`weighted_sum_bound_cgap`.
 
@@ -202,32 +189,30 @@ def weighted_sum_bound_cgap_tail_free(
     caller records that guard.  The tail factor is dropped from the mass
     slot, which is why no p argument appears.
     """
-    c = _constants(constants)
     if not (kappa > 0 and delta > 0):
         raise DomainError("kappa and delta must be positive")
     if n < 1:
         raise DomainError("n must be a positive integer")
-    _check_rank_count(r, m, "cap m")
+    check_caps(r, m=m)
     beta_star = _check_unit_mass(beta_star, "beta_star")
     window = 1 + math.floor(kappa / delta)
-    return window * _two_term(c.c4 ** (r + 1), 1.0, m, n * beta_star, r)
+    return window * _two_term(constants.c4 ** (r + 1), 1.0, m, n * beta_star, r)
 
 
 def compound_poisson_bound_gap(
-    alpha: float, gamma_val: float, r: int, s: int, constants: ConstantsConfig | None = None
+    alpha: float, gamma_val: float, r: int, s: int, constants: ConstantsConfig = DEFAULT_CONSTANTS
 ) -> float:
     """Compound-Poisson bound over capped symmetric progression images.
 
     Same two-term shape as the convex-body variant but the class is richer,
     which costs the (c6 r + 1)^(3 r^2 / 2) inflation in the first term.
     """
-    c = _constants(constants)
     if not alpha > 0:
         raise DomainError("intensity alpha must be positive")
-    _check_rank_count(r, s, "cap s")
+    check_caps(r, s=s)
     gamma_val = _check_unit_mass(gamma_val, "gamma_val")
-    first_num = (c.c6 * r + 1.0) ** (1.5 * r * r)
-    return _two_term(c.c5 ** (r + 1), first_num, s, alpha * gamma_val, r)
+    first_num = (constants.c6 * r + 1.0) ** (1.5 * r * r)
+    return _two_term(constants.c5 ** (r + 1), first_num, s, alpha * gamma_val, r)
 
 
 def weighted_sum_bound_gap_tail_free(
@@ -237,27 +222,27 @@ def weighted_sum_bound_gap_tail_free(
     gamma_star: float,
     r: int,
     s: int,
-    constants: ConstantsConfig | None = None,
+    constants: ConstantsConfig = DEFAULT_CONSTANTS,
 ) -> float:
     """Tail-free weighted-sum bound over capped symmetric progression images."""
-    c = _constants(constants)
     if not (kappa > 0 and delta > 0):
         raise DomainError("kappa and delta must be positive")
     if n < 1:
         raise DomainError("n must be a positive integer")
-    _check_rank_count(r, s, "cap s")
+    check_caps(r, s=s)
     gamma_star = _check_unit_mass(gamma_star, "gamma_star")
     window = 1 + math.floor(kappa / delta)
-    first_num = (c.c8 * r + 1.0) ** (1.5 * r * r)
-    return window * _two_term(c.c7 ** (r + 1), first_num, s, n * gamma_star, r)
+    first_num = (constants.c8 * r + 1.0) ** (1.5 * r * r)
+    return window * _two_term(constants.c7 ** (r + 1), first_num, s, n * gamma_star, r)
 
 
-def transfer_bound_plain(q_smoothed: float, constants: ConstantsConfig | None = None) -> float:
+def transfer_bound_plain(
+    q_smoothed: float, constants: ConstantsConfig = DEFAULT_CONSTANTS
+) -> float:
     """Transfer from the smoothing law at the coarse window: c_d * Q(H^p, kappa)."""
-    c = _constants(constants)
     if q_smoothed < 0:
         raise DomainError("q_smoothed must be nonnegative")
-    return c.c_d * q_smoothed
+    return constants.c_d * q_smoothed
 
 
 def transfer_bound_window(
@@ -265,42 +250,39 @@ def transfer_bound_window(
     kappa: float,
     delta: float,
     d: int,
-    constants: ConstantsConfig | None = None,
+    constants: ConstantsConfig = DEFAULT_CONSTANTS,
 ) -> float:
     """Window-refined transfer: c_d * (1 + floor(kappa/delta))^d * Q(H^p, delta)."""
-    c = _constants(constants)
     if not (kappa > 0 and delta > 0):
         raise DomainError("kappa and delta must be positive")
     if d < 1:
         raise DomainError("dimension must be a positive integer")
     if q_smoothed < 0:
         raise DomainError("q_smoothed must be nonnegative")
-    return c.c_d * (1 + math.floor(kappa / delta)) ** d * q_smoothed
+    return constants.c_d * (1 + math.floor(kappa / delta)) ** d * q_smoothed
 
 
 def transfer_bound_refined(
-    q_smoothed: float, lam: float, constants: ConstantsConfig | None = None
+    q_smoothed: float, lam: float, constants: ConstantsConfig = DEFAULT_CONSTANTS
 ) -> float:
     """Window-count transfer: c_d * Q(H^lambda, kappa) / lambda.
 
     Sharper than the plain transfer once lambda is large, because raising
     the smoothing power can only spread the law out.
     """
-    c = _constants(constants)
     if q_smoothed < 0:
         raise DomainError("q_smoothed must be nonnegative")
     if lam < 0:
         raise DomainError("lambda must be nonnegative")
     if lam == 0.0:
         return math.inf
-    return c.c_d * q_smoothed / lam
+    return constants.c_d * q_smoothed / lam
 
 
 def _lcd_core(
     b: float,
-    gamma: float,
+    lcd: LcdParams,
     big_d: float,
-    alpha: float,
     det_gram: float,
     d: int,
     c_d: float,
@@ -310,50 +292,44 @@ def _lcd_core(
         return math.inf
     if det_gram <= 0.0:
         return math.inf
-    first = (1.0 / (gamma * big_d * math.sqrt(b))) ** d / math.sqrt(det_gram)
-    return c_d * (first + math.exp(-exp_coeff * b * alpha * alpha))
+    first = (1.0 / (lcd.gamma * big_d * math.sqrt(b))) ** d / math.sqrt(det_gram)
+    return c_d * (first + math.exp(-exp_coeff * b * lcd.alpha * lcd.alpha))
 
 
-def _check_lcd_args(gamma: float, big_d: float, alpha: float, d: int):
-    if not 0.0 < gamma < 1.0:
-        raise DomainError("gamma must lie strictly between 0 and 1")
+def _check_lcd_args(big_d: float, d: int):
     if not big_d > 0:
         raise DomainError("denominator bracket D must be positive")
-    if not alpha > 0:
-        raise DomainError("alpha must be positive")
     if d < 1:
         raise DomainError("dimension must be a positive integer")
 
 
 def lcd_compound_poisson_bound(
     b: float,
-    gamma: float,
+    lcd: LcdParams,
     big_d: float,
-    alpha: float,
     det_gram: float,
     d: int,
-    constants: ConstantsConfig | None = None,
+    constants: ConstantsConfig = DEFAULT_CONSTANTS,
 ) -> float:
     """Bound for Q(H^b, 1/D) under the least-denominator condition at level D.
 
     c_d * ((1/(gamma D sqrt(b)))^d / sqrt(det A) + exp(-4 b alpha^2)) where
-    A is the Gram matrix of the weight rows.
+    gamma and alpha are those of ``lcd`` and A is the Gram matrix of the
+    weight rows.
     """
-    c = _constants(constants)
-    _check_lcd_args(gamma, big_d, alpha, d)
-    return _lcd_core(b, gamma, big_d, alpha, det_gram, d, c.c_d, 4.0)
+    _check_lcd_args(big_d, d)
+    return _lcd_core(b, lcd, big_d, det_gram, d, constants.c_d, 4.0)
 
 
 def lcd_weighted_sum_bounds(
     lambda_val: float,
     p_val: float,
     m2_val: float,
-    gamma: float,
+    lcd: LcdParams,
     big_d: float,
-    alpha: float,
     det_gram: float,
     d: int,
-    constants: ConstantsConfig | None = None,
+    constants: ConstantsConfig = DEFAULT_CONSTANTS,
 ) -> tuple[float, float, float]:
     """The three least-denominator bounds on Q(F_a, tau).
 
@@ -363,17 +339,14 @@ def lcd_weighted_sum_bounds(
     M(tau D) respectively; the last uses the configurable exponent
     coefficient because its admissible value is not pinned down.
     """
-    c = _constants(constants)
-    _check_lcd_args(gamma, big_d, alpha, d)
+    _check_lcd_args(big_d, d)
+    c_d = constants.c_d
     if lambda_val == 0.0:
         via_lambda = math.inf
     else:
-        via_lambda = (
-            _lcd_core(lambda_val, gamma, big_d, alpha, det_gram, d, c.c_d, 4.0)
-            / lambda_val
-        )
-    via_p = _lcd_core(p_val, gamma, big_d, alpha, det_gram, d, c.c_d, 4.0)
-    via_m2 = _lcd_core(m2_val, gamma, big_d, alpha, det_gram, d, c.c_d, c.c_exp_m2)
+        via_lambda = _lcd_core(lambda_val, lcd, big_d, det_gram, d, c_d, 4.0) / lambda_val
+    via_p = _lcd_core(p_val, lcd, big_d, det_gram, d, c_d, 4.0)
+    via_m2 = _lcd_core(m2_val, lcd, big_d, det_gram, d, c_d, constants.c_exp_m2)
     return via_lambda, via_p, via_m2
 
 
@@ -432,8 +405,7 @@ def _first_violation(mask: np.ndarray):
 def verify_pointwise_chain(
     a: WeightVector,
     t_grid,
-    gamma: float | None = None,
-    alpha: float | None = None,
+    lcd: LcdParams | None = None,
     big_d: float | None = None,
     slack: float = 1e-12,
 ) -> PointwiseChainReport:
@@ -444,8 +416,8 @@ def verify_pointwise_chain(
     1. 1 - cos x >= 2 x^2 / pi^2 at each phase x = <t, a_k> reduced to
        [-pi, pi];
     2. hat H(t) <= exp(-4 dist(t/2pi . a, Z^n)^2);
-    3. with gamma, alpha, big_d supplied and ||t|| <= 2 pi big_d, whenever
-       the denominator condition holds at t/2pi:
+    3. with ``lcd`` and ``big_d`` given and ||t|| <= 2 pi big_d, whenever
+       the denominator condition of ``lcd`` holds at t/2pi:
        hat H(t) <= exp(-4 min(gamma ||t/2pi . a||, alpha)^2).
 
     These are constant-free facts; any failure beyond ``slack`` raises
@@ -453,12 +425,11 @@ def verify_pointwise_chain(
     """
     if slack < 0:
         raise DomainError("slack must be nonnegative")
-    lcd_given = [v is not None for v in (gamma, alpha, big_d)]
-    if any(lcd_given) and not all(lcd_given):
-        raise InputError("gamma, alpha and big_d must be supplied together")
-    check_lcd = all(lcd_given)
+    if (lcd is None) != (big_d is None):
+        raise InputError("lcd and big_d come together or not at all")
+    check_lcd = lcd is not None
     if check_lcd:
-        _check_lcd_args(gamma, big_d, alpha, a.dim)
+        _check_lcd_args(big_d, a.dim)
 
     ts = np.asarray(t_grid, dtype=float)
     if a.dim == 1 and ts.ndim == 1:
@@ -493,7 +464,7 @@ def verify_pointwise_chain(
     if check_lcd:
         radius_ok = np.linalg.norm(ts, axis=1) <= _TWO_PI * big_d * (1.0 + 1e-12)
         scaled_norm = np.linalg.norm(ph, axis=1) / _TWO_PI  # ||t/2pi . a||
-        threshold = np.minimum(gamma * scaled_norm, alpha)
+        threshold = np.minimum(lcd.gamma * scaled_norm, lcd.alpha)
         premise = np.sqrt(dist_sq) >= threshold - slack
         premise_failures = int(np.count_nonzero(radius_ok & ~premise))
         active = radius_ok & premise
@@ -681,7 +652,7 @@ def build_bound_report(
     s: int = DEFAULT_CAPS["s"],
     lcd: LcdParams | None = None,
     smoothing_power: float = 1.0,
-    constants: ConstantsConfig | None = None,
+    constants: ConstantsConfig = DEFAULT_CONSTANTS,
     instance: str = "instance",
     seed=0,
     mc_samples: int = 500_000,
@@ -698,7 +669,6 @@ def build_bound_report(
         raise DomainError("step distribution must live on the line")
     if not (tau > 0 and kappa > 0 and delta > 0):
         raise DomainError("tau, kappa and delta must be positive")
-    c = _constants(constants)
     seed_int = as_seed_int(seed)
     d = a.dim
     n = a.n
@@ -738,27 +708,27 @@ def build_bound_report(
     # transfers shares one derived seed so their comparison is coupled; with
     # equal powers the two entries are the same computation, made once.
     q_h_p_kappa = _smoothed_reference(
-        a, p_val, kappa, mc_samples, derive_seed(seed_int, 2), c
+        a, p_val, kappa, mc_samples, derive_seed(seed_int, 2), constants
     )
     if lam_transfer == p_val:
         q_h_lambda_kappa = dict(q_h_p_kappa)
     else:
         q_h_lambda_kappa = _smoothed_reference(
-            a, lam_transfer, kappa, mc_samples, derive_seed(seed_int, 2), c
+            a, lam_transfer, kappa, mc_samples, derive_seed(seed_int, 2), constants
         )
     q_h_p_delta = _smoothed_reference(
-        a, p_val, delta, mc_samples, derive_seed(seed_int, 3), c
+        a, p_val, delta, mc_samples, derive_seed(seed_int, 3), constants
     )
     references["q_h_p_kappa"] = q_h_p_kappa
     references["q_h_lambda_kappa"] = q_h_lambda_kappa
     references["q_h_p_delta"] = q_h_p_delta
 
-    bounds["transfer_plain"] = transfer_bound_plain(q_h_p_kappa["value"], c)
+    bounds["transfer_plain"] = transfer_bound_plain(q_h_p_kappa["value"], constants)
     bounds["transfer_window"] = transfer_bound_window(
-        q_h_p_delta["value"], kappa, delta, d, c
+        q_h_p_delta["value"], kappa, delta, d, constants
     )
     bounds["transfer_refined"] = transfer_bound_refined(
-        q_h_lambda_kappa["value"], lam_transfer, c
+        q_h_lambda_kappa["value"], lam_transfer, constants
     )
 
     if d == 1:
@@ -776,22 +746,22 @@ def build_bound_report(
         cp_intensity = 0.5 * n * p_val
         if cp_intensity > 0:
             bounds["cp_cgap"] = compound_poisson_bound_cgap(
-                cp_intensity, beta_kappa, r, m, c
+                cp_intensity, beta_kappa, r, m, constants
             )
             bounds["cp_gap"] = compound_poisson_bound_gap(
-                cp_intensity, gamma_kappa, r, s, c
+                cp_intensity, gamma_kappa, r, s, constants
             )
         else:
             bounds["cp_cgap"] = math.inf
             bounds["cp_gap"] = math.inf
         bounds["ws_cgap_p"] = weighted_sum_bound_cgap(
-            kappa, delta, n, p_val, beta_delta, r, m, c
+            kappa, delta, n, p_val, beta_delta, r, m, constants
         )
         bounds["ws_cgap_lambda"] = weighted_sum_bound_cgap_tail_free(
-            kappa, delta, n, beta_delta, r, m, c
+            kappa, delta, n, beta_delta, r, m, constants
         )
         bounds["ws_gap_lambda"] = weighted_sum_bound_gap_tail_free(
-            kappa, delta, n, gamma_delta, r, s, c
+            kappa, delta, n, gamma_delta, r, s, constants
         )
 
     if lcd is not None:
@@ -812,13 +782,13 @@ def build_bound_report(
             guards["lambda_tau_d"] = lam_td
             guards["m2_tau_d"] = m2_td
             via_lambda, via_p, via_m2 = lcd_weighted_sum_bounds(
-                lam_td, p_td, m2_td, lcd.gamma, big_d, lcd.alpha, det_gram, d, c
+                lam_td, p_td, m2_td, lcd, big_d, det_gram, d, constants
             )
             bounds["lcd_lambda"] = via_lambda
             bounds["lcd_p"] = via_p
             bounds["lcd_m2"] = via_m2
             bounds["lcd_cp"] = lcd_compound_poisson_bound(
-                smoothing_power, lcd.gamma, big_d, lcd.alpha, det_gram, d, c
+                smoothing_power, lcd, big_d, det_gram, d, constants
             )
             references["q_h_b_invd"] = _smoothed_reference(
                 a,
@@ -826,7 +796,7 @@ def build_bound_report(
                 1.0 / big_d,
                 mc_samples,
                 derive_seed(seed_int, 5),
-                c,
+                constants,
             )
         else:
             for tag in ("lcd_cp", "lcd_lambda", "lcd_p", "lcd_m2"):
@@ -839,7 +809,7 @@ def build_bound_report(
         references=references,
         guards=guards,
         parameters=parameters,
-        constants=c,
+        constants=constants,
     )
 
 
@@ -970,7 +940,7 @@ def inverse_principle_report(
     delta: float,
     rank: int,
     n_prime: int | None = None,
-    constants: ConstantsConfig | None = None,
+    constants: ConstantsConfig = DEFAULT_CONSTANTS,
     instance: str = "instance",
     seed=0,
     mc_samples: int = 200_000,
@@ -991,9 +961,7 @@ def inverse_principle_report(
         raise DomainError("tau, kappa and delta must be positive")
     if delta > min(kappa, tau):
         raise DomainError("delta must not exceed min(kappa, tau)")
-    if not isinstance(rank, (int, np.integer)) or rank < 0:
-        raise DomainError("rank must be a nonnegative integer")
-    c = _constants(constants)
+    check_caps(rank)
     seed_int = as_seed_int(seed)
     d = a.dim
     n = a.n
@@ -1021,8 +989,8 @@ def inverse_principle_report(
     q_coords = [e["value"] for e in q_entries]
 
     shared = {
-        "rank_log": [c.c_d * _log_capacity(q, kappa, delta) for q in q_coords],
-        "size_single": max(c.c_d / (q_all.value * math.sqrt(n_prime)), 1.0),
+        "rank_log": [constants.c_d * _log_capacity(q, kappa, delta) for q in q_coords],
+        "size_single": max(constants.c_d / (q_all.value * math.sqrt(n_prime)), 1.0),
         "uncovered_pair_count": 2 * n_prime,
     }
     shared["rank_log_total"] = float(sum(shared["rank_log"]))
@@ -1030,11 +998,11 @@ def inverse_principle_report(
         "shared": shared,
         "tail_mass": _structure_budgets(
             q_coords, p_val, n, n_prime, kappa, delta, rank,
-            a.norm(), d, c,
+            a.norm(), d, constants,
         ),
         "tail_free": _structure_budgets(
             q_coords, lam1, n, n_prime, kappa, delta, rank,
-            a.norm(), d, c,
+            a.norm(), d, constants,
         ),
     }
     budgets["tail_free"]["guard_value"] = lam1
@@ -1085,7 +1053,7 @@ def inverse_principle_report(
             "seed": seed_int,
             "mc_samples": int(mc_samples),
         },
-        constants=c,
+        constants=constants,
     )
 
 

@@ -59,7 +59,7 @@ def _render_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _load_constants(args, spec) -> ConstantsConfig:
+def _constants_for(args, spec) -> ConstantsConfig:
     table = {}
     if args.constants:
         path = Path(args.constants)
@@ -85,7 +85,7 @@ def _single_instance(path):
 def cmd_q(args) -> int:
     spec = _single_instance(args.instance)
     tau = spec.require("tau")
-    constants = _load_constants(args, spec)
+    constants = _constants_for(args, spec)
     if args.method == "exact":
         budget = DEFAULT_EXACT_BUDGET if args.budget is None else args.budget
         est = exact_q(spec.x, spec.a, tau, budget=budget)
@@ -116,7 +116,7 @@ def cmd_lcd(args) -> int:
 
 def _one_bound_report(args, spec, idx):
     tau, kappa, delta = spec.require("tau", "kappa", "delta")
-    constants = _load_constants(args, spec)
+    constants = _constants_for(args, spec)
     return build_bound_report(
         spec.x,
         spec.a,
@@ -214,15 +214,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     estimate_flags(
         p_q,
-        "exact enumeration cap for exact; Monte Carlo sample count for mc "
-        "(200,000 when omitted)",
+        "exact enumeration cap for exact; Monte Carlo sample count for mc, "
+        "at least 1,000 (200,000 when omitted)",
     )
 
     command("lcd", cmd_lcd, "least common denominator bracket")
 
     p_b = command("bounds", cmd_bounds, "bound report for an instance or grid")
     estimate_flags(
-        p_b, "Monte Carlo sample count of every estimate (100,000 when omitted)"
+        p_b,
+        "Monte Carlo sample count of every estimate (100,000 when omitted), "
+        "at least 1,000",
     )
     p_b.add_argument(
         "--format", choices=("json", "csv"), default="json", help="output format"

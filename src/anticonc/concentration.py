@@ -448,10 +448,6 @@ class WeightedSum:
         if not self.x.normalized:
             raise DomainError("summand must be a probability distribution")
 
-    @property
-    def dim(self) -> int:
-        return self.a.dim
-
     def sample(self, n_samples: int, rng: np.random.Generator) -> np.ndarray:
         cum = np.cumsum(self.x.weights)
         cum[-1] = max(cum[-1], 1.0)

@@ -7,15 +7,15 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
+from .bounds import ConstantsConfig
 from .concentration import WeightVector
 from .distributions import DiscreteDistribution
 from .errors import DomainError, InputError
 from .lcd import LcdParams
-from .progressions import DEFAULT_CAPS
+from .progressions import DEFAULT_CAPS, check_caps
 
 _NUMERIC_PARAMS = {
     "tau",
@@ -53,27 +53,45 @@ def _check_parameters(params: dict) -> dict:
                 raise InputError(f"parameters.{key}: expected a finite number")
         else:
             raise InputError(f"parameters: unknown field {key!r}")
-    lcd_keys = {"gamma", "alpha", "theta_max"} & out.keys()
-    if lcd_keys and not {"gamma", "alpha"} <= lcd_keys:
-        raise InputError("parameters: gamma and alpha come together, theta_max beside them")
     return out
+
+
+def _lcd_params(params: dict) -> LcdParams | None:
+    """The LCD parameters, or None when the instance sets none of them."""
+    given = {"gamma", "alpha", "theta_max"} & params.keys()
+    if not given:
+        return None
+    if not {"gamma", "alpha"} <= given:
+        raise InputError("gamma and alpha come together, theta_max beside them")
+    return LcdParams(params["gamma"], params["alpha"], params.get("theta_max"))
 
 
 @dataclass(frozen=True)
 class InstanceSpec:
-    """One parsed problem instance; every command reads its settings from here."""
+    """One parsed problem instance; every command reads its settings from here.
+
+    Building one checks each setting with the code that owns its rule, so a
+    bad setting fails at load for every command: the LCD parameters become
+    ``lcd`` (an ``LcdParams``, or None), the caps pass ``check_caps`` and the
+    constants table passes ``ConstantsConfig.from_json_obj``.
+    """
 
     id: str
     x: DiscreteDistribution
     a: WeightVector
     parameters: dict = field(default_factory=dict)
     expected: dict = field(default_factory=dict)
+    lcd: LcdParams | None = field(init=False)
 
-    @cached_property
-    def lcd(self) -> LcdParams | None:
-        """The LCD parameters, or None when the instance sets none of them."""
+    def __post_init__(self):
         p = self.parameters
-        return LcdParams(p["gamma"], p["alpha"], p.get("theta_max")) if "gamma" in p else None
+        try:
+            object.__setattr__(self, "lcd", _lcd_params(p))
+            r, m, s = self.caps
+            check_caps(r, m=m, s=s)
+            ConstantsConfig.from_json_obj(p.get("constants", {}))
+        except (DomainError, InputError) as exc:
+            raise InputError(f"instance {self.id!r}: parameters: {exc}") from exc
 
     @property
     def caps(self) -> tuple:
@@ -126,7 +144,10 @@ class InstanceSpec:
             a = WeightVector.from_json_obj(obj["weights"])
         except DomainError as exc:
             raise InputError(f"instance {obj['id']!r}: weights: {exc}") from exc
-        params = _check_parameters(obj.get("parameters", {}))
+        try:
+            params = _check_parameters(obj.get("parameters", {}))
+        except InputError as exc:
+            raise InputError(f"instance {obj['id']!r}: {exc}") from exc
         expected = obj.get("expected", {})
         if not isinstance(expected, dict):
             raise InputError(f"instance {obj['id']!r}: expected: expected an object")
@@ -143,7 +164,10 @@ class InstanceSpec:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise InputError(f"{path}: malformed JSON: {exc}") from exc
-        return cls.from_json_obj(obj)
+        try:
+            return cls.from_json_obj(obj)
+        except InputError as exc:
+            raise InputError(f"{path}: {exc}") from exc
 
 
 def load_instances(path) -> list:

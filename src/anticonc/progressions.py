@@ -43,6 +43,17 @@ GAP_ENUM_BUDGET = 10_000_000
 DEFAULT_SEARCH_BUDGET = 20_000
 # Rank r and point caps m (beta) and s (gamma) of a search an instance leaves unset.
 DEFAULT_CAPS = {"r": 1, "m": 3, "s": 3}
+
+
+def check_caps(r, **caps) -> None:
+    """The one rank and cap rule: r a nonnegative integer, each named cap (m, s)
+    a positive one.  Searches, evaluators and instance loading all apply it."""
+    if not isinstance(r, (int, np.integer)) or r < 0:
+        raise DomainError("rank r must be a nonnegative integer")
+    for name, cap in caps.items():
+        if not isinstance(cap, (int, np.integer)) or cap < 1:
+            raise DomainError(f"cap {name} must be a positive integer")
+
 # Runtime guard on the point count of any single searched progression.
 _MAX_SEARCH_POINTS = 20_000
 # Points plus atom-mask entries one scoring block of step sets may hold.
@@ -590,15 +601,12 @@ def _coverage_search(
     return ApproxResult(best_v, _box_cgap(*best, r, cap), False, evals)
 
 
-def _check_search_args(w: DiscreteDistribution, tau: float, rank: int, count: int):
+def _check_search_args(w: DiscreteDistribution, tau: float, r: int, **cap):
     if w.dim != 1:
         raise DomainError("coverage search operates on measures on the line")
     if tau < 0:
         raise DomainError("tau must be nonnegative")
-    if not isinstance(rank, (int, np.integer)) or rank < 0:
-        raise DomainError("rank must be a nonnegative integer")
-    if not isinstance(count, (int, np.integer)) or count < 1:
-        raise DomainError("the size cap must be a positive integer")
+    check_caps(r, **cap)
 
 
 def beta_rm(
@@ -614,7 +622,7 @@ def beta_rm(
     ``uncovered_mass`` on its points reproduces ``value`` exactly.  Rank zero
     is exact (the class contains only K = {0}).
     """
-    _check_search_args(w, tau, r, m)
+    _check_search_args(w, tau, r, m=m)
     return _coverage_search(w, tau, int(r), int(m), search_budget)
 
 
@@ -633,7 +641,7 @@ def gamma_rs(
     the box Cgap's point set, so at equal caps the two values agree.  Values
     are upper bounds; rank zero is exact.
     """
-    _check_search_args(w, tau, r, s)
+    _check_search_args(w, tau, r, s=s)
     res = _coverage_search(w, tau, int(r), int(s), search_budget)
     if r == 0:
         wit = _ZeroProgression()

@@ -291,9 +291,7 @@ def _check_chain(spec, seed, bracket) -> list:
     grid = _chain_grid(spec, rng, None if bracket is None else bracket.d_lower)
     try:
         if bracket is not None and bracket.d_lower > 0:
-            rep = verify_pointwise_chain(
-                spec.a, grid, spec.lcd.gamma, spec.lcd.alpha, bracket.d_lower
-            )
+            rep = verify_pointwise_chain(spec.a, grid, spec.lcd, bracket.d_lower)
             if bracket.certified and rep.premise_failures:
                 return [
                     _fail(

@@ -57,7 +57,7 @@ def test_ws_cgap_equal_windows_is_vacuous():
 
 def test_lcd_cp_frozen_example():
     want = 0.5 + math.exp(-4.0)
-    got = lcd_compound_poisson_bound(1.0, 0.5, 2.0, 1.0, 4.0, 1)
+    got = lcd_compound_poisson_bound(1.0, LcdParams(0.5, 1.0), 2.0, 4.0, 1)
     assert abs(got - want) < 1e-12
 
 
@@ -66,7 +66,7 @@ def test_zero_mass_degenerates_to_inf():
     assert weighted_sum_bound_cgap(1.0, 0.5, 4, 0.0, 0.5, 0, 1) == math.inf
     assert compound_poisson_bound_gap(1.0, 0.0, 0, 1) == math.inf
     assert transfer_bound_refined(0.3, 0.0) == math.inf
-    assert lcd_compound_poisson_bound(0.0, 0.5, 1.0, 1.0, 1.0, 1) == math.inf
+    assert lcd_compound_poisson_bound(0.0, LcdParams(0.5, 1.0), 1.0, 1.0, 1) == math.inf
 
 
 def test_monotone_decreasing_in_mass_slot():
@@ -77,7 +77,7 @@ def test_monotone_decreasing_in_mass_slot():
         lambda b: weighted_sum_bound_cgap_tail_free(1.0, 0.5, 12, b, 1, 2),
         lambda b: compound_poisson_bound_gap(3.0, b, 2, 4),
         lambda b: weighted_sum_bound_gap_tail_free(1.0, 0.5, 12, b, 2, 4),
-        lambda b: lcd_compound_poisson_bound(b, 0.5, 2.0, 1.0, 4.0, 1),
+        lambda b: lcd_compound_poisson_bound(b, LcdParams(0.5, 1.0), 2.0, 4.0, 1),
     ):
         vals = [fn(float(b)) for b in masses]
         diffs = np.diff(vals)
@@ -107,7 +107,7 @@ def test_lcd_m2_dominates_p_route():
     # with the default exponent coefficient, a larger mass slot can only help
     for p, m2 in ((0.2, 0.2), (0.2, 0.5), (0.05, 1.0)):
         _, via_p, via_m2 = lcd_weighted_sum_bounds(
-            0.5, p, m2, 0.5, 2.0, 1.0, 4.0, 1
+            0.5, p, m2, LcdParams(0.5, 1.0), 2.0, 4.0, 1
         )
         assert via_m2 <= via_p + 1e-12
         if m2 == p:
@@ -117,7 +117,7 @@ def test_lcd_m2_dominates_p_route():
 def test_lcd_lambda_prefactor():
     lam = 0.5
     via_lambda, via_p, _ = lcd_weighted_sum_bounds(
-        lam, lam, lam, 0.5, 2.0, 1.0, 4.0, 1
+        lam, lam, lam, LcdParams(0.5, 1.0), 2.0, 4.0, 1
     )
     assert abs(via_lambda - via_p / lam) < 1e-12
 
@@ -171,10 +171,11 @@ def test_chain_lcd_branch_counts_premise_failures():
     a = WeightVector(np.ones((4, 1)))
     # D far above the true denominator: the premise must fail somewhere
     grid = np.linspace(-6.0, 6.0, 301)[:, None]
-    rep = verify_pointwise_chain(a, grid, gamma=0.5, alpha=10.0, big_d=5.0)
+    lcd = LcdParams(gamma=0.5, alpha=10.0)
+    rep = verify_pointwise_chain(a, grid, lcd=lcd, big_d=5.0)
     assert rep.premise_failures > 0
     with pytest.raises(InputError):
-        verify_pointwise_chain(a, grid, gamma=0.5)
+        verify_pointwise_chain(a, grid, lcd=lcd)
 
 
 def test_chain_violation_error_carries_location():

@@ -164,6 +164,12 @@ def test_budget_help_says_what_each_command_counts(capsys, command, text):
     assert f"--budget BUDGET {text}" in help_text
     if command == "bounds":
         assert "enumeration" not in help_text
+    # the help states the Monte Carlo minimum that the estimator enforces
+    assert "at least 1,000" in help_text
+    mc = ["--method", "mc"] if command == "q" else []
+    code, out, err = run([command, str(ONES10), *mc, "--budget", "999"], capsys)
+    assert code == 2 and out == ""
+    assert "Monte Carlo needs at least 1000 samples" in err
 
 
 def test_gapfit_command(capsys):
@@ -338,3 +344,27 @@ def test_constants_file_must_hold_an_object(capsys, tmp_path, argv, text):
     assert code == 2
     assert out == ""
     assert "constants: expected a JSON object" in err
+
+
+@pytest.mark.parametrize("command", ["q", "lcd", "gapfit", "bounds", "verify"])
+@pytest.mark.parametrize(
+    "setting",
+    [{"gamma": 1.5}, {"alpha": 0}, {"theta_max": -1}, {"constants": {"c2": -1}},
+     {"constants": {"zz": 1}}, {"r": -1}, {"m": 0}, {"s": 0}],
+    ids=["gamma", "alpha", "theta_max", "constant-value", "constant-name", "r", "m", "s"],
+)
+def test_bad_setting_fails_at_load_naming_its_file(capsys, tmp_path, command, setting):
+    # every setting is checked when its instance is loaded, whatever the
+    # command reads; bounds and verify load a directory beside a good file
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "01-ones-04.json").write_text((CORPUS / "01-ones-04.json").read_text())
+    obj = json.loads(ONES10.read_text())
+    obj["parameters"].update(setting)
+    bad = corpus / ONES10.name
+    bad.write_text(json.dumps(obj))
+    target = corpus if command in ("bounds", "verify") else bad
+    code, out, err = run([command, str(target)], capsys)
+    assert code == 2
+    assert out == ""
+    assert str(bad) in err

@@ -90,6 +90,19 @@ def test_load_instances_malformed_json(tmp_path):
         load_instances(p)
 
 
+def test_load_errors_name_the_file_once(tmp_path):
+    p = tmp_path / "bad-dist.json"
+    p.write_text(json.dumps(dict(GOOD, distribution="uniform{}")))
+    with pytest.raises(InputError) as exc:
+        load_instances(p)
+    assert str(exc.value).startswith(f"{p}: ") and "uniform{}" in str(exc.value)
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"id": "x"')
+    with pytest.raises(InputError) as exc:
+        load_instances(broken)
+    assert str(exc.value).count(str(broken)) == 1
+
+
 def test_load_instances_missing_file(tmp_path):
     with pytest.raises(InputError):
         load_instances(tmp_path / "absent.json")
