@@ -19,13 +19,22 @@ WINDOW_TOL = 3e-12
 _MASK64 = (1 << 64) - 1
 
 
+def float_array(arr) -> np.ndarray:
+    """``arr`` as a float array; DomainError when numpy cannot read it as one
+    (ragged nesting, strings, mappings)."""
+    try:
+        return np.asarray(arr, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"expected an array of numbers, got {arr!r:.60}") from exc
+
+
 def as_points(arr, dim: int | None = None) -> np.ndarray:
     """Coerce input to a (k, d) float array of points.
 
     A 1-d input is read as k scalars (points on the line).  A single point in
     R^d with d >= 2 must therefore be passed as a nested list.
     """
-    a = np.asarray(arr, dtype=float)
+    a = float_array(arr)
     if a.ndim == 0:
         a = a.reshape(1, 1)
     elif a.ndim == 1:
@@ -39,7 +48,7 @@ def as_points(arr, dim: int | None = None) -> np.ndarray:
 
 def as_vector(t, dim: int) -> np.ndarray:
     """Coerce a scalar or sequence to a (dim,) float vector."""
-    v = np.asarray(t, dtype=float).reshape(-1)
+    v = float_array(t).reshape(-1)
     if v.size != dim:
         raise DomainError(f"expected a vector in R^{dim}, got size {v.size}")
     return v
@@ -51,16 +60,26 @@ def dedupe_points(points: np.ndarray, weights: np.ndarray, tol: float):
     Groups are maximal runs of lex-sorted points whose consecutive gaps stay
     within ``tol``; each group collapses to its weighted mean.  The run rule is
     invariant under negation of the whole point set, which keeps symmetrized
-    supports symmetric.
+    supports symmetric.  Points on the line that are already ascending are
+    not sorted again (a stable sort of them is the identity), and when none
+    of them merge the inputs come back as they are, not copied.
     """
     points = np.asarray(points, dtype=float)
     weights = np.asarray(weights, dtype=float)
     if points.shape[0] <= 1:
         return points.copy(), weights.copy()
-    order = np.lexsort(points.T[::-1])
-    p = points[order]
-    w = weights[order]
-    gaps = np.max(np.abs(np.diff(p, axis=0)), axis=1)
+    p, w = points, weights
+    line = points.shape[1] == 1
+    if not (line and np.all(points[1:, 0] >= points[:-1, 0])):
+        order = np.lexsort(points.T[::-1])
+        p = points[order]
+        w = weights[order]
+        del order  # the permutation is as big as the points: free it early
+    if line:
+        # sorted points on the line: the max-norm gaps are their differences
+        gaps = np.diff(p[:, 0])
+    else:
+        gaps = np.max(np.abs(np.diff(p, axis=0)), axis=1)
     starts = np.concatenate([[True], gaps > tol])
     if starts.all():
         return p, w
@@ -81,14 +100,18 @@ def dedupe_points(points: np.ndarray, weights: np.ndarray, tol: float):
 def distinct_rows(points: np.ndarray):
     """Exactly equal rows of ``points`` collapsed, with their multiplicities.
 
-    Rows are lex-sorted and split into runs of equal rows; each run keeps its
-    first row verbatim and its length as an integer count.  There is no
-    tolerance and no averaging (unlike :func:`dedupe_points`), so every
-    returned row is one of the input rows bit for bit.
+    Rows are sorted and split into runs of equal rows; each run keeps one of
+    its rows and its length as an integer count.  There is no tolerance and
+    no averaging (unlike :func:`dedupe_points`), so every returned row is one
+    of the input rows bit for bit, except that a run of zeros may keep either
+    signed zero.  Rows come back in lexicographic order.
     """
     if points.shape[0] == 0:
         return points.copy(), np.zeros(0, dtype=np.int64)
-    p = points[np.lexsort(points.T[::-1])]
+    if points.shape[1] == 1:
+        p = np.sort(points, axis=0)  # one column: far cheaper than the lexsort
+    else:
+        p = points[np.lexsort(points.T[::-1])]
     starts = np.empty(p.shape[0], dtype=bool)
     starts[0] = True
     np.any(p[1:] != p[:-1], axis=1, out=starts[1:])

@@ -38,6 +38,8 @@ _MC_MIN_SAMPLES = 1000
 _MC_CHUNK = 65536
 # Ball hits held at once while summing multiplicities in mc_q.
 _BALL_HIT_BUDGET = 1 << 20
+# Anchors of one block of the 1-d window sweep, bounded before it is swept.
+_SWEEP_BLOCK = 1024
 # Centres of a cell that _max_ball_mass counts one by one rather than split.
 _CELL_CENTERS = 4
 
@@ -173,15 +175,38 @@ def weighted_sum_distribution(
 
 
 def _max_window_mass_1d(z: np.ndarray, w: np.ndarray, tau: float) -> float:
-    """Largest mass of a closed length-``tau`` window, left edge at an atom."""
-    order = np.argsort(z, kind="stable")
-    zs = z[order]
-    ws = w[order]
-    cw = np.concatenate([[0.0], np.cumsum(ws)])
-    hi = np.searchsorted(
-        zs, zs + tau + WINDOW_TOL * np.maximum(1.0, np.abs(zs)), side="right"
-    )
-    best = float(np.max(cw[hi] - cw[: len(zs)]))
+    """Largest mass of a closed length-``tau`` window, left edge at an atom.
+
+    The sorted anchors are taken in blocks of ``_SWEEP_BLOCK``.  Every window
+    of a block ends at or before the window end of its last anchor with the
+    slack of its largest |z| (rounding is monotone), so the mass up to there
+    less the mass before the block bounds each of them: cumulative sums of
+    nonnegative weights rise, and float subtraction is monotone.  Blocks are
+    swept in falling order of their bounds until no bound beats the best
+    mass, which is then the full sweep's maximum, bit for bit.
+    """
+    if not np.all(z[1:] >= z[:-1]):
+        order = np.argsort(z, kind="stable")
+        z = z[order]
+        w = w[order]
+    n = len(z)
+    cw = np.empty(n + 1)
+    cw[0] = 0.0
+    np.cumsum(w, dtype=float, out=cw[1:])
+    starts = np.arange(0, n, _SWEEP_BLOCK)
+    ends = np.minimum(starts + _SWEEP_BLOCK, n)
+    widest = np.maximum(np.abs(z[starts]), np.abs(z[ends - 1]))
+    reach = z[ends - 1] + tau + WINDOW_TOL * np.maximum(1.0, widest)
+    bound = cw[np.searchsorted(z, reach, side="right")] - cw[starts]
+    best = -math.inf
+    for b in np.argsort(-bound):
+        if not bound[b] > best:
+            break
+        lo, hi = starts[b], ends[b]
+        zb = z[lo:hi]
+        reach_b = zb + tau + WINDOW_TOL * np.maximum(1.0, np.abs(zb))
+        mass = cw[np.searchsorted(z, reach_b, side="right")] - cw[lo:hi]
+        best = max(best, float(np.max(mass)))
     return min(best, float(cw[-1]))
 
 

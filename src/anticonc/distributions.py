@@ -19,6 +19,7 @@ from ._common import (
     DEDUP_TOL,
     as_points,
     dedupe_points,
+    float_array,
     mirror_pair_symmetrize,
 )
 from .errors import DomainError, InputError
@@ -60,7 +61,7 @@ class DiscreteDistribution:
 
     def __init__(self, atoms, weights, normalized: bool = True):
         pts = as_points(atoms)
-        w = np.asarray(weights, dtype=float).reshape(-1)
+        w = float_array(weights).reshape(-1)
         if pts.shape[0] != w.shape[0]:
             raise DomainError(
                 f"{pts.shape[0]} atoms but {w.shape[0]} weights"
@@ -71,7 +72,11 @@ class DiscreteDistribution:
             raise DomainError("atoms must be finite")
         if not np.all(np.isfinite(w)) or np.any(w < 0):
             raise DomainError("weights must be finite and nonnegative")
-        pts, w = dedupe_points(pts, w, DEDUP_TOL)
+        merged, mw = dedupe_points(pts, w, DEDUP_TOL)
+        # sorted, separated atoms come back as they went in: copy them then,
+        # so that no caller's array backs (or is frozen by) the distribution
+        pts = merged.copy() if merged is pts else merged
+        w = mw.copy() if mw is w else mw
         if normalized and abs(float(w.sum()) - 1.0) > WEIGHT_SUM_TOL:
             raise DomainError(
                 f"weights sum to {float(w.sum())!r}; "

@@ -140,6 +140,8 @@ class InstanceSpec:
             x = DiscreteDistribution.from_spec(obj["distribution"])
         except DomainError as exc:
             raise InputError(f"instance {obj['id']!r}: distribution: {exc}") from exc
+        except InputError as exc:  # its message starts "distribution: "
+            raise InputError(f"instance {obj['id']!r}: {exc}") from exc
         try:
             a = WeightVector.from_json_obj(obj["weights"])
         except DomainError as exc:

@@ -63,6 +63,48 @@ def oracle_q_1d(support, probs, weights, tau):
     return best
 
 
+def oracle_max_window_mass(z, w, tau):
+    """Largest mass of a closed window [z_i, z_i + tau] anchored at an atom:
+    one ``searchsorted`` per anchor over the stably sorted atoms, with slack
+    3e-12 * max(1, |z_i|), the mass taken from cumulative sums and capped by
+    the total."""
+    z = np.asarray(z, dtype=float)
+    order = np.argsort(z, kind="stable")
+    zs = z[order]
+    cw = np.concatenate([[0.0], np.cumsum(np.asarray(w)[order])])
+    hi = np.searchsorted(
+        zs, zs + tau + 3e-12 * np.maximum(1.0, np.abs(zs)), side="right"
+    )
+    return min(float(np.max(cw[hi] - cw[: len(zs)])), float(cw[-1]))
+
+
+def oracle_dedupe_points(points, weights, tol):
+    """Points merged along the lexicographic sweep, every input lex-sorted:
+    runs whose consecutive max-norm gaps stay within ``tol`` collapse to their
+    weighted mean (a zero-weight run to its first member)."""
+    points = np.asarray(points, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    if points.shape[0] <= 1:
+        return points.copy(), weights.copy()
+    order = np.lexsort(points.T[::-1])
+    p = points[order]
+    w = weights[order]
+    gaps = np.max(np.abs(np.diff(p, axis=0)), axis=1)
+    starts = np.concatenate([[True], gaps > tol])
+    if starts.all():
+        return p, w
+    group = np.cumsum(starts) - 1
+    k = int(group[-1]) + 1
+    wsum = np.bincount(group, weights=w, minlength=k)
+    merged = np.empty((k, p.shape[1]))
+    for j in range(p.shape[1]):
+        merged[:, j] = np.bincount(group, weights=w * p[:, j], minlength=k)
+    pos = wsum > 0
+    merged[pos] /= wsum[pos, None]
+    merged[~pos] = p[starts][~pos]
+    return merged, wsum
+
+
 def _circumcenter(pts):
     """Center equidistant from all rows of pts, or None when degenerate."""
     pts = np.asarray(pts, dtype=float)

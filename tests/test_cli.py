@@ -368,3 +368,22 @@ def test_bad_setting_fails_at_load_naming_its_file(capsys, tmp_path, command, se
     assert code == 2
     assert out == ""
     assert str(bad) in err
+
+
+@pytest.mark.parametrize(
+    "field",
+    [{"weights": [[1, 2], [3]]}, {"weights": "abc"}, {"weights": {"a": 1}},
+     {"distribution": {"atoms": [1, [2]], "weights": [0.5, 0.5]}},
+     {"distribution": "uniform{}"}],
+    ids=["ragged-weights", "string-weights", "object-weights", "ragged-atoms", "bad-shorthand"],
+)
+def test_malformed_input_is_exit_two_naming_file_and_instance(capsys, tmp_path, field):
+    obj = json.loads(ONES10.read_text())
+    obj.update(field)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    code, out, err = run(["q", str(bad)], capsys)
+    assert code == 2
+    assert out == ""
+    assert str(bad) in err
+    assert f"instance {obj['id']!r}: " in err

@@ -240,6 +240,40 @@ def test_window_is_closed_interval():
     assert exact_q(RAD, a, 1.999).value == 0.5
 
 
+@settings(max_examples=120, deadline=None)
+@given(
+    n=st.one_of(
+        st.sampled_from([1, 2, 1023, 1024, 1025, 2047, 2048, 2049, 9000]),
+        st.integers(1, 9000),
+    ),
+    values=st.sampled_from(["generic", "lattice", "near-minus-1e3"]),
+    weights=st.sampled_from(["uniform", "zeros", "counts"]),
+    ascending=st.booleans(),
+    tau=st.sampled_from([0.0, 1e-9, 0.5, 1.0, 3.0, 1e6]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_window_sweep_matches_the_full_sweep(n, values, weights, ascending, tau, seed):
+    # the block bounds must never skip the window of the largest mass
+    rng = np.random.default_rng(seed)
+    if values == "generic":
+        z = rng.uniform(-50.0, 50.0, size=n)
+    elif values == "lattice":
+        z = rng.integers(-40, 41, size=n) * 0.25  # ties, and edges on atoms
+    else:
+        z = -1e3 + rng.integers(0, 2000, size=n) * 1e-3
+    if weights == "counts":
+        w = rng.integers(1, 5, size=n)
+    else:
+        w = rng.uniform(0.0, 1.0, size=n)
+        if weights == "zeros":
+            w[rng.random(n) < 0.5] = 0.0
+    if ascending:
+        order = np.argsort(z, kind="stable")
+        z, w = z[order], w[order]
+    got = concentration._max_window_mass_1d(z, w, tau)
+    assert got == O.oracle_max_window_mass(z, w, tau)
+
+
 def test_weighted_sum_distribution_merges():
     dist = weighted_sum_distribution(RAD, WeightVector([[1.0], [1.0]]))
     assert dist.n_atoms == 3
