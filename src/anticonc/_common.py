@@ -1,10 +1,12 @@
-"""Shared numeric tolerances, point-array helpers, and seed derivation."""
+"""Shared numeric tolerances, the JSON number rule, point-array helpers, seeds."""
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, InputError
 
 # Max-norm tolerance for merging atoms at construction time.
 DEDUP_TOL = 1e-12
@@ -19,12 +21,32 @@ WINDOW_TOL = 3e-12
 _MASK64 = (1 << 64) - 1
 
 
+def json_number(value, what: str, kind=float):
+    """``value`` by the number rule of every JSON input: an integer when
+    ``kind`` is int, else a finite float.  A bool, a string, any other type,
+    or a number past the float range raises InputError naming ``what``."""
+    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+        wanted = "an integer" if kind is int else "a number"
+        raise InputError(f"{what}: expected {wanted}, got {value!r:.60}")
+    if not abs(value) <= sys.float_info.max:  # inf, nan, or an integer past it
+        raise InputError(f"{what}: expected a finite number, got {value!r:.60}")
+    return value if kind is int else float(value)
+
+
 def float_array(arr) -> np.ndarray:
-    """``arr`` as a float array; DomainError when numpy cannot read it as one
-    (ragged nesting, strings, mappings)."""
+    """``arr`` as a float array; DomainError unless every entry is a number in
+    the float range, nested regularly.  Strings, bools, nulls, mappings and
+    integers past the float range are refused.  A float ndarray comes back
+    uncopied."""
     try:
-        return np.asarray(arr, dtype=float)
-    except (TypeError, ValueError) as exc:
+        if not (isinstance(arr, np.ndarray) and arr.dtype.kind in "iuf"):
+            # numpy parses strings, reads [true, 2] as ints and 10**30 as an object
+            entries = np.asarray(arr, dtype=object).flat
+            numbers = (int, float, np.integer, np.floating)
+            if not all(isinstance(v, numbers) and not isinstance(v, bool) for v in entries):
+                raise TypeError("not a number")
+        return np.asarray(arr, dtype=float)  # OverflowError past the float range
+    except (OverflowError, TypeError, ValueError) as exc:
         raise DomainError(f"expected an array of numbers, got {arr!r:.60}") from exc
 
 

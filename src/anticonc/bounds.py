@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ._common import derive_seed
+from ._common import derive_seed, json_number
 from .concentration import (
     ConcentrationEstimate,
     WeightVector,
@@ -89,12 +89,9 @@ class ConstantsConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            v = getattr(self, f.name)
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                raise DomainError(f"constant {f.name} must be a number")
-            v = float(v)
-            if not math.isfinite(v) or v <= 0.0:
-                raise DomainError(f"constant {f.name} must be positive and finite")
+            v = json_number(getattr(self, f.name), f"constants.{f.name}")
+            if v <= 0.0:
+                raise DomainError(f"constants.{f.name}: expected a positive number, got {v!r}")
             object.__setattr__(self, f.name, v)
 
     def to_json_obj(self) -> dict:
@@ -121,13 +118,40 @@ def _check_unit_mass(value: float, name: str) -> float:
     return min(value, 1.0)
 
 
-def _two_term(lead: float, first_num: float, count: int, mass: float, r: int) -> float:
-    """lead * (first_num / (count * sqrt(mass)) + (r+1)^(5r/2) / mass^((r+1)/2))."""
+def _inf_past_float_range(form):
+    """Make a bound form inf (vacuous) when a term of it leaves the float
+    range: an overflow, or a denominator that underflows to zero."""
+
+    def guarded(*args):
+        try:
+            return form(*args)
+        except (OverflowError, ZeroDivisionError):
+            return math.inf
+
+    return guarded
+
+
+_power = _inf_past_float_range(pow)
+
+
+@_inf_past_float_range
+def _two_term(c: float, count: int, mass: float, r: int, inflate: float | None = None) -> float:
+    """c^(r+1) * (I / (count * sqrt(mass)) + (r+1)^(5r/2) / mass^((r+1)/2)), with
+    the inflation I = (inflate * r + 1)^(3r^2/2) of the symmetric class, or 1."""
     if mass <= 0.0:
         return math.inf
+    first_num = 1.0 if inflate is None else (inflate * r + 1.0) ** (1.5 * r * r)
     first = first_num / (count * math.sqrt(mass))
     second = (r + 1) ** (2.5 * r) / mass ** (0.5 * (r + 1))
-    return lead * (first + second)
+    return c ** (r + 1) * (first + second)
+
+
+@_inf_past_float_range
+def _window(kappa: float, delta: float, d: int = 1) -> float:
+    """The window count (1 + floor(kappa/delta))^d, for positive kappa and delta."""
+    if not (kappa > 0 and delta > 0):
+        raise DomainError("kappa and delta must be positive")
+    return float((1 + math.floor(kappa / delta)) ** d)
 
 
 def compound_poisson_bound_cgap(
@@ -144,7 +168,7 @@ def compound_poisson_bound_cgap(
         raise DomainError("intensity alpha must be positive")
     check_caps(r, m=m)
     beta = _check_unit_mass(beta, "beta")
-    return _two_term(constants.c2 ** (r + 1), 1.0, m, alpha * beta, r)
+    return _two_term(constants.c2, m, alpha * beta, r)
 
 
 def weighted_sum_bound_cgap(
@@ -163,15 +187,12 @@ def weighted_sum_bound_cgap(
     step tail at ratio tau/kappa and beta_star the coverage deficit of the
     spectral weight measure at window delta.
     """
-    if not (kappa > 0 and delta > 0):
-        raise DomainError("kappa and delta must be positive")
     if n < 1:
         raise DomainError("n must be a positive integer")
     check_caps(r, m=m)
     p_val = _check_unit_mass(p_val, "p_val")
     beta_star = _check_unit_mass(beta_star, "beta_star")
-    window = 1 + math.floor(kappa / delta)
-    return window * _two_term(constants.c3 ** (r + 1), 1.0, m, n * p_val * beta_star, r)
+    return _window(kappa, delta) * _two_term(constants.c3, m, n * p_val * beta_star, r)
 
 
 def weighted_sum_bound_cgap_tail_free(
@@ -189,14 +210,11 @@ def weighted_sum_bound_cgap_tail_free(
     caller records that guard.  The tail factor is dropped from the mass
     slot, which is why no p argument appears.
     """
-    if not (kappa > 0 and delta > 0):
-        raise DomainError("kappa and delta must be positive")
     if n < 1:
         raise DomainError("n must be a positive integer")
     check_caps(r, m=m)
     beta_star = _check_unit_mass(beta_star, "beta_star")
-    window = 1 + math.floor(kappa / delta)
-    return window * _two_term(constants.c4 ** (r + 1), 1.0, m, n * beta_star, r)
+    return _window(kappa, delta) * _two_term(constants.c4, m, n * beta_star, r)
 
 
 def compound_poisson_bound_gap(
@@ -211,8 +229,7 @@ def compound_poisson_bound_gap(
         raise DomainError("intensity alpha must be positive")
     check_caps(r, s=s)
     gamma_val = _check_unit_mass(gamma_val, "gamma_val")
-    first_num = (constants.c6 * r + 1.0) ** (1.5 * r * r)
-    return _two_term(constants.c5 ** (r + 1), first_num, s, alpha * gamma_val, r)
+    return _two_term(constants.c5, s, alpha * gamma_val, r, constants.c6)
 
 
 def weighted_sum_bound_gap_tail_free(
@@ -225,15 +242,11 @@ def weighted_sum_bound_gap_tail_free(
     constants: ConstantsConfig = DEFAULT_CONSTANTS,
 ) -> float:
     """Tail-free weighted-sum bound over capped symmetric progression images."""
-    if not (kappa > 0 and delta > 0):
-        raise DomainError("kappa and delta must be positive")
     if n < 1:
         raise DomainError("n must be a positive integer")
     check_caps(r, s=s)
     gamma_star = _check_unit_mass(gamma_star, "gamma_star")
-    window = 1 + math.floor(kappa / delta)
-    first_num = (constants.c8 * r + 1.0) ** (1.5 * r * r)
-    return window * _two_term(constants.c7 ** (r + 1), first_num, s, n * gamma_star, r)
+    return _window(kappa, delta) * _two_term(constants.c7, s, n * gamma_star, r, constants.c8)
 
 
 def transfer_bound_plain(
@@ -253,13 +266,12 @@ def transfer_bound_window(
     constants: ConstantsConfig = DEFAULT_CONSTANTS,
 ) -> float:
     """Window-refined transfer: c_d * (1 + floor(kappa/delta))^d * Q(H^p, delta)."""
-    if not (kappa > 0 and delta > 0):
-        raise DomainError("kappa and delta must be positive")
     if d < 1:
         raise DomainError("dimension must be a positive integer")
     if q_smoothed < 0:
         raise DomainError("q_smoothed must be nonnegative")
-    return constants.c_d * (1 + math.floor(kappa / delta)) ** d * q_smoothed
+    window = _window(kappa, delta, d)  # inf past the float range, even at q_smoothed 0
+    return window if math.isinf(window) else constants.c_d * window * q_smoothed
 
 
 def transfer_bound_refined(
@@ -833,8 +845,8 @@ def _structure_budgets(
     window-count replacement).  Per-coordinate entries are lists of length d.
     """
     rho = delta / kappa
-    lead = 2.0 * c.c9 ** (r + 1)
-    rank_term = (r + 1) ** (2.5 * r)
+    lead = 2.0 * _power(c.c9, r + 1)
+    rank_term = _power(r + 1, 2.5 * r)
     if f_val > 0.0:
         n_prime_min = [
             (lead * rank_term * kappa / (q * delta)) ** (2.0 / (r + 1)) / f_val
@@ -861,9 +873,9 @@ def _structure_budgets(
         size_product = math.inf
         uncovered_log = [math.inf] * d
     feasible = all(v < n_prime for v in n_prime_min) and n_prime <= n
-    inflate_sym = (c.c10 * r) ** (1.5 * r * r)
-    inflate_proper = (c.c11 * r) ** (7.5 * r * r)
-    inflate_small_gens = (c.c12 * r) ** (10.5 * r * r)
+    inflate_sym = _power(c.c10 * r, 1.5 * r * r)
+    inflate_proper = _power(c.c11 * r, 7.5 * r * r)
+    inflate_small_gens = _power(c.c12 * r, 10.5 * r * r)
     return {
         "feasible": feasible,
         "n_prime_min": n_prime_min,
@@ -994,17 +1006,11 @@ def inverse_principle_report(
         "uncovered_pair_count": 2 * n_prime,
     }
     shared["rank_log_total"] = float(sum(shared["rank_log"]))
-    budgets = {
-        "shared": shared,
-        "tail_mass": _structure_budgets(
-            q_coords, p_val, n, n_prime, kappa, delta, rank,
-            a.norm(), d, constants,
-        ),
-        "tail_free": _structure_budgets(
-            q_coords, lam1, n, n_prime, kappa, delta, rank,
-            a.norm(), d, constants,
-        ),
-    }
+    budgets = {"shared": shared}
+    for family, f_val in (("tail_mass", p_val), ("tail_free", lam1)):
+        budgets[family] = _structure_budgets(
+            q_coords, f_val, n, n_prime, kappa, delta, rank, a.norm(), d, constants
+        )
     budgets["tail_free"]["guard_value"] = lam1
     budgets["tail_free"]["guard_ok"] = bool(lam1 >= 1.0)
 

@@ -64,15 +64,14 @@ def _constants_for(args, spec) -> ConstantsConfig:
     if args.constants:
         path = Path(args.constants)
         try:
-            table = json.loads(path.read_text())
+            table = ConstantsConfig.from_json_obj(json.loads(path.read_text())).to_json_obj()
         except OSError as exc:
             raise InputError(f"cannot read constants file {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (DomainError, InputError) as exc:
+            raise InputError(f"{path}: instance {spec.id!r}: {exc}") from exc
+        except ValueError as exc:  # malformed, or an integer of over 4,300 digits
             raise InputError(f"{path}: malformed JSON: {exc}") from exc
-        if not isinstance(table, dict):
-            raise InputError("constants: expected a JSON object")
-    table.update(spec.param("constants", {}))
-    return ConstantsConfig.from_json_obj(table)
+    return ConstantsConfig.from_json_obj({**table, **spec.param("constants", {})})
 
 
 def _single_instance(path):

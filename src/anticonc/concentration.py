@@ -31,7 +31,7 @@ from .distributions import (
     as_seed_int,
     cp_sample_rng,
 )
-from .errors import CapacityError, DomainError, NumericsError
+from .errors import CapacityError, DomainError, InputError, NumericsError
 
 DEFAULT_EXACT_BUDGET = 20_000_000
 _MC_MIN_SAMPLES = 1000
@@ -101,7 +101,10 @@ class WeightVector:
 
     @classmethod
     def from_json_obj(cls, obj) -> "WeightVector":
-        return cls(obj)
+        try:
+            return cls(obj)
+        except DomainError as exc:
+            raise InputError(f"weights: {exc}") from exc
 
     def __repr__(self):
         return f"WeightVector(n={self.n}, dim={self.dim})"

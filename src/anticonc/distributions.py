@@ -132,10 +132,11 @@ class DiscreteDistribution:
         for key in ("atoms", "weights"):
             if key not in obj:
                 raise InputError(f"distribution: missing field '{key}'")
+        normalized = obj.get("normalized", True)
+        if not isinstance(normalized, bool):
+            raise InputError(f"distribution: normalized: expected a bool, got {normalized!r:.60}")
         try:
-            return cls(
-                obj["atoms"], obj["weights"], bool(obj.get("normalized", True))
-            )
+            return cls(obj["atoms"], obj["weights"], normalized)
         except DomainError as exc:
             raise InputError(f"distribution: {exc}") from exc
 
@@ -168,9 +169,10 @@ class DiscreteDistribution:
     @classmethod
     def from_spec(cls, obj) -> "DiscreteDistribution":
         """Loader accepting either a shorthand string or a JSON object."""
-        if isinstance(obj, str):
-            return cls.from_shorthand(obj)
-        return cls.from_json_obj(obj)
+        try:
+            return cls.from_shorthand(obj) if isinstance(obj, str) else cls.from_json_obj(obj)
+        except DomainError as exc:  # a shorthand's atoms, such as uniform{inf}
+            raise InputError(f"distribution: {exc}") from exc
 
     @classmethod
     def rademacher(cls) -> "DiscreteDistribution":

@@ -4,12 +4,12 @@ optional frozen expected values used by the verification suite."""
 from __future__ import annotations
 
 import json
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
+from ._common import json_number
 from .bounds import ConstantsConfig
 from .concentration import WeightVector
 from .distributions import DiscreteDistribution
@@ -17,16 +17,11 @@ from .errors import DomainError, InputError
 from .lcd import LcdParams
 from .progressions import DEFAULT_CAPS, check_caps
 
-_NUMERIC_PARAMS = {
-    "tau",
-    "kappa",
-    "delta",
-    "gamma",
-    "alpha",
-    "theta_max",
-    "smoothing_power",
+# The number rule of each parameter: a finite float, or an integer.
+_PARAM_KINDS = {
+    "tau": float, "kappa": float, "delta": float, "gamma": float, "alpha": float,
+    "theta_max": float, "smoothing_power": float, "r": int, "m": int, "s": int,
 }
-_INT_PARAMS = {"r", "m", "s"}
 
 
 def _check_parameters(params: dict) -> dict:
@@ -34,23 +29,10 @@ def _check_parameters(params: dict) -> dict:
         raise InputError("parameters: expected an object")
     out = {}
     for key, value in params.items():
-        if key == "constants":
-            if not isinstance(value, dict):
-                raise InputError("parameters.constants: expected an object")
-            out[key] = dict(value)
-        elif key in _INT_PARAMS:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise InputError(f"parameters.{key}: expected an integer")
+        if key in _PARAM_KINDS:
+            out[key] = json_number(value, f"parameters.{key}", _PARAM_KINDS[key])
+        elif key == "constants":  # its table is ConstantsConfig.from_json_obj's to check
             out[key] = value
-        elif key in _NUMERIC_PARAMS:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise InputError(f"parameters.{key}: expected a number")
-            try:
-                out[key] = float(value)
-            except OverflowError:  # an integer literal past the float range
-                out[key] = math.inf
-            if not math.isfinite(out[key]):
-                raise InputError(f"parameters.{key}: expected a finite number")
         else:
             raise InputError(f"parameters: unknown field {key!r}")
     return out
@@ -128,25 +110,16 @@ class InstanceSpec:
             raise InputError("instance: expected a JSON object")
         if "id" not in obj or not isinstance(obj["id"], str) or not obj["id"]:
             raise InputError("instance: missing or empty field 'id'")
-        if "distribution" not in obj:
-            raise InputError("instance: missing field 'distribution'")
-        if "weights" not in obj:
-            raise InputError("instance: missing field 'weights'")
+        for key in ("distribution", "weights"):
+            if key not in obj:
+                raise InputError(f"instance: missing field {key!r}")
         known = {"id", "distribution", "weights", "parameters", "expected"}
         for key in obj:
             if key not in known:
                 raise InputError(f"instance: unknown field {key!r}")
-        try:
+        try:  # each loader's message starts with its field
             x = DiscreteDistribution.from_spec(obj["distribution"])
-        except DomainError as exc:
-            raise InputError(f"instance {obj['id']!r}: distribution: {exc}") from exc
-        except InputError as exc:  # its message starts "distribution: "
-            raise InputError(f"instance {obj['id']!r}: {exc}") from exc
-        try:
             a = WeightVector.from_json_obj(obj["weights"])
-        except DomainError as exc:
-            raise InputError(f"instance {obj['id']!r}: weights: {exc}") from exc
-        try:
             params = _check_parameters(obj.get("parameters", {}))
         except InputError as exc:
             raise InputError(f"instance {obj['id']!r}: {exc}") from exc
@@ -164,7 +137,7 @@ class InstanceSpec:
             raise InputError(f"cannot read instance file {path}: {exc}") from exc
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # malformed, or an integer of over 4,300 digits
             raise InputError(f"{path}: malformed JSON: {exc}") from exc
         try:
             return cls.from_json_obj(obj)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._common import CONVOLUTION_MERGE_TOL, as_points, dedupe_points
+from ._common import CONVOLUTION_MERGE_TOL, as_points, dedupe_points, float_array, json_number
 from .distributions import DiscreteDistribution
 from .errors import CapacityError, ClassCapError, DomainError, InputError
 
@@ -70,7 +70,7 @@ class Gap:
     __slots__ = ("_dims", "_gens")
 
     def __init__(self, dims, gens, ambient_dim: int | None = None):
-        dims = tuple(float(v) for v in np.asarray(dims, dtype=float).reshape(-1))
+        dims = tuple(float(v) for v in float_array(dims).reshape(-1))
         if any(not math.isfinite(v) or v <= 0 for v in dims):
             raise DomainError("progression radii must be positive and finite")
         if len(dims) == 0:
@@ -144,8 +144,9 @@ class Gap:
         if not isinstance(obj, dict) or "L" not in obj or "g" not in obj:
             raise InputError("gap: expected an object with fields 'L' and 'g'")
         try:
-            return cls(obj["L"], obj["g"], obj.get("dim"))
-        except DomainError as exc:
+            dim = json_number(obj["dim"], "dim", int) if "dim" in obj else None
+            return cls(obj["L"], obj["g"], dim)
+        except ValueError as exc:  # ours, or numpy's on a dim below 1
             raise InputError(f"gap: {exc}") from exc
 
     def __repr__(self):
@@ -161,7 +162,7 @@ class ConvexBody:
     __slots__ = ("_bounds",)
 
     def __init__(self, bounds):
-        b = np.asarray(bounds, dtype=float).reshape(-1)
+        b = float_array(bounds).reshape(-1)
         if np.any(b < 0) or not np.all(np.isfinite(b)):
             raise DomainError("box bounds must be finite and nonnegative")
         self._bounds = b
@@ -190,7 +191,10 @@ class ConvexBody:
     def from_json_obj(cls, obj: dict) -> "ConvexBody":
         if not isinstance(obj, dict) or "box" not in obj:
             raise InputError("V: expected an object with a 'box' field")
-        return cls(obj["box"])
+        try:
+            return cls(obj["box"])
+        except DomainError as exc:
+            raise InputError(f"V: {exc}") from exc
 
     def __repr__(self):
         return f"ConvexBody(box, dim={self.dim})"
@@ -229,7 +233,7 @@ class Cgap:
     __slots__ = ("_h", "_body", "_cap")
 
     def __init__(self, h, body: ConvexBody, cap: int):
-        hv = np.asarray(h, dtype=float).reshape(-1)
+        hv = float_array(h).reshape(-1)
         if not np.all(np.isfinite(hv)):
             raise DomainError("step vector must be finite")
         if body.dim != hv.size:
@@ -286,8 +290,9 @@ class Cgap:
             if key not in obj:
                 raise InputError(f"cgap: missing field '{key}'")
         try:
-            return cls(obj["h"], ConvexBody.from_json_obj(obj["V"]), int(obj["m"]))
-        except DomainError as exc:
+            m = json_number(obj["m"], "m", int)
+            return cls(obj["h"], ConvexBody.from_json_obj(obj["V"]), m)
+        except ValueError as exc:  # a DomainError or an InputError
             raise InputError(f"cgap: {exc}") from exc
 
     def __repr__(self):

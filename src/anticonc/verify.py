@@ -16,7 +16,7 @@ from functools import cache, partial
 
 import numpy as np
 
-from ._common import derive_seed, make_rng
+from ._common import derive_seed, json_number, make_rng
 from .bounds import verify_pointwise_chain
 from .concentration import (
     exact_q,
@@ -159,23 +159,13 @@ def _check_expected(spec, law, budget, skipped, bracket, searches) -> list:
 
 
 def _entry_field(entry, name, kind=float, default=None):
-    """The entry's ``name`` field as ``kind`` (a finite float, or an int); an
-    absent field is ``default``, or malformed when there is no default."""
+    """The entry's ``name`` field by the JSON number rule (a finite float, or an
+    int); an absent field is ``default``, or malformed when there is no default."""
     if name not in entry:
         if default is None:
             raise InputError(f"missing field {name!r}")
         return default
-    v = entry[name]
-    if isinstance(v, bool) or not isinstance(v, int if kind is int else (int, float)):
-        wanted = "an integer" if kind is int else "a number"
-        raise InputError(f"field {name!r}: expected {wanted}, got {v!r}")
-    try:
-        v = kind(v)
-    except OverflowError:  # an integer literal past the float range
-        v = math.inf
-    if kind is float and not math.isfinite(v):
-        raise InputError(f"field {name!r}: expected a finite number, got {v!r}")
-    return v
+    return json_number(entry[name], f"field {name!r}", kind)
 
 
 def _check_expected_entry(

@@ -534,3 +534,16 @@ UNIFORM3 = ((-1.0, 0.0, 1.0), (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)))
 def bernoulli(p):
     frac = Fraction(p).limit_denominator(10**9)
     return ((0.0, 1.0), (1 - frac, frac))
+
+
+# --- bound forms ---------------------------------------------------------------
+
+
+def oracle_two_term(lead, first_num, count, mass, r):
+    """lead * (first_num / (count sqrt(mass)) + (r+1)^(5r/2) / mass^((r+1)/2)),
+    term by term as first written; raises past the float range."""
+    if mass <= 0.0:
+        return math.inf
+    first = first_num / (count * math.sqrt(mass))
+    second = (r + 1) ** (2.5 * r) / mass ** (0.5 * (r + 1))
+    return lead * (first + second)

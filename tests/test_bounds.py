@@ -4,7 +4,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import _oracles as O
 from anticonc import bounds, progressions
 from anticonc._common import derive_seed
 from anticonc.bounds import (
@@ -53,6 +56,78 @@ def test_ws_cgap_equal_windows_is_vacuous():
     # kappa = delta doubles the leading factor; mass product 4 gives 1 + 1
     val = weighted_sum_bound_cgap(1.0, 1.0, 8, 0.5, 1.0, 0, 1)
     assert val == 2.0
+
+
+def test_bound_forms_past_the_float_range_are_infinite():
+    assert compound_poisson_bound_cgap(1e-20, 1.0, 40, 3) == math.inf  # a zero denominator
+    assert transfer_bound_window(0.5, 1e200, 1.0, 2) == math.inf
+    assert compound_poisson_bound_cgap(1.0, 0.5, 40, 3, ConstantsConfig(c2=1e10)) == math.inf
+    assert compound_poisson_bound_gap(5.0, 0.5, 14, 3) == math.inf
+    assert weighted_sum_bound_gap_tail_free(1.0, 0.5, 10, 0.5, 14, 3) == math.inf
+    assert weighted_sum_bound_cgap(1e300, 1e-300, 4, 0.5, 0.5, 1, 3) == math.inf
+    # (c6 r + 1)^(3 r^2 / 2) is 1.6e290 at r = 13: still finite
+    assert math.isfinite(compound_poisson_bound_gap(5.0, 0.5, 13, 3))
+
+
+def test_structure_budgets_past_the_float_range_are_infinite():
+    got = bounds._structure_budgets(
+        [0.1], 0.5, 100, 50, 1.0, 0.5, 40, 3.0, 1, ConstantsConfig(c9=1e10)
+    )
+    for key in ("n_prime_min", "cap_points", "size_symmetric", "size_proper",
+                "size_proper_small_gens"):
+        assert got[key] == [math.inf]
+    assert not got["feasible"]
+
+
+def _or_inf(form):
+    try:
+        return form()
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
+
+
+@given(
+    c=st.floats(0.1, 50.0),
+    inflate=st.floats(0.1, 50.0),
+    r=st.integers(0, 50),
+    cap=st.integers(1, 10**6),
+    alpha=st.floats(1e-30, 1e6),
+    mass=st.floats(0.0, 1.0),
+    kappa=st.floats(1e-300, 1e300),
+    delta=st.floats(1e-300, 1e300),
+    n=st.integers(1, 10**4),
+    d=st.integers(1, 3),
+)
+@settings(max_examples=300, deadline=None)
+def test_bound_forms_keep_their_bits_or_go_infinite(
+    c, inflate, r, cap, alpha, mass, kappa, delta, n, d
+):
+    # the forms as first written, where a term past the float range raised
+    k = ConstantsConfig(c2=c, c3=c, c4=c, c5=c, c6=inflate, c7=c, c8=inflate, c_d=c)
+
+    def two_term(inflated, count, m):
+        first_num = (inflate * r + 1.0) ** (1.5 * r * r) if inflated else 1.0
+        return O.oracle_two_term(c ** (r + 1), first_num, count, m, r)
+
+    def windowed(inflated, count, m):
+        return (1 + math.floor(kappa / delta)) * two_term(inflated, count, m)
+
+    cases = [
+        (compound_poisson_bound_cgap(alpha, mass, r, cap, k),
+         lambda: two_term(False, cap, alpha * mass)),
+        (compound_poisson_bound_gap(alpha, mass, r, cap, k),
+         lambda: two_term(True, cap, alpha * mass)),
+        (weighted_sum_bound_cgap(kappa, delta, n, mass, 0.5, r, cap, k),
+         lambda: windowed(False, cap, n * mass * 0.5)),
+        (weighted_sum_bound_cgap_tail_free(kappa, delta, n, mass, r, cap, k),
+         lambda: windowed(False, cap, n * mass)),
+        (weighted_sum_bound_gap_tail_free(kappa, delta, n, mass, r, cap, k),
+         lambda: windowed(True, cap, n * mass)),
+        (transfer_bound_window(mass, kappa, delta, d, k),
+         lambda: c * (1 + math.floor(kappa / delta)) ** d * mass),
+    ]
+    for got, form in cases:
+        assert np.float64(got).tobytes() == np.float64(_or_inf(form)).tobytes()
 
 
 def test_lcd_cp_frozen_example():

@@ -387,3 +387,95 @@ def test_malformed_input_is_exit_two_naming_file_and_instance(capsys, tmp_path, 
     assert out == ""
     assert str(bad) in err
     assert f"instance {obj['id']!r}: " in err
+
+
+# Every JSON value that is not a number, or is one past the float range.
+_NOT_NUMBERS = {
+    "string": "2",
+    "bool": True,
+    "null": None,
+    "huge-int": 10**400,
+    "bool-list": [True, False],
+    "object": {"a": 1},
+}
+# Where a number is read, and the text that names the field in the error.
+_NUMBER_PLACES = {
+    "tau": "parameters.tau",
+    "r": "parameters.r",
+    "weights": "weights",
+    "atoms": "distribution",
+    "law-weights": "distribution",
+    "normalized": "distribution: normalized",
+    "constants": "constants.c2",
+    "constants-file": "constants.c2",
+}
+
+
+def _with_value(tmp_path, place, value):
+    """A copy of 02-ones-10 with ``value`` at ``place``: the instance path, the
+    path the error must name and the extra argv."""
+    obj = json.loads(ONES10.read_text())
+    law = {"atoms": [-1.0, 1.0], "weights": [0.5, 0.5], "normalized": True}
+    named, argv = tmp_path / "bad.json", []
+    if place in ("tau", "r"):
+        obj["parameters"][place] = value
+    elif place == "weights":
+        obj["weights"] = value
+    elif place in ("atoms", "law-weights", "normalized"):
+        law[place.removeprefix("law-")] = value
+        obj["distribution"] = law
+    elif place == "constants":
+        obj["parameters"]["constants"] = {"c2": value}
+    else:
+        named = tmp_path / "c.json"
+        named.write_text(json.dumps({"c2": value}))
+        argv = ["--constants", str(named)]
+    (tmp_path / "bad.json").write_text(json.dumps(obj))
+    return tmp_path / "bad.json", named, argv
+
+
+@pytest.mark.parametrize(
+    "place, value",
+    [
+        pytest.param(place, value, id=f"{place}-{name}")
+        for place in _NUMBER_PLACES
+        for name, value in _NOT_NUMBERS.items()
+        if not (place == "normalized" and value is True)  # its one valid value
+    ],
+)
+def test_every_number_place_refuses_what_is_not_a_number(capsys, tmp_path, place, value):
+    path, named, argv = _with_value(tmp_path, place, value)
+    code, out, err = run(["q", str(path)] + argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {named}: ")
+    assert "instance '02-ones-10': " in err
+    assert _NUMBER_PLACES[place] in err
+
+
+def test_integer_literal_past_the_digit_limit_is_malformed_json(capsys, tmp_path):
+    # Python's json refuses integers of over 4,300 digits with a plain ValueError
+    path, _, _ = _with_value(tmp_path, "tau", 1)
+    path.write_text(path.read_text().replace('"tau": 1', '"tau": 1' + "0" * 5000))
+    code, out, err = run(["q", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert f"{path}: malformed JSON" in err
+    consts = tmp_path / "c.json"
+    consts.write_text('{"c2": 1' + "0" * 5000 + "}")
+    code, out, err = run(["q", str(ONES10), "--constants", str(consts)], capsys)
+    assert (code, out) == (2, "")
+    assert f"{consts}: malformed JSON" in err
+
+
+def test_bound_forms_past_the_float_range_report_vacuous(capsys, tmp_path):
+    # (c6 r + 1)^(3 r^2 / 2) passes 1e308 from r = 14 on
+    obj = json.loads(ONES10.read_text())
+    obj["parameters"]["r"] = 14
+    inst = tmp_path / "r14.json"
+    inst.write_text(json.dumps(obj))
+    code, out, _ = run(["bounds", str(inst), "--budget", "2000"], capsys)
+    assert code == 0
+    bounds = json.loads(out)["reports"][0]["bounds"]
+    for tag in ("cp_gap", "ws_gap_lambda"):
+        assert bounds[tag]["value"] is None
+        assert bounds[tag]["vacuous"] is True

@@ -1,12 +1,16 @@
+import math
+import struct
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles as O
-from anticonc._common import as_points, dedupe_points, distinct_rows
+from anticonc._common import as_points, dedupe_points, distinct_rows, float_array, json_number
 from anticonc.distributions import DiscreteDistribution
-from anticonc.errors import DomainError
+from anticonc.errors import DomainError, InputError
 
 
 def _bits(a):
@@ -88,3 +92,97 @@ def test_distinct_rows_on_the_line_match_the_counts_of_unique(n, ties, zeros, se
 def test_as_points_rejects_what_numpy_cannot_read(bad):
     with pytest.raises(DomainError, match="expected an array of numbers"):
         as_points(bad)
+
+
+# --- the JSON number rule ------------------------------------------------------
+
+_FLOAT_MAX_INT = int(sys.float_info.max)
+# every finite JSON number: integers up to the float range, floats, -0.0
+_JSON_NUMBERS = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.integers(-_FLOAT_MAX_INT, _FLOAT_MAX_INT),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.just(-0.0),
+)
+
+
+def _float_bits(x):
+    return struct.pack("<d", x)
+
+
+@given(_JSON_NUMBERS)
+@settings(max_examples=300, deadline=None)
+def test_json_number_reads_finite_numbers_as_float_does(v):
+    got = json_number(v, "x")
+    assert type(got) is float and _float_bits(got) == _float_bits(float(v))
+    if isinstance(v, int):
+        assert json_number(v, "x", int) is v
+
+
+@pytest.mark.parametrize(
+    "value, kind, message",
+    [
+        ("wide", float, "expected a number, got 'wide'"),
+        (True, float, "expected a number, got True"),
+        (None, float, "expected a number, got None"),
+        ([1.0], float, "expected a number, got [1.0]"),
+        (1.5, int, "expected an integer, got 1.5"),
+        (True, int, "expected an integer, got True"),
+        (math.inf, float, "expected a finite number, got inf"),
+        (math.nan, float, "expected a finite number, got nan"),
+        (10**400, float, "expected a finite number, got 1" + "0" * 59),
+        (10**400, int, "expected a finite number, got 1" + "0" * 59),
+        ("y" * 100, float, "expected a number, got '" + "y" * 59),
+    ],
+    ids=["string", "bool", "null", "list", "fraction-int", "bool-int", "inf", "nan",
+         "huge-int", "huge-int-int", "long-string"],
+)
+def test_json_number_refuses_naming_the_field_and_the_value(value, kind, message):
+    # the value is shown in at most 60 characters
+    with pytest.raises(InputError) as exc:
+        json_number(value, "x", kind)
+    assert str(exc.value) == "x: " + message
+
+
+def _nested(flat, shape):
+    if not shape:
+        return flat[0]
+    step = len(flat) // shape[0] if shape[0] else 0
+    return [_nested(flat[i * step : (i + 1) * step], shape[1:]) for i in range(shape[0])]
+
+
+@st.composite
+def _numeric_lists(draw):
+    """A regularly nested list (or a scalar) of JSON numbers, inf and nan too."""
+    shape = draw(st.lists(st.integers(0, 4), max_size=3))
+    size = math.prod(shape)
+    entries = st.one_of(_JSON_NUMBERS, st.floats())
+    return _nested(draw(st.lists(entries, min_size=size, max_size=size)), shape)
+
+
+@given(_numeric_lists())
+@settings(max_examples=300, deadline=None)
+def test_float_array_reads_numeric_lists_as_numpy_does(v):
+    got = float_array(v)
+    want = np.asarray(v, dtype=float)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_float_array_passes_float_arrays_through_uncopied():
+    a = np.arange(4.0)
+    assert float_array(a) is a
+    np.testing.assert_array_equal(float_array(np.arange(3)), [0.0, 1.0, 2.0])
+
+
+@pytest.mark.parametrize(
+    "bad",
+    ["2", ["1", 2], True, [True, False], [True, 2], [1.5, None], None, [{"a": 1}],
+     10**400, [1.0, 10**400], np.array(["a"]), np.array([True]), [1 + 2j]],
+    ids=["string", "string-list", "bool", "bool-list", "bool-among-ints", "null-among-floats",
+         "null", "mapping-list", "huge-int", "huge-int-in-list", "string-array", "bool-array",
+         "complex"],
+)
+def test_float_array_refuses_what_is_not_a_number(bad):
+    with pytest.raises(DomainError, match="expected an array of numbers"):
+        float_array(bad)

@@ -13,7 +13,7 @@ from anticonc.distributions import (
     spectral_measure,
     tail_mass,
 )
-from anticonc.errors import CapacityError, ClassCapError, DomainError
+from anticonc.errors import CapacityError, ClassCapError, DomainError, InputError
 from anticonc.progressions import (
     ApproxResult,
     Cgap,
@@ -66,6 +66,48 @@ def test_gap_json_round_trip():
     obj = p.to_json_obj()
     q = Gap(obj["L"], obj["g"], obj["dim"])
     np.testing.assert_array_equal(p.image(), q.image())
+
+
+def test_witness_loaders_round_trip():
+    gap = Gap([2.0, 1.0], [[1.0, 0.0], [0.5, 0.5]])
+    back = Gap.from_json_obj(gap.to_json_obj())
+    assert back.dims == gap.dims and back.ambient_dim == 2
+    np.testing.assert_array_equal(back.gens, gap.gens)
+    assert Gap.from_json_obj({"L": [], "g": [], "dim": 3}).ambient_dim == 3
+    cgap = Cgap([2.0], ConvexBody([1.5]), 3)
+    back = Cgap.from_json_obj(cgap.to_json_obj())
+    assert back.to_json_obj() == cgap.to_json_obj() == {"h": [2.0], "V": {"box": [1.5]}, "m": 3}
+
+
+_CGAP = {"h": [2.0], "V": {"box": [1.5]}, "m": 3}
+
+
+@pytest.mark.parametrize(
+    "loader, obj, field",
+    [
+        (Cgap.from_json_obj, dict(_CGAP, m="3"), "m"),
+        (Cgap.from_json_obj, dict(_CGAP, m=3.7), "m"),
+        (Cgap.from_json_obj, dict(_CGAP, m=True), "m"),
+        (Cgap.from_json_obj, dict(_CGAP, h=["2"]), "array of numbers"),
+        (Cgap.from_json_obj, dict(_CGAP, V={"box": ["a"]}), "V"),
+        (ConvexBody.from_json_obj, {"box": ["a"]}, "V"),
+        (ConvexBody.from_json_obj, {"box": [True]}, "V"),
+        (ConvexBody.from_json_obj, {"box": [10**400]}, "V"),
+        (Gap.from_json_obj, {"L": [1.0], "g": [[1.0]], "dim": "2"}, "dim: expected an integer"),
+        (Gap.from_json_obj, {"L": [1.0], "g": [[1.0]], "dim": None}, "dim: expected an integer"),
+        (Gap.from_json_obj, {"L": [1.0], "g": [[1.0]], "dim": 1.0}, "dim: expected an integer"),
+        (Gap.from_json_obj, {"L": [], "g": [], "dim": -1}, "gap"),
+        (Gap.from_json_obj, {"L": ["a"], "g": [[1.0]]}, "array of numbers"),
+        (Gap.from_json_obj, {"L": [1.0], "g": [["1"]]}, "array of numbers"),
+    ],
+    ids=["m-string", "m-fraction", "m-bool", "h-string", "cgap-box-string", "box-string",
+         "box-bool", "box-huge-int", "dim-string", "dim-null", "dim-float", "dim-negative",
+         "radii-string", "generators-string"],
+)
+def test_witness_loaders_apply_the_number_rule(loader, obj, field):
+    # int() read "3" as 3 and cut 3.7 to 3; ["a"] escaped as a bare ValueError
+    with pytest.raises(InputError, match=field):
+        loader(obj)
 
 
 def test_convex_body_box_contains_and_bbox():
