@@ -5,9 +5,7 @@ the bound evaluators that tie them together."""
 from .bounds import (
     BoundReport,
     ConstantsConfig,
-    InversePrincipleReport,
     build_bound_report,
-    inverse_principle_report,
     verify_pointwise_chain,
 )
 from .concentration import (
@@ -58,7 +56,6 @@ __all__ = [
     "DomainError",
     "Gap",
     "InputError",
-    "InversePrincipleReport",
     "LcdParams",
     "LcdResult",
     "NumericsError",
@@ -70,7 +67,6 @@ __all__ = [
     "esseen_upper_q",
     "exact_q",
     "gamma_rs",
-    "inverse_principle_report",
     "lambda_d",
     "mc_q",
     "regularity_check",

@@ -30,7 +30,6 @@ from .distributions import (
     CompoundPoisson,
     DiscreteDistribution,
     as_seed_int,
-    half_empirical_measure,
     lambda_d,
     spectral_measure,
     symmetrize,
@@ -62,8 +61,6 @@ class ConstantsConfig:
     c4          weighted-sum bound, tail-free form (guarded)
     c5, c6      compound-Poisson bound over capped symmetric progressions
     c7, c8      weighted-sum bound over capped symmetric progressions (guarded)
-    c9          structure-report cap budget
-    c10, c11, c12  structure-report size inflation factors
     c_esseen    smoothing-integral upper bound
     c_d         dimension-dependent factor of the transfer inequalities and
                 of every budget whose constant is implicit
@@ -79,10 +76,6 @@ class ConstantsConfig:
     c6: float = 1.0
     c7: float = 1.0
     c8: float = 1.0
-    c9: float = 1.0
-    c10: float = 1.0
-    c11: float = 1.0
-    c12: float = 1.0
     c_esseen: float = 1.0
     c_d: float = 1.0
     c_exp_m2: float = 4.0
@@ -129,9 +122,6 @@ def _inf_past_float_range(form):
             return math.inf
 
     return guarded
-
-
-_power = _inf_past_float_range(pow)
 
 
 @_inf_past_float_range
@@ -451,8 +441,10 @@ def verify_pointwise_chain(
 
     rows = a.rows
     ph = ts @ rows.T  # (m, n) phases <t, a_k>
-    reduced = ph - _TWO_PI * np.rint(ph / _TWO_PI)
-    lhs_cos = 1.0 - np.cos(ph)
+    # one reduction feeds both sides of every check: the bounds are tight at ±pi
+    frac = ph / _TWO_PI - np.rint(ph / _TWO_PI)
+    reduced = _TWO_PI * frac
+    lhs_cos = 1.0 - np.cos(reduced)
     rhs_cos = 2.0 * reduced * reduced / (math.pi * math.pi)
     bad = lhs_cos < rhs_cos - slack
     if bad.any():
@@ -462,8 +454,6 @@ def verify_pointwise_chain(
         )
 
     h_vals = np.exp(-0.5 * np.sum(lhs_cos, axis=1))
-    frac = ph / _TWO_PI
-    frac -= np.rint(frac)
     dist_sq = np.sum(frac * frac, axis=1)
     envelope = np.exp(-4.0 * dist_sq)
     bad = h_vals > envelope + slack
@@ -825,256 +815,16 @@ def build_bound_report(
     )
 
 
-def _log_capacity(q: float, kappa: float, delta: float) -> float:
-    return abs(math.log(q)) + math.log(kappa / delta) + 1.0
-
-
-def _structure_budgets(
-    q_coords: list,
-    f_val: float,
-    n: int,
-    n_prime: int,
-    kappa: float,
-    delta: float,
-    r: int,
-    norm_a: float,
-    d: int,
-    c: ConstantsConfig,
-) -> dict:
-    """Budgets that involve the step functional ``f_val`` (tail mass or its
-    window-count replacement).  Per-coordinate entries are lists of length d.
-    """
-    rho = delta / kappa
-    lead = 2.0 * _power(c.c9, r + 1)
-    rank_term = _power(r + 1, 2.5 * r)
-    if f_val > 0.0:
-        n_prime_min = [
-            (lead * rank_term * kappa / (q * delta)) ** (2.0 / (r + 1)) / f_val
-            for q in q_coords
-        ]
-        cap_points = [
-            lead * kappa / (q * delta * math.sqrt(f_val * n_prime)) + 1.0
-            for q in q_coords
-        ]
-        size_product = float(
-            np.prod(
-                [
-                    max(c.c_d / (q * rho * math.sqrt(n_prime * f_val)), 1.0)
-                    for q in q_coords
-                ]
-            )
-        )
-        uncovered_log = [
-            c.c_d * _log_capacity(q, kappa, delta) ** 3 / f_val for q in q_coords
-        ]
-    else:
-        n_prime_min = [math.inf] * d
-        cap_points = [math.inf] * d
-        size_product = math.inf
-        uncovered_log = [math.inf] * d
-    feasible = all(v < n_prime for v in n_prime_min) and n_prime <= n
-    inflate_sym = _power(c.c10 * r, 1.5 * r * r)
-    inflate_proper = _power(c.c11 * r, 7.5 * r * r)
-    inflate_small_gens = _power(c.c12 * r, 10.5 * r * r)
-    return {
-        "feasible": feasible,
-        "n_prime_min": n_prime_min,
-        "cap_points": cap_points,
-        "size_capped": [c.c_d * v for v in cap_points],
-        "size_symmetric": [inflate_sym * v for v in cap_points],
-        "size_proper": [inflate_proper * v for v in cap_points],
-        "size_proper_small_gens": [inflate_small_gens * v for v in cap_points],
-        "generator_scale": 2.0 * r * norm_a / math.sqrt(n_prime),
-        "size_product": size_product,
-        "uncovered_log": uncovered_log,
-        "uncovered_log_total": float(sum(uncovered_log)),
-    }
-
-
-@dataclass(frozen=True)
-class InversePrincipleReport:
-    """Structure budgets implied by a large concentration value, next to what
-    a heuristic witness progression actually achieves.
-
-    ``budgets["shared"]`` holds the entries free of the step functional;
-    ``budgets["tail_mass"]`` and ``budgets["tail_free"]`` hold the two
-    parallel families, the second valid only under the recorded window-count
-    guard.  Implicit multiplicative constants are set to the c_d entry of
-    the constants table; explicitly named constants use their own entries.
-    """
-
-    instance: str
-    n: int
-    dim: int
-    n_prime: int
-    q: dict
-    q_coords: list
-    p_value: float
-    lambda1_value: float
-    lambda_guard_ok: bool
-    budgets: dict
-    witness: dict | None
-    parameters: dict
-    constants: ConstantsConfig
-
-    def to_json_obj(self) -> dict:
-        def clean(v):
-            if isinstance(v, float) and math.isinf(v):
-                return None
-            if isinstance(v, list):
-                return [clean(u) for u in v]
-            if isinstance(v, dict):
-                return {k: clean(u) for k, u in sorted(v.items())}
-            return v
-
-        return {
-            "instance": self.instance,
-            "n": self.n,
-            "dim": self.dim,
-            "n_prime": self.n_prime,
-            "q": dict(self.q),
-            "q_coords": [dict(e) for e in self.q_coords],
-            "p_value": self.p_value,
-            "lambda1_value": self.lambda1_value,
-            "lambda_guard_ok": self.lambda_guard_ok,
-            "budgets": clean(self.budgets),
-            "witness": clean(self.witness) if self.witness is not None else None,
-            "parameters": dict(sorted(self.parameters.items())),
-            "constants": self.constants.to_json_obj(),
-        }
-
-
-def inverse_principle_report(
-    x: DiscreteDistribution,
-    a: WeightVector,
-    tau: float,
-    kappa: float,
-    delta: float,
-    rank: int,
-    n_prime: int | None = None,
-    constants: ConstantsConfig = DEFAULT_CONSTANTS,
-    instance: str = "instance",
-    seed=0,
-    mc_samples: int = 200_000,
-) -> InversePrincipleReport:
-    """Compare the structure budgets against an actual covering progression.
-
-    A large concentration value forces most weights into a small-rank,
-    small-size progression neighborhood; this report evaluates every size,
-    rank and uncovered-count budget at the instance's concentration value
-    and, on the line, searches for a witness progression to put its actual
-    rank, size and uncovered count side by side.  The witness cap is the
-    smaller finite cap-point budget (at most 4096), or 3^min(rank, 6) when
-    neither is finite.
-    """
-    if x.dim != 1:
-        raise DomainError("step distribution must live on the line")
-    if not (tau > 0 and kappa > 0 and delta > 0):
-        raise DomainError("tau, kappa and delta must be positive")
-    if delta > min(kappa, tau):
-        raise DomainError("delta must not exceed min(kappa, tau)")
-    check_caps(rank)
-    seed_int = as_seed_int(seed)
-    d = a.dim
-    n = a.n
-    if n_prime is None:
-        n_prime = n
-    n_prime = int(n_prime)
-    if not 1 <= n_prime <= n:
-        raise DomainError("n_prime must lie in [1, n]")
-
-    g = symmetrize(x)
-    ratio = tau / kappa
-    p_val = tail_mass(g, ratio)
-    lam1 = lambda_d(g, ratio, 1)
-
-    q_all = _estimate_q(x, a, tau, mc_samples, derive_seed(seed_int, 9))
-    q_entries = []
-    if d == 1:
-        q_entries.append(_reference_entry(q_all))
-    else:
-        for j in range(d):
-            est = _estimate_q(
-                x, a.coordinate(j), tau, mc_samples, derive_seed(seed_int, 10 + j)
-            )
-            q_entries.append(_reference_entry(est))
-    q_coords = [e["value"] for e in q_entries]
-
-    shared = {
-        "rank_log": [constants.c_d * _log_capacity(q, kappa, delta) for q in q_coords],
-        "size_single": max(constants.c_d / (q_all.value * math.sqrt(n_prime)), 1.0),
-        "uncovered_pair_count": 2 * n_prime,
-    }
-    shared["rank_log_total"] = float(sum(shared["rank_log"]))
-    budgets = {"shared": shared}
-    for family, f_val in (("tail_mass", p_val), ("tail_free", lam1)):
-        budgets[family] = _structure_budgets(
-            q_coords, f_val, n, n_prime, kappa, delta, rank, a.norm(), d, constants
-        )
-    budgets["tail_free"]["guard_value"] = lam1
-    budgets["tail_free"]["guard_ok"] = bool(lam1 >= 1.0)
-
-    witness_block = None
-    if d == 1:
-        half = half_empirical_measure(a.rows)
-        cap_candidates = [
-            budgets["tail_mass"]["cap_points"][0],
-            budgets["tail_free"]["cap_points"][0],
-        ]
-        finite = [v for v in cap_candidates if math.isfinite(v)]
-        if finite:
-            witness_cap = int(max(1, min(min(finite), 4096.0)))
-        else:
-            witness_cap = 3 ** min(rank, 6)
-        res = beta_rm(half, delta, int(rank), int(witness_cap))
-        witness, unc = res.witness, res.value
-        points = witness.points()
-        count = unc * 2.0 * n
-        witness_block = {
-            "rank": witness.rank,
-            "size": int(points.shape[0]),
-            "uncovered_mass": unc,
-            "uncovered_count": count,
-            "within_pair_budget": bool(count <= shared["uncovered_pair_count"] + 1e-9),
-            "delta": delta,
-        }
-
-    return InversePrincipleReport(
-        instance=instance,
-        n=n,
-        dim=d,
-        n_prime=n_prime,
-        q=_reference_entry(q_all),
-        q_coords=q_entries,
-        p_value=p_val,
-        lambda1_value=lam1,
-        lambda_guard_ok=bool(lam1 >= 1.0),
-        budgets=budgets,
-        witness=witness_block,
-        parameters={
-            "tau": tau,
-            "kappa": kappa,
-            "delta": delta,
-            "rank": int(rank),
-            "seed": seed_int,
-            "mc_samples": int(mc_samples),
-        },
-        constants=constants,
-    )
-
-
 __all__ = [
     "ConstantsConfig",
     "DEFAULT_CONSTANTS",
     "BoundReport",
-    "InversePrincipleReport",
     "PointwiseChainReport",
     "bound_report_csv",
     "build_bound_report",
     "compound_poisson_bound_cgap",
     "compound_poisson_bound_gap",
     "h_char_fn",
-    "inverse_principle_report",
     "lcd_compound_poisson_bound",
     "lcd_weighted_sum_bounds",
     "smoothing_law",

@@ -1,7 +1,8 @@
 """Batch front end: load instance files, dispatch computations, emit reports.
 
-Exit codes: 0 success, 1 verification failure, 2 malformed input or domain
-error, 3 enumeration budget exceeded.  All randomness flows from --seed;
+Exit codes: 0 success, 1 verification failure or non-converged numerics
+(NumericsError), 2 malformed input or domain error, 3 enumeration budget
+exceeded.  All randomness flows from --seed;
 equal invocations produce byte-identical output.
 """
 

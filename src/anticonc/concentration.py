@@ -72,10 +72,6 @@ class WeightVector:
     def dim(self) -> int:
         return self._rows.shape[1]
 
-    def norm(self) -> float:
-        """Frobenius norm: sqrt(sum_k |a_k|^2)."""
-        return float(np.linalg.norm(self._rows))
-
     def spectral_norm(self) -> float:
         return float(np.linalg.norm(self._rows, 2))
 

@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all modules.
 
 The CLI maps these onto process exit codes: malformed input and math-domain
-violations exit 2, enumeration budgets exit 3, verification failures exit 1.
+violations exit 2, enumeration budgets exit 3, verification failures and
+quadratures or iterations that do not converge (NumericsError) exit 1.
 """
 
 from __future__ import annotations

@@ -48,10 +48,14 @@ DEFAULT_CAPS = {"r": 1, "m": 3, "s": 3}
 def check_caps(r, **caps) -> None:
     """The one rank and cap rule: r a nonnegative integer, each named cap (m, s)
     a positive one.  Searches, evaluators and instance loading all apply it."""
-    if not isinstance(r, (int, np.integer)) or r < 0:
+
+    def is_int(v):
+        return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+    if not is_int(r) or r < 0:
         raise DomainError("rank r must be a nonnegative integer")
     for name, cap in caps.items():
-        if not isinstance(cap, (int, np.integer)) or cap < 1:
+        if not is_int(cap) or cap < 1:
             raise DomainError(f"cap {name} must be a positive integer")
 
 # Runtime guard on the point count of any single searched progression.
@@ -73,8 +77,10 @@ class Gap:
         dims = tuple(float(v) for v in float_array(dims).reshape(-1))
         if any(not math.isfinite(v) or v <= 0 for v in dims):
             raise DomainError("progression radii must be positive and finite")
+        if ambient_dim is not None and ambient_dim < 1:
+            raise DomainError(f"ambient dimension must be at least 1, got {ambient_dim}")
         if len(dims) == 0:
-            gens_arr = np.zeros((0, ambient_dim if ambient_dim else 1))
+            gens_arr = np.zeros((0, 1 if ambient_dim is None else ambient_dim))
         else:
             gens_arr = as_points(gens)
             if ambient_dim is not None and gens_arr.shape[1] != ambient_dim:
@@ -146,7 +152,7 @@ class Gap:
         try:
             dim = json_number(obj["dim"], "dim", int) if "dim" in obj else None
             return cls(obj["L"], obj["g"], dim)
-        except ValueError as exc:  # ours, or numpy's on a dim below 1
+        except ValueError as exc:  # a DomainError or an InputError
             raise InputError(f"gap: {exc}") from exc
 
     def __repr__(self):
@@ -240,8 +246,7 @@ class Cgap:
             raise DomainError(
                 f"step vector has {hv.size} entries but body lives in R^{body.dim}"
             )
-        if not isinstance(cap, (int, np.integer)) or cap < 1:
-            raise DomainError("lattice cap must be a positive integer")
+        check_caps(hv.size, m=cap)
         hv.flags.writeable = False
         self._h = hv
         self._body = body

@@ -18,7 +18,6 @@ from anticonc.bounds import (
     compound_poisson_bound_cgap,
     compound_poisson_bound_gap,
     h_char_fn,
-    inverse_principle_report,
     lcd_compound_poisson_bound,
     lcd_weighted_sum_bounds,
     smoothing_law,
@@ -34,7 +33,7 @@ from anticonc.concentration import WeightVector
 from anticonc.distributions import DiscreteDistribution, RngSeed, spectral_measure
 from anticonc.errors import ChainViolationError, DomainError, InputError
 from anticonc.lcd import LcdParams
-from anticonc.progressions import DEFAULT_CAPS, beta_rm, gamma_rs, uncovered_mass
+from anticonc.progressions import DEFAULT_CAPS, beta_rm, gamma_rs
 
 RAD = DiscreteDistribution.rademacher()
 
@@ -67,16 +66,6 @@ def test_bound_forms_past_the_float_range_are_infinite():
     assert weighted_sum_bound_cgap(1e300, 1e-300, 4, 0.5, 0.5, 1, 3) == math.inf
     # (c6 r + 1)^(3 r^2 / 2) is 1.6e290 at r = 13: still finite
     assert math.isfinite(compound_poisson_bound_gap(5.0, 0.5, 13, 3))
-
-
-def test_structure_budgets_past_the_float_range_are_infinite():
-    got = bounds._structure_budgets(
-        [0.1], 0.5, 100, 50, 1.0, 0.5, 40, 3.0, 1, ConstantsConfig(c9=1e10)
-    )
-    for key in ("n_prime_min", "cap_points", "size_symmetric", "size_proper",
-                "size_proper_small_gens"):
-        assert got[key] == [math.inf]
-    assert not got["feasible"]
 
 
 def _or_inf(form):
@@ -169,6 +158,12 @@ def test_rank_inflation_factors():
     assert abs((rich - plain) - (inflation - 1.0) * first_plain) < 1e-12
 
 
+def test_bound_forms_refuse_a_bool_rank_or_cap():
+    for r, m in ((True, 3), (1, True), (True, True)):
+        with pytest.raises(DomainError):
+            compound_poisson_bound_cgap(1.0, 0.5, r, m)
+
+
 def test_transfer_bounds():
     assert transfer_bound_plain(0.25) == 0.25
     assert transfer_bound_window(0.25, 1.0, 0.5, 1) == 0.75
@@ -215,8 +210,9 @@ def test_constants_reject_bad_values(bad):
 
 
 def test_constants_reject_unknown_key():
-    with pytest.raises(InputError):
-        ConstantsConfig.from_json_obj({"c99": 1.0})
+    for key in ("c99", "c9"):
+        with pytest.raises(InputError):
+            ConstantsConfig.from_json_obj({key: 1.0})
 
 
 # --- smoothing law and the pointwise chain -----------------------------------
@@ -240,6 +236,15 @@ def test_chain_equality_points_pass_at_tiny_slack():
     rep = verify_pointwise_chain(a, grid, slack=1e-12)
     assert rep.n_points == 5
     assert rep.cosine_checks > 0 and rep.envelope_checks == 5
+
+
+def test_chain_reads_one_reduced_phase_at_large_weights():
+    # at t = -6.5527 the phase of 1e12 lies next to +-pi, where the cosine
+    # bound is tight, so both of its sides must read the same reduced phase
+    a = WeightVector([[1.0], [1e12]])
+    grid = np.concatenate([[-6.552702526055613], np.linspace(-10.0, 10.0, 20001)])
+    rep = verify_pointwise_chain(a, grid, slack=1e-12)
+    assert rep.cosine_checks == 2 * grid.size
 
 
 def test_chain_lcd_branch_counts_premise_failures():
@@ -324,15 +329,6 @@ def test_report_accepts_rng_seed():
         _small_report(seed=RngSeed(3)).to_json_obj()
         == _small_report(seed=3).to_json_obj()
     )
-    a = WeightVector(np.arange(1.0, 5.0)[:, None])
-    reports = [
-        inverse_principle_report(
-            RAD, a, tau=2.0, kappa=1.0, delta=0.5, rank=1, seed=seed,
-            mc_samples=2000,
-        ).to_json_obj()
-        for seed in (RngSeed(3), 3)
-    ]
-    assert reports[0] == reports[1]
 
 
 def test_report_records_failed_esseen_cross_check():
@@ -430,48 +426,3 @@ def test_report_above_dim_three_records_skipped_esseen_cross_check():
         assert ref["esseen_skipped"] == "the dual-ball quadrature supports dimensions 1 to 3"
         assert 0.0 <= ref["value"] <= 1.0
     json.dumps(rep.to_json_obj())
-
-
-def test_inverse_principle_report_full_cover():
-    a = WeightVector(np.arange(1.0, 11.0)[:, None])
-    rep = inverse_principle_report(
-        RAD, a, tau=2.0, kappa=1.0, delta=0.5, rank=1,
-        instance="inv", mc_samples=2000,
-    )
-    obj = rep.to_json_obj()
-    assert obj["instance"] == "inv"
-    assert set(obj["budgets"]) == {"shared", "tail_mass", "tail_free"}
-    wit = obj["witness"]
-    # a step-1 progression covers every weight: nothing is left uncovered
-    assert wit["uncovered_count"] == 0.0
-    assert wit["rank"] == 1
-    shared = obj["budgets"]["shared"]
-    assert shared["uncovered_pair_count"] == 2 * a.n
-    assert len(shared["rank_log"]) == a.dim
-
-
-@pytest.mark.parametrize("rank", [0, 1, 2, 3])
-def test_inverse_witness_mass_is_the_replayed_search_value(rank):
-    # at windows 0.002 the witness caps (33-37 points) leave mass uncovered
-    with mock.patch.object(bounds, "beta_rm", wraps=beta_rm) as spy:
-        rep = inverse_principle_report(
-            RAD, _GENERIC, tau=0.002, kappa=0.002, delta=0.002, rank=rank,
-            mc_samples=2000,
-        )
-    assert rep.witness["uncovered_mass"] > 0
-    (half, delta, r, cap), _ = spy.call_args
-    witness = beta_rm(half, delta, r, cap).witness
-    assert rep.witness["uncovered_mass"] == uncovered_mass(half, witness.points(), delta)
-    assert rep.witness["size"] == len(witness.points())
-
-
-def test_inverse_principle_validates_windows():
-    a = WeightVector(np.ones((4, 1)))
-    with pytest.raises(DomainError):
-        inverse_principle_report(
-            RAD, a, tau=1.0, kappa=0.5, delta=0.75, rank=1
-        )
-    with pytest.raises(DomainError):
-        inverse_principle_report(
-            RAD, a, tau=1.0, kappa=1.0, delta=0.5, rank=1, n_prime=9
-        )

@@ -78,6 +78,20 @@ def test_non_finite_tau_is_exit_two(capsys, tmp_path, method):
     assert "tau" in err
 
 
+def test_non_converged_quadrature_is_exit_one(capsys, tmp_path):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({
+        "id": "tiny-tau",
+        "distribution": "rademacher",
+        "weights": [[1.0]],
+        "parameters": {"tau": 1e-6},
+    }))
+    code, out, err = run(["q", str(inst), "--method", "esseen"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "adaptive Simpson" in err
+
+
 def test_capacity_is_exit_three(capsys, tmp_path):
     import numpy as np
     rng = np.random.default_rng(1)

@@ -96,12 +96,14 @@ _CGAP = {"h": [2.0], "V": {"box": [1.5]}, "m": 3}
         (Gap.from_json_obj, {"L": [1.0], "g": [[1.0]], "dim": "2"}, "dim: expected an integer"),
         (Gap.from_json_obj, {"L": [1.0], "g": [[1.0]], "dim": None}, "dim: expected an integer"),
         (Gap.from_json_obj, {"L": [1.0], "g": [[1.0]], "dim": 1.0}, "dim: expected an integer"),
-        (Gap.from_json_obj, {"L": [], "g": [], "dim": -1}, "gap"),
+        (Gap.from_json_obj, {"L": [], "g": [], "dim": 0}, "gap: ambient dimension"),
+        (Gap.from_json_obj, {"L": [], "g": [], "dim": -1}, "gap: ambient dimension"),
         (Gap.from_json_obj, {"L": ["a"], "g": [[1.0]]}, "array of numbers"),
         (Gap.from_json_obj, {"L": [1.0], "g": [["1"]]}, "array of numbers"),
     ],
     ids=["m-string", "m-fraction", "m-bool", "h-string", "cgap-box-string", "box-string",
-         "box-bool", "box-huge-int", "dim-string", "dim-null", "dim-float", "dim-negative",
+         "box-bool", "box-huge-int", "dim-string", "dim-null", "dim-float", "dim-zero",
+         "dim-negative",
          "radii-string", "generators-string"],
 )
 def test_witness_loaders_apply_the_number_rule(loader, obj, field):
@@ -124,6 +126,9 @@ def test_cgap_lattice_points_and_cap():
     tight = Cgap([2.0], body, 2)
     with pytest.raises(ClassCapError):
         tight.points()
+    for bad in (0, 2.0, True):
+        with pytest.raises(DomainError, match="cap m"):
+            Cgap([2.0], body, bad)
 
 
 def test_cgap_rank_zero_is_origin():
@@ -186,6 +191,10 @@ def test_beta_rm_rejects_bad_args():
         beta_rm(w, 1.0, -1, 3)
     with pytest.raises(DomainError):
         beta_rm(w, 1.0, 1, 0)
+    with pytest.raises(DomainError):
+        beta_rm(w, 1.0, True, 3)
+    with pytest.raises(DomainError):
+        beta_rm(w, 1.0, 1, True)
     two_d = spectral_measure(np.array([[1.0, 0.0]]))
     with pytest.raises(DomainError):
         beta_rm(two_d, 1.0, 1, 3)
