@@ -20,7 +20,6 @@ from .concentration import (
 from .distributions import (
     CompoundPoisson,
     DiscreteDistribution,
-    RngSeed,
     lambda_d,
     spectral_measure,
     symmetrize,
@@ -59,7 +58,6 @@ __all__ = [
     "LcdParams",
     "LcdResult",
     "NumericsError",
-    "RngSeed",
     "WeightVector",
     "beta_rm",
     "build_bound_report",

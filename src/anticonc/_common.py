@@ -141,28 +141,18 @@ def distinct_rows(points: np.ndarray):
     return p[first], np.diff(first, append=p.shape[0])
 
 
-def mirror_pair_symmetrize(points: np.ndarray, weights: np.ndarray):
-    """Force an almost-symmetric support to be exactly negation-invariant.
-
-    Assumes the deduped input is symmetric up to float noise; pairs each
-    lex-sorted point with its mirror (reverse order) and averages.  The result
-    satisfies atoms == -atoms[::-1] and weights == weights[::-1] exactly.
-    """
-    order = np.lexsort(points.T[::-1])
-    p = points[order]
-    w = weights[order]
-    if not np.allclose(p, -p[::-1], atol=1e-9, rtol=0.0):
-        raise DomainError("support is not symmetric up to tolerance")
-    p_sym = (p - p[::-1]) / 2.0
-    w_sym = (w + w[::-1]) / 2.0
-    return p_sym, w_sym
-
-
 def derive_seed(master: int, stream: int = 0) -> int:
     """Deterministic 64-bit child seed for (master, stream)."""
     ss = np.random.SeedSequence([int(master) & _MASK64, int(stream) & _MASK64])
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def check_seed(seed) -> int:
+    """The one seed rule of the library: an integer in [0, 2^64)."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+        raise DomainError(f"seed must be an integer in [0, 2^64), got {seed!r:.60}")
+    return int(seed)
+
+
 def make_rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(int(seed) & _MASK64))
+    return np.random.Generator(np.random.PCG64(check_seed(seed)))

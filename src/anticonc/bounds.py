@@ -17,11 +17,12 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ._common import derive_seed, json_number
+from ._common import check_seed, derive_seed, json_number
 from .concentration import (
     ConcentrationEstimate,
     WeightVector,
     WeightedSum,
+    _check_summand,
     esseen_upper_q,
     exact_q,
     mc_q,
@@ -29,7 +30,6 @@ from .concentration import (
 from .distributions import (
     CompoundPoisson,
     DiscreteDistribution,
-    as_seed_int,
     lambda_d,
     spectral_measure,
     symmetrize,
@@ -356,17 +356,12 @@ def h_char_fn(a: WeightVector):
     """Characteristic function of the spectral smoothing law of ``a``.
 
     hat H(t) = exp(-(1/2) sum_k (1 - cos<t, a_k>)), real with values in
-    (0, 1].  The returned callable is vectorized: a float array for
-    dimension one, an (m, d) array otherwise.
+    (0, 1].  The returned callable is vectorized over a grid read by
+    ``WeightVector.phases``.
     """
-    rows = a.rows
 
     def f_hat(ts):
-        ts = np.asarray(ts, dtype=float)
-        if a.dim == 1 and ts.ndim <= 1:
-            ph = np.multiply.outer(np.atleast_1d(ts), rows[:, 0])
-        else:
-            ph = np.atleast_2d(ts) @ rows.T
+        _, ph = a.phases(ts)
         return np.exp(-0.5 * np.sum(1.0 - np.cos(ph), axis=-1))
 
     return f_hat
@@ -433,14 +428,7 @@ def verify_pointwise_chain(
     if check_lcd:
         _check_lcd_args(big_d, a.dim)
 
-    ts = np.asarray(t_grid, dtype=float)
-    if a.dim == 1 and ts.ndim == 1:
-        ts = ts[:, None]
-    if ts.ndim != 2 or ts.shape[1] != a.dim:
-        raise InputError(f"t_grid must be (m, {a.dim}) or flat for dimension 1")
-
-    rows = a.rows
-    ph = ts @ rows.T  # (m, n) phases <t, a_k>
+    ts, ph = a.phases(t_grid)  # (m, d) points, (m, n) phases <t, a_k>
     # one reduction feeds both sides of every check: the bounds are tight at ±pi
     frac = ph / _TWO_PI - np.rint(ph / _TWO_PI)
     reduced = _TWO_PI * frac
@@ -544,8 +532,7 @@ class BoundReport:
     constants: ConstantsConfig
 
     def vacuous(self, tag: str) -> bool:
-        v = self.bounds[tag]
-        return math.isinf(v) or v > 1.0
+        return _json_bound_value(self.bounds[tag])["vacuous"]
 
     def to_json_obj(self) -> dict:
         out_bounds = {}
@@ -568,15 +555,15 @@ class BoundReport:
         for tag in _TAG_ORDER:
             if tag not in self.bounds:
                 continue
-            v = self.bounds[tag]
+            entry = _json_bound_value(self.bounds[tag])
             target = _TAG_TARGET[tag]
             ref = self.references.get(target, {})
             rows.append(
                 {
                     "instance": self.instance,
                     "tag": tag,
-                    "value": "" if math.isinf(v) else repr(float(v)),
-                    "vacuous": str(self.vacuous(tag)).lower(),
+                    "value": "" if entry["value"] is None else repr(float(entry["value"])),
+                    "vacuous": str(entry["vacuous"]).lower(),
                     "target": target,
                     "target_value": repr(float(ref["value"])) if "value" in ref else "",
                     "target_method": ref.get("method", ""),
@@ -667,11 +654,10 @@ def build_bound_report(
     LCD parameters ``lcd``.  Randomness is derived from ``seed`` per
     reference estimate, so equal seeds give identical reports.
     """
-    if x.dim != 1:
-        raise DomainError("step distribution must live on the line")
+    _check_summand(x)
     if not (tau > 0 and kappa > 0 and delta > 0):
         raise DomainError("tau, kappa and delta must be positive")
-    seed_int = as_seed_int(seed)
+    seed_int = check_seed(seed)
     d = a.dim
     n = a.n
 

@@ -72,7 +72,7 @@ def _constants_for(args, spec) -> ConstantsConfig:
             raise InputError(f"{path}: instance {spec.id!r}: {exc}") from exc
         except ValueError as exc:  # malformed, or an integer of over 4,300 digits
             raise InputError(f"{path}: malformed JSON: {exc}") from exc
-    return ConstantsConfig.from_json_obj({**table, **spec.param("constants", {})})
+    return ConstantsConfig.from_json_obj({**table, **spec.parameters.get("constants", {})})
 
 
 def _single_instance(path):

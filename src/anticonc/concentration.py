@@ -28,7 +28,7 @@ from ._common import (
 from .distributions import (
     CompoundPoisson,
     DiscreteDistribution,
-    as_seed_int,
+    atom_indices,
     cp_sample_rng,
 )
 from .errors import CapacityError, DomainError, InputError, NumericsError
@@ -71,6 +71,15 @@ class WeightVector:
     @property
     def dim(self) -> int:
         return self._rows.shape[1]
+
+    def phases(self, ts) -> tuple:
+        """The grid ``ts`` as (m, d) points and their phases <t, a_k>, (m, n).
+
+        A flat grid is m points on the line, so a single t in d >= 2 is
+        passed as a (1, d) array.
+        """
+        grid = as_points(ts, self.dim)
+        return grid, grid @ self._rows.T
 
     def spectral_norm(self) -> float:
         return float(np.linalg.norm(self._rows, 2))
@@ -145,6 +154,14 @@ class ConcentrationEstimate:
         }
 
 
+def _check_summand(x: DiscreteDistribution) -> None:
+    """The step law rule of every weighted sum: a probability distribution on the line."""
+    if x.dim != 1:
+        raise DomainError("summand distribution must live on the line")
+    if not x.normalized:
+        raise DomainError("summand must be a probability distribution")
+
+
 def weighted_sum_distribution(
     x: DiscreteDistribution, a: WeightVector, budget: int = DEFAULT_EXACT_BUDGET
 ) -> DiscreteDistribution:
@@ -153,10 +170,7 @@ def weighted_sum_distribution(
     Atoms closer than 1e-9 in max norm merge after every step.  Raises
     CapacityError when an intermediate support would exceed ``budget``.
     """
-    if x.dim != 1:
-        raise DomainError("summand distribution must live on the line")
-    if not x.normalized:
-        raise DomainError("summand must be a probability distribution")
+    _check_summand(x)
     xv = x.atoms[:, 0]
     xw = x.weights
     pts = np.zeros((1, a.dim))
@@ -467,21 +481,14 @@ class WeightedSum:
     a: WeightVector
 
     def __post_init__(self):
-        if self.x.dim != 1:
-            raise DomainError("summand distribution must live on the line")
-        if not self.x.normalized:
-            raise DomainError("summand must be a probability distribution")
+        _check_summand(self.x)
 
     def sample(self, n_samples: int, rng: np.random.Generator) -> np.ndarray:
-        cum = np.cumsum(self.x.weights)
-        cum[-1] = max(cum[-1], 1.0)
         xv = self.x.atoms[:, 0]
         out = np.empty((n_samples, self.a.dim))
         for i in range(0, n_samples, _MC_CHUNK):
             m = min(_MC_CHUNK, n_samples - i)
-            u = rng.random((m, self.a.n))
-            idx = np.searchsorted(cum, u, side="right")
-            idx = np.minimum(idx, self.x.n_atoms - 1)
+            idx = atom_indices(self.x, rng.random((m, self.a.n)))
             out[i : i + m] = xv[idx] @ self.a.rows
         return out
 
@@ -512,7 +519,7 @@ def mc_q(
         raise DomainError("tau must be nonnegative")
     if n_samples < _MC_MIN_SAMPLES:
         raise DomainError(f"Monte Carlo needs at least {_MC_MIN_SAMPLES} samples")
-    rng = make_rng(as_seed_int(seed))
+    rng = make_rng(seed)
     samples = _sample_from(sampler, n_samples, rng)
     dim = samples.shape[1]
     if dim > 1:
@@ -687,18 +694,12 @@ def weighted_sum_char_fn(x: DiscreteDistribution, a: WeightVector):
     Returns a callable suitable for ``esseen_upper_q``: product over rows of
     the scalar characteristic function of X at <t, a_k>.
     """
-    if x.dim != 1:
-        raise DomainError("summand distribution must live on the line")
+    _check_summand(x)
     xv = x.atoms[:, 0].astype(complex)
     xw = x.weights.astype(complex)
-    rows = a.rows
 
     def f_hat(ts):
-        arr = np.asarray(ts, dtype=float)
-        if a.dim == 1:
-            u = np.atleast_1d(arr).reshape(-1, 1) @ rows.T  # (m, n)
-        else:
-            u = as_points(arr, a.dim) @ rows.T
+        _, u = a.phases(ts)  # (m, n)
         phi = np.exp(1j * u[:, :, None] * xv[None, None, :]) @ xw
         return np.prod(phi, axis=1)
 

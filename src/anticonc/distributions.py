@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +19,6 @@ from ._common import (
     as_points,
     dedupe_points,
     float_array,
-    mirror_pair_symmetrize,
 )
 from .errors import DomainError, InputError
 
@@ -29,23 +27,6 @@ WEIGHT_SUM_TOL = 1e-12
 # Means above this are split into equal sub-Poisson chunks; below it the CDF of
 # the Poisson law starts at exp(-mean) > 9e-14, safely inside double range.
 _INVERSION_MAX_MEAN = 30.0
-
-
-@dataclass(frozen=True)
-class RngSeed:
-    """A 64-bit seed value; the only admissible source of randomness."""
-
-    seed: int
-
-    def __post_init__(self):
-        if not isinstance(self.seed, int) or not (0 <= self.seed < 2**64):
-            raise DomainError("seed must be an integer in [0, 2^64)")
-
-
-def as_seed_int(seed) -> int:
-    if isinstance(seed, RngSeed):
-        return seed.seed
-    return RngSeed(int(seed)).seed
 
 
 class DiscreteDistribution:
@@ -186,22 +167,32 @@ class DiscreteDistribution:
         )
 
 
-def symmetrize(f: DiscreteDistribution) -> DiscreteDistribution:
-    """Law of X1 - X2 for X1, X2 independent with law ``f``.
+def _symmetric_law(points: np.ndarray, weights: np.ndarray) -> DiscreteDistribution:
+    """The probability distribution of ``points`` and ``weights``, which must be
+    symmetric up to float noise, made exactly negation-invariant.
 
-    The returned support is exactly negation-invariant: after merging, atoms
-    are paired with their mirrors and averaged, so z and -z carry identical
-    weights bit for bit.
+    After the merge each lex-sorted atom is paired with its mirror (reverse
+    order) and the pair averaged, so z and -z carry identical weights bit
+    for bit.
     """
+    pts, w = dedupe_points(points, weights, DEDUP_TOL)
+    order = np.lexsort(pts.T[::-1])
+    p = pts[order]
+    w = w[order]
+    if not np.allclose(p, -p[::-1], atol=1e-9, rtol=0.0):
+        raise DomainError("support is not symmetric up to tolerance")
+    return DiscreteDistribution((p - p[::-1]) / 2.0, (w + w[::-1]) / 2.0)
+
+
+def symmetrize(f: DiscreteDistribution) -> DiscreteDistribution:
+    """Law of X1 - X2 for X1, X2 independent with law ``f``, exactly
+    negation-invariant (see ``_symmetric_law``)."""
     if not f.normalized:
         raise DomainError("symmetrize needs a probability distribution")
     x = f.atoms
     w = f.weights
     diffs = (x[:, None, :] - x[None, :, :]).reshape(-1, f.dim)
-    ww = np.multiply.outer(w, w).reshape(-1)
-    pts, mw = dedupe_points(diffs, ww, DEDUP_TOL)
-    pts, mw = mirror_pair_symmetrize(pts, mw)
-    return DiscreteDistribution(pts, mw)
+    return _symmetric_law(diffs, np.multiply.outer(w, w).reshape(-1))
 
 
 def tail_mass(g: DiscreteDistribution, delta: float) -> float:
@@ -320,6 +311,14 @@ def _poisson_counts(rng: np.random.Generator, lam: float, size: int) -> np.ndarr
     return counts
 
 
+def atom_indices(law: DiscreteDistribution, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draw: the index of the atom of ``law`` that each uniform in
+    ``u`` selects, ``searchsorted(cumsum(weights), u, side="right")`` clamped
+    to the last atom (which absorbs a float shortfall of the cumsum below 1)."""
+    cum = np.cumsum(law.weights)
+    return np.minimum(np.searchsorted(cum, u, side="right"), law.n_atoms - 1)
+
+
 def cp_sample_rng(
     d: CompoundPoisson, n_samples: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -336,11 +335,7 @@ def cp_sample_rng(
     total = int(counts.sum())
     if total == 0:
         return out
-    cum = np.cumsum(d.base.weights)
-    cum[-1] = max(cum[-1], 1.0)  # guard float shortfall at the top
-    idx = np.searchsorted(cum, rng.random(total), side="right")
-    idx = np.minimum(idx, d.base.n_atoms - 1)
-    contrib = d.base.atoms[idx]
+    contrib = d.base.atoms[atom_indices(d.base, rng.random(total))]
     sample_ids = np.repeat(np.arange(n_samples), counts)
     for j in range(d.dim):
         out[:, j] = np.bincount(
@@ -349,29 +344,29 @@ def cp_sample_rng(
     return out
 
 
+def _rows(a) -> np.ndarray:
+    """The rows of a WeightVector or of a raw row array; at least one."""
+    rows = as_points(getattr(a, "rows", a))
+    if rows.shape[0] == 0:
+        raise DomainError("empty weight vector")
+    return rows
+
+
 def spectral_measure(a) -> DiscreteDistribution:
     """Symmetrized empirical measure of the rows: mean of (E_{a_k} + E_{-a_k})/2.
 
     Accepts a WeightVector or a raw row array.  Duplicated rows merge and the
     result is an exactly symmetric probability distribution.
     """
-    rows = as_points(getattr(a, "rows", a))
+    rows = _rows(a)
     n = rows.shape[0]
-    if n == 0:
-        raise DomainError("empty weight vector")
-    pts = np.vstack([rows, -rows])
-    w = np.full(2 * n, 1.0 / (2 * n))
-    pts, w = dedupe_points(pts, w, DEDUP_TOL)
-    pts, w = mirror_pair_symmetrize(pts, w)
-    return DiscreteDistribution(pts, w)
+    return _symmetric_law(np.vstack([rows, -rows]), np.full(2 * n, 1.0 / (2 * n)))
 
 
 def half_empirical_measure(a) -> DiscreteDistribution:
     """Unnormalized measure putting mass 1/(2n) on each row (total mass 1/2)."""
-    rows = as_points(getattr(a, "rows", a))
+    rows = _rows(a)
     n = rows.shape[0]
-    if n == 0:
-        raise DomainError("empty weight vector")
     return DiscreteDistribution(
         rows, np.full(n, 1.0 / (2 * n)), normalized=False
     )
@@ -380,8 +375,7 @@ def half_empirical_measure(a) -> DiscreteDistribution:
 __all__ = [
     "CompoundPoisson",
     "DiscreteDistribution",
-    "RngSeed",
-    "as_seed_int",
+    "atom_indices",
     "cp_sample_rng",
     "half_empirical_measure",
     "lambda_d",

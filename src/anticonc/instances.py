@@ -90,9 +90,6 @@ class InstanceSpec:
         """The power b of the bound report's compound Poisson smoothing law."""
         return self.parameters.get("smoothing_power", 1.0)
 
-    def param(self, name: str, default=None):
-        return self.parameters.get(name, default)
-
     def require(self, *names):
         """Return the named parameters, failing loudly on the first missing one."""
         values = []

@@ -117,26 +117,26 @@ class Gap:
     def box_total(self) -> int:
         return math.prod(self.box_counts())
 
-    def image(self, budget: int = GAP_ENUM_BUDGET) -> np.ndarray:
+    def image(self) -> np.ndarray:
         """All distinct progression points, lexicographically sorted.
 
         Generator relations within 1e-9 count as collisions.  Raises
-        CapacityError when the coefficient box exceeds ``budget``.
+        CapacityError when the coefficient box exceeds ``GAP_ENUM_BUDGET``.
         """
-        if self.box_total() > budget:
+        if self.box_total() > GAP_ENUM_BUDGET:
             raise CapacityError(
-                f"coefficient box {self.box_total()} exceeds budget {budget}"
+                f"coefficient box {self.box_total()} exceeds budget {GAP_ENUM_BUDGET}"
             )
         pts = _integer_box(self._dims).astype(float) @ self._gens
         pts, _ = dedupe_points(pts, np.ones(len(pts)), CONVOLUTION_MERGE_TOL)
         return pts
 
-    def size(self, budget: int = GAP_ENUM_BUDGET) -> int:
-        return int(self.image(budget).shape[0])
+    def size(self) -> int:
+        return int(self.image().shape[0])
 
-    def is_proper(self, budget: int = GAP_ENUM_BUDGET) -> bool:
+    def is_proper(self) -> bool:
         """Whether all coefficient boxes map to distinct points."""
-        return self.size(budget) == self.box_total()
+        return self.size() == self.box_total()
 
     def to_json_obj(self) -> dict:
         return {
@@ -177,15 +177,6 @@ class ConvexBody:
     def dim(self) -> int:
         return self._bounds.size
 
-    def contains(self, pts) -> np.ndarray:
-        """Closed membership mask for a (N, r) array of points."""
-        arr = np.asarray(pts, dtype=float)
-        if self.dim == 0:
-            return np.ones(arr.shape[0], dtype=bool)
-        arr = as_points(arr, self.dim)
-        tol = 1e-12 * max(1.0, float(np.max(self._bounds, initial=0.0)))
-        return np.all(np.abs(arr) <= self._bounds + tol, axis=1)
-
     def bounding_box(self) -> np.ndarray:
         """Per-coordinate extent: the box bounds."""
         return self._bounds.copy()
@@ -216,17 +207,6 @@ def _integer_box(bounds) -> np.ndarray:
     counts = 2 * radii + 1
     grid = np.indices(counts).reshape(radii.size, math.prod(counts.tolist()))
     return grid.T - radii
-
-
-def _lattice_points_in_body(body: ConvexBody, budget: int) -> np.ndarray:
-    """Integer points of Z^r inside the closed box, with 1e-12 of slack."""
-    bbox = body.bounding_box() + 1e-12
-    total = math.prod(2 * int(math.floor(b)) + 1 for b in bbox)
-    if total > budget:
-        raise CapacityError(
-            f"bounding-box lattice enumeration {total} exceeds budget {budget}"
-        )
-    return _integer_box(bbox)
 
 
 class Cgap:
@@ -268,17 +248,24 @@ class Cgap:
     def rank(self) -> int:
         return self._h.size
 
-    def lattice_points(self, budget: int = GAP_ENUM_BUDGET) -> np.ndarray:
-        pts = _lattice_points_in_body(self._body, budget)
+    def lattice_points(self) -> np.ndarray:
+        """Integer points of Z^r inside the closed box, with 1e-12 of slack."""
+        bbox = self._body.bounding_box() + 1e-12
+        total = math.prod(2 * int(math.floor(b)) + 1 for b in bbox)
+        if total > GAP_ENUM_BUDGET:
+            raise CapacityError(
+                f"bounding-box lattice enumeration {total} exceeds budget {GAP_ENUM_BUDGET}"
+            )
+        pts = _integer_box(bbox)
         if pts.shape[0] > self._cap:
             raise ClassCapError(
                 f"body holds {pts.shape[0]} lattice points, cap is {self._cap}"
             )
         return pts
 
-    def points(self, budget: int = GAP_ENUM_BUDGET) -> np.ndarray:
+    def points(self) -> np.ndarray:
         """Distinct progression values as a (s, 1) array, sorted."""
-        return _line_points(self.lattice_points(budget).astype(float), self._h)
+        return _line_points(self.lattice_points().astype(float), self._h)
 
     def to_json_obj(self) -> dict:
         return {
@@ -321,11 +308,11 @@ class GapImageProgression:
     def rank(self) -> int:
         return self.gap.rank
 
-    def size(self, budget: int = GAP_ENUM_BUDGET) -> int:
-        return self.gap.size(budget)
+    def size(self) -> int:
+        return self.gap.size()
 
-    def points(self, budget: int = GAP_ENUM_BUDGET) -> np.ndarray:
-        return _line_points(self.gap.image(budget), np.asarray(self.h))
+    def points(self) -> np.ndarray:
+        return _line_points(self.gap.image(), np.asarray(self.h))
 
     def to_json_obj(self) -> dict:
         return {"gap": self.gap.to_json_obj(), "h": list(self.h)}
@@ -649,31 +636,15 @@ def gamma_rs(
     at most ``s`` (axis boxes with identity generators, hence proper).  The
     searched family is the one ``beta_rm`` searches: a box's image under h is
     the box Cgap's point set, so at equal caps the two values agree.  Values
-    are upper bounds; rank zero is exact.
+    are upper bounds; rank zero is exact, its witness the rank-zero gap in
+    dimension 1 (the point 0) with the one step 1.
     """
     _check_search_args(w, tau, r, s=s)
     res = _coverage_search(w, tau, int(r), int(s), search_budget)
-    if r == 0:
-        wit = _ZeroProgression()
-    else:
-        dims = np.maximum(res.witness.body.bounding_box(), 0.4)
-        wit = GapImageProgression(Gap(dims, np.eye(r)), tuple(res.witness.h))
+    dims = np.maximum(res.witness.body.bounding_box(), 0.4)
+    h = _step_vector(res.witness.h, max(int(r), 1))
+    wit = GapImageProgression(Gap(dims, np.eye(r)), tuple(h))
     return ApproxResult(res.value, wit, res.exact, res.evaluations)
-
-
-class _ZeroProgression:
-    """Rank-zero progression: the single point 0."""
-
-    rank = 0
-
-    def points(self, budget: int = GAP_ENUM_BUDGET) -> np.ndarray:
-        return np.zeros((1, 1))
-
-    def size(self, budget: int = GAP_ENUM_BUDGET) -> int:
-        return 1
-
-    def to_json_obj(self) -> dict:
-        return {"gap": {"L": [], "g": [], "dim": 1}, "h": []}
 
 
 __all__ = [

@@ -71,7 +71,8 @@ class CheckResult:
 @dataclass
 class VerificationReport:
     """Check results over a corpus; ``skipped`` counts, per check name, the
-    checks dropped because an exact enumeration exceeded its budget."""
+    checks dropped because an exact enumeration or the LCD scan grid
+    exceeded its budget."""
 
     results: list
     n_instances: int
@@ -227,7 +228,7 @@ def _check_expected_entry(
 
 
 def _check_regularity(spec, law, budget, skipped) -> list:
-    tau = spec.param("tau")
+    tau = spec.parameters.get("tau")
     # the pairs scale tau, and both radii of a regularity check must be positive
     if tau is None or tau <= 0:
         return []
@@ -330,7 +331,7 @@ def _check_functionals(spec) -> list:
 
 
 def _check_projection(spec, law, budget, skipped) -> list:
-    tau = spec.param("tau")
+    tau = spec.parameters.get("tau")
     if spec.a.dim < 2 or tau is None:
         return []
     try:
@@ -388,6 +389,10 @@ def _check_witness(spec, searches) -> list:
 
 # Grid points whose margins the LCD scan computes at once.
 _SCAN_CHUNK = 8192
+# Step of the LCD scan grid, and the grid points past which the scan is
+# skipped for budget (corpus scans hold at most about 10^4; 10^7 take 80 MB).
+_SCAN_STEP = 1e-4
+_SCAN_POINTS = 10_000_000
 # Vectorised margins below this go to the scalar ``violation_condition``; their
 # roundoff is far smaller, so no violating grid point is passed over.
 _SCAN_SLACK = 1e-12
@@ -434,7 +439,7 @@ def _scan_first_violation(a, params, theta, step) -> float | None:
     return hi
 
 
-def _check_lcd_agreement(spec, res) -> list:
+def _check_lcd_agreement(spec, res, skipped) -> list:
     results = []
     if res.d_lower > res.d_upper + 1e-12:
         results.append(
@@ -453,7 +458,11 @@ def _check_lcd_agreement(spec, res) -> list:
             )
     if spec.a.dim == 1 and res.certified:
         theta = res.d_upper if math.isfinite(res.d_upper) else res.d_lower
-        scan = _scan_first_violation(spec.a, spec.lcd, theta * 1.001 + 1e-9, 1e-4)
+        theta = theta * 1.001 + 1e-9
+        if theta / _SCAN_STEP > _SCAN_POINTS:
+            skipped["lcd_agreement"] += 1
+            return results
+        scan = _scan_first_violation(spec.a, spec.lcd, theta, _SCAN_STEP)
         if scan is not None and scan < res.d_lower - 1e-6:
             results.append(
                 _fail(spec.id, "lcd_agreement", kind="scan",
@@ -489,7 +498,7 @@ def run_verification(
         results.extend(_check_projection(spec, law, exact_budget, skipped))
         results.extend(_check_witness(spec, searches))
         if bracket is not None:
-            results.extend(_check_lcd_agreement(spec, bracket))
+            results.extend(_check_lcd_agreement(spec, bracket, skipped))
     return VerificationReport(
         results=results, n_instances=len(specs), seed=int(seed), skipped=dict(skipped)
     )

@@ -30,7 +30,7 @@ from anticonc.bounds import (
     weighted_sum_bound_gap_tail_free,
 )
 from anticonc.concentration import WeightVector
-from anticonc.distributions import DiscreteDistribution, RngSeed, spectral_measure
+from anticonc.distributions import DiscreteDistribution, spectral_measure
 from anticonc.errors import ChainViolationError, DomainError, InputError
 from anticonc.lcd import LcdParams
 from anticonc.progressions import DEFAULT_CAPS, beta_rm, gamma_rs
@@ -324,11 +324,16 @@ def test_report_seed_changes_mc_not_exact():
     )
 
 
-def test_report_accepts_rng_seed():
+def test_report_seed_is_a_64_bit_integer():
+    # one seed rule for the library: an integer in [0, 2^64), never masked
     assert (
-        _small_report(seed=RngSeed(3)).to_json_obj()
+        _small_report(seed=np.uint64(3)).to_json_obj()
         == _small_report(seed=3).to_json_obj()
     )
+    assert _small_report(seed=2**64 - 1).parameters["seed"] == 2**64 - 1
+    for bad in (-1, 2**64, 3.0, True, "3"):
+        with pytest.raises(DomainError, match="seed must be an integer"):
+            _small_report(seed=bad)
 
 
 def test_report_records_failed_esseen_cross_check():

@@ -196,6 +196,47 @@ def test_gapfit_command(capsys):
     assert "witness" in obj["gamma_fit"]
 
 
+def test_gapfit_rank_zero_witnesses_load_back_and_replay(capsys, tmp_path):
+    from anticonc.distributions import half_empirical_measure
+    from anticonc.progressions import Cgap, Gap, GapImageProgression, uncovered_mass
+
+    inst = tmp_path / "rank-zero.json"
+    rows = [0.3, 1.0, 2.0]
+    inst.write_text(json.dumps({
+        "id": "rank-zero",
+        "distribution": "rademacher",
+        "weights": rows,
+        "parameters": {"delta": 0.5, "r": 0},
+    }))
+    code, out, _ = run(["gapfit", str(inst)], capsys)
+    assert code == 0
+    obj = json.loads(out)
+    beta, gamma = obj["beta"]["witness"], obj["gamma_fit"]["witness"]
+    assert gamma == {"gap": {"L": [], "g": [], "dim": 1}, "h": [1.0]}
+    w = half_empirical_measure([[v] for v in rows])
+    for name, wit in (
+        ("beta", Cgap.from_json_obj(beta)),
+        ("gamma_fit", GapImageProgression(Gap.from_json_obj(gamma["gap"]), tuple(gamma["h"]))),
+    ):
+        assert wit.rank == 0 and obj[name]["exact"]
+        assert obj[name]["value"] == 2 / 6
+        assert uncovered_mass(w, wit.points(), obj["window"]) == obj[name]["value"]
+
+
+@pytest.mark.parametrize("method", ["exact", "mc", "esseen"])
+def test_every_q_method_refuses_a_step_law_that_is_not_a_probability(capsys, tmp_path, method):
+    inst = tmp_path / "light.json"
+    inst.write_text(json.dumps({
+        "id": "light",
+        "distribution": {"atoms": [-1, 1], "weights": [0.2, 0.2], "normalized": False},
+        "weights": [1.0, 2.0],
+        "parameters": {"tau": 1.0},
+    }))
+    code, out, err = run(["q", str(inst), "--method", method], capsys)
+    assert code == 2 and out == ""
+    assert "summand must be a probability distribution" in err
+
+
 def test_verify_text_and_exit_codes(capsys, tmp_path):
     code, out, _ = run(["verify"], capsys)
     assert code == 0

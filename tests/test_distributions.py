@@ -9,6 +9,7 @@ from anticonc._common import make_rng
 from anticonc.distributions import (
     CompoundPoisson,
     DiscreteDistribution,
+    atom_indices,
     cp_sample_rng,
     half_empirical_measure,
     lambda_d,
@@ -188,6 +189,18 @@ def test_cp_sampling_is_deterministic_and_centered():
     var_atom = float(np.sum(base.weights * base.atoms[:, 0] ** 2))
     assert abs(s1.mean()) < 4.0 * math.sqrt(4.0 * var_atom / 4000.0)
     assert abs(s1.var() - 4.0 * var_atom) < 0.15 * 4.0 * var_atom
+
+
+def test_atom_indices_is_the_clamped_right_search_of_the_cdf():
+    # a float cumsum 1e-13 short of 1: uniforms above it still draw the last atom
+    law = DiscreteDistribution([0.0, 1.0, 2.0], [0.1, 0.2, 0.7 - 1e-13])
+    cum = np.cumsum(law.weights)
+    u = np.array([0.0, cum[0], cum[1], cum[-1], 1.0 - 2.0**-53])
+    want = np.minimum(np.searchsorted(cum, u, side="right"), law.n_atoms - 1)
+    np.testing.assert_array_equal(atom_indices(law, u), want)
+    assert want.tolist() == [0, 1, 2, 2, 2]
+    # any shape of uniforms: the sampler of a weighted sum draws (m, n) at once
+    np.testing.assert_array_equal(atom_indices(law, np.stack([u, u[::-1]])), [want, want[::-1]])
 
 
 def test_cp_sampling_large_mean_splits():

@@ -20,8 +20,8 @@ def test_from_json_obj_round_trip():
     spec = InstanceSpec.from_json_obj(GOOD)
     assert spec.id == "demo"
     assert spec.a.n == 2 and spec.x.n_atoms == 2
-    assert spec.param("tau") == 1.0
-    assert spec.param("missing", 7) == 7
+    assert spec.parameters["tau"] == 1.0
+    assert "missing" not in spec.parameters
     assert spec.require("tau", "r") == [1.0, 2]
 
 
@@ -117,9 +117,7 @@ def test_bundled_corpus_loads():
     dims = {s.a.dim for s in specs}
     assert {1, 2, 3} <= dims
     for s in specs:
-        assert s.param("tau") is not None
-        assert s.param("kappa") is not None
-        assert s.param("delta") is not None
+        assert {"tau", "kappa", "delta"} <= s.parameters.keys()
 
 
 def test_settings_defaults_are_resolved_once():

@@ -15,6 +15,7 @@ from anticonc.distributions import (
 )
 from anticonc.errors import CapacityError, ClassCapError, DomainError, InputError
 from anticonc.progressions import (
+    GAP_ENUM_BUDGET,
     ApproxResult,
     Cgap,
     ConvexBody,
@@ -56,9 +57,13 @@ def test_gap_rank_zero():
 
 
 def test_gap_capacity():
+    # 20,001^2 coefficients exceed GAP_ENUM_BUDGET: refused before any is listed
     p = Gap([10_000.0, 10_000.0], [[1.0], [np.sqrt(2.0)]])
-    with pytest.raises(CapacityError):
-        p.size(budget=1000)
+    assert p.box_total() > GAP_ENUM_BUDGET
+    with pytest.raises(CapacityError, match="exceeds budget"):
+        p.size()
+    with pytest.raises(CapacityError, match="exceeds budget"):
+        Cgap([1.0, 1.0], ConvexBody([10_000.0, 10_000.0]), 10**9).points()
 
 
 def test_gap_json_round_trip():
@@ -113,10 +118,12 @@ def test_witness_loaders_apply_the_number_rule(loader, obj, field):
 
 
 def test_convex_body_box_contains_and_bbox():
+    # the lattice points a box contains are those of its Cgap: closed, |nu_j| <= b_j
     v = ConvexBody([2.0, 1.0])
-    mask = v.contains([[2.0, 1.0], [2.1, 0.0], [-2.0, -1.0]])
-    assert mask.tolist() == [True, False, True]
     np.testing.assert_allclose(v.bounding_box(), [2.0, 1.0])
+    pts = Cgap([1.0, 1.0], v, 15).lattice_points()
+    want = [(i, j) for i in range(-2, 3) for j in range(-1, 2)]
+    assert [tuple(p) for p in pts.tolist()] == want
 
 
 def test_cgap_lattice_points_and_cap():
@@ -180,7 +187,12 @@ def test_gamma_rs_witness_replay_and_zero_rank():
         base = gamma_rs(w, tau, 0, 5)
         assert base.exact and base.evaluations == 1
         assert base.value == tail_mass(w, tau)
-        assert base.witness.to_json_obj() == {"gap": {"L": [], "g": [], "dim": 1}, "h": []}
+        # the rank-zero gap in dimension 1 with one step: the point 0
+        obj = base.witness.to_json_obj()
+        assert obj == {"gap": {"L": [], "g": [], "dim": 1}, "h": [1.0]}
+        again = GapImageProgression(Gap.from_json_obj(obj["gap"]), tuple(obj["h"]))
+        assert again.rank == 0 and again.size() == 1
+        assert uncovered_mass(w, again.points(), tau) == base.value
 
 
 def test_beta_rm_rejects_bad_args():

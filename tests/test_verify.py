@@ -259,6 +259,27 @@ def test_witness_search_reads_the_instance_caps():
     assert list(verify._witness_searches(spec)) == [(0.5, 1, 3), (0.5, 0, 1)]
 
 
+def test_lcd_scan_past_its_grid_budget_is_skipped(tmp_path):
+    # weight 1e-5 puts the denominator near 66,667: the 1e-4 scan grid would
+    # hold 6.7e8 points (4.97 GiB), so the scan counts as skipped for budget
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    obj = {
+        "id": "tiny-weight",
+        "distribution": "rademacher",
+        "weights": [1e-5],
+        "parameters": {"tau": 1, "gamma": 0.5, "alpha": 10},
+    }
+    (corpus / "tiny-weight.json").write_text(json.dumps(obj))
+    with mock.patch.object(verify, "_scan_first_violation", side_effect=AssertionError):
+        report = run_verification(corpus)
+    assert report.passed
+    assert report.skipped == {"lcd_agreement": 1}
+    assert "SKIP lcd_agreement: 1 skipped (budget)" in report.summary_lines()
+    kinds = [r.detail["kind"] for r in report.results if r.check == "lcd_agreement"]
+    assert kinds == ["witness"]
+
+
 def test_instance_without_a_window_runs_no_witness_search(tmp_path):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
