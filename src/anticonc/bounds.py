@@ -1,13 +1,14 @@
-"""Plug-in evaluators for the concentration upper bounds.
+"""Plug-in values of the concentration upper bounds, one report per instance.
 
-Every evaluator computes the literal value of one right-hand side from the
-mass functionals produced elsewhere (tail mass, window-count sums, coverage
-deficits, least-denominator brackets).  The unknown absolute constants are
-exposed in :class:`ConstantsConfig` and default to 1.0; nothing in this
-module asserts that the defaults make any inequality true.  Values are
-audited empirically by the report layer: a bound whose mass functional
-vanishes comes back as ``inf``, and anything above 1 is flagged vacuous
-since a concentration value never exceeds 1.
+``build_bound_report`` computes the literal value of each right-hand side
+from the mass functionals produced elsewhere (tail mass, window-count sums,
+coverage deficits, least-denominator brackets) through three forms: the
+progression two-term form, the window count and the least-denominator form.
+The unknown absolute constants are exposed in :class:`ConstantsConfig` and
+default to 1.0; nothing in this module asserts that the defaults make any
+inequality true.  Values are audited empirically by the report layer: a
+bound whose mass functional vanishes comes back as ``inf``, and anything
+above 1 is flagged vacuous since a concentration value never exceeds 1.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .errors import (
     NumericsError,
 )
 from .lcd import LcdParams, compute_lcd
-from .progressions import DEFAULT_CAPS, beta_rm, check_caps
+from .progressions import DEFAULT_CAPS, beta_rm
 
 _TWO_PI = 2.0 * math.pi
 
@@ -104,13 +105,6 @@ class ConstantsConfig:
 DEFAULT_CONSTANTS = ConstantsConfig()
 
 
-def _check_unit_mass(value: float, name: str) -> float:
-    value = float(value)
-    if not 0.0 <= value <= 1.0 + 1e-12:
-        raise DomainError(f"{name} must lie in [0, 1]")
-    return min(value, 1.0)
-
-
 def _inf_past_float_range(form):
     """Make a bound form inf (vacuous) when a term of it leaves the float
     range: an overflow, or a denominator that underflows to zero."""
@@ -137,150 +131,12 @@ def _two_term(c: float, count: int, mass: float, r: int, inflate: float | None =
 
 
 @_inf_past_float_range
-def _window(kappa: float, delta: float, d: int = 1) -> float:
-    """The window count (1 + floor(kappa/delta))^d, for positive kappa and delta."""
-    if not (kappa > 0 and delta > 0):
-        raise DomainError("kappa and delta must be positive")
+def _window(kappa: float, delta: float, d: int) -> float:
+    """The window count (1 + floor(kappa/delta))^d."""
     return float((1 + math.floor(kappa / delta)) ** d)
 
 
-def compound_poisson_bound_cgap(
-    alpha: float, beta: float, r: int, m: int, constants: ConstantsConfig = DEFAULT_CONSTANTS
-) -> float:
-    """Concentration bound for a compound Poisson law with intensity ``alpha``.
-
-    ``beta`` is the least mass of the driving measure left uncovered by a
-    convex-body progression of rank <= r holding at most m points.  Zero
-    ``beta`` means the driving measure is essentially supported on such a
-    progression and the bound degenerates to ``inf``.
-    """
-    if not alpha > 0:
-        raise DomainError("intensity alpha must be positive")
-    check_caps(r, m=m)
-    beta = _check_unit_mass(beta, "beta")
-    return _two_term(constants.c2, m, alpha * beta, r)
-
-
-def weighted_sum_bound_cgap(
-    kappa: float,
-    delta: float,
-    n: int,
-    p_val: float,
-    beta_star: float,
-    r: int,
-    m: int,
-    constants: ConstantsConfig = DEFAULT_CONSTANTS,
-) -> float:
-    """Weighted-sum bound routed through the symmetrized tail mass.
-
-    The mass slot is n * p_val * beta_star where p_val is the symmetrized
-    step tail at ratio tau/kappa and beta_star the coverage deficit of the
-    spectral weight measure at window delta.
-    """
-    if n < 1:
-        raise DomainError("n must be a positive integer")
-    check_caps(r, m=m)
-    p_val = _check_unit_mass(p_val, "p_val")
-    beta_star = _check_unit_mass(beta_star, "beta_star")
-    return _window(kappa, delta) * _two_term(constants.c3, m, n * p_val * beta_star, r)
-
-
-def weighted_sum_bound_cgap_tail_free(
-    kappa: float,
-    delta: float,
-    n: int,
-    beta_star: float,
-    r: int,
-    m: int,
-    constants: ConstantsConfig = DEFAULT_CONSTANTS,
-) -> float:
-    """Tail-free variant of :func:`weighted_sum_bound_cgap`.
-
-    Valid only when the window-count sum at ratio tau/kappa is large; the
-    caller records that guard.  The tail factor is dropped from the mass
-    slot, which is why no p argument appears.
-    """
-    if n < 1:
-        raise DomainError("n must be a positive integer")
-    check_caps(r, m=m)
-    beta_star = _check_unit_mass(beta_star, "beta_star")
-    return _window(kappa, delta) * _two_term(constants.c4, m, n * beta_star, r)
-
-
-def compound_poisson_bound_gap(
-    alpha: float, gamma_val: float, r: int, s: int, constants: ConstantsConfig = DEFAULT_CONSTANTS
-) -> float:
-    """Compound-Poisson bound over capped symmetric progression images.
-
-    Same two-term shape as the convex-body variant but the class is richer,
-    which costs the (c6 r + 1)^(3 r^2 / 2) inflation in the first term.
-    """
-    if not alpha > 0:
-        raise DomainError("intensity alpha must be positive")
-    check_caps(r, s=s)
-    gamma_val = _check_unit_mass(gamma_val, "gamma_val")
-    return _two_term(constants.c5, s, alpha * gamma_val, r, constants.c6)
-
-
-def weighted_sum_bound_gap_tail_free(
-    kappa: float,
-    delta: float,
-    n: int,
-    gamma_star: float,
-    r: int,
-    s: int,
-    constants: ConstantsConfig = DEFAULT_CONSTANTS,
-) -> float:
-    """Tail-free weighted-sum bound over capped symmetric progression images."""
-    if n < 1:
-        raise DomainError("n must be a positive integer")
-    check_caps(r, s=s)
-    gamma_star = _check_unit_mass(gamma_star, "gamma_star")
-    return _window(kappa, delta) * _two_term(constants.c7, s, n * gamma_star, r, constants.c8)
-
-
-def transfer_bound_plain(
-    q_smoothed: float, constants: ConstantsConfig = DEFAULT_CONSTANTS
-) -> float:
-    """Transfer from the smoothing law at the coarse window: c_d * Q(H^p, kappa)."""
-    if q_smoothed < 0:
-        raise DomainError("q_smoothed must be nonnegative")
-    return constants.c_d * q_smoothed
-
-
-def transfer_bound_window(
-    q_smoothed: float,
-    kappa: float,
-    delta: float,
-    d: int,
-    constants: ConstantsConfig = DEFAULT_CONSTANTS,
-) -> float:
-    """Window-refined transfer: c_d * (1 + floor(kappa/delta))^d * Q(H^p, delta)."""
-    if d < 1:
-        raise DomainError("dimension must be a positive integer")
-    if q_smoothed < 0:
-        raise DomainError("q_smoothed must be nonnegative")
-    window = _window(kappa, delta, d)  # inf past the float range, even at q_smoothed 0
-    return window if math.isinf(window) else constants.c_d * window * q_smoothed
-
-
-def transfer_bound_refined(
-    q_smoothed: float, lam: float, constants: ConstantsConfig = DEFAULT_CONSTANTS
-) -> float:
-    """Window-count transfer: c_d * Q(H^lambda, kappa) / lambda.
-
-    Sharper than the plain transfer once lambda is large, because raising
-    the smoothing power can only spread the law out.
-    """
-    if q_smoothed < 0:
-        raise DomainError("q_smoothed must be nonnegative")
-    if lam < 0:
-        raise DomainError("lambda must be nonnegative")
-    if lam == 0.0:
-        return math.inf
-    return constants.c_d * q_smoothed / lam
-
-
+@_inf_past_float_range
 def _lcd_core(
     b: float,
     lcd: LcdParams,
@@ -290,66 +146,12 @@ def _lcd_core(
     c_d: float,
     exp_coeff: float,
 ) -> float:
-    if b <= 0.0:
-        return math.inf
-    if det_gram <= 0.0:
+    """c_d * ((1/(gamma D sqrt(b)))^d / sqrt(det A) + exp(-exp_coeff b alpha^2)),
+    gamma and alpha those of ``lcd``; inf at a zero mass b or a singular A."""
+    if b <= 0.0 or det_gram <= 0.0:
         return math.inf
     first = (1.0 / (lcd.gamma * big_d * math.sqrt(b))) ** d / math.sqrt(det_gram)
     return c_d * (first + math.exp(-exp_coeff * b * lcd.alpha * lcd.alpha))
-
-
-def _check_lcd_args(big_d: float, d: int):
-    if not big_d > 0:
-        raise DomainError("denominator bracket D must be positive")
-    if d < 1:
-        raise DomainError("dimension must be a positive integer")
-
-
-def lcd_compound_poisson_bound(
-    b: float,
-    lcd: LcdParams,
-    big_d: float,
-    det_gram: float,
-    d: int,
-    constants: ConstantsConfig = DEFAULT_CONSTANTS,
-) -> float:
-    """Bound for Q(H^b, 1/D) under the least-denominator condition at level D.
-
-    c_d * ((1/(gamma D sqrt(b)))^d / sqrt(det A) + exp(-4 b alpha^2)) where
-    gamma and alpha are those of ``lcd`` and A is the Gram matrix of the
-    weight rows.
-    """
-    _check_lcd_args(big_d, d)
-    return _lcd_core(b, lcd, big_d, det_gram, d, constants.c_d, 4.0)
-
-
-def lcd_weighted_sum_bounds(
-    lambda_val: float,
-    p_val: float,
-    m2_val: float,
-    lcd: LcdParams,
-    big_d: float,
-    det_gram: float,
-    d: int,
-    constants: ConstantsConfig = DEFAULT_CONSTANTS,
-) -> tuple[float, float, float]:
-    """The three least-denominator bounds on Q(F_a, tau).
-
-    Returned in order: window-count form (extra 1/lambda prefactor),
-    tail-mass form, truncated-second-moment form.  All three share the
-    smoothing power slot, filled with lambda_d(tau D), p(tau D) and
-    M(tau D) respectively; the last uses the configurable exponent
-    coefficient because its admissible value is not pinned down.
-    """
-    _check_lcd_args(big_d, d)
-    c_d = constants.c_d
-    if lambda_val == 0.0:
-        via_lambda = math.inf
-    else:
-        via_lambda = _lcd_core(lambda_val, lcd, big_d, det_gram, d, c_d, 4.0) / lambda_val
-    via_p = _lcd_core(p_val, lcd, big_d, det_gram, d, c_d, 4.0)
-    via_m2 = _lcd_core(m2_val, lcd, big_d, det_gram, d, c_d, constants.c_exp_m2)
-    return via_lambda, via_p, via_m2
 
 
 def h_char_fn(a: WeightVector):
@@ -425,8 +227,8 @@ def verify_pointwise_chain(
     if (lcd is None) != (big_d is None):
         raise InputError("lcd and big_d come together or not at all")
     check_lcd = lcd is not None
-    if check_lcd:
-        _check_lcd_args(big_d, a.dim)
+    if check_lcd and not big_d > 0:
+        raise DomainError("denominator bracket D must be positive")
 
     ts, ph = a.phases(t_grid)  # (m, d) points, (m, n) phases <t, a_k>
     # one reduction feeds both sides of every check: the bounds are tight at ±pi
@@ -653,6 +455,24 @@ def build_bound_report(
     tags work in any dimension, and the lcd_* tags additionally need the
     LCD parameters ``lcd``.  Randomness is derived from ``seed`` per
     reference estimate, so equal seeds give identical reports.
+
+    With T(c, cap, mass) the two-term form ``_two_term``, W the window count
+    (1 + floor(kappa/delta))^d, L(b, e) the least-denominator form
+    ``_lcd_core`` at the bracket level D, p = p(tau/kappa), lambda =
+    lambda_d(tau/kappa) and beta*, gamma* the coverage deficits at caps m, s:
+
+    cp_cgap             T(c2, m, (n p / 2) beta*(kappa))
+    cp_gap              T(c5, s, (n p / 2) gamma*(kappa)), inflated by c6
+    ws_cgap_p           W T(c3, m, n p beta*(delta))
+    ws_cgap_lambda      W T(c4, m, n beta*(delta)), tail-free (guarded)
+    ws_gap_lambda       W T(c7, s, n gamma*(delta)), inflated by c8
+    transfer_plain      c_d Q(H^p, kappa)
+    transfer_window     c_d W Q(H^p, delta)
+    transfer_refined    c_d Q(H^lambda, kappa) / lambda
+    lcd_cp              L(b, 4), b the smoothing power
+    lcd_lambda          L(lambda_d(tau D), 4) / lambda_d(tau D)
+    lcd_p, lcd_m2       L(p(tau D), 4), L(M(tau D), c_exp_m2), M the truncated
+                        second moment
     """
     _check_summand(x)
     if not (tau > 0 and kappa > 0 and delta > 0):
@@ -711,12 +531,14 @@ def build_bound_report(
     references["q_h_lambda_kappa"] = q_h_lambda_kappa
     references["q_h_p_delta"] = q_h_p_delta
 
-    bounds["transfer_plain"] = transfer_bound_plain(q_h_p_kappa["value"], constants)
-    bounds["transfer_window"] = transfer_bound_window(
-        q_h_p_delta["value"], kappa, delta, d, constants
+    c_d = constants.c_d
+    window = _window(kappa, delta, d)  # inf past the float range, even at a zero mass
+    bounds["transfer_plain"] = c_d * q_h_p_kappa["value"]
+    bounds["transfer_window"] = (
+        window if math.isinf(window) else c_d * window * q_h_p_delta["value"]
     )
-    bounds["transfer_refined"] = transfer_bound_refined(
-        q_h_lambda_kappa["value"], lam_transfer, constants
+    bounds["transfer_refined"] = (
+        c_d * q_h_lambda_kappa["value"] / lam_transfer if lam_transfer > 0 else math.inf
     )
 
     if d == 1:
@@ -731,25 +553,16 @@ def build_bound_report(
         guards.update(beta_star_delta=beta_delta, gamma_star_delta=gamma_delta,
                       beta_star_kappa=beta_kappa, gamma_star_kappa=gamma_kappa)
 
+        # the coverage deficits and p are masses: a rounding excess over 1 is clamped
         cp_intensity = 0.5 * n * p_val
-        if cp_intensity > 0:
-            bounds["cp_cgap"] = compound_poisson_bound_cgap(
-                cp_intensity, beta_kappa, r, m, constants
-            )
-            bounds["cp_gap"] = compound_poisson_bound_gap(
-                cp_intensity, gamma_kappa, r, s, constants
-            )
-        else:
-            bounds["cp_cgap"] = math.inf
-            bounds["cp_gap"] = math.inf
-        bounds["ws_cgap_p"] = weighted_sum_bound_cgap(
-            kappa, delta, n, p_val, beta_delta, r, m, constants
-        )
-        bounds["ws_cgap_lambda"] = weighted_sum_bound_cgap_tail_free(
-            kappa, delta, n, beta_delta, r, m, constants
-        )
-        bounds["ws_gap_lambda"] = weighted_sum_bound_gap_tail_free(
-            kappa, delta, n, gamma_delta, r, s, constants
+        c = constants
+        bounds["cp_cgap"] = _two_term(c.c2, m, cp_intensity * min(beta_kappa, 1.0), r)
+        bounds["cp_gap"] = _two_term(c.c5, s, cp_intensity * min(gamma_kappa, 1.0), r, c.c6)
+        ws_mass = n * min(p_val, 1.0) * min(beta_delta, 1.0)
+        bounds["ws_cgap_p"] = window * _two_term(c.c3, m, ws_mass, r)
+        bounds["ws_cgap_lambda"] = window * _two_term(c.c4, m, n * min(beta_delta, 1.0), r)
+        bounds["ws_gap_lambda"] = window * _two_term(
+            c.c7, s, n * min(gamma_delta, 1.0), r, c.c8
         )
 
     if lcd is not None:
@@ -761,23 +574,16 @@ def build_bound_report(
         parameters["gamma"] = lcd.gamma
         parameters["alpha"] = lcd.alpha
         parameters["D"] = big_d
+        # with no denominator bracket every mass slot is 0, so every lcd tag is inf
+        b = lam_td = p_td = m2_td = 0.0
         if big_d > 0:
-            _, det_gram = a.gram()
-            p_td = tail_mass(g, tau * big_d)
+            b = smoothing_power
             lam_td = lambda_d(g, tau * big_d, d)
+            p_td = tail_mass(g, tau * big_d)
             m2_td = truncated_second_moment(g, tau * big_d)
             guards["p_tau_d"] = p_td
             guards["lambda_tau_d"] = lam_td
             guards["m2_tau_d"] = m2_td
-            via_lambda, via_p, via_m2 = lcd_weighted_sum_bounds(
-                lam_td, p_td, m2_td, lcd, big_d, det_gram, d, constants
-            )
-            bounds["lcd_lambda"] = via_lambda
-            bounds["lcd_p"] = via_p
-            bounds["lcd_m2"] = via_m2
-            bounds["lcd_cp"] = lcd_compound_poisson_bound(
-                smoothing_power, lcd, big_d, det_gram, d, constants
-            )
             references["q_h_b_invd"] = _smoothed_reference(
                 a,
                 smoothing_power,
@@ -786,9 +592,15 @@ def build_bound_report(
                 derive_seed(seed_int, 5),
                 constants,
             )
-        else:
-            for tag in ("lcd_cp", "lcd_lambda", "lcd_p", "lcd_m2"):
-                bounds[tag] = math.inf
+        _, det_gram = a.gram()
+
+        def lcd_form(mass, exp_coeff=4.0):
+            return _lcd_core(mass, lcd, big_d, det_gram, d, c_d, exp_coeff)
+
+        bounds["lcd_cp"] = lcd_form(b)
+        bounds["lcd_lambda"] = lcd_form(lam_td) / lam_td if lam_td > 0 else math.inf
+        bounds["lcd_p"] = lcd_form(p_td)
+        bounds["lcd_m2"] = lcd_form(m2_td, constants.c_exp_m2)
 
     return BoundReport(
         instance=instance,
@@ -808,17 +620,7 @@ __all__ = [
     "PointwiseChainReport",
     "bound_report_csv",
     "build_bound_report",
-    "compound_poisson_bound_cgap",
-    "compound_poisson_bound_gap",
     "h_char_fn",
-    "lcd_compound_poisson_bound",
-    "lcd_weighted_sum_bounds",
     "smoothing_law",
-    "transfer_bound_plain",
-    "transfer_bound_refined",
-    "transfer_bound_window",
     "verify_pointwise_chain",
-    "weighted_sum_bound_cgap",
-    "weighted_sum_bound_cgap_tail_free",
-    "weighted_sum_bound_gap_tail_free",
 ]

@@ -42,6 +42,9 @@ _BALL_HIT_BUDGET = 1 << 20
 _SWEEP_BLOCK = 1024
 # Centres of a cell that _max_ball_mass counts one by one rather than split.
 _CELL_CENTERS = 4
+# Largest coordinate or ball radius of the d >= 2 routes: squared distances
+# between points within it stay finite in R^3.
+_MAX_BALL_SCALE = 1e150
 
 
 class WeightVector:
@@ -224,8 +227,14 @@ def _max_window_mass_1d(z: np.ndarray, w: np.ndarray, tau: float) -> float:
 
 
 def _ball_tol(pts, rho):
-    """Slack added to the radius of every closed ball, relative to the scale."""
-    return GEOM_TOL * max(1.0, float(np.max(np.abs(pts))), rho)
+    """Slack added to the radius of every closed ball, relative to the scale;
+    DomainError past ``_MAX_BALL_SCALE``, before any distance is squared."""
+    scale = max(1.0, float(np.max(np.abs(pts))), rho)
+    if scale > _MAX_BALL_SCALE:
+        raise DomainError(
+            f"in dimension >= 2, coordinates and tau/2 must not exceed {_MAX_BALL_SCALE:g}"
+        )
+    return GEOM_TOL * scale
 
 
 def _near_pairs(pts, reach, budget=math.inf):
@@ -411,6 +420,11 @@ def _sphere_centers(pts, rho, tol, budget):
     if rho <= 0:
         return pts
     k, d = pts.shape
+    # the Gram determinants of d - 1 edges up to 2 * rho long grow as
+    # rho^(2d - 2); past this radius they overflow and drop centres unseen
+    limit = _MAX_BALL_SCALE ** (1.0 / (d - 1))
+    if rho > limit:
+        raise DomainError(f"in dimension {d}, an exact ball sweep needs tau/2 at most {limit:g}")
     ii, jj = _near_pairs(pts, 2 * rho + 2 * tol, budget)
     # CSR rows: the later neighbours of i are jj[first[i]:first[i + 1]], ascending
     first = np.searchsorted(ii, np.arange(k + 1))

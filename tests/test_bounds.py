@@ -15,57 +15,57 @@ from anticonc.bounds import (
     ConstantsConfig,
     bound_report_csv,
     build_bound_report,
-    compound_poisson_bound_cgap,
-    compound_poisson_bound_gap,
     h_char_fn,
-    lcd_compound_poisson_bound,
-    lcd_weighted_sum_bounds,
     smoothing_law,
-    transfer_bound_plain,
-    transfer_bound_refined,
-    transfer_bound_window,
     verify_pointwise_chain,
-    weighted_sum_bound_cgap,
-    weighted_sum_bound_cgap_tail_free,
-    weighted_sum_bound_gap_tail_free,
 )
 from anticonc.concentration import WeightVector
 from anticonc.distributions import DiscreteDistribution, spectral_measure
 from anticonc.errors import ChainViolationError, DomainError, InputError
+from anticonc.instances import load_corpus
 from anticonc.lcd import LcdParams
 from anticonc.progressions import DEFAULT_CAPS, beta_rm, gamma_rs
 
 RAD = DiscreteDistribution.rademacher()
+UNIFORM3 = DiscreteDistribution.from_shorthand("uniform{-1,0,1}")
 
 
-# --- frozen arithmetic of the plug-in evaluators -----------------------------
+# --- frozen arithmetic of the three bound forms -------------------------------
+
+_LCD = LcdParams(0.5, 1.0)
+
+
+def _lcd_form(b, big_d=2.0, det_gram=4.0, exp_coeff=4.0):
+    return bounds._lcd_core(b, _LCD, big_d, det_gram, 1, 1.0, exp_coeff)
+
 
 def test_cp_cgap_unit_mass_case():
     # rank 0, single point, mass product 4: both terms are 1/2
-    assert compound_poisson_bound_cgap(4.0, 1.0, 0, 1) == 1.0
-    assert compound_poisson_bound_cgap(8.0, 0.5, 0, 1) == 1.0
+    assert bounds._two_term(1.0, 1, 4.0 * 1.0, 0) == 1.0
+    assert bounds._two_term(1.0, 1, 8.0 * 0.5, 0) == 1.0
 
 
 def test_cp_cgap_rank_one_case():
     want = 0.5 + 2.0 ** 2.5
-    assert abs(compound_poisson_bound_cgap(1.0, 1.0, 1, 2) - want) < 1e-12
+    assert abs(bounds._two_term(1.0, 2, 1.0, 1) - want) < 1e-12
 
 
 def test_ws_cgap_equal_windows_is_vacuous():
     # kappa = delta doubles the leading factor; mass product 4 gives 1 + 1
-    val = weighted_sum_bound_cgap(1.0, 1.0, 8, 0.5, 1.0, 0, 1)
-    assert val == 2.0
+    assert bounds._window(1.0, 1.0, 1) * bounds._two_term(1.0, 1, 8 * 0.5 * 1.0, 0) == 2.0
 
 
 def test_bound_forms_past_the_float_range_are_infinite():
-    assert compound_poisson_bound_cgap(1e-20, 1.0, 40, 3) == math.inf  # a zero denominator
-    assert transfer_bound_window(0.5, 1e200, 1.0, 2) == math.inf
-    assert compound_poisson_bound_cgap(1.0, 0.5, 40, 3, ConstantsConfig(c2=1e10)) == math.inf
-    assert compound_poisson_bound_gap(5.0, 0.5, 14, 3) == math.inf
-    assert weighted_sum_bound_gap_tail_free(1.0, 0.5, 10, 0.5, 14, 3) == math.inf
-    assert weighted_sum_bound_cgap(1e300, 1e-300, 4, 0.5, 0.5, 1, 3) == math.inf
+    two_term, window = bounds._two_term, bounds._window
+    assert two_term(1.0, 3, 1e-20, 40) == math.inf  # a zero denominator
+    assert window(1e200, 1.0, 2) == math.inf
+    assert window(1e300, 1e-300, 1) == math.inf
+    assert two_term(1e10, 3, 0.5, 40) == math.inf
+    assert two_term(1.0, 3, 5.0 * 0.5, 14, 1.0) == math.inf
+    assert window(1.0, 0.5, 1) * two_term(1.0, 3, 10 * 0.5, 14, 1.0) == math.inf
+    assert bounds._lcd_core(1e-300, _LCD, 1.0, 1.0, 3, 1.0, 4.0) == math.inf
     # (c6 r + 1)^(3 r^2 / 2) is 1.6e290 at r = 13: still finite
-    assert math.isfinite(compound_poisson_bound_gap(5.0, 0.5, 13, 3))
+    assert math.isfinite(two_term(1.0, 3, 5.0 * 0.5, 13, 1.0))
 
 
 def _or_inf(form):
@@ -92,28 +92,22 @@ def test_bound_forms_keep_their_bits_or_go_infinite(
     c, inflate, r, cap, alpha, mass, kappa, delta, n, d
 ):
     # the forms as first written, where a term past the float range raised
-    k = ConstantsConfig(c2=c, c3=c, c4=c, c5=c, c6=inflate, c7=c, c8=inflate, c_d=c)
-
-    def two_term(inflated, count, m):
+    def two_term(inflated, m):
         first_num = (inflate * r + 1.0) ** (1.5 * r * r) if inflated else 1.0
-        return O.oracle_two_term(c ** (r + 1), first_num, count, m, r)
+        return O.oracle_two_term(c ** (r + 1), first_num, cap, m, r)
 
-    def windowed(inflated, count, m):
-        return (1 + math.floor(kappa / delta)) * two_term(inflated, count, m)
+    def windowed(inflated, m):
+        return (1 + math.floor(kappa / delta)) * two_term(inflated, m)
 
+    two, win = bounds._two_term, bounds._window
     cases = [
-        (compound_poisson_bound_cgap(alpha, mass, r, cap, k),
-         lambda: two_term(False, cap, alpha * mass)),
-        (compound_poisson_bound_gap(alpha, mass, r, cap, k),
-         lambda: two_term(True, cap, alpha * mass)),
-        (weighted_sum_bound_cgap(kappa, delta, n, mass, 0.5, r, cap, k),
-         lambda: windowed(False, cap, n * mass * 0.5)),
-        (weighted_sum_bound_cgap_tail_free(kappa, delta, n, mass, r, cap, k),
-         lambda: windowed(False, cap, n * mass)),
-        (weighted_sum_bound_gap_tail_free(kappa, delta, n, mass, r, cap, k),
-         lambda: windowed(True, cap, n * mass)),
-        (transfer_bound_window(mass, kappa, delta, d, k),
-         lambda: c * (1 + math.floor(kappa / delta)) ** d * mass),
+        (two(c, cap, alpha * mass, r), lambda: two_term(False, alpha * mass)),
+        (two(c, cap, alpha * mass, r, inflate), lambda: two_term(True, alpha * mass)),
+        (win(kappa, delta, 1) * two(c, cap, n * mass * 0.5, r),
+         lambda: windowed(False, n * mass * 0.5)),
+        (win(kappa, delta, 1) * two(c, cap, n * mass, r, inflate),
+         lambda: windowed(True, n * mass)),
+        (win(kappa, delta, d), lambda: float((1 + math.floor(kappa / delta)) ** d)),
     ]
     for got, form in cases:
         assert np.float64(got).tobytes() == np.float64(_or_inf(form)).tobytes()
@@ -121,27 +115,35 @@ def test_bound_forms_keep_their_bits_or_go_infinite(
 
 def test_lcd_cp_frozen_example():
     want = 0.5 + math.exp(-4.0)
-    got = lcd_compound_poisson_bound(1.0, LcdParams(0.5, 1.0), 2.0, 4.0, 1)
-    assert abs(got - want) < 1e-12
+    assert abs(_lcd_form(1.0) - want) < 1e-12
 
 
 def test_zero_mass_degenerates_to_inf():
-    assert compound_poisson_bound_cgap(1.0, 0.0, 0, 1) == math.inf
-    assert weighted_sum_bound_cgap(1.0, 0.5, 4, 0.0, 0.5, 0, 1) == math.inf
-    assert compound_poisson_bound_gap(1.0, 0.0, 0, 1) == math.inf
-    assert transfer_bound_refined(0.3, 0.0) == math.inf
-    assert lcd_compound_poisson_bound(0.0, LcdParams(0.5, 1.0), 1.0, 1.0, 1) == math.inf
+    assert bounds._two_term(1.0, 1, 0.0, 0) == math.inf
+    assert bounds._two_term(1.0, 1, 0.0, 0, 1.0) == math.inf
+    assert _lcd_form(0.0, 1.0, 1.0) == math.inf
+    assert _lcd_form(1.0, det_gram=0.0) == math.inf
+    # a step law at one point: p, lambda and every lcd mass are 0
+    rep = build_bound_report(
+        DiscreteDistribution([[1.0]], [1.0]), WeightVector(np.ones((4, 1))),
+        tau=1.0, kappa=1.0, delta=0.5, lcd=LcdParams(0.5, 1.0), mc_samples=2000,
+    )
+    assert rep.guards["p_tau_over_kappa"] == rep.guards["lambda_tau_over_kappa"] == 0.0
+    for tag in ("cp_cgap", "cp_gap", "ws_cgap_p", "transfer_refined",
+                "lcd_lambda", "lcd_p", "lcd_m2"):
+        assert rep.bounds[tag] == math.inf, tag
 
 
 def test_monotone_decreasing_in_mass_slot():
     masses = np.linspace(0.05, 1.0, 20)
+    window = bounds._window(1.0, 0.5, 1)
     for fn in (
-        lambda b: compound_poisson_bound_cgap(3.0, b, 1, 2),
-        lambda b: weighted_sum_bound_cgap(1.0, 0.5, 12, 0.4, b, 1, 2),
-        lambda b: weighted_sum_bound_cgap_tail_free(1.0, 0.5, 12, b, 1, 2),
-        lambda b: compound_poisson_bound_gap(3.0, b, 2, 4),
-        lambda b: weighted_sum_bound_gap_tail_free(1.0, 0.5, 12, b, 2, 4),
-        lambda b: lcd_compound_poisson_bound(b, LcdParams(0.5, 1.0), 2.0, 4.0, 1),
+        lambda b: bounds._two_term(1.0, 2, 3.0 * b, 1),
+        lambda b: window * bounds._two_term(1.0, 2, 12 * 0.4 * b, 1),
+        lambda b: window * bounds._two_term(1.0, 2, 12 * b, 1),
+        lambda b: bounds._two_term(1.0, 4, 3.0 * b, 2, 1.0),
+        lambda b: window * bounds._two_term(1.0, 4, 12 * b, 2, 1.0),
+        _lcd_form,
     ):
         vals = [fn(float(b)) for b in masses]
         diffs = np.diff(vals)
@@ -151,45 +153,38 @@ def test_monotone_decreasing_in_mass_slot():
 def test_rank_inflation_factors():
     # the richer class costs (c6 r + 1)^(3 r^2 / 2) in the first term only
     r, s, mass = 2, 3, 0.7
-    plain = compound_poisson_bound_cgap(1.0, mass, r, s)
-    rich = compound_poisson_bound_gap(1.0, mass, r, s)
+    plain = bounds._two_term(1.0, s, mass, r)
+    rich = bounds._two_term(1.0, s, mass, r, 1.0)
     inflation = (1.0 * r + 1.0) ** (1.5 * r * r)
     first_plain = 1.0 / (s * math.sqrt(mass))
     assert abs((rich - plain) - (inflation - 1.0) * first_plain) < 1e-12
 
 
-def test_bound_forms_refuse_a_bool_rank_or_cap():
-    for r, m in ((True, 3), (1, True), (True, True)):
-        with pytest.raises(DomainError):
-            compound_poisson_bound_cgap(1.0, 0.5, r, m)
-
-
 def test_transfer_bounds():
-    assert transfer_bound_plain(0.25) == 0.25
-    assert transfer_bound_window(0.25, 1.0, 0.5, 1) == 0.75
-    assert transfer_bound_window(0.25, 1.0, 0.5, 2) == 0.25 * 9.0
-    assert abs(transfer_bound_refined(0.25, 2.5) - 0.1) < 1e-15
-    with pytest.raises(DomainError):
-        transfer_bound_window(0.25, -1.0, 0.5, 1)
+    assert bounds._window(1.0, 0.5, 1) == 3.0
+    assert bounds._window(1.0, 0.5, 2) == 9.0
+    with pytest.raises(DomainError, match="tau, kappa and delta must be positive"):
+        _small_report(kappa=-1.0)
 
 
 def test_lcd_m2_dominates_p_route():
     # with the default exponent coefficient, a larger mass slot can only help
     for p, m2 in ((0.2, 0.2), (0.2, 0.5), (0.05, 1.0)):
-        _, via_p, via_m2 = lcd_weighted_sum_bounds(
-            0.5, p, m2, LcdParams(0.5, 1.0), 2.0, 4.0, 1
-        )
+        via_p, via_m2 = _lcd_form(p), _lcd_form(m2)
         assert via_m2 <= via_p + 1e-12
         if m2 == p:
             assert via_m2 == via_p
 
 
 def test_lcd_lambda_prefactor():
-    lam = 0.5
-    via_lambda, via_p, _ = lcd_weighted_sum_bounds(
-        lam, lam, lam, LcdParams(0.5, 1.0), 2.0, 4.0, 1
+    rep = _small_report()
+    lam = rep.guards["lambda_tau_d"]
+    assert 0.0 < lam < 1.0
+    _, det_gram = WeightVector(np.ones((6, 1))).gram()
+    form = bounds._lcd_core(
+        lam, LcdParams(gamma=0.5, alpha=2.0), rep.parameters["D"], det_gram, 1, 1.0, 4.0
     )
-    assert abs(via_lambda - via_p / lam) < 1e-12
+    assert rep.bounds["lcd_lambda"] == form / lam
 
 
 # --- constants configuration -------------------------------------------------
@@ -352,7 +347,7 @@ def test_report_records_failed_esseen_cross_check():
 
 
 @pytest.mark.parametrize(
-    "x, calls", [(RAD, 2), (DiscreteDistribution.from_shorthand("uniform{-1,0,1}"), 3)]
+    "x, calls", [(RAD, 2), (UNIFORM3, 3)]
 )
 def test_report_computes_equal_kappa_references_once(x, calls):
     # Rademacher steps give p == lambda at tau/kappa = 1.5; uniform{-1,0,1} does not
@@ -394,6 +389,92 @@ def test_report_runs_one_coverage_search_per_window_and_cap(m, s, delta, searche
     for name, window in (("delta", delta), ("kappa", 1.0)):
         assert rep.guards[f"beta_star_{name}"] == beta_rm(w, window, 2, m).value
         assert rep.guards[f"gamma_star_{name}"] == gamma_rs(w, window, 2, s).value
+
+
+_DISTINCT = ConstantsConfig(
+    c2=2.5, c3=0.7, c4=1.3, c5=3.1, c6=0.4, c7=1.9, c8=2.2, c_esseen=1.1, c_d=1.7,
+    c_exp_m2=3.0,
+)
+
+
+def _rebuilt_tags(rep, a):
+    """Every tag of ``rep`` rebuilt by the oracle forms from the report's own
+    guards, parameters, references and constants, and the Gram matrix of ``a``."""
+    gd, par, c = rep.guards, rep.parameters, rep.constants
+    ref = {name: entry["value"] for name, entry in rep.references.items()}
+    n, d, r, m, s = (par[k] for k in "ndrms")
+    window = _or_inf(lambda: float((1 + math.floor(par["kappa"] / par["delta"])) ** d))
+    lam = gd["lambda_tau_over_kappa"]
+    want = {
+        "transfer_plain": c.c_d * ref["q_h_p_kappa"],
+        "transfer_window": (
+            window if math.isinf(window) else c.c_d * window * ref["q_h_p_delta"]
+        ),
+        "transfer_refined": c.c_d * ref["q_h_lambda_kappa"] / lam if lam > 0 else math.inf,
+    }
+    if d == 1:
+        def two_term(lead, cap, mass, inflate=None):
+            def form():
+                first = 1.0 if inflate is None else (inflate * r + 1.0) ** (1.5 * r * r)
+                return O.oracle_two_term(lead ** (r + 1), first, cap, mass, r)
+            return _or_inf(form)
+
+        def unit(name):
+            return min(gd[name], 1.0)
+
+        p = gd["p_tau_over_kappa"]
+        want.update(
+            cp_cgap=two_term(c.c2, m, 0.5 * n * p * unit("beta_star_kappa")),
+            cp_gap=two_term(c.c5, s, 0.5 * n * p * unit("gamma_star_kappa"), c.c6),
+            ws_cgap_p=window * two_term(c.c3, m, n * min(p, 1.0) * unit("beta_star_delta")),
+            ws_cgap_lambda=window * two_term(c.c4, m, n * unit("beta_star_delta")),
+            ws_gap_lambda=window * two_term(c.c7, s, n * unit("gamma_star_delta"), c.c8),
+        )
+    if "lcd_d_lower" in gd:
+        big_d = gd["lcd_d_lower"]
+        assert par["D"] == big_d
+        _, det = a.gram()
+
+        def lcd(b, coeff=4.0):
+            def form():
+                first = (1.0 / (par["gamma"] * big_d * math.sqrt(b))) ** d / math.sqrt(det)
+                return c.c_d * (first + math.exp(-coeff * b * par["alpha"] * par["alpha"]))
+            return _or_inf(form) if big_d > 0 and b > 0 and det > 0 else math.inf
+
+        lam_td = gd.get("lambda_tau_d", 0.0)
+        want.update(
+            lcd_cp=lcd(par["b"]),
+            lcd_lambda=lcd(lam_td) / lam_td if lam_td > 0 else math.inf,
+            lcd_p=lcd(gd.get("p_tau_d", 0.0)),
+            lcd_m2=lcd(gd.get("m2_tau_d", 0.0), c.c_exp_m2),
+        )
+    return want
+
+
+@pytest.mark.parametrize("constants", [ConstantsConfig(), _DISTINCT], ids=["default", "distinct"])
+def test_every_tag_reads_its_own_constant_cap_and_mass(constants):
+    cases = [
+        (spec.x, spec.a, *spec.require("tau", "kappa", "delta"), *spec.caps, spec.lcd, spec.id)
+        for spec in sorted(load_corpus(), key=lambda spec: spec.id)
+    ]
+    # the corpus sets m = s and has p = lambda = M at tau D: two more reports
+    # tell the caps, the windows and the three lcd masses apart
+    cases += [
+        (UNIFORM3, _GENERIC, 0.5, 0.3, 0.1, 2, 3, 9, LcdParams(0.5, 2.0), "caps"),
+        (UNIFORM3, _GENERIC, 1.0, 0.4, 0.1, 2, 3, 9, LcdParams(0.9, 0.5), "lcd-masses"),
+    ]
+    for x, a, tau, kappa, delta, r, m, s, lcd, name in cases:
+        rep = build_bound_report(
+            x, a, tau, kappa, delta, r, m, s, lcd=lcd, constants=constants,
+            instance=name, seed=0, mc_samples=2000,
+        )
+        want = _rebuilt_tags(rep, a)
+        assert set(rep.bounds) == set(want), name
+        wrong = [
+            tag for tag, v in rep.bounds.items()
+            if np.float64(v).tobytes() != np.float64(want[tag]).tobytes()
+        ]
+        assert not wrong, (name, wrong)
 
 
 def test_report_without_lcd_params_drops_lcd_tags():

@@ -107,6 +107,46 @@ def test_capacity_is_exit_three(capsys, tmp_path):
     assert "capacity" in err.lower()
 
 
+_PLANE = [[1.0, 0.5], [0.5, 1.0]]
+_SPACE = [[1.0, 0.5, 0.5], [0.5, 1.0, 0.5], [0.5, 0.5, 1.0]]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["q"], ["q", "--method", "mc", "--budget", "2000"], ["bounds", "--budget", "2000"]],
+    ids=["exact", "mc", "bounds"],
+)
+@pytest.mark.parametrize(
+    "weights, tau",
+    [(_PLANE, 1e300), (_PLANE, 1e160), (_SPACE, 1e300), (_SPACE, 1e160),
+     ([[1e155, 2.0], [3.0, 1e155]], 1.0)],
+    ids=["2d-tau1e300", "2d-tau1e160", "3d-tau1e300", "3d-tau1e160", "2d-weights1e155"],
+)
+def test_d2_past_the_ball_range_is_exit_two(capsys, tmp_path, argv, weights, tau):
+    # squared distances would overflow: refused before any pair is listed
+    inst = tmp_path / "far.json"
+    inst.write_text(json.dumps({
+        "id": "far",
+        "distribution": "rademacher",
+        "weights": weights,
+        "parameters": {"tau": tau, "kappa": 1.0, "delta": 0.5},
+    }))
+    code, out, err = run([argv[0], str(inst), *argv[1:]], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: in dimension >= 2, coordinates and tau/2 must not exceed 1e+150\n"
+
+
+def test_d2_inside_the_ball_range_runs(capsys, tmp_path):
+    inst = tmp_path / "wide.json"
+    inst.write_text(json.dumps({
+        "id": "wide", "distribution": "rademacher", "weights": _PLANE,
+        "parameters": {"tau": 1e149},
+    }))
+    code, out, _ = run(["q", str(inst)], capsys)
+    assert code == 0
+    assert json.loads(out)["value"] == 1.0
+
+
 def test_lcd_command(capsys):
     code, out, _ = run(["lcd", str(CORPUS / "12-lcd-ones-09-g5a10.json")], capsys)
     assert code == 0
@@ -534,3 +574,20 @@ def test_bound_forms_past_the_float_range_report_vacuous(capsys, tmp_path):
     for tag in ("cp_gap", "ws_gap_lambda"):
         assert bounds[tag]["value"] is None
         assert bounds[tag]["vacuous"] is True
+
+
+def test_lcd_form_past_the_float_range_reports_vacuous(capsys, tmp_path):
+    # (1 / (gamma D sqrt b))^2 passes 1e308 at smoothing power 1e-310
+    inst = tmp_path / "tiny-power.json"
+    inst.write_text(json.dumps({
+        "id": "tiny-power",
+        "distribution": "rademacher",
+        "weights": [[1.0, 0.0], [0.0, 1.0]],
+        "parameters": {"tau": 1.0, "kappa": 1.0, "delta": 0.5, "gamma": 0.9,
+                       "alpha": 0.02, "smoothing_power": 1e-310},
+    }))
+    code, out, _ = run(["bounds", str(inst), "--budget", "2000"], capsys)
+    assert code == 0
+    assert json.loads(out)["reports"][0]["bounds"]["lcd_cp"] == {
+        "value": None, "vacuous": True, "target": "q_h_b_invd"
+    }

@@ -496,6 +496,23 @@ def test_regularity_random_instances():
         assert rc.factor == (1.0 + math.floor(mu / lam)) ** d
 
 
+def test_exact_3d_sweep_refuses_a_radius_whose_gram_determinants_overflow():
+    # below 1e150^(1/2) the sweep is scale-free; above it the triangle fits
+    # overflowed and dropped centres, so a wrong value came back as exact
+    w = np.random.default_rng(1).uniform(-1.0, 1.0, (5, 3))
+    tau = 2.5
+    want = exact_q(RAD, WeightVector(w), tau).value
+    scale = 2.0**245  # tau/2 * scale = 7e73
+    assert exact_q(RAD, WeightVector(w * scale), tau * scale).value == want
+    with pytest.raises(DomainError, match="in dimension 3, an exact ball sweep"):
+        exact_q(RAD, WeightVector(w * 2.0**330), tau * 2.0**330)
+    # Monte Carlo fits no cliques: it runs up to the common limit
+    est = mc_q(WeightedSum(RAD, WeightVector(w * 2.0**330)), tau * 2.0**330, 2000, 0)
+    assert 0.0 < est.value <= 1.0
+    with pytest.raises(DomainError, match="must not exceed 1e\\+150"):
+        mc_q(WeightedSum(RAD, WeightVector(w)), 1e301, 2000, 0)
+
+
 def test_exact_q_of_distribution_guards():
     f = DiscreteDistribution([[0.0]], [0.5], normalized=False)
     with pytest.raises(DomainError):
