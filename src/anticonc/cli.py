@@ -30,6 +30,7 @@ from .errors import (
     ChainViolationError,
     DomainError,
     InputError,
+    naming_instance,
 )
 from .instances import load_instances
 from .lcd import compute_lcd
@@ -117,20 +118,21 @@ def cmd_lcd(args) -> int:
 def _one_bound_report(args, spec, idx):
     tau, kappa, delta = spec.require("tau", "kappa", "delta")
     constants = _constants_for(args, spec)
-    return build_bound_report(
-        spec.x,
-        spec.a,
-        tau,
-        kappa,
-        delta,
-        *spec.caps,
-        lcd=spec.lcd,
-        smoothing_power=spec.smoothing_power,
-        constants=constants,
-        instance=spec.id,
-        seed=derive_seed(args.seed, idx),
-        mc_samples=100_000 if args.budget is None else args.budget,
-    )
+    with naming_instance(spec.id):
+        return build_bound_report(
+            spec.x,
+            spec.a,
+            tau,
+            kappa,
+            delta,
+            *spec.caps,
+            lcd=spec.lcd,
+            smoothing_power=spec.smoothing_power,
+            constants=constants,
+            instance=spec.id,
+            seed=derive_seed(args.seed, idx),
+            mc_samples=100_000 if args.budget is None else args.budget,
+        )
 
 
 def cmd_bounds(args) -> int:

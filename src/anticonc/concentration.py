@@ -526,8 +526,9 @@ def mc_q(
     line the count is the sweep ``_max_window_mass_1d`` over sample-anchored
     windows, exact for the empirical measure.  In dimension >= 2 candidate
     centers are the distinct samples plus the distinct midpoints of the pairs
-    within ``tau`` of a seeded 256-sample subsample, which makes the estimate
-    a documented lower-bound heuristic for the empirical optimum.
+    within ``tau`` of the distinct rows of a seeded 256-sample subsample, which
+    makes the estimate a documented lower-bound heuristic for the empirical
+    optimum.
     """
     if not tau >= 0:
         raise DomainError("tau must be nonnegative")
@@ -539,6 +540,8 @@ def mc_q(
     if dim > 1:
         # counting draws nothing, so taking the subsample first keeps the stream
         sub = samples[rng.choice(n_samples, size=min(n_samples, 256), replace=False)]
+        # a pair of equal rows has its row as midpoint, already a centre
+        sub, _ = distinct_rows(sub)
     rows, counts = distinct_rows(samples)
     del samples  # free the raw draws before the kd-tree is built
     if dim == 1:

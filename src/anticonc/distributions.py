@@ -28,6 +28,12 @@ WEIGHT_SUM_TOL = 1e-12
 # the Poisson law starts at exp(-mean) > 9e-14, safely inside double range.
 _INVERSION_MAX_MEAN = 30.0
 
+# Guide table of every inverse-CDF draw: [0, 1) cut into 2^12 buckets, each
+# held as its lower edge b/2^12 and its largest double, below (b+1)/2^12.
+_GUIDE_BITS = 12
+_BUCKET_LO = np.arange(1 << _GUIDE_BITS) / (1 << _GUIDE_BITS)
+_BUCKET_HI = np.nextafter(_BUCKET_LO + 2.0**-_GUIDE_BITS, 0.0)
+
 
 class DiscreteDistribution:
     """Finitely supported measure on R^d.
@@ -290,7 +296,7 @@ def _poisson_inversion(rng: np.random.Generator, lam: float, size: int) -> np.nd
         term *= lam / k
         total += term
         cdf.append(total)
-    return np.searchsorted(np.asarray(cdf), u, side="left").astype(np.int64)
+    return _guide_search(np.asarray(cdf), u, "left")
 
 
 def _poisson_counts(rng: np.random.Generator, lam: float, size: int) -> np.ndarray:
@@ -311,12 +317,42 @@ def _poisson_counts(rng: np.random.Generator, lam: float, size: int) -> np.ndarr
     return counts
 
 
+def _guide_search(cdf: np.ndarray, u, side: str) -> np.ndarray:
+    """``np.searchsorted(cdf, u, side)`` as ``intp``, by a guide table
+    (Chen and Asau, 1974) for uniforms ``u`` in [0, 1).
+
+    A bucket of [0, 1) whose lower edge and largest double search to the same
+    index decides it for every uniform inside, because the search is monotone
+    in the uniform; the other buckets hold -1.  ``u * 2^12`` is exact, so each
+    uniform reads its own bucket, and only uniforms in a -1 bucket are
+    searched: the indices are the search's own.  Inputs that are empty or not
+    all in [0, 1) are searched directly.  Always an array, of ``u``'s shape.
+    """
+    u = np.asarray(u, dtype=float)
+    flat = u.reshape(-1)
+    if not (flat.size and flat.min() >= 0.0 and flat.max() < 1.0):
+        return np.searchsorted(cdf, flat, side).reshape(u.shape)
+    lo = np.searchsorted(cdf, _BUCKET_LO, side)
+    hi = np.searchsorted(cdf, _BUCKET_HI, side)
+    # a compact table: the lookup below reads far less memory than with intp
+    guide = np.where(lo == hi, lo, -1).astype(np.int16 if len(cdf) < 2**15 else np.int64)
+    idx = guide.take((flat * (1 << _GUIDE_BITS)).astype(np.int32))
+    miss = np.flatnonzero(idx < 0)
+    if len(miss):
+        idx[miss] = np.searchsorted(cdf, flat[miss], side)
+    return idx.astype(np.intp).reshape(u.shape)
+
+
 def atom_indices(law: DiscreteDistribution, u: np.ndarray) -> np.ndarray:
     """Inverse-CDF draw: the index of the atom of ``law`` that each uniform in
     ``u`` selects, ``searchsorted(cumsum(weights), u, side="right")`` clamped
-    to the last atom (which absorbs a float shortfall of the cumsum below 1)."""
-    cum = np.cumsum(law.weights)
-    return np.minimum(np.searchsorted(cum, u, side="right"), law.n_atoms - 1)
+    to the last atom (which absorbs a float shortfall of the cumsum below 1).
+
+    The search goes through a guide table of [0, 1) (``_guide_search``), so
+    most uniforms take one table lookup; the indices, of dtype ``intp``, are
+    the plain search's bit for bit.  Leaving the cumsum's last entry out of
+    the search is the clamp."""
+    return _guide_search(np.cumsum(law.weights)[:-1], u, "right")
 
 
 def cp_sample_rng(
@@ -326,7 +362,9 @@ def cp_sample_rng(
 
     Deterministic for a fixed generator state; counts come from sequential
     CDF inversion (split into sub-chunks for means above 30), atoms from
-    inverse-CDF lookups.
+    inverse-CDF lookups.  Both inversions read a guide table of [0, 1) and
+    search only the uniforms of its undecided buckets; the indices, and so
+    the draws, are those of a plain ``np.searchsorted``.
     """
     if n_samples < 1:
         raise DomainError("n_samples must be positive")

@@ -7,6 +7,8 @@ quadratures or iterations that do not converge (NumericsError) exit 1.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 
 class AnticoncError(Exception):
     """Base class for every error raised by this package."""
@@ -46,3 +48,14 @@ class ChainViolationError(AnticoncError):
         super().__init__(
             f"{label} violated at t={t!r}: lhs={lhs!r} > rhs={rhs!r}"
         )
+
+
+@contextmanager
+def naming_instance(instance_id: str):
+    """Prefix ``instance 'ID': `` to the message of a package error raised
+    inside, keeping its class (and so the CLI's exit code) and its fields."""
+    try:
+        yield
+    except AnticoncError as exc:
+        exc.args = (f"instance {instance_id!r}: {exc}",)
+        raise

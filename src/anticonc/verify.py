@@ -31,7 +31,7 @@ from .distributions import (
     tail_mass,
     truncated_second_moment,
 )
-from .errors import CapacityError, ChainViolationError, DomainError, InputError
+from .errors import CapacityError, ChainViolationError, DomainError, InputError, naming_instance
 from .instances import load_corpus
 from .lcd import LcdParams, compute_lcd, violation_condition
 from .progressions import beta_rm, gamma_rs, uncovered_mass
@@ -482,23 +482,24 @@ def run_verification(
     results = []
     skipped = Counter()
     for idx, spec in enumerate(sorted(specs, key=lambda s: s.id)):
-        inst_seed = derive_seed(int(seed), idx)
-        bracket = None if spec.lcd is None else compute_lcd(spec.a, spec.lcd)
-        searches = _witness_searches(spec)
-        # the instance's exact law, convolved at its first use: every exact Q
-        # of the instance sweeps it, and a law past the budget raises
-        # CapacityError at each use, so each check counts its own skips
-        law = cache(partial(weighted_sum_distribution, spec.x, spec.a, exact_budget))
-        results.extend(
-            _check_expected(spec, law, exact_budget, skipped, bracket, searches)
-        )
-        results.extend(_check_regularity(spec, law, exact_budget, skipped))
-        results.extend(_check_chain(spec, inst_seed, bracket))
-        results.extend(_check_functionals(spec))
-        results.extend(_check_projection(spec, law, exact_budget, skipped))
-        results.extend(_check_witness(spec, searches))
-        if bracket is not None:
-            results.extend(_check_lcd_agreement(spec, bracket, skipped))
+        with naming_instance(spec.id):
+            inst_seed = derive_seed(int(seed), idx)
+            bracket = None if spec.lcd is None else compute_lcd(spec.a, spec.lcd)
+            searches = _witness_searches(spec)
+            # the instance's exact law, convolved at its first use: every exact Q
+            # of the instance sweeps it, and a law past the budget raises
+            # CapacityError at each use, so each check counts its own skips
+            law = cache(partial(weighted_sum_distribution, spec.x, spec.a, exact_budget))
+            results.extend(
+                _check_expected(spec, law, exact_budget, skipped, bracket, searches)
+            )
+            results.extend(_check_regularity(spec, law, exact_budget, skipped))
+            results.extend(_check_chain(spec, inst_seed, bracket))
+            results.extend(_check_functionals(spec))
+            results.extend(_check_projection(spec, law, exact_budget, skipped))
+            results.extend(_check_witness(spec, searches))
+            if bracket is not None:
+                results.extend(_check_lcd_agreement(spec, bracket, skipped))
     return VerificationReport(
         results=results, n_instances=len(specs), seed=int(seed), skipped=dict(skipped)
     )

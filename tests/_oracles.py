@@ -246,6 +246,60 @@ def oracle_mc_count(samples, tau, sub_idx):
     return count
 
 
+def _oracle_atom_indices(weights, u):
+    """Inverse-CDF atom draws by plain ``np.searchsorted``, clamped to the last
+    atom."""
+    cum = np.cumsum(weights)
+    return np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
+
+
+def _oracle_poisson_counts(rng, lam, size):
+    """Poisson(lam) counts by sequential CDF inversion, in chunks of mean at
+    most 30, one ``rng.random(size)`` per chunk, each searched by plain
+    ``np.searchsorted``."""
+    counts = np.zeros(size, dtype=np.int64)
+    if lam == 0.0:
+        return counts
+    chunks = max(1, math.ceil(lam / 30.0))
+    per = lam / chunks
+    for _ in range(chunks):
+        u = rng.random(size)
+        term = math.exp(-per)
+        cdf = [term]
+        k = 0
+        while cdf[-1] <= float(u.max()) and term > 0.0 and k < 4000:
+            k += 1
+            term *= per / k
+            cdf.append(cdf[-1] + term)
+        counts += np.searchsorted(np.asarray(cdf), u, side="left")
+    return counts
+
+
+def oracle_cp_sample(intensity, atoms, weights, n_samples, rng):
+    """Compound-Poisson draws in the sampler's stream order: the Poisson
+    counts first, then one uniform per summand, each searched by plain
+    ``np.searchsorted``; each sample adds its summands in draw order."""
+    counts = _oracle_poisson_counts(rng, intensity, n_samples)
+    out = np.zeros((n_samples, atoms.shape[1]))
+    total = int(counts.sum())
+    if total:
+        idx = _oracle_atom_indices(weights, rng.random(total))
+        np.add.at(out, np.repeat(np.arange(n_samples), counts), atoms[idx])
+    return out
+
+
+def oracle_weighted_sum_sample(step_atoms, step_weights, rows, n_samples, rng, chunk):
+    """Draws of sum_k X_k rows[k] in the sampler's stream order: (m, n)
+    uniforms per chunk of ``chunk`` samples, searched by plain
+    ``np.searchsorted``, and one matrix product per chunk."""
+    out = np.empty((n_samples, rows.shape[1]))
+    for i in range(0, n_samples, chunk):
+        m = min(chunk, n_samples - i)
+        idx = _oracle_atom_indices(step_weights, rng.random((m, rows.shape[0])))
+        out[i : i + m] = step_atoms[idx] @ rows
+    return out
+
+
 def oracle_symmetrize(support, probs):
     """Distribution of X1 - X2 as a dict value -> Fraction."""
     probs = [Fraction(p).limit_denominator(10**9) for p in probs]

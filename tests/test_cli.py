@@ -7,6 +7,14 @@ from pathlib import Path
 import pytest
 
 from anticonc.cli import SCHEMA_VERSION, main
+from anticonc.errors import (
+    CapacityError,
+    ChainViolationError,
+    DomainError,
+    InputError,
+    NumericsError,
+    naming_instance,
+)
 
 CORPUS = Path(__file__).resolve().parents[1] / "src" / "anticonc" / "data" / "corpus"
 ONES10 = CORPUS / "02-ones-10.json"
@@ -133,7 +141,46 @@ def test_d2_past_the_ball_range_is_exit_two(capsys, tmp_path, argv, weights, tau
     }))
     code, out, err = run([argv[0], str(inst), *argv[1:]], capsys)
     assert code == 2 and out == ""
-    assert err == "error: in dimension >= 2, coordinates and tau/2 must not exceed 1e+150\n"
+    named = "instance 'far': " if argv[0] == "bounds" else ""
+    assert err == f"error: {named}in dimension >= 2, coordinates and tau/2 must not exceed 1e+150\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [["bounds", "--budget", "2000"], ["verify"]], ids=["bounds", "verify"]
+)
+def test_error_while_computing_a_report_names_the_instance(capsys, tmp_path, argv):
+    # a directory of a valid instance and one past the ball range: the error
+    # names the failing instance, and the exit code and empty stdout stay
+    (tmp_path / "02-ones-10.json").write_text(ONES10.read_text())
+    (tmp_path / "huge-2d.json").write_text(json.dumps({
+        "id": "huge-2d",
+        "distribution": "rademacher",
+        "weights": _PLANE,
+        "parameters": {"tau": 1e300, "kappa": 1.0, "delta": 0.5},
+    }))
+    code, out, err = run([argv[0], str(tmp_path), *argv[1:]], capsys)
+    assert code == 2 and out == ""
+    assert err == (
+        "error: instance 'huge-2d': in dimension >= 2, "
+        "coordinates and tau/2 must not exceed 1e+150\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [DomainError("d"), InputError("i"), CapacityError("c"), NumericsError("n"),
+     ChainViolationError("chain", 0.5, 2.0, 1.0)],
+    ids=lambda exc: type(exc).__name__,
+)
+def test_naming_an_instance_keeps_the_error_and_its_fields(exc):
+    # the class picks the exit code, so the named error must keep it
+    text = str(exc)
+    with pytest.raises(type(exc)) as info:
+        with naming_instance("x"):
+            raise exc
+    assert info.value is exc and str(exc) == f"instance 'x': {text}"
+    if isinstance(exc, ChainViolationError):
+        assert (exc.label, exc.t, exc.lhs, exc.rhs) == ("chain", 0.5, 2.0, 1.0)
 
 
 def test_d2_inside_the_ball_range_runs(capsys, tmp_path):

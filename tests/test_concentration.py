@@ -324,6 +324,65 @@ def test_mc_q_count_matches_raw_row_oracle_on_corpus(spec):
     _assert_mc_count_matches_oracle(WeightedSum(spec.x, spec.a), tau, 2000, 5)
 
 
+def _same_draws(got, want, rng_got, rng_want):
+    """Bit-equal draws, and both generators left at the same point of the stream."""
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert rng_got.bit_generator.state == rng_want.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", [0, 9])
+@pytest.mark.parametrize("spec", load_corpus(), ids=lambda spec: spec.id)
+def test_samplers_match_the_plain_search_oracles_bit_for_bit(spec, seed):
+    # the guide-table search leaves the random stream and every draw as a
+    # plain np.searchsorted gives them, on every smoothing law and step law
+    law = smoothing_law(spec.a, spec.smoothing_power)
+    rng, rng_o = make_rng(seed), make_rng(seed)
+    got = cp_sample_rng(law, 3000, rng)
+    want = O.oracle_cp_sample(law.intensity, law.base.atoms, law.base.weights, 3000, rng_o)
+    _same_draws(got, want, rng, rng_o)
+    rng, rng_o = make_rng(seed), make_rng(seed)
+    got = WeightedSum(spec.x, spec.a).sample(3000, rng)
+    want = O.oracle_weighted_sum_sample(
+        spec.x.atoms[:, 0], spec.x.weights, spec.a.rows, 3000, rng_o, concentration._MC_CHUNK
+    )
+    _same_draws(got, want, rng, rng_o)
+
+
+def test_samplers_match_the_oracles_across_poisson_and_sample_chunks():
+    # a mean of 75 inverts three Poisson chunks; 700-sample chunks make five
+    law = CompoundPoisson(75.0, DiscreteDistribution([-1.0, 0.5, 2.0], [0.25, 0.5, 0.25]))
+    rng, rng_o = make_rng(4), make_rng(4)
+    got = cp_sample_rng(law, 3000, rng)
+    want = O.oracle_cp_sample(75.0, law.base.atoms, law.base.weights, 3000, rng_o)
+    _same_draws(got, want, rng, rng_o)
+    rows = np.array([[1.0, 0.5], [0.3, 2.0], [1.5, 1.5]])
+    rng, rng_o = make_rng(4), make_rng(4)
+    with mock.patch.object(concentration, "_MC_CHUNK", 700):
+        got = WeightedSum(U3, WeightVector(rows)).sample(3000, rng)
+    want = O.oracle_weighted_sum_sample(U3.atoms[:, 0], U3.weights, rows, 3000, rng_o, 700)
+    _same_draws(got, want, rng, rng_o)
+
+
+@pytest.mark.parametrize(
+    "spec", [s for s in load_corpus() if s.a.dim > 1], ids=lambda spec: spec.id
+)
+def test_mc_q_pairs_only_the_distinct_subsample_rows(spec):
+    # equal rows pair to their own row, already a centre: only distinct
+    # rows are paired, and the count still equals the raw-row oracle's
+    law = smoothing_law(spec.a, spec.smoothing_power)
+    seen = []
+    near_pairs = concentration._near_pairs
+
+    def spy(pts, *args):
+        seen.append(pts)
+        return near_pairs(pts, *args)
+
+    with mock.patch.object(concentration, "_near_pairs", spy):
+        _assert_mc_count_matches_oracle(law, spec.require("kappa"), 5000, 5)
+    (sub,) = seen
+    assert len(distinct_rows(sub)[0]) == len(sub) < 256
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     dim=st.integers(1, 3),

@@ -3,12 +3,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import _oracles as O
 from anticonc._common import make_rng
 from anticonc.distributions import (
     CompoundPoisson,
     DiscreteDistribution,
+    _guide_search,
     atom_indices,
     cp_sample_rng,
     half_empirical_measure,
@@ -197,10 +200,85 @@ def test_atom_indices_is_the_clamped_right_search_of_the_cdf():
     cum = np.cumsum(law.weights)
     u = np.array([0.0, cum[0], cum[1], cum[-1], 1.0 - 2.0**-53])
     want = np.minimum(np.searchsorted(cum, u, side="right"), law.n_atoms - 1)
-    np.testing.assert_array_equal(atom_indices(law, u), want)
+    got = atom_indices(law, u)
+    np.testing.assert_array_equal(got, want)
+    assert got.dtype == np.intp
     assert want.tolist() == [0, 1, 2, 2, 2]
     # any shape of uniforms: the sampler of a weighted sum draws (m, n) at once
     np.testing.assert_array_equal(atom_indices(law, np.stack([u, u[::-1]])), [want, want[::-1]])
+    # guide-table bucket edges, the largest double below each, and CDF values
+    # placed on the edges 1/4096 and 2049/4096
+    law = DiscreteDistribution([0.0, 1.0, 2.0], [2.0**-12, 0.5, 0.5 - 2.0**-12])
+    cum = np.cumsum(law.weights)
+    k = np.array([0.0, 1.0, 2.0, 2048.0, 2049.0, 4095.0]) / 4096
+    u = np.concatenate([k, np.nextafter(k[1:], 0.0), cum[:-1], [1.0 - 2.0**-53]])
+    want = np.minimum(np.searchsorted(cum, u, side="right"), law.n_atoms - 1)
+    got = atom_indices(law, u)
+    np.testing.assert_array_equal(got, want)
+    assert got.dtype == np.intp
+    assert got[:6].tolist() == [0, 1, 1, 1, 2, 2]
+
+
+@st.composite
+def _cdfs(draw):
+    """Nondecreasing CDFs of 1 to 4,000 entries: random cumsums (some with
+    zero weights), cumsums falling short of 1, and entries on the bucket
+    edges k/2^12 (with ties)."""
+    n = draw(st.integers(1, 4000))
+    kind = draw(st.sampled_from(["cumsum", "short", "edges"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "edges":
+        return np.sort(rng.integers(0, 4097, n)) / 4096.0
+    w = rng.random(n) * (rng.random(n) < 0.8)
+    cdf = np.cumsum(w / max(w.sum(), 1e-300))
+    return cdf * (1.0 - 1e-9) if kind == "short" else cdf
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    cdf=_cdfs(),
+    side=st.sampled_from(["left", "right"]),
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.sampled_from([(300,), (30, 10)]),
+)
+def test_guide_search_is_the_plain_search(cdf, side, seed, shape):
+    # uniforms at 0, on bucket edges, just below them, on CDF entries, at
+    # 1 - 2^-53 and at random: the guide table gives searchsorted's indices
+    rng = np.random.default_rng(seed)
+    edges = rng.integers(0, 4096, 60) / 4096.0
+    u = np.concatenate([
+        [0.0, 1.0 - 2.0**-53],
+        edges,
+        np.nextafter(edges[edges > 0], 0.0),
+        rng.choice(cdf[cdf < 1.0], 40) if (cdf < 1.0).any() else [],
+        rng.random(300),
+    ])
+    u = rng.permutation(u)[: math.prod(shape)].reshape(shape)
+    got = _guide_search(cdf, u, side)
+    np.testing.assert_array_equal(got, np.searchsorted(cdf, u, side))
+    assert got.dtype == np.intp and got.shape == u.shape
+
+
+def test_guide_search_past_the_int16_table_is_the_plain_search():
+    # 40,000 CDF entries: the table holds int64, and most buckets are undecided
+    rng = np.random.default_rng(3)
+    cdf = np.cumsum(rng.random(40_000) / 20_000.0)
+    u = np.concatenate([rng.random(5000), np.arange(4096) / 4096.0])
+    for side in ("left", "right"):
+        got = _guide_search(cdf, u, side)
+        np.testing.assert_array_equal(got, np.searchsorted(cdf, u, side))
+        assert got.dtype == np.intp
+
+
+@pytest.mark.parametrize(
+    "u", [[1.0], [-0.25, 0.5], [0.5, math.nan], [], 0.5], ids=["one", "negative", "nan", "empty", "scalar"]
+)
+def test_guide_search_outside_the_buckets_is_the_plain_search(u):
+    # uniforms outside [0, 1), no uniforms, or a scalar: still the search's indices
+    cdf = np.array([0.25, 0.5, 0.75, 1.0])
+    got = _guide_search(cdf, u, "right")
+    np.testing.assert_array_equal(got, np.searchsorted(cdf, u, "right"))
+    assert got.dtype == np.intp and got.shape == np.shape(u)
 
 
 def test_cp_sampling_large_mean_splits():
