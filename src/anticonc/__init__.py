@@ -36,7 +36,7 @@ from .errors import (
     NumericsError,
 )
 from .lcd import LcdParams, LcdResult, compute_lcd
-from .progressions import Cgap, ConvexBody, Gap, beta_rm, gamma_rs, uncovered_mass
+from .progressions import Cgap, Gap, beta_rm, gamma_rs, uncovered_mass
 
 __version__ = "0.1.0"
 
@@ -50,7 +50,6 @@ __all__ = [
     "CompoundPoisson",
     "ConcentrationEstimate",
     "ConstantsConfig",
-    "ConvexBody",
     "DiscreteDistribution",
     "DomainError",
     "Gap",

@@ -1,8 +1,11 @@
-"""Shared numeric tolerances, the JSON number rule, point-array helpers, seeds."""
+"""Shared numeric tolerances, the JSON file reader and number rule,
+point-array helpers, seeds."""
 
 from __future__ import annotations
 
+import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -19,6 +22,19 @@ GEOM_TOL = 1e-12
 WINDOW_TOL = 3e-12
 
 _MASK64 = (1 << 64) - 1
+
+
+def read_json(path, what: str):
+    """The JSON value of the ``what`` file at ``path``.  InputError naming the
+    file when it cannot be read, is not UTF-8 or is not JSON, including an
+    integer of over 4,300 digits and nesting past the recursion limit."""
+    path = Path(path)
+    try:
+        return json.loads(path.read_text())
+    except OSError as exc:
+        raise InputError(f"cannot read {what} file {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise InputError(f"{path}: malformed JSON: {exc}") from exc
 
 
 def json_number(value, what: str, kind=float):

@@ -48,6 +48,8 @@ from .lcd import LcdParams, compute_lcd
 from .progressions import DEFAULT_CAPS, beta_rm
 
 _TWO_PI = 2.0 * math.pi
+# Tolerance of every comparison of the pointwise chain check.
+_CHAIN_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -189,11 +191,8 @@ class PointwiseChainReport:
     """
 
     n_points: int
-    cosine_checks: int
-    envelope_checks: int
     lcd_checks: int
     premise_failures: int
-    slack: float
 
 
 def _first_violation(mask: np.ndarray):
@@ -206,7 +205,6 @@ def verify_pointwise_chain(
     t_grid,
     lcd: LcdParams | None = None,
     big_d: float | None = None,
-    slack: float = 1e-12,
 ) -> PointwiseChainReport:
     """Check the exact pointwise inequalities behind the smoothing bounds.
 
@@ -219,11 +217,9 @@ def verify_pointwise_chain(
        the denominator condition of ``lcd`` holds at t/2pi:
        hat H(t) <= exp(-4 min(gamma ||t/2pi . a||, alpha)^2).
 
-    These are constant-free facts; any failure beyond ``slack`` raises
-    ChainViolationError carrying the offending t.
+    These are constant-free facts; any failure beyond ``_CHAIN_SLACK``
+    raises ChainViolationError carrying the offending t.
     """
-    if slack < 0:
-        raise DomainError("slack must be nonnegative")
     if (lcd is None) != (big_d is None):
         raise InputError("lcd and big_d come together or not at all")
     check_lcd = lcd is not None
@@ -236,7 +232,7 @@ def verify_pointwise_chain(
     reduced = _TWO_PI * frac
     lhs_cos = 1.0 - np.cos(reduced)
     rhs_cos = 2.0 * reduced * reduced / (math.pi * math.pi)
-    bad = lhs_cos < rhs_cos - slack
+    bad = lhs_cos < rhs_cos - _CHAIN_SLACK
     if bad.any():
         i, k = np.argwhere(bad)[0]
         raise ChainViolationError(
@@ -246,7 +242,7 @@ def verify_pointwise_chain(
     h_vals = np.exp(-0.5 * np.sum(lhs_cos, axis=1))
     dist_sq = np.sum(frac * frac, axis=1)
     envelope = np.exp(-4.0 * dist_sq)
-    bad = h_vals > envelope + slack
+    bad = h_vals > envelope + _CHAIN_SLACK
     i = _first_violation(bad)
     if i is not None:
         raise ChainViolationError("lattice_envelope", ts[i], h_vals[i], envelope[i])
@@ -257,12 +253,12 @@ def verify_pointwise_chain(
         radius_ok = np.linalg.norm(ts, axis=1) <= _TWO_PI * big_d * (1.0 + 1e-12)
         scaled_norm = np.linalg.norm(ph, axis=1) / _TWO_PI  # ||t/2pi . a||
         threshold = np.minimum(lcd.gamma * scaled_norm, lcd.alpha)
-        premise = np.sqrt(dist_sq) >= threshold - slack
+        premise = np.sqrt(dist_sq) >= threshold - _CHAIN_SLACK
         premise_failures = int(np.count_nonzero(radius_ok & ~premise))
         active = radius_ok & premise
         lcd_checks = int(np.count_nonzero(active))
         lcd_envelope = np.exp(-4.0 * threshold * threshold)
-        bad = active & (h_vals > lcd_envelope + slack)
+        bad = active & (h_vals > lcd_envelope + _CHAIN_SLACK)
         i = _first_violation(bad)
         if i is not None:
             raise ChainViolationError(
@@ -271,11 +267,8 @@ def verify_pointwise_chain(
 
     return PointwiseChainReport(
         n_points=ts.shape[0],
-        cosine_checks=int(ph.size),
-        envelope_checks=ts.shape[0],
         lcd_checks=lcd_checks,
         premise_failures=premise_failures,
-        slack=slack,
     )
 
 

@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from ._common import derive_seed
+from ._common import derive_seed, read_json
 from .bounds import ConstantsConfig, bound_report_csv, build_bound_report
 from .concentration import (
     DEFAULT_EXACT_BUDGET,
@@ -52,7 +52,10 @@ def _budget(text: str) -> int:
 
 def _emit(text: str, out_path) -> None:
     if out_path:
-        Path(out_path).write_text(text)
+        try:
+            Path(out_path).write_text(text)
+        except OSError as exc:
+            raise InputError(f"cannot write output file {out_path}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -64,15 +67,11 @@ def _render_json(obj) -> str:
 def _constants_for(args, spec) -> ConstantsConfig:
     table = {}
     if args.constants:
-        path = Path(args.constants)
+        obj = read_json(args.constants, "constants")
         try:
-            table = ConstantsConfig.from_json_obj(json.loads(path.read_text())).to_json_obj()
-        except OSError as exc:
-            raise InputError(f"cannot read constants file {path}: {exc}") from exc
+            table = ConstantsConfig.from_json_obj(obj).to_json_obj()
         except (DomainError, InputError) as exc:
-            raise InputError(f"{path}: instance {spec.id!r}: {exc}") from exc
-        except ValueError as exc:  # malformed, or an integer of over 4,300 digits
-            raise InputError(f"{path}: malformed JSON: {exc}") from exc
+            raise InputError(f"{Path(args.constants)}: instance {spec.id!r}: {exc}") from exc
     return ConstantsConfig.from_json_obj({**table, **spec.parameters.get("constants", {})})
 
 

@@ -102,11 +102,6 @@ class WeightVector:
             raise DomainError(f"coordinate {j} out of range for R^{self.dim}")
         return WeightVector(self._rows[:, j])
 
-    def to_json_obj(self) -> list:
-        if self.dim == 1:
-            return self._rows[:, 0].tolist()
-        return self._rows.tolist()
-
     @classmethod
     def from_json_obj(cls, obj) -> "WeightVector":
         try:

@@ -1,10 +1,9 @@
 """Finite discrete distributions and the tail functionals that drive the bounds.
 
 Everything here is a finitely supported measure on R^d.  The module covers
-construction and (de)serialization, two-fold symmetrization, the tail mass
-p(delta), the truncated second moment, the floor-smoothed tail functional,
-characteristic functions, and compound Poisson laws e(alpha * W) together with
-a deterministic sampler.
+construction and loading, two-fold symmetrization, the tail mass p(delta),
+the truncated second moment, the floor-smoothed tail functional, and compound
+Poisson laws e(alpha * W) together with a deterministic sampler.
 """
 
 from __future__ import annotations
@@ -98,19 +97,6 @@ class DiscreteDistribution:
     @property
     def total_mass(self) -> float:
         return float(self._weights.sum())
-
-    def char_fn_grid(self, ts) -> np.ndarray:
-        """Vectorized characteristic function on a (m, d) grid of points."""
-        grid = as_points(ts, self.dim)
-        phases = grid @ self._atoms.T
-        return np.exp(1j * phases) @ self._weights.astype(complex)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "atoms": self._atoms.tolist(),
-            "weights": self._weights.tolist(),
-            "normalized": self._normalized,
-        }
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "DiscreteDistribution":
@@ -270,9 +256,6 @@ class CompoundPoisson:
     def dim(self) -> int:
         return self._base.dim
 
-    def char_fn_grid(self, ts) -> np.ndarray:
-        return np.exp(self._intensity * (self._base.char_fn_grid(ts) - 1.0))
-
     def __repr__(self):
         return f"CompoundPoisson(intensity={self._intensity:.6g}, base={self._base!r})"
 
@@ -383,8 +366,8 @@ def cp_sample_rng(
 
 
 def _rows(a) -> np.ndarray:
-    """The rows of a WeightVector or of a raw row array; at least one."""
-    rows = as_points(getattr(a, "rows", a))
+    """The rows of a row array; at least one."""
+    rows = as_points(a)
     if rows.shape[0] == 0:
         raise DomainError("empty weight vector")
     return rows
@@ -393,8 +376,8 @@ def _rows(a) -> np.ndarray:
 def spectral_measure(a) -> DiscreteDistribution:
     """Symmetrized empirical measure of the rows: mean of (E_{a_k} + E_{-a_k})/2.
 
-    Accepts a WeightVector or a raw row array.  Duplicated rows merge and the
-    result is an exactly symmetric probability distribution.
+    Duplicated rows merge and the result is an exactly symmetric probability
+    distribution.
     """
     rows = _rows(a)
     n = rows.shape[0]

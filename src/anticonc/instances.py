@@ -3,13 +3,12 @@ optional frozen expected values used by the verification suite."""
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from ._common import json_number
+from ._common import json_number, read_json
 from .bounds import ConstantsConfig
 from .concentration import WeightVector
 from .distributions import DiscreteDistribution
@@ -127,19 +126,11 @@ class InstanceSpec:
 
     @classmethod
     def from_path(cls, path) -> "InstanceSpec":
-        path = Path(path)
-        try:
-            text = path.read_text()
-        except OSError as exc:
-            raise InputError(f"cannot read instance file {path}: {exc}") from exc
-        try:
-            obj = json.loads(text)
-        except ValueError as exc:  # malformed, or an integer of over 4,300 digits
-            raise InputError(f"{path}: malformed JSON: {exc}") from exc
+        obj = read_json(path, "instance")
         try:
             return cls.from_json_obj(obj)
         except InputError as exc:
-            raise InputError(f"{path}: {exc}") from exc
+            raise InputError(f"{Path(path)}: {exc}") from exc
 
 
 def load_instances(path) -> list:

@@ -111,11 +111,8 @@ class Gap:
     def gens(self) -> np.ndarray:
         return self._gens
 
-    def box_counts(self):
-        return tuple(2 * int(math.floor(L)) + 1 for L in self._dims)
-
     def box_total(self) -> int:
-        return math.prod(self.box_counts())
+        return math.prod(2 * int(math.floor(L)) + 1 for L in self._dims)
 
     def image(self) -> np.ndarray:
         """All distinct progression points, lexicographically sorted.
@@ -159,44 +156,6 @@ class Gap:
         return f"Gap(rank={self.rank}, dims={self._dims}, ambient_dim={self.ambient_dim})"
 
 
-class ConvexBody:
-    """Origin-symmetric axis box {|nu_j| <= b_j} in R^r.
-
-    Rank zero is the trivial body containing only the empty tuple.
-    """
-
-    __slots__ = ("_bounds",)
-
-    def __init__(self, bounds):
-        b = float_array(bounds).reshape(-1)
-        if np.any(b < 0) or not np.all(np.isfinite(b)):
-            raise DomainError("box bounds must be finite and nonnegative")
-        self._bounds = b
-
-    @property
-    def dim(self) -> int:
-        return self._bounds.size
-
-    def bounding_box(self) -> np.ndarray:
-        """Per-coordinate extent: the box bounds."""
-        return self._bounds.copy()
-
-    def to_json_obj(self) -> dict:
-        return {"box": self._bounds.tolist()}
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "ConvexBody":
-        if not isinstance(obj, dict) or "box" not in obj:
-            raise InputError("V: expected an object with a 'box' field")
-        try:
-            return cls(obj["box"])
-        except DomainError as exc:
-            raise InputError(f"V: {exc}") from exc
-
-    def __repr__(self):
-        return f"ConvexBody(box, dim={self.dim})"
-
-
 def _integer_box(bounds) -> np.ndarray:
     """Integer points with |nu_j| <= floor(b_j), one int64 row each.
 
@@ -212,24 +171,32 @@ def _integer_box(bounds) -> np.ndarray:
 class Cgap:
     """Convex-body progression: K = {<nu, h> : nu in Z^r intersect V}.
 
-    ``cap`` bounds the admissible lattice-point count; enumeration raises
+    The body V is the origin-symmetric axis box {|nu_j| <= box_j}.  ``cap``
+    bounds the admissible lattice-point count; enumeration raises
     ClassCapError beyond it.  Rank zero degenerates to K = {0}.
     """
 
-    __slots__ = ("_h", "_body", "_cap")
+    __slots__ = ("_h", "_box", "_cap")
 
-    def __init__(self, h, body: ConvexBody, cap: int):
+    def __init__(self, h, box, cap: int):
+        try:  # the box is the body V of the JSON form
+            b = float_array(box).reshape(-1)
+            if np.any(b < 0) or not np.all(np.isfinite(b)):
+                raise DomainError("box bounds must be finite and nonnegative")
+        except DomainError as exc:
+            raise DomainError(f"V: {exc}") from exc
         hv = float_array(h).reshape(-1)
         if not np.all(np.isfinite(hv)):
             raise DomainError("step vector must be finite")
-        if body.dim != hv.size:
+        if b.size != hv.size:
             raise DomainError(
-                f"step vector has {hv.size} entries but body lives in R^{body.dim}"
+                f"step vector has {hv.size} entries but the box lives in R^{b.size}"
             )
         check_caps(hv.size, m=cap)
         hv.flags.writeable = False
+        b.flags.writeable = False
         self._h = hv
-        self._body = body
+        self._box = b
         self._cap = int(cap)
 
     @property
@@ -237,8 +204,8 @@ class Cgap:
         return self._h
 
     @property
-    def body(self) -> ConvexBody:
-        return self._body
+    def box(self) -> np.ndarray:
+        return self._box
 
     @property
     def cap(self) -> int:
@@ -250,7 +217,7 @@ class Cgap:
 
     def lattice_points(self) -> np.ndarray:
         """Integer points of Z^r inside the closed box, with 1e-12 of slack."""
-        bbox = self._body.bounding_box() + 1e-12
+        bbox = self._box + 1e-12
         total = math.prod(2 * int(math.floor(b)) + 1 for b in bbox)
         if total > GAP_ENUM_BUDGET:
             raise CapacityError(
@@ -270,7 +237,7 @@ class Cgap:
     def to_json_obj(self) -> dict:
         return {
             "h": self._h.tolist(),
-            "V": self._body.to_json_obj(),
+            "V": {"box": self._box.tolist()},
             "m": self._cap,
         }
 
@@ -283,12 +250,14 @@ class Cgap:
                 raise InputError(f"cgap: missing field '{key}'")
         try:
             m = json_number(obj["m"], "m", int)
-            return cls(obj["h"], ConvexBody.from_json_obj(obj["V"]), m)
+            if not isinstance(obj["V"], dict) or "box" not in obj["V"]:
+                raise InputError("V: expected an object with a 'box' field")
+            return cls(obj["h"], obj["V"]["box"], m)
         except ValueError as exc:  # a DomainError or an InputError
             raise InputError(f"cgap: {exc}") from exc
 
     def __repr__(self):
-        return f"Cgap(rank={self.rank}, cap={self._cap}, body={self._body!r})"
+        return f"Cgap(rank={self.rank}, cap={self._cap}, box={self._box.tolist()})"
 
 
 @dataclass(frozen=True)
@@ -329,20 +298,6 @@ def _line_points(coeffs: np.ndarray, h: np.ndarray) -> np.ndarray:
     return pts
 
 
-def _nearest_dist(x: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """Distance from each value of ``x`` to the nearest value of sorted ``ks``.
-
-    Only the two neighbours of x in ``ks`` can be nearest: rounding of x - k
-    is monotone in k, so the result equals the minimum over all of ``ks``.
-    """
-    if ks.size == 0:
-        return np.full(x.shape, np.inf)
-    idx = np.searchsorted(ks, x)
-    left = ks[np.maximum(idx - 1, 0)]
-    right = ks[np.minimum(idx, ks.size - 1)]
-    return np.minimum(np.abs(x - left), np.abs(x - right))
-
-
 def _line_values(points, what: str) -> np.ndarray:
     pts = as_points(points)
     if pts.shape[1] != 1:
@@ -362,7 +317,7 @@ def uncovered_mass(w: DiscreteDistribution, k_points, tau: float) -> float:
     ks = np.sort(_line_values(k_points, "progression points"))
     # fsum keeps the value correctly rounded, so subset relations between
     # masses survive in floating point (matching tail_mass).
-    return math.fsum(w.weights[_nearest_dist(x, ks) > tau].tolist())
+    return math.fsum(w.weights[_far_atoms(ks[None, :], x, tau)[0]].tolist())
 
 
 @dataclass(frozen=True)
@@ -474,12 +429,15 @@ def _far_atoms(pts: np.ndarray, x: np.ndarray, tau: float) -> np.ndarray:
 
     ``pts`` holds one candidate's sorted points per row and ``x`` the sorted
     atoms.  One binary search of every point into the atoms, a per-row
-    ``bincount`` and a ``cumsum`` give #{k < x[i]}, the index that
-    ``_nearest_dist`` finds by searching x[i] in the row, so the two
-    neighbours and the distances are the same floats.
+    ``bincount`` and a ``cumsum`` give #{k < x[i]}, so only the two
+    neighbours k[idx - 1] and k[idx] of x[i] are compared: rounding of x - k
+    is monotone in k, so the nearer of them is nearest of all.  Rows with no
+    points leave every atom far.
     """
     rows, size = pts.shape
     n = x.size
+    if size == 0:
+        return np.ones((rows, n), dtype=bool)
     slot = np.searchsorted(x, pts, side="right")
     slot += (n + 1) * np.arange(rows)[:, None]
     below = np.bincount(slot.ravel(), minlength=rows * (n + 1)).reshape(rows, n + 1)
@@ -503,7 +461,7 @@ def _block_far(coeffs: np.ndarray, hs: list, x: np.ndarray, tau: float) -> np.nd
     pts = np.sort(vals, axis=1)
     far = _far_atoms(pts, x, tau)
     for i in np.flatnonzero(np.any(np.diff(pts, axis=1) <= 1e-12, axis=1)):
-        far[i] = _nearest_dist(x, _line_points(coeffs, hs[i]).ravel()) > tau
+        far[i] = _far_atoms(_line_points(coeffs, hs[i]).T, x, tau)[0]
     return far
 
 
@@ -546,11 +504,12 @@ def _box_cgap(steps, radii, r: int, m: int) -> Cgap:
     """Box witness: ``radii`` on the first axes, 0.4 (only nu_j = 0) on the rest."""
     bounds = np.full(r, 0.4)
     bounds[: len(radii)] = radii
-    return Cgap(_step_vector(steps, r), ConvexBody(bounds), m)
+    return Cgap(_step_vector(steps, r), bounds, m)
 
 
 def _coverage_search(
-    w: DiscreteDistribution, tau: float, r: int, cap: int, search_budget: int
+    w: DiscreteDistribution, tau: float, r: int, cap: int,
+    search_budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> ApproxResult:
     """Shared search core for both progression classes; the winner is a box Cgap.
 
@@ -611,7 +570,6 @@ def beta_rm(
     tau: float,
     r: int,
     m: int,
-    search_budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> ApproxResult:
     """Least uncovered mass over searched convex-body progressions of rank <= r.
 
@@ -620,7 +578,7 @@ def beta_rm(
     is exact (the class contains only K = {0}).
     """
     _check_search_args(w, tau, r, m=m)
-    return _coverage_search(w, tau, int(r), int(m), search_budget)
+    return _coverage_search(w, tau, int(r), int(m))
 
 
 def gamma_rs(
@@ -628,7 +586,6 @@ def gamma_rs(
     tau: float,
     r: int,
     s: int,
-    search_budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> ApproxResult:
     """Least uncovered mass over searched GAP-image progressions of rank <= r.
 
@@ -640,8 +597,8 @@ def gamma_rs(
     dimension 1 (the point 0) with the one step 1.
     """
     _check_search_args(w, tau, r, s=s)
-    res = _coverage_search(w, tau, int(r), int(s), search_budget)
-    dims = np.maximum(res.witness.body.bounding_box(), 0.4)
+    res = _coverage_search(w, tau, int(r), int(s))
+    dims = np.maximum(res.witness.box, 0.4)
     h = _step_vector(res.witness.h, max(int(r), 1))
     wit = GapImageProgression(Gap(dims, np.eye(r)), tuple(h))
     return ApproxResult(res.value, wit, res.exact, res.evaluations)
@@ -650,7 +607,6 @@ def gamma_rs(
 __all__ = [
     "ApproxResult",
     "Cgap",
-    "ConvexBody",
     "DEFAULT_SEARCH_BUDGET",
     "GAP_ENUM_BUDGET",
     "Gap",

@@ -8,6 +8,7 @@ package's witness classes, so that their JSON can be compared, and use its
 merge helper.
 """
 
+import cmath
 import itertools
 import math
 from fractions import Fraction
@@ -517,7 +518,6 @@ def oracle_coverage_search(
     from anticonc.progressions import (
         _MAX_SEARCH_POINTS,
         Cgap,
-        ConvexBody,
         Gap,
         GapImageProgression,
     )
@@ -528,7 +528,7 @@ def oracle_coverage_search(
         if kind == "beta":
             bounds = np.full(r, 0.4)
             bounds[: len(radii)] = [float(b) for b in radii]
-            return Cgap(h, ConvexBody(bounds), int(cap))
+            return Cgap(h, bounds, int(cap))
         dims = np.full(r, 0.4)
         dims[: len(radii)] = [max(float(b), 0.4) for b in radii]
         return GapImageProgression(Gap(tuple(dims), np.eye(r)), tuple(h))
@@ -575,6 +575,17 @@ def oracle_coverage_search(
         if best_v == 0.0:
             break
     return best_v, best_w, evals
+
+
+def oracle_cp_char_fn(intensity, atoms, weights, ts):
+    """exp(intensity * (phi(t) - 1)), phi(t) = sum_j w_j exp(i t z_j), one
+    grid point and one term at a time: the characteristic function of the
+    compound Poisson law of ``intensity`` over base atoms z_j on the line."""
+    z = np.asarray(atoms, dtype=float).reshape(-1).tolist()
+    return np.array([
+        cmath.exp(intensity * (sum(w * cmath.exp(1j * t * zj) for zj, w in zip(z, weights)) - 1.0))
+        for t in np.asarray(ts, dtype=float).reshape(-1).tolist()
+    ])
 
 
 def oracle_poisson_pmf(mean, k):

@@ -219,18 +219,16 @@ def test_h_char_fn_values_and_smoothing_law():
     law = smoothing_law(a, power=0.5)
     # hat H^b = exp(-(b/2) sum (1 - cos<t, a_k>))
     ts = np.linspace(-3.0, 3.0, 11)
-    np.testing.assert_allclose(
-        law.char_fn_grid(ts).real, f(ts) ** 0.5, atol=1e-12
-    )
-    np.testing.assert_allclose(law.char_fn_grid(ts).imag, 0.0, atol=1e-12)
+    got = O.oracle_cp_char_fn(law.intensity, law.base.atoms, law.base.weights, ts)
+    np.testing.assert_allclose(got.real, f(ts) ** 0.5, atol=1e-12)
+    np.testing.assert_allclose(got.imag, 0.0, atol=1e-12)
 
 
 def test_chain_equality_points_pass_at_tiny_slack():
     a = WeightVector([[1.0]])
     grid = np.array([[-math.pi], [math.pi], [0.5], [2.0], [0.0]])
-    rep = verify_pointwise_chain(a, grid, slack=1e-12)
-    assert rep.n_points == 5
-    assert rep.cosine_checks > 0 and rep.envelope_checks == 5
+    rep = verify_pointwise_chain(a, grid)
+    assert (rep.n_points, rep.lcd_checks, rep.premise_failures) == (5, 0, 0)
 
 
 def test_chain_reads_one_reduced_phase_at_large_weights():
@@ -238,8 +236,8 @@ def test_chain_reads_one_reduced_phase_at_large_weights():
     # bound is tight, so both of its sides must read the same reduced phase
     a = WeightVector([[1.0], [1e12]])
     grid = np.concatenate([[-6.552702526055613], np.linspace(-10.0, 10.0, 20001)])
-    rep = verify_pointwise_chain(a, grid, slack=1e-12)
-    assert rep.cosine_checks == 2 * grid.size
+    rep = verify_pointwise_chain(a, grid)
+    assert rep.n_points == grid.size
 
 
 def test_chain_lcd_branch_counts_premise_failures():

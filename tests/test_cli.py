@@ -638,3 +638,49 @@ def test_lcd_form_past_the_float_range_reports_vacuous(capsys, tmp_path):
     assert json.loads(out)["reports"][0]["bounds"]["lcd_cp"] == {
         "value": None, "vacuous": True, "target": "q_h_b_invd"
     }
+
+
+_NESTED = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("where", ["instance", "constants"])
+@pytest.mark.parametrize(
+    "content", [b'{"id": "\xff"}', _NESTED.encode()], ids=["not-utf8", "nested-100000"]
+)
+def test_unparsable_file_is_exit_two_naming_it(capsys, tmp_path, where, content):
+    # a UnicodeDecodeError or a RecursionError once escaped with a traceback
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    argv = ["q", str(bad)] if where == "instance" else ["q", str(ONES10), "--constants", str(bad)]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert f"error: {bad}: malformed JSON: " in err
+
+
+@pytest.mark.parametrize("where", ["instance", "constants"])
+def test_unreadable_file_is_exit_two_naming_it(capsys, tmp_path, where):
+    missing = tmp_path / "missing.json"
+    argv = ["q", str(missing)] if where == "instance" else ["q", str(ONES10), "--constants", str(missing)]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert f"error: cannot read {where} file {missing}: " in err
+
+
+@pytest.mark.parametrize("command", ["q", "lcd", "gapfit", "bounds", "verify"])
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+def test_unwritable_out_is_exit_two(capsys, tmp_path, command, target):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / ONES10.name).write_text(ONES10.read_text())
+    lcd_file = CORPUS / "11-lcd-ones-04-g9a10.json"
+    argv = {
+        "q": ["q", str(ONES10)],
+        "lcd": ["lcd", str(lcd_file)],
+        "gapfit": ["gapfit", str(ONES10)],
+        "bounds": ["bounds", str(ONES10), "--budget", "2000"],
+        "verify": ["verify", str(corpus)],
+    }[command]
+    out_path = tmp_path / "missing" / "x.json" if target == "missing-dir" else corpus
+    code, out, err = run(argv + ["--out", str(out_path)], capsys)
+    assert (code, out) == (2, "")
+    assert f"error: cannot write output file {out_path}: " in err

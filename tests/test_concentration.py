@@ -44,7 +44,7 @@ def test_weight_vector_basics():
     assert mat.shape == (1, 1) and abs(det - 25.0) < 1e-12
     b = WeightVector([[1.0, 0.0], [0.0, 2.0]])
     assert b.coordinate(1).rows[:, 0].tolist() == [0.0, 2.0]
-    back = WeightVector.from_json_obj(b.to_json_obj())
+    back = WeightVector.from_json_obj(b.rows.tolist())
     np.testing.assert_array_equal(back.rows, b.rows)
 
 

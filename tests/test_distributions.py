@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 import _oracles as O
 from anticonc._common import make_rng
+from anticonc.bounds import h_char_fn, smoothing_law
+from anticonc.concentration import WeightVector
 from anticonc.distributions import (
     CompoundPoisson,
     DiscreteDistribution,
@@ -56,7 +58,8 @@ def test_from_spec_dispatch():
 
 def test_json_round_trip():
     d = DiscreteDistribution([[0.5, -1.0], [2.0, 0.0]], [0.4, 0.6])
-    back = DiscreteDistribution.from_json_obj(d.to_json_obj())
+    obj = {"atoms": d.atoms.tolist(), "weights": d.weights.tolist(), "normalized": d.normalized}
+    back = DiscreteDistribution.from_json_obj(obj)
     np.testing.assert_array_equal(back.atoms, d.atoms)
     np.testing.assert_array_equal(back.weights, d.weights)
     assert back.normalized == d.normalized
@@ -153,28 +156,26 @@ def test_half_empirical_measure_mass():
     np.testing.assert_allclose(m.weights, 0.25)
 
 
-def test_char_fn_grid_matches_direct_sum():
-    d = DiscreteDistribution([[1.0], [-2.0]], [0.3, 0.7])
-    ts = np.linspace(-3.0, 3.0, 7)
-    got = d.char_fn_grid(ts)
-    want = 0.3 * np.exp(1j * ts * 1.0) + 0.7 * np.exp(1j * ts * -2.0)
-    np.testing.assert_allclose(got, want, atol=1e-14)
+def _cp_char_fn(law, ts):
+    return O.oracle_cp_char_fn(law.intensity, law.base.atoms, law.base.weights, ts)
 
 
 def test_compound_poisson_char_fn_is_exponential_tilt():
-    base = spectral_measure(np.array([[1.0], [2.0]]))
-    law = CompoundPoisson(1.7, base)
+    # the smoothing law's intensity and base give exp(-(p/2) sum (1 - cos t a_k))
+    a = WeightVector([[1.0], [2.0]])
     ts = np.linspace(-2.0, 2.0, 9)
-    want = np.exp(1.7 * (base.char_fn_grid(ts) - 1.0))
-    np.testing.assert_allclose(law.char_fn_grid(ts), want, atol=1e-13)
+    want = h_char_fn(a)(ts) ** 1.7
+    np.testing.assert_allclose(_cp_char_fn(smoothing_law(a, 1.7), ts), want, atol=1e-13)
 
 
 def test_compound_poisson_power_multiplies_intensity():
-    base = spectral_measure(np.array([[1.0]]))
-    law = CompoundPoisson(2.0, base)
+    a = WeightVector([[1.0]])
+    base = spectral_measure(a.rows)
     ts = np.linspace(-1.0, 1.0, 5)
+    law = smoothing_law(a, 2.0)
+    assert (law.intensity, law.base.atoms.tolist()) == (1.0, base.atoms.tolist())
     np.testing.assert_allclose(
-        CompoundPoisson(3.0, base).char_fn_grid(ts), law.char_fn_grid(ts) ** 1.5, atol=1e-13
+        _cp_char_fn(smoothing_law(a, 3.0), ts), _cp_char_fn(law, ts) ** 1.5, atol=1e-13
     )
     with pytest.raises(DomainError):
         CompoundPoisson(-1.0, base)

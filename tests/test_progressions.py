@@ -18,14 +18,13 @@ from anticonc.progressions import (
     GAP_ENUM_BUDGET,
     ApproxResult,
     Cgap,
-    ConvexBody,
     Gap,
     GapImageProgression,
     _block_far,
     _candidate_steps,
+    _coverage_search,
     _far_atoms,
     _line_points,
-    _nearest_dist,
     _sum_slack,
     beta_rm,
     gamma_rs,
@@ -63,7 +62,7 @@ def test_gap_capacity():
     with pytest.raises(CapacityError, match="exceeds budget"):
         p.size()
     with pytest.raises(CapacityError, match="exceeds budget"):
-        Cgap([1.0, 1.0], ConvexBody([10_000.0, 10_000.0]), 10**9).points()
+        Cgap([1.0, 1.0], [10_000.0, 10_000.0], 10**9).points()
 
 
 def test_gap_json_round_trip():
@@ -79,7 +78,7 @@ def test_witness_loaders_round_trip():
     assert back.dims == gap.dims and back.ambient_dim == 2
     np.testing.assert_array_equal(back.gens, gap.gens)
     assert Gap.from_json_obj({"L": [], "g": [], "dim": 3}).ambient_dim == 3
-    cgap = Cgap([2.0], ConvexBody([1.5]), 3)
+    cgap = Cgap([2.0], [1.5], 3)
     back = Cgap.from_json_obj(cgap.to_json_obj())
     assert back.to_json_obj() == cgap.to_json_obj() == {"h": [2.0], "V": {"box": [1.5]}, "m": 3}
 
@@ -94,10 +93,13 @@ _CGAP = {"h": [2.0], "V": {"box": [1.5]}, "m": 3}
         (Cgap.from_json_obj, dict(_CGAP, m=3.7), "m"),
         (Cgap.from_json_obj, dict(_CGAP, m=True), "m"),
         (Cgap.from_json_obj, dict(_CGAP, h=["2"]), "array of numbers"),
-        (Cgap.from_json_obj, dict(_CGAP, V={"box": ["a"]}), "V"),
-        (ConvexBody.from_json_obj, {"box": ["a"]}, "V"),
-        (ConvexBody.from_json_obj, {"box": [True]}, "V"),
-        (ConvexBody.from_json_obj, {"box": [10**400]}, "V"),
+        (Cgap.from_json_obj, dict(_CGAP, V={"box": ["a"]}), "cgap: V: expected an array"),
+        (Cgap.from_json_obj, dict(_CGAP, V={"box": "a"}), "cgap: V: expected an array"),
+        (Cgap.from_json_obj, dict(_CGAP, V={"box": [True]}), "cgap: V: expected an array"),
+        (Cgap.from_json_obj, dict(_CGAP, V={"box": [10**400]}), "cgap: V: expected an array"),
+        (Cgap.from_json_obj, dict(_CGAP, V={"box": [-1.0]}), "cgap: V: box bounds must be"),
+        (Cgap.from_json_obj, dict(_CGAP, V=[1.5]), "cgap: V: expected an object with a 'box'"),
+        (Cgap.from_json_obj, dict(_CGAP, V={}), "cgap: V: expected an object with a 'box'"),
         (Gap.from_json_obj, {"L": [1.0], "g": [[1.0]], "dim": "2"}, "dim: expected an integer"),
         (Gap.from_json_obj, {"L": [1.0], "g": [[1.0]], "dim": None}, "dim: expected an integer"),
         (Gap.from_json_obj, {"L": [1.0], "g": [[1.0]], "dim": 1.0}, "dim: expected an integer"),
@@ -107,7 +109,8 @@ _CGAP = {"h": [2.0], "V": {"box": [1.5]}, "m": 3}
         (Gap.from_json_obj, {"L": [1.0], "g": [["1"]]}, "array of numbers"),
     ],
     ids=["m-string", "m-fraction", "m-bool", "h-string", "cgap-box-string", "box-string",
-         "box-bool", "box-huge-int", "dim-string", "dim-null", "dim-float", "dim-zero",
+         "box-bool", "box-huge-int", "box-negative", "body-not-object", "body-without-box",
+         "dim-string", "dim-null", "dim-float", "dim-zero",
          "dim-negative",
          "radii-string", "generators-string"],
 )
@@ -118,16 +121,19 @@ def test_witness_loaders_apply_the_number_rule(loader, obj, field):
 
 
 def test_convex_body_box_contains_and_bbox():
-    # the lattice points a box contains are those of its Cgap: closed, |nu_j| <= b_j
-    v = ConvexBody([2.0, 1.0])
-    np.testing.assert_allclose(v.bounding_box(), [2.0, 1.0])
-    pts = Cgap([1.0, 1.0], v, 15).lattice_points()
+    # the lattice points of a Cgap are those of its closed box, |nu_j| <= b_j
+    c = Cgap([1.0, 1.0], [2.0, 1.0], 15)
+    np.testing.assert_allclose(c.box, [2.0, 1.0])
+    assert not c.box.flags.writeable
+    with pytest.raises(DomainError, match="step vector has 1 entries but the box lives in R"):
+        Cgap([1.0], [2.0, 1.0], 15)
+    pts = c.lattice_points()
     want = [(i, j) for i in range(-2, 3) for j in range(-1, 2)]
     assert [tuple(p) for p in pts.tolist()] == want
 
 
 def test_cgap_lattice_points_and_cap():
-    body = ConvexBody([1.5])
+    body = [1.5]
     c = Cgap([2.0], body, 3)
     np.testing.assert_array_equal(np.sort(c.points()[:, 0]), [-2.0, 0.0, 2.0])
     tight = Cgap([2.0], body, 2)
@@ -139,7 +145,7 @@ def test_cgap_lattice_points_and_cap():
 
 
 def test_cgap_rank_zero_is_origin():
-    c = Cgap(np.zeros(0), ConvexBody([]), 1)
+    c = Cgap(np.zeros(0), [], 1)
     np.testing.assert_array_equal(c.points(), [[0.0]])
 
 
@@ -148,6 +154,8 @@ def test_uncovered_mass_strict_outside():
     # K = {0}: neighborhood of radius exactly 1 still covers the +-1 atoms
     assert uncovered_mass(w, [[0.0]], 1.0) == 0.5
     assert uncovered_mass(w, [[0.0]], 2.0) == 0.0
+    # an empty K covers nothing
+    assert uncovered_mass(w, np.zeros((0, 1)), 5.0) == 1.0
 
 
 @pytest.mark.parametrize("r,m", [(0, 1), (1, 3), (2, 5)])
@@ -251,9 +259,9 @@ def test_nearest_distance_matches_dense_oracle(data, kind, tau):
     else:
         signs = data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=len(ks), max_size=len(ks)))
         x = np.concatenate([ks + np.array(signs) * tau, ks - tau, ks + tau])
+    x = np.sort(x)
     dense = O.oracle_min_maxnorm_dist(x[:, None], ks[:, None])
-    got = _nearest_dist(x, np.sort(ks))
-    assert np.array_equal(got, dense)
+    assert np.array_equal(_far_atoms(np.sort(ks)[None, :], x, tau)[0], dense > tau)
     w = DiscreteDistribution(x, np.full(len(x), 1.0 / len(x)), normalized=False)
     want = math.fsum(w.weights[O.oracle_min_maxnorm_dist(w.atoms, ks[:, None]) > tau])
     assert uncovered_mass(w, ks, tau) == want
@@ -304,15 +312,25 @@ def test_candidate_pool_keeps_convergents_at_the_cap():
     radii=st.lists(st.integers(0, 4), min_size=3, max_size=3),
 )
 def test_witness_points_are_the_matrix_product(steps, radii):
-    cgap = Cgap(steps, ConvexBody(radii), 10**4)
+    cgap = Cgap(steps, radii, 10**4)
     fit = GapImageProgression(Gap([max(b, 0.4) for b in radii], np.eye(3)), tuple(steps))
     for wit in (cgap, fit):
         assert np.array_equal(wit.points(), O.oracle_witness_points(wit))
 
 
-def _assert_search_matches_oracle(w, tau, r, cap, budget=20_000):
-    for search, kind in ((beta_rm, "beta"), (gamma_rs, "gamma")):
-        res = search(w, tau, r, cap, budget)
+def _assert_search_matches_oracle(w, tau, r, cap, budget=None):
+    """beta_rm and gamma_rs against the oracle of their kind; at a budget, the
+    search core (a box Cgap witness) against the beta oracle, and its value
+    and count against the gamma oracle."""
+    if budget is None:
+        runs = ((beta_rm(w, tau, r, cap), "beta"), (gamma_rs(w, tau, r, cap), "gamma"))
+        budget = progressions.DEFAULT_SEARCH_BUDGET
+    else:
+        res = _coverage_search(w, tau, r, cap, budget)
+        value, _, evals = O.oracle_coverage_search(w, tau, r, cap, "gamma", budget)
+        assert (res.value, res.evaluations) == (value, evals)
+        runs = ((res, "beta"),)
+    for res, kind in runs:
         value, witness, evals = O.oracle_coverage_search(w, tau, r, cap, kind, budget)
         assert res.value == value
         assert res.witness.to_json_obj() == witness.to_json_obj()
@@ -390,7 +408,8 @@ def test_block_kernel_matches_nearest_dist(data, kind, tau):
     x = np.sort(x)
     far = _far_atoms(pts, x, tau)
     for b in range(rows):
-        assert np.array_equal(far[b], _nearest_dist(x, pts[b]) > tau)
+        dense = O.oracle_min_maxnorm_dist(x[:, None], pts[b][:, None])
+        assert np.array_equal(far[b], dense > tau)
 
 
 @settings(max_examples=60, deadline=None)
@@ -404,12 +423,13 @@ def test_block_kernel_matches_nearest_dist(data, kind, tau):
 def test_block_kernel_merges_colliding_points(h1, factor, radii, atoms, tau):
     # h2 = factor * h1 makes points of one row coincide (or fall within
     # 1e-12), so those rows take the _line_points merge
-    coeffs = Cgap([1.0, 1.0], ConvexBody(radii), 10**4).lattice_points().astype(float)
+    coeffs = Cgap([1.0, 1.0], radii, 10**4).lattice_points().astype(float)
     hs = [np.array([h1, factor * h1]), np.array([h1, math.pi * h1])]
     x = np.sort(np.array(atoms))
     far = _block_far(coeffs, hs, x, tau)
     for b, h in enumerate(hs):
-        assert np.array_equal(far[b], _nearest_dist(x, _line_points(coeffs, h).ravel()) > tau)
+        dense = O.oracle_min_maxnorm_dist(x[:, None], _line_points(coeffs, h))
+        assert np.array_equal(far[b], dense > tau)
 
 
 def test_search_merges_colliding_points_like_the_oracle(monkeypatch):
@@ -470,7 +490,7 @@ def test_perfect_cover_between_allocations_matches_oracle():
     assert progressions._box_allocations(2, 16) == [(0, 7), (1, 2), (2, 1), (7, 0)]
     res = beta_rm(w, 1e-9, 2, 16)
     assert res.value == 0.0
-    assert list(res.witness.body.to_json_obj()["box"]) == [1.0, 2.0]
+    assert res.witness.to_json_obj()["V"]["box"] == [1.0, 2.0]
     assert res.evaluations == 44
     _assert_search_matches_oracle(w, 1e-9, 2, 16)
 
@@ -509,7 +529,7 @@ def test_rank_three_search_is_no_worse_than_the_coarse_family(rows, cap, tau, bu
     value, _, evals = O.oracle_coverage_search(
         w, tau, 3, cap, "beta", budget, O.oracle_box_allocations
     )
-    res = beta_rm(w, tau, 3, cap, budget)
+    res = _coverage_search(w, tau, 3, cap, budget)
     if evals < budget:
         assert res.value == value
     else:
@@ -565,5 +585,5 @@ def test_search_skips_allocations_past_the_point_guard():
     res, at_guard = beta_rm(w, 0.01, 1, 20_003), beta_rm(w, 0.01, 1, 20_000)
     assert res.evaluations == at_guard.evaluations > 1
     assert res.value == at_guard.value < tail_mass(w, 0.01)
-    assert res.witness.body.bounding_box().tolist() == [9999.0]
+    assert res.witness.box.tolist() == [9999.0]
     _assert_search_matches_oracle(w, 0.01, 1, 20_003)
