@@ -64,14 +64,21 @@ def _render_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _constants_for(args, spec) -> ConstantsConfig:
-    table = {}
-    if args.constants:
-        obj = read_json(args.constants, "constants")
-        try:
-            table = ConstantsConfig.from_json_obj(obj).to_json_obj()
-        except (DomainError, InputError) as exc:
-            raise InputError(f"{Path(args.constants)}: instance {spec.id!r}: {exc}") from exc
+def _constants_file(args, spec=None) -> dict:
+    """The fields of the --constants file, read and checked once ({} without
+    the flag).  An error names the file, and ``spec`` when only it reads it."""
+    if not args.constants:
+        return {}
+    obj = read_json(args.constants, "constants")
+    try:
+        return ConstantsConfig.from_json_obj(obj).to_json_obj()
+    except (DomainError, InputError) as exc:
+        named = "" if spec is None else f"instance {spec.id!r}: "
+        raise InputError(f"{Path(args.constants)}: {named}{exc}") from exc
+
+
+def _constants_for(table, spec) -> ConstantsConfig:
+    """The --constants fields ``table`` under the instance's own constants."""
     return ConstantsConfig.from_json_obj({**table, **spec.parameters.get("constants", {})})
 
 
@@ -85,7 +92,7 @@ def _single_instance(path):
 def cmd_q(args) -> int:
     spec = _single_instance(args.instance)
     tau = spec.require("tau")
-    constants = _constants_for(args, spec)
+    constants = _constants_for(_constants_file(args, spec), spec)
     if args.method == "exact":
         budget = DEFAULT_EXACT_BUDGET if args.budget is None else args.budget
         est = exact_q(spec.x, spec.a, tau, budget=budget)
@@ -114,9 +121,9 @@ def cmd_lcd(args) -> int:
     return 0
 
 
-def _one_bound_report(args, spec, idx):
+def _one_bound_report(args, table, spec, idx):
     tau, kappa, delta = spec.require("tau", "kappa", "delta")
-    constants = _constants_for(args, spec)
+    constants = _constants_for(table, spec)
     with naming_instance(spec.id):
         return build_bound_report(
             spec.x,
@@ -136,7 +143,8 @@ def _one_bound_report(args, spec, idx):
 
 def cmd_bounds(args) -> int:
     specs = sorted(load_instances(args.instance), key=lambda s: s.id)
-    reports = [_one_bound_report(args, spec, idx) for idx, spec in enumerate(specs)]
+    table = _constants_file(args)  # shared by every instance: read once
+    reports = [_one_bound_report(args, table, spec, idx) for idx, spec in enumerate(specs)]
     if args.format == "csv":
         _emit(bound_report_csv(reports), args.out)
     else:

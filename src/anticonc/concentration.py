@@ -38,6 +38,9 @@ _MC_MIN_SAMPLES = 1000
 _MC_CHUNK = 65536
 # Ball hits held at once while summing multiplicities in mc_q.
 _BALL_HIT_BUDGET = 1 << 20
+# Largest pair or centre-point table decided in one numpy array; larger
+# inputs are searched by kd-tree, and only they import scipy.
+_DENSE_ENTRIES = 1 << 17
 # Anchors of one block of the 1-d window sweep, bounded before it is swept.
 _SWEEP_BLOCK = 1024
 # Centres of a cell that _max_ball_mass counts one by one rather than split.
@@ -234,23 +237,40 @@ def _ball_tol(pts, rho):
 
 def _near_pairs(pts, reach, budget=math.inf):
     """Index pairs i < j, in lexicographic order, at distance at most ``reach``;
-    CapacityError past ``budget`` pairs within a hair of it.  A kd-tree lists
-    only those pairs, so memory follows the near pairs, not the support squared."""
-    from scipy.spatial import cKDTree
+    CapacityError past ``budget`` pairs within a hair of it.  Up to
+    ``_DENSE_ENTRIES`` pairs are all measured in one table.  Past that a
+    kd-tree counts, then lists, only the pairs within the hair, so memory
+    follows the near pairs, not the support squared.  Either way a pair is
+    kept by one test: its squared differences, summed coordinate by
+    coordinate, against ``reach**2``."""
+    k = len(pts)
+    # the tree rounds its bounding distances its own way: a hair wider, its
+    # list holds every pair the test keeps, and both routes charge one count
+    wide = reach * (1 + 1e-9)
 
-    tree = cKDTree(pts)
-    wide = reach * (1 + 1e-9)  # the tree rounds its distances its own way
-    count = (int(tree.count_neighbors(tree, wide)) - len(pts)) // 2
-    if count > budget:
-        raise CapacityError(
-            f"near pairs {count} exceed budget {budget} (support {len(pts)})"
-        )
-    pairs = tree.query_pairs(wide, output_type="ndarray")
-    # the key i*k + j of a pair i < j orders the pairs lexicographically
-    ii, jj = np.divmod(np.sort(pairs[:, 0] * len(pts) + pairs[:, 1]), len(pts))
-    # gathered per coordinate and summed term by term: the bits of a row sum,
-    # about 4x faster than gathering whole rows (as _fit_cliques gathers)
-    near = sum((x.take(ii) - x.take(jj)) ** 2 for x in pts.T) <= reach**2
+    def charge(count):
+        if count > budget:
+            raise CapacityError(f"near pairs {count} exceed budget {budget} (support {k})")
+
+    def dist2(ii, jj):
+        # gathered per coordinate and summed term by term: the bits of a row
+        # sum, about 4x faster than gathering whole rows (as _fit_cliques does)
+        return sum((x.take(ii) - x.take(jj)) ** 2 for x in pts.T)
+
+    if k * (k - 1) // 2 <= _DENSE_ENTRIES:
+        ii, jj = np.triu_indices(k, 1)  # already in lexicographic order
+        d2 = dist2(ii, jj)
+        charge(int(np.count_nonzero(d2 <= wide**2)))
+    else:
+        from scipy.spatial import cKDTree
+
+        tree = cKDTree(pts)
+        charge((int(tree.count_neighbors(tree, wide)) - k) // 2)
+        pairs = tree.query_pairs(wide, output_type="ndarray")
+        # the key i*k + j of a pair i < j orders the pairs lexicographically
+        ii, jj = np.divmod(np.sort(pairs[:, 0] * k + pairs[:, 1]), k)
+        d2 = dist2(ii, jj)
+    near = d2 <= reach**2
     return ii[near], jj[near]
 
 
@@ -279,12 +299,13 @@ def _ball_masses(tree, w, centers, radius):
 def _max_ball_mass(pts, w, centers, radius):
     """Largest ``w``-mass of a closed ball of ``radius`` around a candidate centre.
 
-    Every ball sum runs over the hit indices in increasing order.  Inputs with
-    more than ``_BALL_HIT_BUDGET`` centre-point pairs are searched one level
-    of cells at a time.  The centres are grouped into grid cells of side
-    ``2*radius``, and a cell is bounded by the mass of one ball around the
-    midpoint of its centres' bounding box, enlarged by their largest distance
-    from it plus a rounding slack.  That ball holds every hit of every centre
+    Every ball sum runs over the hit indices in increasing order.  Inputs of
+    at most ``_DENSE_ENTRIES`` centre-point pairs are decided in one table;
+    larger ones are searched by kd-tree, one level of cells at a time.  The
+    centres are grouped into grid cells of side ``2*radius``, and a cell is
+    bounded by the mass of one ball around the midpoint of its centres'
+    bounding box, enlarged by their largest distance from it plus a
+    rounding slack.  That ball holds every hit of every centre
     of the cell, and the weights are nonnegative, so its sum (same helper,
     same increasing order; floating-point addition is monotone) is at least
     each centre's mass.  A leaf is a cell of at most ``_CELL_CENTERS``
@@ -299,12 +320,15 @@ def _max_ball_mass(pts, w, centers, radius):
     samples a search makes 10-20 calls and counts about 2% of the centres in
     2-D and 3-5% in 3-D.
     """
+    if len(centers) * len(pts) <= _DENSE_ENTRIES:
+        # the kd-tree's test: squared differences summed in coordinate order
+        inside = sum((c[:, None] - x) ** 2 for c, x in zip(centers.T, pts.T)) <= radius**2
+        # a running sum along the points adds each ball's hits in index order
+        return float(np.max(np.where(inside, w, 0.0).cumsum(axis=1)[:, -1]))
     from scipy.spatial import cKDTree
 
     tree = cKDTree(pts, leafsize=64)
     w = None if np.all(w == 1) else w
-    if len(centers) * len(pts) <= _BALL_HIT_BUDGET:
-        return float(np.max(_ball_masses(tree, w, centers, radius)))
     # covers the rounding of midpoints, reaches and the tree's distances
     scale = max(float(np.max(np.abs(pts))), float(np.max(np.abs(centers))))
     slack = 1e-9 * max(1.0, scale, radius)

@@ -3,9 +3,11 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from anticonc import cli
 from anticonc.cli import SCHEMA_VERSION, main
 from anticonc.errors import (
     CapacityError,
@@ -392,8 +394,33 @@ def test_constants_file_applies(capsys, tmp_path):
     assert "nope" in err
 
 
+def test_constants_file_is_read_once_per_bounds_run(capsys, tmp_path, monkeypatch):
+    consts = tmp_path / "c.json"
+    consts.write_text(json.dumps({"c_d": 2.0}))
+    spy = mock.Mock(wraps=cli.read_json)
+    monkeypatch.setattr(cli, "read_json", spy)
+    code, out, _ = run(
+        ["bounds", str(CORPUS), "--budget", "1000", "--constants", str(consts)], capsys
+    )
+    assert code == 0
+    reports = json.loads(out)["reports"]
+    assert len(reports) == 25 and spy.call_count == 1
+    assert {rep["constants"]["c_d"] for rep in reports} == {2.0}
+
+
+def test_bad_shared_constants_file_names_no_instance(capsys, tmp_path):
+    # the file is at fault, not the first instance that would have read it
+    consts = tmp_path / "c.json"
+    consts.write_text(json.dumps({"c2": -1}))
+    code, out, err = run(["bounds", str(CORPUS), "--constants", str(consts)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {consts}: constants.c2: ")
+    assert "instance" not in err
+
+
 def test_importing_the_cli_loads_no_scipy():
-    # scipy is imported where a kd-tree is first needed: 1-D commands never need one
+    # scipy is imported where a kd-tree is first needed: 1-D commands never
+    # need one, and the corpus's multi-d pair and ball tables are small
     src = Path(__file__).resolve().parents[1] / "src"
     lcd = CORPUS / "11-lcd-ones-04-g9a10.json"
     commands = [
@@ -402,6 +429,11 @@ def test_importing_the_cli_loads_no_scipy():
         ["q", str(ONES10), "--method", "esseen"],
         ["lcd", str(lcd)],
         ["gapfit", str(ONES10)],
+        ["bounds", str(CORPUS), "--budget", "2000"],
+        ["verify"],
+        ["q", str(CORPUS / "17-grid2-unit.json")],
+        ["q", str(CORPUS / "21-grid3-unit.json")],
+        ["q", str(CORPUS / "19-ones2d-06.json"), "--method", "mc", "--budget", "2000"],
     ]
     code = (
         "import contextlib, io, json, sys, anticonc.cli\n"

@@ -404,7 +404,11 @@ def test_mc_q_count_matches_raw_row_oracle(dim, n, lattice, half_width, seed, hi
         rows = rng.uniform(0.3, 2.0, size=(n, dim))
         x = RAD
     tau = 2.0 * half_width
-    with mock.patch.object(concentration, "_BALL_HIT_BUDGET", hit_budget):
+    # a small hit budget also sends every ball table to the level search
+    dense = min(hit_budget, concentration._DENSE_ENTRIES)
+    with mock.patch.object(concentration, "_BALL_HIT_BUDGET", hit_budget), mock.patch.object(
+        concentration, "_DENSE_ENTRIES", dense
+    ):
         samples = _assert_mc_count_matches_oracle(
             WeightedSum(x, WeightVector(rows)), tau, 1000, seed
         )
@@ -449,14 +453,14 @@ def test_pruned_ball_mass_matches_every_centre_oracle(
     radius = tau / 2.0 + concentration._ball_tol(pts, tau / 2.0)
     with mock.patch.object(concentration, "_BALL_HIT_BUDGET", hit_budget), mock.patch.object(
         concentration, "_CELL_CENTERS", cell_centers
-    ):
+    ), mock.patch.object(concentration, "_DENSE_ENTRIES", 0):
         got = concentration._max_ball_mass(pts, w, centers, radius)
     assert got == O.oracle_max_ball_mass(pts, w, centers, radius)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_mc_q_count_matches_raw_row_oracle_at_scale(dim, monkeypatch):
-    # 20k distinct generic draws: far above the hit budget, so the
+    # 20k distinct generic draws: far above the dense table, so the
     # level search runs with its real settings and bounds each level in one call
     calls = []
     ball_masses, max_ball_mass = concentration._ball_masses, concentration._max_ball_mass
@@ -474,7 +478,7 @@ def test_mc_q_count_matches_raw_row_oracle_at_scale(dim, monkeypatch):
     rows = np.random.default_rng(dim).uniform(0.3, 2.0, size=(40, dim))
     sampler = WeightedSum(RAD, WeightVector(rows))
     samples = _assert_mc_count_matches_oracle(sampler, 4.0, 20_000, 1)
-    assert len(distinct_rows(samples)[0]) ** 2 > concentration._BALL_HIT_BUDGET
+    assert len(distinct_rows(samples)[0]) ** 2 > concentration._DENSE_ENTRIES
     assert len(calls) == 1 and 0 < calls[0] <= 32
 
 
@@ -494,7 +498,8 @@ def _degenerate_centres(kind, dim, rng):
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("unit", [True, False])
 def test_level_search_on_degenerate_centres_matches_oracle(kind, dim, unit, monkeypatch):
-    # a hit budget of 1 sends every input to the level search
+    # no dense table and a hit budget of 1 send every input to the level search
+    monkeypatch.setattr(concentration, "_DENSE_ENTRIES", 0)
     monkeypatch.setattr(concentration, "_BALL_HIT_BUDGET", 1)
     rng = np.random.default_rng(dim)
     pts = rng.uniform(-2.0, 2.0, size=(50, dim))
@@ -502,6 +507,62 @@ def test_level_search_on_degenerate_centres_matches_oracle(kind, dim, unit, monk
     centers, radius = _degenerate_centres(kind, dim, rng)
     got = concentration._max_ball_mass(pts, w, centers, radius)
     assert got == O.oracle_max_ball_mass(pts, w, centers, radius)
+
+
+def _table_or_tree(fn, *args):
+    """``fn(*args)`` with every pair or ball table dense, then with none: the
+    kd-tree route.  A CapacityError gives its message, which holds the count."""
+
+    def outcome():
+        try:
+            return fn(*args)
+        except CapacityError as exc:
+            return str(exc)
+
+    with mock.patch.object(concentration, "_DENSE_ENTRIES", 2**40):
+        dense = outcome()
+    with mock.patch.object(concentration, "_DENSE_ENTRIES", 0):
+        tree = outcome()
+    return dense, tree
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    dim=st.integers(2, 3),
+    k=st.integers(2, 60),
+    kind=st.sampled_from(["tied", "near-tied", "lattice"]),
+    step=st.sampled_from([1.0, 0.1, 1 / 3, 2.5e-7, 1e5]),
+    unit=st.booleans(),
+    reach_sq=st.integers(0, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_dense_tables_match_the_kd_tree_bit_for_bit(dim, k, kind, step, unit, reach_sq, seed):
+    # Lattice points put many distances exactly at the reach and the radius;
+    # tied supports repeat a few points; near-tied ones move lattice points
+    # by up to 3 ulps, so distances fall on either side of a tie.
+    rng = np.random.default_rng(seed)
+    pts = rng.integers(-3, 4, size=(k, dim)) * step
+    if kind == "tied":
+        pts = pts[rng.integers(0, max(1, k // 4), size=k)]
+    elif kind == "near-tied":
+        pts = pts + rng.integers(-3, 4, size=pts.shape) * np.spacing(pts)
+    w = np.ones(k) if unit else rng.integers(1, 50, size=k) / 49.0
+    reach = math.sqrt(reach_sq) * step
+    pairs, tree_pairs = _table_or_tree(concentration._near_pairs, pts, reach)
+    for got, want in zip(pairs, tree_pairs):
+        np.testing.assert_array_equal(got, want)
+    for budget in {0, max(len(pairs[0]) - 1, 0), len(pairs[0])}:
+        dense, tree = _table_or_tree(concentration._near_pairs, pts, reach, budget)
+        assert isinstance(dense, str) == isinstance(tree, str)
+        if isinstance(dense, str):
+            assert dense == tree
+    ii, jj = pairs
+    centers = np.vstack([pts, (pts[ii] + pts[jj]) / 2.0])
+    # ties at half the reach and at the reach, then the slack the routes add
+    radii = [r for r in (reach / 2.0, reach) if r > 0]
+    for radius in radii + [reach / 2.0 + concentration._ball_tol(pts, reach / 2.0)]:
+        dense, tree = _table_or_tree(concentration._max_ball_mass, pts, w, centers, radius)
+        assert dense == tree, (dense, tree)
 
 
 def test_esseen_dominates_exact_on_the_line():
