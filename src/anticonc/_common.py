@@ -1,5 +1,5 @@
-"""Shared numeric tolerances, the JSON file reader and number rule,
-point-array helpers, seeds."""
+"""Shared numeric tolerances, the JSON file reader, number rule and object
+rule, point-array helpers, seeds."""
 
 from __future__ import annotations
 
@@ -47,6 +47,21 @@ def json_number(value, what: str, kind=float):
     if not abs(value) <= sys.float_info.max:  # inf, nan, or an integer past it
         raise InputError(f"{what}: expected a finite number, got {value!r:.60}")
     return value if kind is int else float(value)
+
+
+def json_object(value, required=(), optional=()) -> dict:
+    """``value`` by the object rule of every JSON input: a mapping that holds
+    each ``required`` key and no key outside ``required`` and ``optional``.
+    InputError otherwise; the caller names the object (``naming_field``)."""
+    if not isinstance(value, dict):
+        raise InputError(f"expected an object, got {value!r:.60}")
+    for key in required:
+        if key not in value:
+            raise InputError(f"missing field {key!r}")
+    for key in value:
+        if key not in required and key not in optional:
+            raise InputError(f"unknown field {key!r}")
+    return value
 
 
 def float_array(arr) -> np.ndarray:

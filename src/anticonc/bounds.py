@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ._common import check_seed, derive_seed, json_number
+from ._common import check_seed, derive_seed, json_number, json_object
 from .concentration import (
     ConcentrationEstimate,
     WeightVector,
@@ -43,11 +43,14 @@ from .errors import (
     DomainError,
     InputError,
     NumericsError,
+    naming_field,
 )
 from .lcd import LcdParams, compute_lcd
 from .progressions import DEFAULT_CAPS, beta_rm
 
 _TWO_PI = 2.0 * math.pi
+# Monte Carlo sample count of every estimate of a bound report.
+DEFAULT_MC_SAMPLES = 100_000
 # Tolerance of every comparison of the pointwise chain check.
 _CHAIN_SLACK = 1e-12
 
@@ -95,12 +98,8 @@ class ConstantsConfig:
 
     @classmethod
     def from_json_obj(cls, obj) -> "ConstantsConfig":
-        if not isinstance(obj, dict):
-            raise InputError("constants: expected a JSON object")
-        known = {f.name for f in fields(cls)}
-        for key in obj:
-            if key not in known:
-                raise InputError(f"constants: unknown field {key!r}")
+        with naming_field("constants"):  # each value's error names constants.<field>
+            obj = json_object(obj, optional=[f.name for f in fields(cls)])
         return cls(**obj)
 
 
@@ -345,41 +344,25 @@ class BoundReport:
             "constants": self.constants.to_json_obj(),
         }
 
-    def csv_rows(self) -> list:
-        rows = []
-        for tag in _TAG_ORDER:
-            if tag not in self.bounds:
-                continue
-            entry = _json_bound_value(self.bounds[tag])
-            target = _TAG_TARGET[tag]
-            ref = self.references.get(target, {})
-            rows.append(
-                {
-                    "instance": self.instance,
-                    "tag": tag,
-                    "value": "" if entry["value"] is None else repr(float(entry["value"])),
-                    "vacuous": str(entry["vacuous"]).lower(),
-                    "target": target,
-                    "target_value": repr(float(ref["value"])) if "value" in ref else "",
-                    "target_method": ref.get("method", ""),
-                    "target_stderr": repr(float(ref["stderr"]))
-                    if "stderr" in ref
-                    else "",
-                }
-            )
-        return rows
+
+def _csv_number(v) -> str:
+    return "" if v is None else repr(float(v))
 
 
 def bound_report_csv(reports) -> str:
-    """Render reports as one flat CSV string, rows sorted by (instance, tag)."""
-    all_rows = []
-    for rep in reports:
-        all_rows.extend(rep.csv_rows())
-    all_rows.sort(key=lambda row: (row["instance"], _TAG_ORDER.index(row["tag"])))
-    lines = [",".join(_CSV_COLUMNS)]
-    for row in all_rows:
-        lines.append(",".join(row[col] for col in _CSV_COLUMNS))
-    return "\n".join(lines) + "\n"
+    """Render reports as one flat CSV string, rows sorted by (instance, tag),
+    each row read from its report's JSON record."""
+    rows = []
+    for obj in (rep.to_json_obj() for rep in reports):
+        for tag, entry in obj["bounds"].items():
+            ref = obj["references"].get(entry["target"], {})
+            rows.append((
+                obj["instance"], tag, _csv_number(entry["value"]), str(entry["vacuous"]).lower(),
+                entry["target"], _csv_number(ref.get("value")), ref.get("method", ""),
+                _csv_number(ref.get("stderr")),
+            ))
+    rows.sort(key=lambda row: (row[0], _TAG_ORDER.index(row[1])))
+    return "\n".join(",".join(row) for row in [_CSV_COLUMNS, *rows]) + "\n"
 
 
 def _estimate_q(
@@ -439,7 +422,7 @@ def build_bound_report(
     constants: ConstantsConfig = DEFAULT_CONSTANTS,
     instance: str = "instance",
     seed=0,
-    mc_samples: int = 500_000,
+    mc_samples: int = DEFAULT_MC_SAMPLES,
 ) -> BoundReport:
     """Evaluate every applicable bound for one instance.
 
@@ -505,24 +488,22 @@ def build_bound_report(
     q_est = _estimate_q(x, a, tau, mc_samples, derive_seed(seed_int, 1))
     references["q"] = _reference_entry(q_est)
 
-    # Smoothed references.  The kappa-window pair for the plain and refined
-    # transfers shares one derived seed so their comparison is coupled; with
-    # equal powers the two entries are the same computation, made once.
-    q_h_p_kappa = _smoothed_reference(
-        a, p_val, kappa, mc_samples, derive_seed(seed_int, 2), constants
-    )
-    if lam_transfer == p_val:
-        q_h_lambda_kappa = dict(q_h_p_kappa)
-    else:
-        q_h_lambda_kappa = _smoothed_reference(
-            a, lam_transfer, kappa, mc_samples, derive_seed(seed_int, 2), constants
-        )
-    q_h_p_delta = _smoothed_reference(
-        a, p_val, delta, mc_samples, derive_seed(seed_int, 3), constants
-    )
-    references["q_h_p_kappa"] = q_h_p_kappa
-    references["q_h_lambda_kappa"] = q_h_lambda_kappa
-    references["q_h_p_delta"] = q_h_p_delta
+    # Smoothed references Q(H^power, window), each made once per (power,
+    # window, seed stream) and handed out as its own entry.  The kappa-window
+    # pair for the plain and refined transfers shares seed stream 2 so their
+    # comparison is coupled; with equal powers they are one computation.
+    memo = {}
+
+    def smoothed(power, window, stream):
+        if (power, window, stream) not in memo:
+            memo[power, window, stream] = _smoothed_reference(
+                a, power, window, mc_samples, derive_seed(seed_int, stream), constants
+            )
+        return dict(memo[power, window, stream])
+
+    references["q_h_p_kappa"] = q_h_p_kappa = smoothed(p_val, kappa, 2)
+    references["q_h_lambda_kappa"] = q_h_lambda_kappa = smoothed(lam_transfer, kappa, 2)
+    references["q_h_p_delta"] = q_h_p_delta = smoothed(p_val, delta, 3)
 
     c_d = constants.c_d
     window = _window(kappa, delta, d)  # inf past the float range, even at a zero mass
@@ -577,14 +558,7 @@ def build_bound_report(
             guards["p_tau_d"] = p_td
             guards["lambda_tau_d"] = lam_td
             guards["m2_tau_d"] = m2_td
-            references["q_h_b_invd"] = _smoothed_reference(
-                a,
-                smoothing_power,
-                1.0 / big_d,
-                mc_samples,
-                derive_seed(seed_int, 5),
-                constants,
-            )
+            references["q_h_b_invd"] = smoothed(smoothing_power, 1.0 / big_d, 5)
         _, det_gram = a.gram()
 
         def lcd_form(mass, exp_coeff=4.0):
@@ -609,6 +583,7 @@ def build_bound_report(
 __all__ = [
     "ConstantsConfig",
     "DEFAULT_CONSTANTS",
+    "DEFAULT_MC_SAMPLES",
     "BoundReport",
     "PointwiseChainReport",
     "bound_report_csv",

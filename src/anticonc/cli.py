@@ -11,10 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from ._common import derive_seed, read_json
-from .bounds import ConstantsConfig, bound_report_csv, build_bound_report
+from .bounds import DEFAULT_MC_SAMPLES, ConstantsConfig, bound_report_csv, build_bound_report
 from .concentration import (
     DEFAULT_EXACT_BUDGET,
     WeightedSum,
@@ -30,6 +31,7 @@ from .errors import (
     ChainViolationError,
     DomainError,
     InputError,
+    naming_field,
     naming_instance,
 )
 from .instances import load_instances
@@ -70,11 +72,9 @@ def _constants_file(args, spec=None) -> dict:
     if not args.constants:
         return {}
     obj = read_json(args.constants, "constants")
-    try:
+    named = nullcontext() if spec is None else naming_instance(spec.id)
+    with naming_field(str(Path(args.constants))), named:
         return ConstantsConfig.from_json_obj(obj).to_json_obj()
-    except (DomainError, InputError) as exc:
-        named = "" if spec is None else f"instance {spec.id!r}: "
-        raise InputError(f"{Path(args.constants)}: {named}{exc}") from exc
 
 
 def _constants_for(table, spec) -> ConstantsConfig:
@@ -137,7 +137,7 @@ def _one_bound_report(args, table, spec, idx):
             constants=constants,
             instance=spec.id,
             seed=derive_seed(args.seed, idx),
-            mc_samples=100_000 if args.budget is None else args.budget,
+            mc_samples=DEFAULT_MC_SAMPLES if args.budget is None else args.budget,
         )
 
 
@@ -232,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_b = command("bounds", cmd_bounds, "bound report for an instance or grid")
     estimate_flags(
         p_b,
-        "Monte Carlo sample count of every estimate (100,000 when omitted), "
+        f"Monte Carlo sample count of every estimate ({DEFAULT_MC_SAMPLES:,} when omitted), "
         "at least 1,000",
     )
     p_b.add_argument(

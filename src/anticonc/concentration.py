@@ -31,7 +31,7 @@ from .distributions import (
     atom_indices,
     cp_sample_rng,
 )
-from .errors import CapacityError, DomainError, InputError, NumericsError
+from .errors import CapacityError, DomainError, NumericsError, naming_field
 
 DEFAULT_EXACT_BUDGET = 20_000_000
 _MC_MIN_SAMPLES = 1000
@@ -107,10 +107,8 @@ class WeightVector:
 
     @classmethod
     def from_json_obj(cls, obj) -> "WeightVector":
-        try:
+        with naming_field("weights"):
             return cls(obj)
-        except DomainError as exc:
-            raise InputError(f"weights: {exc}") from exc
 
     def __repr__(self):
         return f"WeightVector(n={self.n}, dim={self.dim})"
@@ -576,14 +574,12 @@ def mc_q(
     return ConcentrationEstimate(value, "monte_carlo", stderr, tau)
 
 
-def _adaptive_simpson_abs(
-    f,
-    a: float,
-    b: float,
-    rel_tol: float,
-    max_passes: int = 40,
-    max_intervals: int = 400_000,
-) -> float:
+# Refinement passes and live intervals of one adaptive Simpson quadrature.
+_SIMPSON_PASSES = 40
+_SIMPSON_INTERVALS = 400_000
+
+
+def _adaptive_simpson_abs(f, a: float, b: float, rel_tol: float) -> float:
     """Adaptive composite Simpson rule for |f| with Richardson acceptance.
 
     ``f`` must map a float array to a complex (or float) array.  Intervals are
@@ -600,7 +596,7 @@ def _adaptive_simpson_abs(
     fmid = np.abs(f((lo + hi) / 2.0))
     total = 0.0
     span = b - a
-    for _ in range(max_passes):
+    for _ in range(_SIMPSON_PASSES):
         h = hi - lo
         mid = (lo + hi) / 2.0
         s1 = h / 6.0 * (flo + 4.0 * fmid + fhi)
@@ -618,7 +614,7 @@ def _adaptive_simpson_abs(
         if bool(ok.all()):
             return total
         keep = ~ok
-        if 2 * int(keep.sum()) > max_intervals:
+        if 2 * int(keep.sum()) > _SIMPSON_INTERVALS:
             raise NumericsError("adaptive Simpson exceeded its interval budget")
         lo_k, hi_k, mid_k = lo[keep], hi[keep], mid[keep]
         lo = np.concatenate([lo_k, mid_k])

@@ -18,8 +18,9 @@ from ._common import (
     as_points,
     dedupe_points,
     float_array,
+    json_object,
 )
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, naming_field
 
 WEIGHT_SUM_TOL = 1e-12
 
@@ -100,18 +101,12 @@ class DiscreteDistribution:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "DiscreteDistribution":
-        if not isinstance(obj, dict):
-            raise InputError("distribution: expected an object")
-        for key in ("atoms", "weights"):
-            if key not in obj:
-                raise InputError(f"distribution: missing field '{key}'")
-        normalized = obj.get("normalized", True)
-        if not isinstance(normalized, bool):
-            raise InputError(f"distribution: normalized: expected a bool, got {normalized!r:.60}")
-        try:
+        with naming_field("distribution"):
+            obj = json_object(obj, required=("atoms", "weights"), optional=("normalized",))
+            normalized = obj.get("normalized", True)
+            if not isinstance(normalized, bool):
+                raise InputError(f"normalized: expected a bool, got {normalized!r:.60}")
             return cls(obj["atoms"], obj["weights"], normalized)
-        except DomainError as exc:
-            raise InputError(f"distribution: {exc}") from exc
 
     @classmethod
     def from_shorthand(cls, name: str) -> "DiscreteDistribution":
@@ -119,33 +114,29 @@ class DiscreteDistribution:
         s = name.strip()
         if s == "rademacher":
             return cls.rademacher()
-        m = re.fullmatch(r"uniform\{([^{}]*)\}", s)
-        if m:
-            try:
-                vals = [float(v) for v in m.group(1).split(",")]
-            except ValueError as exc:
-                raise InputError(f"distribution: bad uniform atom list in {s!r}") from exc
-            if not vals:
-                raise InputError("distribution: uniform{} needs atoms")
-            return cls(vals, [1.0 / len(vals)] * len(vals))
-        m = re.fullmatch(r"bernoulli\(([^()]*)\)", s)
-        if m:
-            try:
-                p = float(m.group(1))
-            except ValueError as exc:
-                raise InputError(f"distribution: bad bernoulli parameter in {s!r}") from exc
-            if not 0.0 <= p <= 1.0:
-                raise InputError("distribution: bernoulli parameter must lie in [0, 1]")
-            return cls([0.0, 1.0], [1.0 - p, p])
-        raise InputError(f"distribution: unknown shorthand {s!r}")
+        with naming_field("distribution"):
+            m = re.fullmatch(r"uniform\{([^{}]*)\}", s)
+            if m:
+                try:
+                    vals = [float(v) for v in m.group(1).split(",")]
+                except ValueError as exc:
+                    raise InputError(f"bad uniform atom list in {s!r}") from exc
+                return cls(vals, [1.0 / len(vals)] * len(vals))  # uniform{inf} is a DomainError
+            m = re.fullmatch(r"bernoulli\(([^()]*)\)", s)
+            if m:
+                try:
+                    p = float(m.group(1))
+                except ValueError as exc:
+                    raise InputError(f"bad bernoulli parameter in {s!r}") from exc
+                if not 0.0 <= p <= 1.0:
+                    raise InputError("bernoulli parameter must lie in [0, 1]")
+                return cls([0.0, 1.0], [1.0 - p, p])
+            raise InputError(f"unknown shorthand {s!r}")
 
     @classmethod
     def from_spec(cls, obj) -> "DiscreteDistribution":
         """Loader accepting either a shorthand string or a JSON object."""
-        try:
-            return cls.from_shorthand(obj) if isinstance(obj, str) else cls.from_json_obj(obj)
-        except DomainError as exc:  # a shorthand's atoms, such as uniform{inf}
-            raise InputError(f"distribution: {exc}") from exc
+        return cls.from_shorthand(obj) if isinstance(obj, str) else cls.from_json_obj(obj)
 
     @classmethod
     def rademacher(cls) -> "DiscreteDistribution":

@@ -59,3 +59,14 @@ def naming_instance(instance_id: str):
     except AnticoncError as exc:
         exc.args = (f"instance {instance_id!r}: {exc}",)
         raise
+
+
+@contextmanager
+def naming_field(name: str, error=InputError):
+    """Prefix ``name: `` to the message of a DomainError or InputError raised
+    inside and raise it as ``error``: a loader names the JSON object or field
+    it reads and reports InputError, a constructor keeps DomainError."""
+    try:
+        yield
+    except (DomainError, InputError) as exc:
+        raise error(f"{name}: {exc}") from exc

@@ -8,11 +8,11 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from ._common import json_number, read_json
+from ._common import json_number, json_object, read_json
 from .bounds import ConstantsConfig
 from .concentration import WeightVector
 from .distributions import DiscreteDistribution
-from .errors import DomainError, InputError
+from .errors import InputError, naming_field, naming_instance
 from .lcd import LcdParams
 from .progressions import DEFAULT_CAPS, check_caps
 
@@ -21,19 +21,25 @@ _PARAM_KINDS = {
     "tau": float, "kappa": float, "delta": float, "gamma": float, "alpha": float,
     "theta_max": float, "smoothing_power": float, "r": int, "m": int, "s": int,
 }
+# The fields of each kind of ``expected`` entry, required and optional; the
+# entries are read only by ``verify``, which applies the object rule to each.
+EXPECTED_FIELDS = {
+    "q": (("tau", "value"), ("tol",)),
+    "p": (("ratio", "value"), ("tol",)),
+    "lambda1": (("ratio", "value"), ("tol",)),
+    "m2": (("ratio", "value"), ("tol",)),
+    "lcd": (("gamma", "alpha", "value"), ("theta_max", "tol")),
+    "beta": (("tau", "r", "m", "value"), ("tol",)),
+    "gamma_fit": (("tau", "r", "s", "value"), ("tol",)),
+}
 
 
-def _check_parameters(params: dict) -> dict:
-    if not isinstance(params, dict):
-        raise InputError("parameters: expected an object")
-    out = {}
-    for key, value in params.items():
-        if key in _PARAM_KINDS:
-            out[key] = json_number(value, f"parameters.{key}", _PARAM_KINDS[key])
-        elif key == "constants":  # its table is ConstantsConfig.from_json_obj's to check
-            out[key] = value
-        else:
-            raise InputError(f"parameters: unknown field {key!r}")
+def _check_parameters(params) -> dict:
+    with naming_field("parameters"):
+        out = dict(json_object(params, optional=(*_PARAM_KINDS, "constants")))
+    for key, kind in _PARAM_KINDS.items():  # the constants are ConstantsConfig's to check
+        if key in out:
+            out[key] = json_number(out[key], f"parameters.{key}", kind)
     return out
 
 
@@ -53,8 +59,9 @@ class InstanceSpec:
 
     Building one checks each setting with the code that owns its rule, so a
     bad setting fails at load for every command: the LCD parameters become
-    ``lcd`` (an ``LcdParams``, or None), the caps pass ``check_caps`` and the
-    constants table passes ``ConstantsConfig.from_json_obj``.
+    ``lcd`` (an ``LcdParams``, or None), the caps pass ``check_caps``, the
+    constants table passes ``ConstantsConfig.from_json_obj`` and the
+    ``expected`` map holds only the entry kinds of ``EXPECTED_FIELDS``.
     """
 
     id: str
@@ -66,13 +73,14 @@ class InstanceSpec:
 
     def __post_init__(self):
         p = self.parameters
-        try:
-            object.__setattr__(self, "lcd", _lcd_params(p))
-            r, m, s = self.caps
-            check_caps(r, m=m, s=s)
-            ConstantsConfig.from_json_obj(p.get("constants", {}))
-        except (DomainError, InputError) as exc:
-            raise InputError(f"instance {self.id!r}: parameters: {exc}") from exc
+        with naming_instance(self.id):
+            with naming_field("parameters"):
+                object.__setattr__(self, "lcd", _lcd_params(p))
+                r, m, s = self.caps
+                check_caps(r, m=m, s=s)
+                ConstantsConfig.from_json_obj(p.get("constants", {}))
+            with naming_field("expected"):
+                json_object(self.expected, optional=EXPECTED_FIELDS)
 
     @property
     def caps(self) -> tuple:
@@ -102,35 +110,22 @@ class InstanceSpec:
 
     @classmethod
     def from_json_obj(cls, obj) -> "InstanceSpec":
-        if not isinstance(obj, dict):
-            raise InputError("instance: expected a JSON object")
-        if "id" not in obj or not isinstance(obj["id"], str) or not obj["id"]:
-            raise InputError("instance: missing or empty field 'id'")
-        for key in ("distribution", "weights"):
-            if key not in obj:
-                raise InputError(f"instance: missing field {key!r}")
-        known = {"id", "distribution", "weights", "parameters", "expected"}
-        for key in obj:
-            if key not in known:
-                raise InputError(f"instance: unknown field {key!r}")
-        try:  # each loader's message starts with its field
+        with naming_field("instance"):
+            obj = json_object(obj, required=("id", "distribution", "weights"),
+                              optional=("parameters", "expected"))
+            if not isinstance(obj["id"], str) or not obj["id"]:
+                raise InputError(f"id: expected a non-empty string, got {obj['id']!r:.60}")
+        with naming_instance(obj["id"]):  # each loader's message starts with its field
             x = DiscreteDistribution.from_spec(obj["distribution"])
             a = WeightVector.from_json_obj(obj["weights"])
             params = _check_parameters(obj.get("parameters", {}))
-        except InputError as exc:
-            raise InputError(f"instance {obj['id']!r}: {exc}") from exc
-        expected = obj.get("expected", {})
-        if not isinstance(expected, dict):
-            raise InputError(f"instance {obj['id']!r}: expected: expected an object")
-        return cls(id=obj["id"], x=x, a=a, parameters=params, expected=expected)
+        return cls(id=obj["id"], x=x, a=a, parameters=params, expected=obj.get("expected", {}))
 
     @classmethod
     def from_path(cls, path) -> "InstanceSpec":
         obj = read_json(path, "instance")
-        try:
+        with naming_field(str(Path(path))):
             return cls.from_json_obj(obj)
-        except InputError as exc:
-            raise InputError(f"{Path(path)}: {exc}") from exc
 
 
 def load_instances(path) -> list:

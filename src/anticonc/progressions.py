@@ -35,9 +35,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._common import CONVOLUTION_MERGE_TOL, as_points, dedupe_points, float_array, json_number
+from ._common import (
+    CONVOLUTION_MERGE_TOL,
+    as_points,
+    dedupe_points,
+    float_array,
+    json_number,
+    json_object,
+)
 from .distributions import DiscreteDistribution
-from .errors import CapacityError, ClassCapError, DomainError, InputError
+from .errors import CapacityError, ClassCapError, DomainError, naming_field
 
 GAP_ENUM_BUDGET = 10_000_000
 DEFAULT_SEARCH_BUDGET = 20_000
@@ -144,13 +151,10 @@ class Gap:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Gap":
-        if not isinstance(obj, dict) or "L" not in obj or "g" not in obj:
-            raise InputError("gap: expected an object with fields 'L' and 'g'")
-        try:
+        with naming_field("gap"):
+            obj = json_object(obj, required=("L", "g"), optional=("dim",))
             dim = json_number(obj["dim"], "dim", int) if "dim" in obj else None
             return cls(obj["L"], obj["g"], dim)
-        except ValueError as exc:  # a DomainError or an InputError
-            raise InputError(f"gap: {exc}") from exc
 
     def __repr__(self):
         return f"Gap(rank={self.rank}, dims={self._dims}, ambient_dim={self.ambient_dim})"
@@ -179,12 +183,10 @@ class Cgap:
     __slots__ = ("_h", "_box", "_cap")
 
     def __init__(self, h, box, cap: int):
-        try:  # the box is the body V of the JSON form
+        with naming_field("V", DomainError):  # the box is the body V of the JSON form
             b = float_array(box).reshape(-1)
             if np.any(b < 0) or not np.all(np.isfinite(b)):
                 raise DomainError("box bounds must be finite and nonnegative")
-        except DomainError as exc:
-            raise DomainError(f"V: {exc}") from exc
         hv = float_array(h).reshape(-1)
         if not np.all(np.isfinite(hv)):
             raise DomainError("step vector must be finite")
@@ -243,18 +245,12 @@ class Cgap:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Cgap":
-        if not isinstance(obj, dict):
-            raise InputError("cgap: expected an object")
-        for key in ("h", "V", "m"):
-            if key not in obj:
-                raise InputError(f"cgap: missing field '{key}'")
-        try:
+        with naming_field("cgap"):
+            obj = json_object(obj, required=("h", "V", "m"))
             m = json_number(obj["m"], "m", int)
-            if not isinstance(obj["V"], dict) or "box" not in obj["V"]:
-                raise InputError("V: expected an object with a 'box' field")
-            return cls(obj["h"], obj["V"]["box"], m)
-        except ValueError as exc:  # a DomainError or an InputError
-            raise InputError(f"cgap: {exc}") from exc
+            with naming_field("V"):
+                body = json_object(obj["V"], required=("box",))
+            return cls(obj["h"], body["box"], m)
 
     def __repr__(self):
         return f"Cgap(rank={self.rank}, cap={self._cap}, box={self._box.tolist()})"
@@ -507,10 +503,7 @@ def _box_cgap(steps, radii, r: int, m: int) -> Cgap:
     return Cgap(_step_vector(steps, r), bounds, m)
 
 
-def _coverage_search(
-    w: DiscreteDistribution, tau: float, r: int, cap: int,
-    search_budget: int = DEFAULT_SEARCH_BUDGET,
-) -> ApproxResult:
+def _coverage_search(w: DiscreteDistribution, tau: float, r: int, cap: int) -> ApproxResult:
     """Shared search core for both progression classes; the winner is a box Cgap.
 
     A candidate is a step set and integer box radii with at most ``cap``
@@ -535,16 +528,16 @@ def _coverage_search(
     slack = _sum_slack(weights)
     evals = 1
     for rho in range(1, min(r, 3) + 1):
-        if best_v == 0.0 or evals >= search_budget:
+        if best_v == 0.0 or evals >= DEFAULT_SEARCH_BUDGET:
             break
         sub = _stride(pool, (len(pool), 24, 10)[rho - 1])
         step_sets = list(itertools.combinations(sub, rho))
         allocs = _box_allocations(rho, min(cap, _MAX_SEARCH_POINTS))
         # every step set evaluates every allocation: score no set past the budget
-        step_sets = step_sets[: -(-(search_budget - evals) // len(allocs))]
+        step_sets = step_sets[: -(-(DEFAULT_SEARCH_BUDGET - evals) // len(allocs))]
         for steps, candidates in _scored_step_sets(step_sets, allocs, r, x, weights, tau):
             for radii, mass, far in candidates:
-                if evals >= search_budget:
+                if evals >= DEFAULT_SEARCH_BUDGET:
                     break
                 evals += 1
                 # only a candidate whose mass may lie below best_v gets its fsum
@@ -552,7 +545,7 @@ def _coverage_search(
                     val = math.fsum(weights[far].tolist())
                     if val < best_v:
                         best_v, best = val, (steps, radii)
-            if best_v == 0.0 or evals >= search_budget:
+            if best_v == 0.0 or evals >= DEFAULT_SEARCH_BUDGET:
                 break
     return ApproxResult(best_v, _box_cgap(*best, r, cap), False, evals)
 

@@ -16,7 +16,7 @@ from functools import cache, partial
 
 import numpy as np
 
-from ._common import derive_seed, json_number, make_rng
+from ._common import derive_seed, json_number, json_object, make_rng
 from .bounds import verify_pointwise_chain
 from .concentration import (
     exact_q,
@@ -32,7 +32,7 @@ from .distributions import (
     truncated_second_moment,
 )
 from .errors import CapacityError, ChainViolationError, DomainError, InputError, naming_instance
-from .instances import load_corpus
+from .instances import EXPECTED_FIELDS, load_corpus
 from .lcd import LcdParams, compute_lcd, violation_condition
 from .progressions import beta_rm, gamma_rs, uncovered_mass
 
@@ -161,10 +161,8 @@ def _check_expected(spec, law, budget, skipped, bracket, searches) -> list:
 
 def _entry_field(entry, name, kind=float, default=None):
     """The entry's ``name`` field by the JSON number rule (a finite float, or an
-    int); an absent field is ``default``, or malformed when there is no default."""
+    int), or ``default`` when the entry leaves out that optional field."""
     if name not in entry:
-        if default is None:
-            raise InputError(f"missing field {name!r}")
         return default
     return json_number(entry[name], f"field {name!r}", kind)
 
@@ -172,8 +170,7 @@ def _entry_field(entry, name, kind=float, default=None):
 def _check_expected_entry(
     spec, g, key, entry, law, budget, bracket, searches
 ) -> CheckResult:
-    if not isinstance(entry, dict):
-        raise InputError(f"entry {entry!r} is not an object")
+    json_object(entry, *EXPECTED_FIELDS[key])
     num = partial(_entry_field, entry)
     if key == "q":
         tau = num("tau")
@@ -188,7 +185,7 @@ def _check_expected_entry(
         params = LcdParams(
             gamma=num("gamma"),
             alpha=num("alpha"),
-            theta_max=num("theta_max") if "theta_max" in entry else None,
+            theta_max=num("theta_max"),
         )
         value = num("value")
         tol = num("tol", default=1e-5)
@@ -208,7 +205,7 @@ def _check_expected_entry(
             d_upper=res.d_upper,
             converged=res.converged,
         )
-    elif key in ("beta", "gamma_fit"):
+    else:  # beta or gamma_fit
         search = (num("tau"), num("r", int), num("m" if key == "beta" else "s", int))
         # both classes share one search: an entry with the window, rank and
         # cap of one of the instance's witness searches reads its value
@@ -218,8 +215,6 @@ def _check_expected_entry(
             got = (beta_rm if key == "beta" else gamma_rs)(
                 spectral_measure(spec.a.rows), *search
             ).value
-    else:
-        return _fail(spec.id, "expected", field=key, reason="unknown expected field")
     want = num("value")
     tol = num("tol", default=1e-12 if key in ("beta", "gamma_fit") else 1e-9)
     if abs(got - want) <= tol:

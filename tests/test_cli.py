@@ -17,6 +17,7 @@ from anticonc.errors import (
     NumericsError,
     naming_instance,
 )
+from anticonc.progressions import Cgap, Gap
 
 CORPUS = Path(__file__).resolve().parents[1] / "src" / "anticonc" / "data" / "corpus"
 ONES10 = CORPUS / "02-ones-10.json"
@@ -517,7 +518,7 @@ def test_constants_file_must_hold_an_object(capsys, tmp_path, argv, text):
     code, out, err = run(argv + ["--constants", str(consts)], capsys)
     assert code == 2
     assert out == ""
-    assert "constants: expected a JSON object" in err
+    assert "constants: expected an object, got " in err
 
 
 @pytest.mark.parametrize("command", ["q", "lcd", "gapfit", "bounds", "verify"])
@@ -625,6 +626,74 @@ def test_every_number_place_refuses_what_is_not_a_number(capsys, tmp_path, place
     assert err.startswith(f"error: {named}: ")
     assert "instance '02-ones-10': " in err
     assert _NUMBER_PLACES[place] in err
+
+
+# Each JSON object the package reads, with what the error must say after the
+# file (and, in an instance file, the instance) when it holds the key 'zz'.
+_UNKNOWN_KEY_PLACES = {
+    "instance": "instance: unknown field 'zz'",
+    "parameters": "parameters: unknown field 'zz'",
+    "constants": "parameters: constants: unknown field 'zz'",
+    "distribution": "distribution: unknown field 'zz'",
+    "expected": "expected: unknown field 'zz'",
+    "constants-file": "constants: unknown field 'zz'",
+    "constants-file-bounds": "constants: unknown field 'zz'",
+    "gap": "gap: unknown field 'zz'",
+    "cgap": "cgap: unknown field 'zz'",
+    "V": "cgap: V: unknown field 'zz'",
+    "expected-entry": "unknown field 'zz'",
+}
+
+
+@pytest.mark.parametrize("place", _UNKNOWN_KEY_PLACES)
+def test_every_object_refuses_an_unknown_key(capsys, tmp_path, place):
+    message = _UNKNOWN_KEY_PLACES[place]
+    if place in ("gap", "cgap", "V"):
+        loader, obj = {
+            "gap": (Gap.from_json_obj, {"L": [1.0], "g": [[1.0]], "dim": 1, "zz": 1}),
+            "cgap": (Cgap.from_json_obj, {"h": [2.0], "V": {"box": [1.5]}, "m": 3, "zz": 1}),
+            "V": (Cgap.from_json_obj, {"h": [2.0], "V": {"box": [1.5], "zz": [9]}, "m": 3}),
+        }[place]
+        with pytest.raises(InputError) as exc:
+            loader(obj)
+        assert str(exc.value) == message
+        return
+    obj = json.loads(ONES10.read_text())
+    obj["distribution"] = {"atoms": [-1.0, 1.0], "weights": [0.5, 0.5]}
+    obj["parameters"]["constants"] = {"c2": 2.0}
+    target = {
+        "instance": obj,
+        "parameters": obj["parameters"],
+        "constants": obj["parameters"]["constants"],
+        "distribution": obj["distribution"],
+        "expected": obj["expected"],
+        "expected-entry": obj["expected"]["q"][0],
+    }.get(place)
+    if target is not None:
+        target["zz"] = 1
+    (tmp_path / "corpus").mkdir()
+    bad = tmp_path / "corpus" / "bad.json"
+    bad.write_text(json.dumps(obj))
+    consts = tmp_path / "c.json"
+    consts.write_text(json.dumps({"c2": 2.0, "zz": 1}))
+    if place == "expected-entry":
+        # an entry is read only by verify: the key fails that one expected check
+        code, out, _ = run(["verify", str(bad.parent), "--format", "json"], capsys)
+        assert code == 1
+        failures = [r for r in json.loads(out)["results"] if not r["passed"]]
+        assert failures == [{"instance": "02-ones-10", "check": "expected", "passed": False,
+                             "detail": {"field": "q", "reason": message}}]
+    elif place == "constants-file-bounds":
+        # a shared --constants file is at fault, not an instance that reads it
+        code, out, err = run(["bounds", str(bad.parent), "--constants", str(consts)], capsys)
+        assert (code, out, err) == (2, "", f"error: {consts}: {message}\n")
+    else:
+        argv = ["q", str(bad)] + (["--constants", str(consts)] if place == "constants-file" else [])
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        named = consts if place == "constants-file" else bad
+        instance = "" if place == "instance" else "instance '02-ones-10': "
+        assert err == f"error: {named}: {instance}{message}\n"
 
 
 def test_integer_literal_past_the_digit_limit_is_malformed_json(capsys, tmp_path):

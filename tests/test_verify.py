@@ -105,7 +105,7 @@ def test_corrupted_lcd_expectation_is_caught(tmp_path):
          "gamma must lie strictly between 0 and 1"),
         ("beta", {"tau": 0.5, "r": 1.5, "m": 1, "value": 1.0},
          "field 'r': expected an integer, got 1.5"),
-        ("q", [3], "entry 3 is not an object"),
+        ("q", [3], "expected an object, got 3"),
         # Python's json reads Infinity and NaN: an infinite tol would pass any value
         ("q", {"tau": 1.5, "value": 0.999, "tol": float("inf")},
          "field 'tol': expected a finite number, got inf"),
@@ -183,7 +183,8 @@ def test_search_entry_with_a_witness_search_key_reuses_its_result(tmp_path):
     # (0.5, 1, 3) and the rank-zero (0.5, 0, 1)
     fit = {"r": 1, "s": 3, "tau": 0.5, "value": 0.0}
     obj["expected"] = {
-        "beta": [{"m": 1, "r": 0, "tau": 0.5, "value": 1.0}, dict(fit, m=5, value=0.0)],
+        "beta": [{"m": 1, "r": 0, "tau": 0.5, "value": 1.0},
+                 {"m": 5, "r": 1, "tau": 0.5, "value": 0.0}],
         "gamma_fit": [fit, dict(fit, value=0.5)],
     }
     (corpus / "02.json").write_text(json.dumps(obj))
