@@ -1,9 +1,10 @@
 """Shared numeric tolerances, the JSON file reader, number rule and object
-rule, point-array helpers, seeds."""
+rule, point-array helpers, the seed and scale rules."""
 
 from __future__ import annotations
 
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -22,6 +23,8 @@ GEOM_TOL = 1e-12
 WINDOW_TOL = 3e-12
 
 _MASK64 = (1 << 64) - 1
+# The scalar types the number rules read as numbers; a bool is refused apart.
+_NUMBERS = (int, float, np.integer, np.floating)
 
 
 def read_json(path, what: str):
@@ -73,8 +76,7 @@ def float_array(arr) -> np.ndarray:
         if not (isinstance(arr, np.ndarray) and arr.dtype.kind in "iuf"):
             # numpy parses strings, reads [true, 2] as ints and 10**30 as an object
             entries = np.asarray(arr, dtype=object).flat
-            numbers = (int, float, np.integer, np.floating)
-            if not all(isinstance(v, numbers) and not isinstance(v, bool) for v in entries):
+            if not all(isinstance(v, _NUMBERS) and not isinstance(v, bool) for v in entries):
                 raise TypeError("not a number")
         return np.asarray(arr, dtype=float)  # OverflowError past the float range
     except (OverflowError, TypeError, ValueError) as exc:
@@ -183,6 +185,24 @@ def check_seed(seed) -> int:
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
         raise DomainError(f"seed must be an integer in [0, 2^64), got {seed!r:.60}")
     return int(seed)
+
+
+def check_scale(value, what: str, *, positive: bool = False, finite: bool = False) -> float:
+    """The one scale rule of the library, for every window, radius, ratio,
+    intensity and ceiling: a real number (not a bool), not NaN, at least 0
+    (above 0 when ``positive``) and in the float range.  +inf passes as the
+    limit the site defines, unless ``finite``.  DomainError naming ``what``
+    otherwise; returns the float."""
+    if isinstance(value, bool) or not isinstance(value, _NUMBERS):
+        raise DomainError(f"{what}: expected a number, got {value!r:.60}")
+    try:
+        v = float(value)
+    except OverflowError:  # an integer past the float range
+        v = math.nan
+    if not (v > 0 if positive else v >= 0) or (finite and v == math.inf):  # NaN fails both
+        kind = ("finite " if finite else "") + ("positive" if positive else "nonnegative")
+        raise DomainError(f"{what}: expected a {kind} number, got {value!r:.60}")
+    return v
 
 
 def make_rng(seed: int) -> np.random.Generator:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ._common import check_seed, derive_seed, json_number, json_object
+from ._common import check_scale, check_seed, derive_seed, json_number, json_object
 from .concentration import (
     ConcentrationEstimate,
     WeightVector,
@@ -88,9 +88,8 @@ class ConstantsConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            v = json_number(getattr(self, f.name), f"constants.{f.name}")
-            if v <= 0.0:
-                raise DomainError(f"constants.{f.name}: expected a positive number, got {v!r}")
+            what = f"constants.{f.name}"
+            v = check_scale(json_number(getattr(self, f.name), what), what, positive=True)
             object.__setattr__(self, f.name, v)
 
     def to_json_obj(self) -> dict:
@@ -172,9 +171,8 @@ def h_char_fn(a: WeightVector):
 
 def smoothing_law(a: WeightVector, power: float = 1.0) -> CompoundPoisson:
     """Compound Poisson law whose characteristic function is h_char_fn(a)**power."""
-    if not power >= 0:
-        raise DomainError("smoothing power must be nonnegative")
-    return CompoundPoisson(0.5 * a.n * float(power), spectral_measure(a.rows))
+    power = check_scale(power, "power", finite=True)
+    return CompoundPoisson(0.5 * a.n * power, spectral_measure(a.rows))
 
 
 @dataclass(frozen=True)
@@ -222,8 +220,8 @@ def verify_pointwise_chain(
     if (lcd is None) != (big_d is None):
         raise InputError("lcd and big_d come together or not at all")
     check_lcd = lcd is not None
-    if check_lcd and not big_d > 0:
-        raise DomainError("denominator bracket D must be positive")
+    if check_lcd:
+        check_scale(big_d, "big_d", positive=True)
 
     ts, ph = a.phases(t_grid)  # (m, d) points, (m, n) phases <t, a_k>
     # one reduction feeds both sides of every check: the bounds are tight at ±pi
@@ -398,7 +396,7 @@ def _smoothed_reference(
         )
         entry["esseen_upper"] = cross.value
     except DomainError as exc:
-        # no quadrature for this dimension: the skip is recorded, not dropped
+        # no quadrature for this dimension or window: the skip is recorded, not dropped
         entry["esseen_upper"] = None
         entry["esseen_skipped"] = str(exc)
     except NumericsError as exc:
@@ -451,8 +449,8 @@ def build_bound_report(
                         second moment
     """
     _check_summand(x)
-    if not (tau > 0 and kappa > 0 and delta > 0):
-        raise DomainError("tau, kappa and delta must be positive")
+    for what, window in (("tau", tau), ("kappa", kappa), ("delta", delta)):
+        check_scale(window, what, positive=True)
     seed_int = check_seed(seed)
     d = a.dim
     n = a.n

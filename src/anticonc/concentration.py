@@ -21,6 +21,7 @@ from ._common import (
     GEOM_TOL,
     WINDOW_TOL,
     as_points,
+    check_scale,
     dedupe_points,
     distinct_rows,
     make_rng,
@@ -133,12 +134,9 @@ class ConcentrationEstimate:
     def __post_init__(self):
         if self.method not in _METHODS:
             raise DomainError(f"method must be one of {_METHODS}")
-        if not math.isfinite(self.value) or self.value < 0:
-            raise DomainError("value must be finite and nonnegative")
-        if self.stderr < 0:
-            raise DomainError("stderr must be nonnegative")
-        if self.tau < 0:
-            raise DomainError("tau must be nonnegative")
+        check_scale(self.value, "value", finite=True)
+        check_scale(self.stderr, "stderr")
+        check_scale(self.tau, "tau")
         if self.method in ("exact", "monte_carlo"):
             if self.value > 1.0 + 1e-9:
                 raise DomainError("probability estimate exceeds 1")
@@ -480,8 +478,7 @@ def exact_q_of_distribution(
     largest mass of an atom-anchored window on the line and, in d >= 2, of a
     closed ball around a centre of ``_sphere_centers``, whose near pairs and
     clique candidates ``budget`` caps (CapacityError past it)."""
-    if not tau >= 0:
-        raise DomainError("tau must be nonnegative")
+    check_scale(tau, "tau")
     if not f.normalized:
         raise DomainError("Q is defined for probability distributions")
     if f.dim == 1:
@@ -547,8 +544,7 @@ def mc_q(
     makes the estimate a documented lower-bound heuristic for the empirical
     optimum.
     """
-    if not tau >= 0:
-        raise DomainError("tau must be nonnegative")
+    check_scale(tau, "tau")
     if n_samples < _MC_MIN_SAMPLES:
         raise DomainError(f"Monte Carlo needs at least {_MC_MIN_SAMPLES} samples")
     rng = make_rng(seed)
@@ -703,10 +699,8 @@ def esseen_upper_q(
     smoothing inequality; the default 1.0 is audited empirically elsewhere.
     The value may exceed 1, in which case the bound is vacuous.
     """
-    if tau <= 0:
-        raise DomainError("tau must be positive for the dual-ball integral")
-    if c_esseen <= 0:
-        raise DomainError("c_esseen must be positive")
+    check_scale(tau, "tau", positive=True, finite=True)
+    check_scale(c_esseen, "c_esseen", positive=True, finite=True)
     radius = 1.0 / tau
     if dim == 1:
         integral = _adaptive_simpson_abs(f_hat, -radius, radius, 1e-8)
@@ -752,8 +746,8 @@ def regularity_check(
     f: DiscreteDistribution, mu: float, lam: float, budget: int = DEFAULT_EXACT_BUDGET
 ) -> RegularityCheck:
     """Check Q(F, mu) <= (1 + floor(mu/lambda))^d * Q(F, lambda) exactly."""
-    if mu <= 0 or lam <= 0:
-        raise DomainError("both radii must be positive")
+    check_scale(mu, "mu", positive=True, finite=True)
+    check_scale(lam, "lam", positive=True, finite=True)
     q_mu = exact_q_of_distribution(f, mu, budget)
     q_lam = exact_q_of_distribution(f, lam, budget)
     factor = (1.0 + math.floor(mu / lam)) ** f.dim

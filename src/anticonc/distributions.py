@@ -16,6 +16,7 @@ import numpy as np
 from ._common import (
     DEDUP_TOL,
     as_points,
+    check_scale,
     dedupe_points,
     float_array,
     json_object,
@@ -180,8 +181,7 @@ def symmetrize(f: DiscreteDistribution) -> DiscreteDistribution:
 
 def tail_mass(g: DiscreteDistribution, delta: float) -> float:
     """Mass of {z : |z| > delta} in max norm; the tail functional p(delta)."""
-    if delta < 0:
-        raise DomainError("delta must be nonnegative")
+    check_scale(delta, "delta")
     zn = np.max(np.abs(g.atoms), axis=1)
     # Correctly rounded sum: the orderings against lambda_d and the
     # truncated second moment then hold in floating point, not just in
@@ -191,8 +191,7 @@ def tail_mass(g: DiscreteDistribution, delta: float) -> float:
 
 def truncated_second_moment(g: DiscreteDistribution, tau: float) -> float:
     """Expectation of min(z^2 / tau^2, 1) under a one-dimensional measure."""
-    if tau <= 0:
-        raise DomainError("tau must be positive")
+    check_scale(tau, "tau", positive=True)
     if g.dim != 1:
         raise DomainError("truncated second moment is defined on the line")
     z = g.atoms[:, 0]
@@ -205,8 +204,7 @@ def lambda_d(g: DiscreteDistribution, ratio: float, d: int = 1) -> float:
     The atom at the origin contributes zero.  Nonincreasing in both ``ratio``
     and ``d``; always at least the plain tail mass at ``delta = ratio``.
     """
-    if ratio <= 0:
-        raise DomainError("ratio must be positive")
+    check_scale(ratio, "ratio", positive=True)
     if not isinstance(d, (int, np.integer)) or d < 1:
         raise DomainError("d must be a positive integer")
     zn = np.max(np.abs(g.atoms), axis=1)
@@ -227,9 +225,7 @@ class CompoundPoisson:
     __slots__ = ("_intensity", "_base")
 
     def __init__(self, intensity: float, base: DiscreteDistribution):
-        intensity = float(intensity)
-        if not math.isfinite(intensity) or intensity < 0:
-            raise DomainError("intensity must be finite and nonnegative")
+        intensity = check_scale(intensity, "intensity", finite=True)
         if not base.normalized:
             raise DomainError("compound Poisson base must be a probability distribution")
         self._intensity = intensity
@@ -258,8 +254,6 @@ def _poisson_inversion(rng: np.random.Generator, lam: float, size: int) -> np.nd
     shared-seed couplings across intensities meaningful.
     """
     u = rng.random(size)
-    if size == 0:
-        return np.zeros(0, dtype=np.int64)
     umax = float(u.max())
     term = math.exp(-lam)
     total = term
@@ -279,8 +273,6 @@ def _poisson_counts(rng: np.random.Generator, lam: float, size: int) -> np.ndarr
     Splitting keeps every chunk in the plain-inversion regime, so the sampler
     stays exact and bit-reproducible without any normal approximation.
     """
-    if lam < 0 or not math.isfinite(lam):
-        raise DomainError("Poisson mean must be finite and nonnegative")
     counts = np.zeros(size, dtype=np.int64)
     if lam == 0.0:
         return counts

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._common import as_vector
+from ._common import as_vector, check_scale
 from .concentration import WeightVector
 from .errors import DomainError
 
@@ -41,10 +41,9 @@ class LcdParams:
     def __post_init__(self):
         if not (0.0 < self.gamma < 1.0):
             raise DomainError("gamma must lie strictly between 0 and 1")
-        if not (self.alpha > 0.0) or not math.isfinite(self.alpha):
-            raise DomainError("alpha must be positive and finite")
-        if self.theta_max is not None and not (self.theta_max > 0.0):
-            raise DomainError("theta_max must be positive")
+        check_scale(self.alpha, "alpha", positive=True, finite=True)
+        if self.theta_max is not None:
+            check_scale(self.theta_max, "theta_max", positive=True, finite=True)
 
 
 @dataclass(frozen=True)
@@ -153,19 +152,18 @@ def _lcd_branch_and_bound(a: WeightVector, params: LcdParams, theta: float) -> L
     best_up = math.inf
     witness = None
     residual_lower = math.inf
+    frontier_min = math.inf  # least min-norm left unexpanded; inf once the heap empties
     nodes = 0
     while heap:
         min_norm, _, lo, hi = heapq.heappop(heap)
         frontier = min(min_norm, residual_lower, best_up, theta)
         if best_up - frontier <= _TOL or min_norm >= min(best_up, theta):
             # bracket is tight enough, or everything left lies beyond it
-            heapq.heappush(heap, (min_norm, counter, lo, hi))
-            counter += 1
+            frontier_min = min_norm  # the popped node is the heap minimum
             break
         nodes += 1
         if nodes > _MAX_NODES:
-            heapq.heappush(heap, (min_norm, counter, lo, hi))
-            counter += 1
+            frontier_min = min_norm
             break
         center = (lo + hi) / 2.0
         margin = _violation_margin(center, rows, gamma, alpha)
@@ -194,7 +192,6 @@ def _lcd_branch_and_bound(a: WeightVector, params: LcdParams, theta: float) -> L
             heapq.heappush(heap, (_box_min_norm(nlo, nhi), counter, nlo, nhi))
             counter += 1
 
-    frontier_min = min((item[0] for item in heap), default=math.inf)
     d_lower = min(frontier_min, residual_lower, best_up, theta)
     if witness is None:
         d_upper = math.inf

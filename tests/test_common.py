@@ -8,9 +8,36 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles as O
-from anticonc._common import as_points, dedupe_points, distinct_rows, float_array, json_number
-from anticonc.distributions import DiscreteDistribution
+from anticonc._common import (
+    as_points,
+    check_scale,
+    dedupe_points,
+    distinct_rows,
+    float_array,
+    json_number,
+)
+from anticonc.bounds import build_bound_report, smoothing_law, verify_pointwise_chain
+from anticonc.concentration import (
+    ConcentrationEstimate,
+    WeightVector,
+    WeightedSum,
+    esseen_upper_q,
+    exact_q_of_distribution,
+    mc_q,
+    regularity_check,
+    weighted_sum_char_fn,
+)
+from anticonc.distributions import (
+    CompoundPoisson,
+    DiscreteDistribution,
+    lambda_d,
+    spectral_measure,
+    tail_mass,
+    truncated_second_moment,
+)
 from anticonc.errors import DomainError, InputError
+from anticonc.lcd import LcdParams
+from anticonc.progressions import beta_rm, gamma_rs, uncovered_mass
 
 
 def _bits(a):
@@ -186,3 +213,118 @@ def test_float_array_passes_float_arrays_through_uncopied():
 def test_float_array_refuses_what_is_not_a_number(bad):
     with pytest.raises(DomainError, match="expected an array of numbers"):
         float_array(bad)
+
+
+@pytest.mark.parametrize(
+    "value, positive, finite, message",
+    [
+        (True, False, False, "expected a number, got True"),
+        (None, False, False, "expected a number, got None"),
+        ("1", False, False, "expected a number, got '1'"),
+        (math.nan, False, False, "expected a nonnegative number, got nan"),
+        (-1.0, False, False, "expected a nonnegative number, got -1.0"),
+        (-math.inf, False, False, "expected a nonnegative number, got -inf"),
+        (0.0, True, False, "expected a positive number, got 0.0"),
+        (math.inf, False, True, "expected a finite nonnegative number, got inf"),
+        (math.inf, True, True, "expected a finite positive number, got inf"),
+        (10**400, False, False, "expected a nonnegative number, got 1" + "0" * 59),
+    ],
+    ids=["bool", "null", "string", "nan", "negative", "-inf", "zero-positive", "inf-finite",
+         "inf-finite-positive", "huge-int"],
+)
+def test_scale_rule_refuses_naming_the_argument_and_the_value(value, positive, finite, message):
+    with pytest.raises(DomainError) as exc:
+        check_scale(value, "x", positive=positive, finite=finite)
+    assert str(exc.value) == "x: " + message
+
+
+@pytest.mark.parametrize(
+    "value, positive, finite",
+    [(0, False, False), (0.0, False, True), (-0.0, False, False), (2, True, True),
+     (np.float32(0.5), True, True), (np.int64(3), True, True), (5e-324, True, True),
+     (sys.float_info.max, True, True), (math.inf, True, False)],
+)
+def test_scale_rule_returns_the_float(value, positive, finite):
+    got = check_scale(value, "x", positive=positive, finite=finite)
+    assert type(got) is float and _float_bits(got) == _float_bits(float(value))
+
+
+# Every site of the scale rule: its call with the scale argument set to v,
+# and the argument's name.
+_RAD = DiscreteDistribution([-1.0, 1.0], [0.5, 0.5])
+_A = WeightVector([1.0, 2.0, 3.5])
+_G = DiscreteDistribution([-1.0, 0.0, 2.0], [0.25, 0.5, 0.25])
+_W = spectral_measure(_A.rows)
+_SCALE_SITES = {
+    "estimate": ("tau", lambda v: ConcentrationEstimate(0.5, "exact", 0.0, v).tau),
+    "exact_q": ("tau", lambda v: exact_q_of_distribution(_G, v)),
+    "mc_q": ("tau", lambda v: mc_q(WeightedSum(_RAD, _A), v, 1000, 1).value),
+    "esseen-tau": ("tau", lambda v: esseen_upper_q(weighted_sum_char_fn(_RAD, _A), v, 1).value),
+    "esseen-c": ("c_esseen",
+                 lambda v: esseen_upper_q(weighted_sum_char_fn(_RAD, _A), 1.0, 1, v).value),
+    "regularity-mu": ("mu", lambda v: regularity_check(_G, v, 1.0).holds),
+    "regularity-lam": ("lam", lambda v: regularity_check(_G, 1.0, v).holds),
+    "tail_mass": ("delta", lambda v: tail_mass(_G, v)),
+    "second_moment": ("tau", lambda v: truncated_second_moment(_G, v)),
+    "lambda_d": ("ratio", lambda v: lambda_d(_G, v)),
+    "compound_poisson": ("intensity", lambda v: CompoundPoisson(v, _RAD).intensity),
+    "uncovered_mass": ("tau", lambda v: uncovered_mass(_W, [[0.0]], v)),
+    "beta_rm": ("tau", lambda v: beta_rm(_W, v, 1, 3).value),
+    "gamma_rs": ("tau", lambda v: gamma_rs(_W, v, 1, 3).value),
+    "smoothing_law": ("power", lambda v: smoothing_law(_A, v).intensity),
+    "chain": ("big_d", lambda v: verify_pointwise_chain(
+        _A, np.linspace(-3.0, 3.0, 11), LcdParams(0.5, 1.0), v).n_points),
+    "report-tau": ("tau", lambda v: build_bound_report(
+        _RAD, _A, v, 1.0, 0.5, mc_samples=1000).bounds["transfer_plain"]),
+    "report-kappa": ("kappa", lambda v: build_bound_report(
+        _RAD, _A, 1.0, v, 0.5, mc_samples=1000).bounds["transfer_plain"]),
+    "report-delta": ("delta", lambda v: build_bound_report(
+        _RAD, _A, 1.0, 1.0, v, mc_samples=1000).bounds["transfer_window"]),
+    "lcd-alpha": ("alpha", lambda v: LcdParams(0.5, v).alpha),
+    "lcd-theta_max": ("theta_max", lambda v: LcdParams(0.5, 1.0, v).theta_max),
+}
+# The edges each site accepts, with the value it gives there; every other
+# edge of {0, +inf} is refused.  +inf is a limit where it is accepted.
+_SCALE_EDGES = {
+    "estimate": {0.0: 0.0, math.inf: math.inf},
+    "exact_q": {0.0: 0.5, math.inf: 1.0},
+    "mc_q": {0.0: 0.142, math.inf: 1.0},
+    "tail_mass": {0.0: 0.5, math.inf: 0.0},
+    "second_moment": {math.inf: 0.0},
+    "lambda_d": {math.inf: 0.0},
+    "compound_poisson": {0.0: 0.0},
+    "uncovered_mass": {0.0: 1.0, math.inf: 0.0},
+    "beta_rm": {0.0: 2 / 3, math.inf: 0.0},
+    "gamma_rs": {0.0: 2 / 3, math.inf: 0.0},
+    "smoothing_law": {0.0: 0.0},
+    "chain": {math.inf: 11},
+    "report-tau": {math.inf: 1.0},  # p(inf) = 0: the smoothing law is a point mass
+    "report-delta": {math.inf: 1.0},  # one window, of mass 1
+}
+# +inf as kappa is refused downstream: tau/kappa = 0 is not a positive ratio
+_SCALE_REFUSED = [
+    (site, v)
+    for site in _SCALE_SITES
+    for v in (math.nan, -1.0, 0.0, math.inf)
+    if v not in _SCALE_EDGES.get(site, {}) and (site, v) != ("report-kappa", math.inf)
+]
+
+
+@pytest.mark.parametrize(
+    "site, value", _SCALE_REFUSED, ids=[f"{s}-{v}" for s, v in _SCALE_REFUSED]
+)
+def test_every_scale_site_refuses_naming_the_argument(site, value):
+    name, call = _SCALE_SITES[site]
+    with pytest.raises(DomainError, match=f"^{name}: expected a .*number, got {value}$"):
+        call(value)
+
+
+_SCALE_KEPT = [(site, v, want) for site, edges in _SCALE_EDGES.items()
+               for v, want in edges.items()]
+
+
+@pytest.mark.parametrize(
+    "site, value, want", _SCALE_KEPT, ids=[f"{s}-{v}" for s, v, _ in _SCALE_KEPT]
+)
+def test_every_scale_site_keeps_its_value_at_the_accepted_edges(site, value, want):
+    assert _SCALE_SITES[site][1](value) == want

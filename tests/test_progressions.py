@@ -106,13 +106,15 @@ _CGAP = {"h": [2.0], "V": {"box": [1.5]}, "m": 3}
         (Gap.from_json_obj, {"L": [1.0], "g": [[1.0]], "dim": 1.0}, "dim: expected an integer"),
         (Gap.from_json_obj, {"L": [], "g": [], "dim": 0}, "gap: ambient dimension"),
         (Gap.from_json_obj, {"L": [], "g": [], "dim": -1}, "gap: ambient dimension"),
+        (Gap.from_json_obj, {"L": [], "g": [], "dim": 10**20}, "gap: ambient dimension"),
+        (Gap.from_json_obj, {"L": [], "g": [], "dim": 10**300}, "gap: ambient dimension"),
         (Gap.from_json_obj, {"L": ["a"], "g": [[1.0]]}, "array of numbers"),
         (Gap.from_json_obj, {"L": [1.0], "g": [["1"]]}, "array of numbers"),
     ],
     ids=["m-string", "m-fraction", "m-bool", "h-string", "cgap-box-string", "box-string",
          "box-bool", "box-huge-int", "box-negative", "body-not-object", "body-without-box",
          "dim-string", "dim-null", "dim-float", "dim-zero",
-         "dim-negative",
+         "dim-negative", "dim-past-numpy", "dim-huge",
          "radii-string", "generators-string"],
 )
 def test_witness_loaders_apply_the_number_rule(loader, obj, field):
