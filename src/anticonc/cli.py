@@ -11,13 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager
 from pathlib import Path
 
 from ._common import derive_seed, read_json
 from .bounds import DEFAULT_MC_SAMPLES, ConstantsConfig, bound_report_csv, build_bound_report
 from .concentration import (
-    DEFAULT_EXACT_BUDGET,
     WeightedSum,
     esseen_upper_q,
     exact_q,
@@ -28,7 +27,6 @@ from .distributions import half_empirical_measure
 from .errors import (
     AnticoncError,
     CapacityError,
-    ChainViolationError,
     DomainError,
     InputError,
     naming_field,
@@ -66,14 +64,13 @@ def _render_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _constants_file(args, spec=None) -> dict:
+def _constants_file(args) -> dict:
     """The fields of the --constants file, read and checked once ({} without
-    the flag).  An error names the file, and ``spec`` when only it reads it."""
+    the flag).  An error names the file alone: no instance is at fault."""
     if not args.constants:
         return {}
     obj = read_json(args.constants, "constants")
-    named = nullcontext() if spec is None else naming_instance(spec.id)
-    with naming_field(str(Path(args.constants))), named:
+    with naming_field(str(Path(args.constants))):
         return ConstantsConfig.from_json_obj(obj).to_json_obj()
 
 
@@ -82,69 +79,71 @@ def _constants_for(table, spec) -> ConstantsConfig:
     return ConstantsConfig.from_json_obj({**table, **spec.parameters.get("constants", {})})
 
 
+@contextmanager
 def _single_instance(path):
+    """The one instance of the file at ``path``, loaded (its errors name the
+    file); an error raised in the body names the instance."""
     specs = load_instances(path)
     if len(specs) != 1:
         raise InputError("this command expects a single instance file")
-    return specs[0]
+    with naming_instance(specs[0].id):
+        yield specs[0]
 
 
 def cmd_q(args) -> int:
-    spec = _single_instance(args.instance)
-    tau = spec.require("tau")
-    constants = _constants_for(_constants_file(args, spec), spec)
-    if args.method == "exact":
-        budget = DEFAULT_EXACT_BUDGET if args.budget is None else args.budget
-        est = exact_q(spec.x, spec.a, tau, budget=budget)
-    elif args.method == "mc":
-        samples = 200_000 if args.budget is None else args.budget
-        est = mc_q(WeightedSum(spec.x, spec.a), tau, samples, derive_seed(args.seed, 0))
-    else:
-        f_hat = weighted_sum_char_fn(spec.x, spec.a)
-        est = esseen_upper_q(f_hat, tau, spec.a.dim, constants.c_esseen)
-    obj = {"spec_version": SCHEMA_VERSION, "instance": spec.id}
-    obj.update(est.to_json_obj())
+    table = _constants_file(args)
+    with _single_instance(args.instance) as spec:
+        tau = spec.require("tau")
+        constants = _constants_for(table, spec)
+        if args.method == "exact":
+            budget = {} if args.budget is None else {"budget": args.budget}
+            est = exact_q(spec.x, spec.a, tau, **budget)
+        elif args.method == "mc":
+            samples = 200_000 if args.budget is None else args.budget
+            est = mc_q(WeightedSum(spec.x, spec.a), tau, samples, derive_seed(args.seed, 0))
+        else:
+            f_hat = weighted_sum_char_fn(spec.x, spec.a)
+            est = esseen_upper_q(f_hat, tau, spec.a.dim, constants.c_esseen)
+        obj = {"spec_version": SCHEMA_VERSION, "instance": spec.id}
+        obj.update(est.to_json_obj())
     _emit(_render_json(obj), args.out)
     return 0
 
 
 def cmd_lcd(args) -> int:
-    spec = _single_instance(args.instance)
-    spec.require("gamma", "alpha")  # spec.lcd is None only without both
-    res = compute_lcd(spec.a, spec.lcd)
-    obj = {
-        "spec_version": SCHEMA_VERSION,
-        "instance": spec.id,
-        "lcd": res.to_json_obj(),
-    }
+    with _single_instance(args.instance) as spec:
+        spec.require("gamma", "alpha")  # spec.lcd is None only without both
+        res = compute_lcd(spec.a, spec.lcd)
+        obj = {
+            "spec_version": SCHEMA_VERSION,
+            "instance": spec.id,
+            "lcd": res.to_json_obj(),
+        }
     _emit(_render_json(obj), args.out)
     return 0
-
-
-def _one_bound_report(args, table, spec, idx):
-    tau, kappa, delta = spec.require("tau", "kappa", "delta")
-    constants = _constants_for(table, spec)
-    with naming_instance(spec.id):
-        return build_bound_report(
-            spec.x,
-            spec.a,
-            tau,
-            kappa,
-            delta,
-            *spec.caps,
-            lcd=spec.lcd,
-            smoothing_power=spec.smoothing_power,
-            constants=constants,
-            instance=spec.id,
-            seed=derive_seed(args.seed, idx),
-            mc_samples=DEFAULT_MC_SAMPLES if args.budget is None else args.budget,
-        )
 
 
 def cmd_bounds(args) -> int:
     specs = sorted(load_instances(args.instance), key=lambda s: s.id)
     table = _constants_file(args)  # shared by every instance: read once
-    reports = [_one_bound_report(args, table, spec, idx) for idx, spec in enumerate(specs)]
+    reports = []
+    for idx, spec in enumerate(specs):
+        with naming_instance(spec.id):
+            tau, kappa, delta = spec.require("tau", "kappa", "delta")
+            reports.append(build_bound_report(
+                spec.x,
+                spec.a,
+                tau,
+                kappa,
+                delta,
+                *spec.caps,
+                lcd=spec.lcd,
+                smoothing_power=spec.smoothing_power,
+                constants=_constants_for(table, spec),
+                instance=spec.id,
+                seed=derive_seed(args.seed, idx),
+                mc_samples=DEFAULT_MC_SAMPLES if args.budget is None else args.budget,
+            ))
     if args.format == "csv":
         _emit(bound_report_csv(reports), args.out)
     else:
@@ -157,23 +156,23 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_gapfit(args) -> int:
-    spec = _single_instance(args.instance)
-    if spec.a.dim != 1:
-        raise DomainError("gapfit operates on one-dimensional weight vectors")
-    window = spec.window
-    if window is None:
-        raise InputError(f"instance {spec.id!r}: needs parameter delta (or tau)")
-    r, m, s = spec.caps
-    w = half_empirical_measure(spec.a.rows)
-    obj = {"spec_version": SCHEMA_VERSION, "instance": spec.id, "window": window}
-    fits = (("beta", beta_rm(w, window, r, m)), ("gamma_fit", gamma_rs(w, window, r, s)))
-    for name, res in fits:
-        obj[name] = {
-            "value": res.value,
-            "uncovered_count": res.value * 2.0 * spec.a.n,
-            "exact": res.exact,
-            "witness": res.witness.to_json_obj(),
-        }
+    with _single_instance(args.instance) as spec:
+        if spec.a.dim != 1:
+            raise DomainError("gapfit operates on one-dimensional weight vectors")
+        window = spec.window
+        if window is None:
+            raise InputError("needs parameter delta (or tau)")
+        r, m, s = spec.caps
+        w = half_empirical_measure(spec.a.rows)
+        obj = {"spec_version": SCHEMA_VERSION, "instance": spec.id, "window": window}
+        fits = (("beta", beta_rm(w, window, r, m)), ("gamma_fit", gamma_rs(w, window, r, s)))
+        for name, res in fits:
+            obj[name] = {
+                "value": res.value,
+                "uncovered_count": res.value * 2.0 * spec.a.n,
+                "exact": res.exact,
+                "witness": res.witness.to_json_obj(),
+            }
     _emit(_render_json(obj), args.out)
     return 0
 
@@ -271,9 +270,6 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"capacity exceeded: {exc}", file=sys.stderr)
         return 3
-    except ChainViolationError as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return 1
     except AnticoncError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

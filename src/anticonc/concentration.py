@@ -699,9 +699,10 @@ def esseen_upper_q(
     smoothing inequality; the default 1.0 is audited empirically elsewhere.
     The value may exceed 1, in which case the bound is vacuous.
     """
-    check_scale(tau, "tau", positive=True, finite=True)
+    radius = 1.0 / check_scale(tau, "tau", positive=True, finite=True)
+    if radius == math.inf:  # tau below about 5.6e-309: no finite ball to integrate over
+        raise DomainError(f"tau: the dual radius 1/tau is past the float range, got {tau!r:.60}")
     check_scale(c_esseen, "c_esseen", positive=True, finite=True)
-    radius = 1.0 / tau
     if dim == 1:
         integral = _adaptive_simpson_abs(f_hat, -radius, radius, 1e-8)
     elif dim == 2:

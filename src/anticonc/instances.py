@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from ._common import json_number, json_object, read_json
+from ._common import check_scale, json_number, json_object, read_json
 from .bounds import ConstantsConfig
 from .concentration import WeightVector
 from .distributions import DiscreteDistribution
@@ -21,6 +21,8 @@ _PARAM_KINDS = {
     "tau": float, "kappa": float, "delta": float, "gamma": float, "alpha": float,
     "theta_max": float, "smoothing_power": float, "r": int, "m": int, "s": int,
 }
+# Held to the scale rule (>= 0) at load; a reader that needs > 0 checks it itself.
+_SCALES = ("tau", "kappa", "delta", "smoothing_power")
 # The fields of each kind of ``expected`` entry, required and optional; the
 # entries are read only by ``verify``, which applies the object rule to each.
 EXPECTED_FIELDS = {
@@ -40,6 +42,8 @@ def _check_parameters(params) -> dict:
     for key, kind in _PARAM_KINDS.items():  # the constants are ConstantsConfig's to check
         if key in out:
             out[key] = json_number(out[key], f"parameters.{key}", kind)
+            if key in _SCALES:
+                check_scale(out[key], f"parameters.{key}")
     return out
 
 
@@ -61,7 +65,8 @@ class InstanceSpec:
     bad setting fails at load for every command: the LCD parameters become
     ``lcd`` (an ``LcdParams``, or None), the caps pass ``check_caps``, the
     constants table passes ``ConstantsConfig.from_json_obj`` and the
-    ``expected`` map holds only the entry kinds of ``EXPECTED_FIELDS``.
+    ``expected`` map holds only the entry kinds of ``EXPECTED_FIELDS``.  The
+    windows and the smoothing power pass the scale rule in ``from_json_obj``.
     """
 
     id: str
@@ -73,14 +78,13 @@ class InstanceSpec:
 
     def __post_init__(self):
         p = self.parameters
-        with naming_instance(self.id):
-            with naming_field("parameters"):
-                object.__setattr__(self, "lcd", _lcd_params(p))
-                r, m, s = self.caps
-                check_caps(r, m=m, s=s)
-                ConstantsConfig.from_json_obj(p.get("constants", {}))
-            with naming_field("expected"):
-                json_object(self.expected, optional=EXPECTED_FIELDS)
+        with naming_field("parameters"):
+            object.__setattr__(self, "lcd", _lcd_params(p))
+            r, m, s = self.caps
+            check_caps(r, m=m, s=s)
+            ConstantsConfig.from_json_obj(p.get("constants", {}))
+        with naming_field("expected"):
+            json_object(self.expected, optional=EXPECTED_FIELDS)
 
     @property
     def caps(self) -> tuple:
@@ -102,9 +106,7 @@ class InstanceSpec:
         values = []
         for name in names:
             if name not in self.parameters:
-                raise InputError(
-                    f"instance {self.id!r}: missing required parameter {name!r}"
-                )
+                raise InputError(f"missing required parameter {name!r}")
             values.append(self.parameters[name])
         return values[0] if len(values) == 1 else values
 
@@ -119,7 +121,7 @@ class InstanceSpec:
             x = DiscreteDistribution.from_spec(obj["distribution"])
             a = WeightVector.from_json_obj(obj["weights"])
             params = _check_parameters(obj.get("parameters", {}))
-        return cls(id=obj["id"], x=x, a=a, parameters=params, expected=obj.get("expected", {}))
+            return cls(id=obj["id"], x=x, a=a, parameters=params, expected=obj.get("expected", {}))
 
     @classmethod
     def from_path(cls, path) -> "InstanceSpec":

@@ -144,8 +144,9 @@ def test_d2_past_the_ball_range_is_exit_two(capsys, tmp_path, argv, weights, tau
     }))
     code, out, err = run([argv[0], str(inst), *argv[1:]], capsys)
     assert code == 2 and out == ""
-    named = "instance 'far': " if argv[0] == "bounds" else ""
-    assert err == f"error: {named}in dimension >= 2, coordinates and tau/2 must not exceed 1e+150\n"
+    assert err == (
+        "error: instance 'far': in dimension >= 2, coordinates and tau/2 must not exceed 1e+150\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -166,6 +167,68 @@ def test_error_while_computing_a_report_names_the_instance(capsys, tmp_path, arg
     assert err == (
         "error: instance 'huge-2d': in dimension >= 2, "
         "coordinates and tau/2 must not exceed 1e+150\n"
+    )
+
+
+_FAR = {"tau": 1e300, "kappa": 1.0, "delta": 0.5}
+# 40 generic weights: their exact law outgrows an enumeration budget of 5,000
+_GENERIC_40 = [[(k + 2) ** 0.5] for k in range(40)]
+_BALL_RANGE = "in dimension >= 2, coordinates and tau/2 must not exceed 1e+150"
+
+
+@pytest.mark.parametrize(
+    "argv, weights, params, code, message",
+    [
+        (["q"], _PLANE, _FAR, 2, _BALL_RANGE),
+        (["q", "--method", "mc", "--budget", "2000"], _PLANE, _FAR, 2, _BALL_RANGE),
+        (["bounds", "--budget", "2000"], _PLANE, _FAR, 2, _BALL_RANGE),
+        (["gapfit"], _PLANE, {"delta": 0.5}, 2,
+         "gapfit operates on one-dimensional weight vectors"),
+        (["q", "--method", "esseen"], [[1.0]], {"tau": 1e-310}, 2,
+         "tau: the dual radius 1/tau is past the float range, got 1e-310"),
+        (["q", "--budget", "5000"], _GENERIC_40, {"tau": 1.0}, 3,
+         "convolution support would exceed budget 5000"),
+        (["lcd"], [[1.0]], {"tau": 1.0}, 2, "missing required parameter 'gamma'"),
+        (["gapfit"], [[1.0]], {"kappa": 1.0}, 2, "needs parameter delta (or tau)"),
+    ],
+    ids=["q-exact", "q-mc", "bounds", "gapfit-2d", "q-esseen-tiny-tau", "q-capacity",
+         "lcd-missing", "gapfit-no-window"],
+)
+def test_error_while_computing_names_the_instance_under_every_command(
+    capsys, tmp_path, argv, weights, params, code, message
+):
+    # the file loaded, the error met while the one instance is computed names it
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({
+        "id": "z", "distribution": "rademacher", "weights": weights, "parameters": params,
+    }))
+    got, out, err = run([argv[0], str(inst), *argv[1:]], capsys)
+    assert (got, out) == (code, "")
+    head = "capacity exceeded" if code == 3 else "error"
+    assert err.startswith(f"{head}: instance 'z': {message}")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["q", "lcd", "gapfit", "bounds", "verify"])
+@pytest.mark.parametrize(
+    "key, value", [("tau", -1), ("kappa", -2), ("delta", -0.5), ("smoothing_power", -1)]
+)
+def test_negative_scale_setting_fails_at_load_naming_it(capsys, tmp_path, command, key, value):
+    # every command refuses it, whether or not it reads the setting;
+    # bounds and verify load a directory beside a good file
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "01-ones-04.json").write_text((CORPUS / "01-ones-04.json").read_text())
+    obj = json.loads(ONES10.read_text())
+    obj["parameters"][key] = value
+    bad = corpus / ONES10.name
+    bad.write_text(json.dumps(obj))
+    target = corpus if command in ("bounds", "verify") else bad
+    code, out, err = run([command, str(target)], capsys)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: {bad}: instance '02-ones-10': "
+        f"parameters.{key}: expected a nonnegative number, got {float(value)}\n"
     )
 
 
@@ -410,13 +473,15 @@ def test_constants_file_is_read_once_per_bounds_run(capsys, tmp_path, monkeypatc
 
 
 def test_bad_shared_constants_file_names_no_instance(capsys, tmp_path):
-    # the file is at fault, not the first instance that would have read it
+    # the file is at fault, not an instance that would have read it: the
+    # first of a bounds grid or the one instance of q
     consts = tmp_path / "c.json"
     consts.write_text(json.dumps({"c2": -1}))
-    code, out, err = run(["bounds", str(CORPUS), "--constants", str(consts)], capsys)
-    assert (code, out) == (2, "")
-    assert err.startswith(f"error: {consts}: constants.c2: ")
-    assert "instance" not in err
+    for argv in (["bounds", str(CORPUS)], ["q", str(ONES10), "--method", "esseen"]):
+        code, out, err = run(argv + ["--constants", str(consts)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {consts}: constants.c2: ")
+        assert "instance" not in err
 
 
 def test_importing_the_cli_loads_no_scipy():
@@ -623,8 +688,10 @@ def test_every_number_place_refuses_what_is_not_a_number(capsys, tmp_path, place
     code, out, err = run(["q", str(path)] + argv, capsys)
     assert code == 2
     assert out == ""
-    assert err.startswith(f"error: {named}: ")
-    assert "instance '02-ones-10': " in err
+    # a --constants file is at fault, not the instance that reads it
+    instance = "" if place == "constants-file" else "instance '02-ones-10': "
+    assert err.startswith(f"error: {named}: {instance}")
+    assert ("instance" in err) == bool(instance)
     assert _NUMBER_PLACES[place] in err
 
 
@@ -692,7 +759,7 @@ def test_every_object_refuses_an_unknown_key(capsys, tmp_path, place):
         code, out, err = run(argv, capsys)
         assert (code, out) == (2, "")
         named = consts if place == "constants-file" else bad
-        instance = "" if place == "instance" else "instance '02-ones-10': "
+        instance = "" if place in ("instance", "constants-file") else "instance '02-ones-10': "
         assert err == f"error: {named}: {instance}{message}\n"
 
 

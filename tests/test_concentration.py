@@ -592,6 +592,15 @@ def test_esseen_quadrature_identities():
         esseen_upper_q(lambda t: t, 1.0, 4)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_esseen_refuses_a_tau_whose_dual_radius_overflows(dim):
+    # 1 / 5e-324 is +inf: refused before a quadrature runs over an infinite ball
+    f_hat = weighted_sum_char_fn(RAD, WeightVector(np.eye(dim)))
+    with pytest.raises(DomainError) as exc:
+        esseen_upper_q(f_hat, 5e-324, dim)
+    assert str(exc.value) == "tau: the dual radius 1/tau is past the float range, got 5e-324"
+
+
 def test_weighted_sum_char_fn_values():
     a = WeightVector([[1.0], [2.0]])
     f = weighted_sum_char_fn(RAD, a)
