@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -621,68 +622,39 @@ def _adaptive_simpson_abs(f, a: float, b: float, rel_tol: float) -> float:
     raise NumericsError("adaptive Simpson did not converge")
 
 
-def _doubled_until_converged(integral_at, m: int, m_max: int, rel_tol: float, name: str):
-    """``integral_at(m)`` for m doubling up to ``m_max``, until two successive
-    values agree to ``rel_tol``; NumericsError naming the ``name`` quadrature."""
+def _ball_integral(f, radius: float, dim: int, rel_tol: float) -> float:
+    """Integral of |f| over the disk (dim 2) or the 3-ball of ``radius``.
+
+    Gauss-Legendre in r and in the polar angle phi, trapezoid over 2m azimuths;
+    the disk is the sphere's equator (one polar node, sin phi = 1).  The order
+    m doubles until two successive integrals agree to ``rel_tol``.
+    """
+    m, m_max, name = (16, 1024, "planar") if dim == 2 else (8, 128, "spherical")
     prev = None
     while m <= m_max:
-        integral = integral_at(m)
-        tol = rel_tol * max(abs(integral), 1e-300)
-        if prev is not None and abs(integral - prev) <= tol:
+        nodes, wts = np.polynomial.legendre.leggauss(m)
+        r = (nodes + 1.0) * (radius / 2.0)
+        rw = wts * (radius / 2.0)
+        th = 2.0 * np.pi * np.arange(2 * m) / (2 * m)
+        w_th = 2.0 * np.pi / (2 * m)
+        phi = (nodes + 1.0) * (np.pi / 2.0)
+        sp = np.sin(phi) if dim == 3 else np.ones(1)
+        rr = r[:, None, None]
+        rs = rr * sp[None, :, None]  # grid (r_i, phi_j, theta_l)
+        cols = [rs * np.cos(th), rs * np.sin(th)]
+        if dim == 3:
+            cols.append(np.broadcast_to(rr * np.cos(phi)[None, :, None], cols[0].shape))
+        vals = np.abs(f(np.stack(cols, axis=-1).reshape(-1, dim)))
+        sums = vals.reshape(m, -1, 2 * m).sum(axis=2)  # over theta
+        if dim == 2:
+            integral = float(np.sum(rw * r * sums[:, 0] * w_th))
+        else:  # over phi with the jacobian sin(phi)
+            integral = float(np.sum(rw * r * r * ((sums * w_th) @ (wts * (np.pi / 2.0) * sp))))
+        if prev is not None and abs(integral - prev) <= rel_tol * max(abs(integral), 1e-300):
             return integral
         prev = integral
         m *= 2
     raise NumericsError(f"{name} quadrature did not converge")
-
-
-def _polar_integral_2d(f, radius: float, rel_tol: float) -> float:
-    """Integral of |f| over the disk via Gauss-Legendre in r, trapezoid in angle."""
-
-    def integral_at(m):
-        nodes, wts = np.polynomial.legendre.leggauss(m)
-        r = (nodes + 1.0) * (radius / 2.0)
-        rw = wts * (radius / 2.0)
-        n_th = 2 * m
-        th = 2.0 * np.pi * np.arange(n_th) / n_th
-        w_th = 2.0 * np.pi / n_th
-        ct, st = np.cos(th), np.sin(th)
-        ts = np.empty((m * n_th, 2))
-        ts[:, 0] = np.repeat(r, n_th) * np.tile(ct, m)
-        ts[:, 1] = np.repeat(r, n_th) * np.tile(st, m)
-        vals = np.abs(f(ts)).reshape(m, n_th)
-        return float(np.sum(rw * r * vals.sum(axis=1) * w_th))
-
-    return _doubled_until_converged(integral_at, 16, 1024, rel_tol, "planar")
-
-
-def _spherical_integral_3d(f, radius: float, rel_tol: float) -> float:
-    """Integral of |f| over the 3-ball in spherical coordinates."""
-
-    def integral_at(m):
-        nodes, wts = np.polynomial.legendre.leggauss(m)
-        r = (nodes + 1.0) * (radius / 2.0)
-        rw = wts * (radius / 2.0)
-        phi = (nodes + 1.0) * (np.pi / 2.0)
-        pw = wts * (np.pi / 2.0)
-        n_th = 2 * m
-        th = 2.0 * np.pi * np.arange(n_th) / n_th
-        w_th = 2.0 * np.pi / n_th
-        sp, cp_ = np.sin(phi), np.cos(phi)
-        ct, st = np.cos(th), np.sin(th)
-        # grid (r_i, phi_j, theta_l)
-        rr = r[:, None, None]
-        xs = rr * sp[None, :, None] * ct[None, None, :]
-        ys = rr * sp[None, :, None] * st[None, None, :]
-        zs = np.broadcast_to(rr * cp_[None, :, None], xs.shape)
-        ts = np.stack(
-            [xs.reshape(-1), ys.reshape(-1), zs.reshape(-1)], axis=1
-        )
-        vals = np.abs(f(ts)).reshape(m, m, n_th)
-        inner = vals.sum(axis=2) * w_th  # over theta
-        mid = inner @ (pw * sp)  # over phi with jacobian sin(phi)
-        return float(np.sum(rw * r * r * mid))
-
-    return _doubled_until_converged(integral_at, 8, 128, rel_tol, "spherical")
 
 
 def esseen_upper_q(
@@ -697,20 +669,26 @@ def esseen_upper_q(
     values, otherwise a (m, dim) array.  A genuine upper bound for Q(F, tau)
     only once ``c_esseen`` dominates the dimension constant of the underlying
     smoothing inequality; the default 1.0 is audited empirically elsewhere.
-    The value may exceed 1, in which case the bound is vacuous.
+    The value may exceed 1, in which case the bound is vacuous.  The dual
+    radius 1/tau may not exceed (float max / 2^11)^(1/dim): every sum of
+    |f_hat| <= 1 the rules form then stays in the float range.
     """
+    if isinstance(dim, bool):
+        raise DomainError(f"dim must be an integer, got {dim!r}")
     radius = 1.0 / check_scale(tau, "tau", positive=True, finite=True)
-    if radius == math.inf:  # tau below about 5.6e-309: no finite ball to integrate over
-        raise DomainError(f"tau: the dual radius 1/tau is past the float range, got {tau!r:.60}")
+    if dim not in (1, 2, 3):
+        raise DomainError("the dual-ball quadrature supports dimensions 1 to 3")
+    limit = (sys.float_info.max / 2**11) ** (1 / dim)
+    if radius > limit:
+        raise DomainError(
+            f"tau: in dimension {dim} the dual radius 1/tau must not exceed {limit:.2g}, "
+            f"got {tau!r:.60}"
+        )
     check_scale(c_esseen, "c_esseen", positive=True, finite=True)
     if dim == 1:
         integral = _adaptive_simpson_abs(f_hat, -radius, radius, 1e-8)
-    elif dim == 2:
-        integral = _polar_integral_2d(f_hat, radius, 1e-5)
-    elif dim == 3:
-        integral = _spherical_integral_3d(f_hat, radius, 1e-5)
     else:
-        raise DomainError("the dual-ball quadrature supports dimensions 1 to 3")
+        integral = _ball_integral(f_hat, radius, dim, 1e-5)
     value = c_esseen * tau**dim * integral
     return ConcentrationEstimate(value, "esseen_upper", 0.0, tau)
 

@@ -205,7 +205,7 @@ def lambda_d(g: DiscreteDistribution, ratio: float, d: int = 1) -> float:
     and ``d``; always at least the plain tail mass at ``delta = ratio``.
     """
     check_scale(ratio, "ratio", positive=True)
-    if not isinstance(d, (int, np.integer)) or d < 1:
+    if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
         raise DomainError("d must be a positive integer")
     zn = np.max(np.abs(g.atoms), axis=1)
     nz = zn > 0.0

@@ -10,7 +10,7 @@ from pathlib import Path
 
 from ._common import check_scale, json_number, json_object, read_json
 from .bounds import ConstantsConfig
-from .concentration import WeightVector
+from .concentration import WeightVector, _check_summand
 from .distributions import DiscreteDistribution
 from .errors import InputError, naming_field, naming_instance
 from .lcd import LcdParams
@@ -62,9 +62,10 @@ class InstanceSpec:
     """One parsed problem instance; every command reads its settings from here.
 
     Building one checks each setting with the code that owns its rule, so a
-    bad setting fails at load for every command: the LCD parameters become
-    ``lcd`` (an ``LcdParams``, or None), the caps pass ``check_caps``, the
-    constants table passes ``ConstantsConfig.from_json_obj`` and the
+    bad setting fails at load for every command: the step law passes the
+    summand rule (a probability distribution on the line), the LCD parameters
+    become ``lcd`` (an ``LcdParams``, or None), the caps pass ``check_caps``,
+    the constants table passes ``ConstantsConfig.from_json_obj`` and the
     ``expected`` map holds only the entry kinds of ``EXPECTED_FIELDS``.  The
     windows and the smoothing power pass the scale rule in ``from_json_obj``.
     """
@@ -78,6 +79,8 @@ class InstanceSpec:
 
     def __post_init__(self):
         p = self.parameters
+        with naming_field("distribution"):
+            _check_summand(self.x)
         with naming_field("parameters"):
             object.__setattr__(self, "lcd", _lcd_params(p))
             r, m, s = self.caps

@@ -510,3 +510,17 @@ def test_report_above_dim_three_records_skipped_esseen_cross_check():
         assert ref["esseen_skipped"] == "the dual-ball quadrature supports dimensions 1 to 3"
         assert 0.0 <= ref["value"] <= 1.0
     json.dumps(rep.to_json_obj())
+
+
+def test_report_records_skipped_esseen_past_the_dual_radius_limit():
+    # a 2-D delta window of 1e-160 puts the dual radius past 3e152: refused, not overflowed
+    rep = build_bound_report(
+        RAD, WeightVector([[1.0, 0.5], [0.5, 1.0]]), tau=1.0, kappa=1.0, delta=1e-160,
+        mc_samples=2000,
+    )
+    ref = rep.references["q_h_p_delta"]
+    assert ref["esseen_upper"] is None
+    assert ref["esseen_skipped"] == (
+        "tau: in dimension 2 the dual radius 1/tau must not exceed 3e+152, got 1e-160"
+    )
+    assert rep.references["q_h_p_kappa"]["esseen_upper"] > 0.0

@@ -171,6 +171,7 @@ def test_error_while_computing_a_report_names_the_instance(capsys, tmp_path, arg
 
 
 _FAR = {"tau": 1e300, "kappa": 1.0, "delta": 0.5}
+_SPACE = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
 # 40 generic weights: their exact law outgrows an enumeration budget of 5,000
 _GENERIC_40 = [[(k + 2) ** 0.5] for k in range(40)]
 _BALL_RANGE = "in dimension >= 2, coordinates and tau/2 must not exceed 1e+150"
@@ -185,14 +186,21 @@ _BALL_RANGE = "in dimension >= 2, coordinates and tau/2 must not exceed 1e+150"
         (["gapfit"], _PLANE, {"delta": 0.5}, 2,
          "gapfit operates on one-dimensional weight vectors"),
         (["q", "--method", "esseen"], [[1.0]], {"tau": 1e-310}, 2,
-         "tau: the dual radius 1/tau is past the float range, got 1e-310"),
+         "tau: in dimension 1 the dual radius 1/tau must not exceed 8.8e+304, got 1e-310"),
+        (["q", "--method", "esseen"], [[1.0]], {"tau": 1e-308}, 2,
+         "tau: in dimension 1 the dual radius 1/tau must not exceed 8.8e+304, got 1e-308"),
+        (["q", "--method", "esseen"], _PLANE, {"tau": 1e-160}, 2,
+         "tau: in dimension 2 the dual radius 1/tau must not exceed 3e+152, got 1e-160"),
+        (["q", "--method", "esseen"], _SPACE, {"tau": 1e-110}, 2,
+         "tau: in dimension 3 the dual radius 1/tau must not exceed 4.4e+101, got 1e-110"),
         (["q", "--budget", "5000"], _GENERIC_40, {"tau": 1.0}, 3,
          "convolution support would exceed budget 5000"),
         (["lcd"], [[1.0]], {"tau": 1.0}, 2, "missing required parameter 'gamma'"),
         (["gapfit"], [[1.0]], {"kappa": 1.0}, 2, "needs parameter delta (or tau)"),
     ],
-    ids=["q-exact", "q-mc", "bounds", "gapfit-2d", "q-esseen-tiny-tau", "q-capacity",
-         "lcd-missing", "gapfit-no-window"],
+    ids=["q-exact", "q-mc", "bounds", "gapfit-2d", "q-esseen-tiny-tau", "q-esseen-1d-limit",
+         "q-esseen-2d-limit", "q-esseen-3d-limit", "q-capacity", "lcd-missing",
+         "gapfit-no-window"],
 )
 def test_error_while_computing_names_the_instance_under_every_command(
     capsys, tmp_path, argv, weights, params, code, message
@@ -230,6 +238,34 @@ def test_negative_scale_setting_fails_at_load_naming_it(capsys, tmp_path, comman
         f"error: {bad}: instance '02-ones-10': "
         f"parameters.{key}: expected a nonnegative number, got {float(value)}\n"
     )
+
+
+@pytest.mark.parametrize("command", ["q", "lcd", "gapfit", "bounds", "verify"])
+@pytest.mark.parametrize(
+    "law, message",
+    [
+        ({"atoms": [-1, 1], "weights": [0.2, 0.2], "normalized": False},
+         "summand must be a probability distribution"),
+        ({"atoms": [[0, 1], [1, 0]], "weights": [0.5, 0.5]},
+         "summand distribution must live on the line"),
+    ],
+    ids=["light", "planar"],
+)
+def test_step_law_that_is_not_a_probability_on_the_line_fails_at_load(
+    capsys, tmp_path, command, law, message
+):
+    # lcd and gapfit never read the step law, and still refuse it
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    bad = corpus / "bad.json"
+    bad.write_text(json.dumps({
+        "id": "bad", "distribution": law, "weights": [1.0, 2.0],
+        "parameters": {"tau": 1.0, "delta": 0.5, "gamma": 0.5, "alpha": 4.0},
+    }))
+    target = corpus if command == "verify" else bad
+    code, out, err = run([command, str(target)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {bad}: instance 'bad': distribution: {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -592,13 +593,43 @@ def test_esseen_quadrature_identities():
         esseen_upper_q(lambda t: t, 1.0, 4)
 
 
+# The largest dual radius 1/tau of each dimension, (float max / 2^11)^(1/dim).
+_DUAL_LIMITS = {1: "8.8e+304", 2: "3e+152", 3: "4.4e+101"}
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_esseen_refuses_a_tau_whose_dual_radius_overflows(dim):
     # 1 / 5e-324 is +inf: refused before a quadrature runs over an infinite ball
     f_hat = weighted_sum_char_fn(RAD, WeightVector(np.eye(dim)))
     with pytest.raises(DomainError) as exc:
         esseen_upper_q(f_hat, 5e-324, dim)
-    assert str(exc.value) == "tau: the dual radius 1/tau is past the float range, got 5e-324"
+    assert str(exc.value) == (
+        f"tau: in dimension {dim} the dual radius 1/tau must not exceed "
+        f"{_DUAL_LIMITS[dim]}, got 5e-324"
+    )
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_esseen_dual_radius_limit_holds_every_sum_in_the_float_range(dim):
+    # the constant integrand at the largest radius gives the ball's volume
+    # (RuntimeWarnings are errors here); a radius just past it is refused
+    limit = (sys.float_info.max / 2**11) ** (1 / dim)
+    volume = {1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0}[dim]
+    one = lambda ts: np.ones(len(ts))  # noqa: E731
+    assert esseen_upper_q(one, (1 + 1e-12) / limit, dim).value == pytest.approx(volume, rel=1e-5)
+    tau = (1 - 1e-12) / limit
+    with pytest.raises(DomainError) as exc:
+        esseen_upper_q(one, tau, dim)
+    assert str(exc.value) == (
+        f"tau: in dimension {dim} the dual radius 1/tau must not exceed "
+        f"{_DUAL_LIMITS[dim]}, got {tau!r}"
+    )
+
+
+def test_esseen_refuses_a_bool_dimension():
+    # True == 1 would run the 1-D rule
+    with pytest.raises(DomainError, match="^dim must be an integer, got True$"):
+        esseen_upper_q(weighted_sum_char_fn(RAD, WeightVector([[1.0]])), 2.0, True)
 
 
 def test_weighted_sum_char_fn_values():

@@ -115,6 +115,13 @@ def test_lambda_d_matches_oracle(ratio, d):
     assert abs(lambda_d(g, ratio, d) - want) < 1e-14
 
 
+def test_lambda_d_refuses_a_bool_dimension():
+    # True == 1 would give the d = 1 value
+    g = symmetrize(DiscreteDistribution.rademacher())
+    with pytest.raises(DomainError, match="^d must be a positive integer$"):
+        lambda_d(g, 1.0, True)
+
+
 @pytest.mark.parametrize("ratio", [0.5, 1.0, 2.0, 5.0])
 def test_truncated_second_moment_matches_oracle(ratio):
     support, probs = O.bernoulli(0.3)
