@@ -1,5 +1,5 @@
 """Shared numeric tolerances, the JSON file reader, number rule and object
-rule, point-array helpers, the seed and scale rules."""
+rule, the array rule and point-array helpers, the count and scale rules."""
 
 from __future__ import annotations
 
@@ -68,19 +68,23 @@ def json_object(value, required=(), optional=()) -> dict:
 
 
 def float_array(arr) -> np.ndarray:
-    """``arr`` as a float array; DomainError unless every entry is a number in
-    the float range, nested regularly.  Strings, bools, nulls, mappings and
-    integers past the float range are refused.  A float ndarray comes back
-    uncopied."""
+    """The one array rule of the library: ``arr`` as a float array;
+    DomainError unless every entry is a finite number, nested regularly.
+    Strings, bools, nulls, mappings, NaN, +-inf and integers past the float
+    range are refused.  A float ndarray comes back uncopied."""
     try:
         if not (isinstance(arr, np.ndarray) and arr.dtype.kind in "iuf"):
             # numpy parses strings, reads [true, 2] as ints and 10**30 as an object
             entries = np.asarray(arr, dtype=object).flat
             if not all(isinstance(v, _NUMBERS) and not isinstance(v, bool) for v in entries):
                 raise TypeError("not a number")
-        return np.asarray(arr, dtype=float)  # OverflowError past the float range
+        a = np.asarray(arr, dtype=float)  # OverflowError past the float range
     except (OverflowError, TypeError, ValueError) as exc:
         raise DomainError(f"expected an array of numbers, got {arr!r:.60}") from exc
+    # min and max carry any NaN and meet any infinity, with no full-size temporary
+    if a.size and not (math.isfinite(a.min()) and math.isfinite(a.max())):
+        raise DomainError(f"expected finite numbers, got {float(a[~np.isfinite(a)][0])}")
+    return a
 
 
 def as_points(arr, dim: int | None = None) -> np.ndarray:
@@ -130,11 +134,12 @@ def dedupe_points(points: np.ndarray, weights: np.ndarray, tol: float):
         p = points[order]
         w = weights[order]
         del order  # the permutation is as big as the points: free it early
-    if line:
-        # sorted points on the line: the max-norm gaps are their differences
-        gaps = np.diff(p[:, 0])
-    else:
-        gaps = np.max(np.abs(np.diff(p, axis=0)), axis=1)
+    with np.errstate(over="ignore"):  # a gap past the float range is inf: no merge
+        if line:
+            # sorted points on the line: the max-norm gaps are their differences
+            gaps = np.diff(p[:, 0])
+        else:
+            gaps = np.max(np.abs(np.diff(p, axis=0)), axis=1)
     starts = np.concatenate([[True], gaps > tol])
     if starts.all():
         return p, w
@@ -180,11 +185,16 @@ def derive_seed(master: int, stream: int = 0) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def check_seed(seed) -> int:
-    """The one seed rule of the library: an integer in [0, 2^64)."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
-        raise DomainError(f"seed must be an integer in [0, 2^64), got {seed!r:.60}")
-    return int(seed)
+def check_count(value, what: str, minimum: int = 0, maximum: int | None = None) -> int:
+    """The one count rule of the library, for every seed, rank, cap, dimension,
+    index, budget and sample count: an integer (a Python or numpy integer, not
+    a bool) from ``minimum`` to ``maximum``.  DomainError naming ``what``
+    otherwise; returns the int."""
+    is_int = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (is_int and minimum <= int(value) <= (math.inf if maximum is None else maximum)):
+        wanted = f"of at least {minimum}" if maximum is None else f"from {minimum} to {maximum}"
+        raise DomainError(f"{what}: expected an integer {wanted}, got {value!r:.60}")
+    return int(value)
 
 
 def check_scale(value, what: str, *, positive: bool = False, finite: bool = False) -> float:
@@ -206,4 +216,4 @@ def check_scale(value, what: str, *, positive: bool = False, finite: bool = Fals
 
 
 def make_rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(check_seed(seed)))
+    return np.random.Generator(np.random.PCG64(check_count(seed, "seed", maximum=_MASK64)))

@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ._common import check_scale, check_seed, derive_seed, json_number, json_object
+from ._common import _MASK64, check_count, check_scale, derive_seed, json_number, json_object
 from .concentration import (
     ConcentrationEstimate,
     WeightVector,
@@ -451,7 +451,7 @@ def build_bound_report(
     _check_summand(x)
     for what, window in (("tau", tau), ("kappa", kappa), ("delta", delta)):
         check_scale(window, what, positive=True)
-    seed_int = check_seed(seed)
+    seed_int = check_count(seed, "seed", maximum=_MASK64)
     d = a.dim
     n = a.n
 

@@ -22,6 +22,7 @@ from ._common import (
     GEOM_TOL,
     WINDOW_TOL,
     as_points,
+    check_count,
     check_scale,
     dedupe_points,
     distinct_rows,
@@ -61,8 +62,6 @@ class WeightVector:
         r = as_points(rows)
         if r.shape[0] == 0:
             raise DomainError("weight vector needs at least one row")
-        if not np.all(np.isfinite(r)):
-            raise DomainError("weight vector entries must be finite")
         if not np.any(r):
             raise DomainError("weight vector must have a nonzero row")
         r.flags.writeable = False
@@ -103,9 +102,7 @@ class WeightVector:
 
     def coordinate(self, j: int) -> "WeightVector":
         """The j-th coordinate column as a one-dimensional weight vector."""
-        if not (0 <= j < self.dim):
-            raise DomainError(f"coordinate {j} out of range for R^{self.dim}")
-        return WeightVector(self._rows[:, j])
+        return WeightVector(self._rows[:, check_count(j, "coordinate", maximum=self.dim - 1)])
 
     @classmethod
     def from_json_obj(cls, obj) -> "WeightVector":
@@ -169,6 +166,7 @@ def weighted_sum_distribution(
     CapacityError when an intermediate support would exceed ``budget``.
     """
     _check_summand(x)
+    check_count(budget, "budget")
     xv = x.atoms[:, 0]
     xw = x.weights
     pts = np.zeros((1, a.dim))
@@ -480,6 +478,7 @@ def exact_q_of_distribution(
     closed ball around a centre of ``_sphere_centers``, whose near pairs and
     clique candidates ``budget`` caps (CapacityError past it)."""
     check_scale(tau, "tau")
+    check_count(budget, "budget")
     if not f.normalized:
         raise DomainError("Q is defined for probability distributions")
     if f.dim == 1:
@@ -546,7 +545,7 @@ def mc_q(
     optimum.
     """
     check_scale(tau, "tau")
-    if n_samples < _MC_MIN_SAMPLES:
+    if check_count(n_samples, "n_samples") < _MC_MIN_SAMPLES:
         raise DomainError(f"Monte Carlo needs at least {_MC_MIN_SAMPLES} samples")
     rng = make_rng(seed)
     samples = _sample_from(sampler, n_samples, rng)
@@ -673,8 +672,7 @@ def esseen_upper_q(
     radius 1/tau may not exceed (float max / 2^11)^(1/dim): every sum of
     |f_hat| <= 1 the rules form then stays in the float range.
     """
-    if isinstance(dim, bool):
-        raise DomainError(f"dim must be an integer, got {dim!r}")
+    check_count(dim, "dim")
     radius = 1.0 / check_scale(tau, "tau", positive=True, finite=True)
     if dim not in (1, 2, 3):
         raise DomainError("the dual-ball quadrature supports dimensions 1 to 3")

@@ -16,6 +16,7 @@ import numpy as np
 from ._common import (
     DEDUP_TOL,
     as_points,
+    check_count,
     check_scale,
     dedupe_points,
     float_array,
@@ -48,18 +49,18 @@ class DiscreteDistribution:
     __slots__ = ("_atoms", "_weights", "_normalized")
 
     def __init__(self, atoms, weights, normalized: bool = True):
-        pts = as_points(atoms)
-        w = float_array(weights).reshape(-1)
+        with naming_field("atoms", DomainError):
+            pts = as_points(atoms)
+        with naming_field("weights", DomainError):
+            w = float_array(weights).reshape(-1)
         if pts.shape[0] != w.shape[0]:
             raise DomainError(
                 f"{pts.shape[0]} atoms but {w.shape[0]} weights"
             )
         if pts.shape[0] == 0:
             raise DomainError("a distribution needs at least one atom")
-        if not np.all(np.isfinite(pts)):
-            raise DomainError("atoms must be finite")
-        if not np.all(np.isfinite(w)) or np.any(w < 0):
-            raise DomainError("weights must be finite and nonnegative")
+        if np.any(w < 0):
+            raise DomainError("weights must be nonnegative")
         merged, mw = dedupe_points(pts, w, DEDUP_TOL)
         # sorted, separated atoms come back as they went in: copy them then,
         # so that no caller's array backs (or is frozen by) the distribution
@@ -205,8 +206,7 @@ def lambda_d(g: DiscreteDistribution, ratio: float, d: int = 1) -> float:
     and ``d``; always at least the plain tail mass at ``delta = ratio``.
     """
     check_scale(ratio, "ratio", positive=True)
-    if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
-        raise DomainError("d must be a positive integer")
+    check_count(d, "d", minimum=1)
     zn = np.max(np.abs(g.atoms), axis=1)
     nz = zn > 0.0
     if not nz.any():
@@ -332,8 +332,7 @@ def cp_sample_rng(
     search only the uniforms of its undecided buckets; the indices, and so
     the draws, are those of a plain ``np.searchsorted``.
     """
-    if n_samples < 1:
-        raise DomainError("n_samples must be positive")
+    check_count(n_samples, "n_samples", minimum=1)
     counts = _poisson_counts(rng, d.intensity, n_samples)
     out = np.zeros((n_samples, d.dim))
     total = int(counts.sum())

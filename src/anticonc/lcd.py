@@ -24,6 +24,7 @@ from .errors import DomainError
 
 _MAX_NODES = 2_000_000
 _TOL = 1e-6  # requested bracket width
+_REL_TOL = 2.0**-40  # its floor relative to the bracket, where _TOL is below one ulp
 
 
 @dataclass(frozen=True)
@@ -157,7 +158,7 @@ def _lcd_branch_and_bound(a: WeightVector, params: LcdParams, theta: float) -> L
     while heap:
         min_norm, _, lo, hi = heapq.heappop(heap)
         frontier = min(min_norm, residual_lower, best_up, theta)
-        if best_up - frontier <= _TOL or min_norm >= min(best_up, theta):
+        if best_up - frontier <= max(_TOL, _REL_TOL * frontier) or min_norm >= min(best_up, theta):
             # bracket is tight enough, or everything left lies beyond it
             frontier_min = min_norm  # the popped node is the heap minimum
             break
@@ -199,7 +200,7 @@ def _lcd_branch_and_bound(a: WeightVector, params: LcdParams, theta: float) -> L
         ceiling = True
     else:
         d_upper = best_up
-        converged = (d_upper - d_lower) <= _TOL
+        converged = (d_upper - d_lower) <= max(_TOL, _REL_TOL * d_lower)
         ceiling = False
     return LcdResult(
         d_lower=float(d_lower),

@@ -38,6 +38,7 @@ import numpy as np
 from ._common import (
     CONVOLUTION_MERGE_TOL,
     as_points,
+    check_count,
     check_scale,
     dedupe_points,
     float_array,
@@ -55,16 +56,11 @@ DEFAULT_CAPS = {"r": 1, "m": 3, "s": 3}
 
 def check_caps(r, **caps) -> None:
     """The one rank and cap rule: r a nonnegative integer, each named cap (m, s)
-    a positive one.  Searches, evaluators and instance loading all apply it."""
-
-    def is_int(v):
-        return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-    if not is_int(r) or r < 0:
-        raise DomainError("rank r must be a nonnegative integer")
+    a positive one, by the count rule.  Searches, evaluators and instance
+    loading all apply it."""
+    check_count(r, "rank r")
     for name, cap in caps.items():
-        if not is_int(cap) or cap < 1:
-            raise DomainError(f"cap {name} must be a positive integer")
+        check_count(cap, f"cap {name}", minimum=1)
 
 # Runtime guard on the point count of any single searched progression.
 _MAX_SEARCH_POINTS = 20_000
@@ -85,12 +81,10 @@ class Gap:
 
     def __init__(self, dims, gens, ambient_dim: int | None = None):
         dims = tuple(float(v) for v in float_array(dims).reshape(-1))
-        if any(not math.isfinite(v) or v <= 0 for v in dims):
-            raise DomainError("progression radii must be positive and finite")
-        if ambient_dim is not None and not 1 <= ambient_dim <= _MAX_AMBIENT_DIM:
-            raise DomainError(
-                f"ambient dimension must be from 1 to {_MAX_AMBIENT_DIM}, got {ambient_dim!r:.60}"
-            )
+        if any(v <= 0 for v in dims):
+            raise DomainError("progression radii must be positive")
+        if ambient_dim is not None:
+            check_count(ambient_dim, "ambient dimension", 1, _MAX_AMBIENT_DIM)
         if len(dims) == 0:
             gens_arr = np.zeros((0, 1 if ambient_dim is None else ambient_dim))
         else:
@@ -101,8 +95,6 @@ class Gap:
             raise DomainError(
                 f"{len(dims)} radii but {gens_arr.shape[0]} generators"
             )
-        if not np.all(np.isfinite(gens_arr)):
-            raise DomainError("generators must be finite")
         gens_arr.flags.writeable = False
         self._dims = dims
         self._gens = gens_arr
@@ -190,11 +182,9 @@ class Cgap:
     def __init__(self, h, box, cap: int):
         with naming_field("V", DomainError):  # the box is the body V of the JSON form
             b = float_array(box).reshape(-1)
-            if np.any(b < 0) or not np.all(np.isfinite(b)):
-                raise DomainError("box bounds must be finite and nonnegative")
+            if np.any(b < 0):
+                raise DomainError("box bounds must be nonnegative")
         hv = float_array(h).reshape(-1)
-        if not np.all(np.isfinite(hv)):
-            raise DomainError("step vector must be finite")
         if b.size != hv.size:
             raise DomainError(
                 f"step vector has {hv.size} entries but the box lives in R^{b.size}"
@@ -269,7 +259,7 @@ class GapImageProgression:
     h: tuple
 
     def __post_init__(self):
-        hv = tuple(float(v) for v in self.h)
+        hv = tuple(float(v) for v in float_array(self.h).reshape(-1))
         if len(hv) != self.gap.ambient_dim:
             raise DomainError("step vector must match the progression's ambient dim")
         object.__setattr__(self, "h", hv)

@@ -240,6 +240,12 @@ def test_chain_reads_one_reduced_phase_at_large_weights():
     assert rep.n_points == grid.size
 
 
+def test_chain_refuses_a_nan_grid_point():
+    # every comparison with a NaN phase is false: the chain passed
+    with pytest.raises(DomainError, match="^expected finite numbers, got nan$"):
+        verify_pointwise_chain(WeightVector([[1.0], [2.0]]), [math.nan])
+
+
 def test_chain_lcd_branch_counts_premise_failures():
     a = WeightVector(np.ones((4, 1)))
     # D far above the true denominator: the premise must fail somewhere
@@ -318,14 +324,14 @@ def test_report_seed_changes_mc_not_exact():
 
 
 def test_report_seed_is_a_64_bit_integer():
-    # one seed rule for the library: an integer in [0, 2^64), never masked
+    # the count rule for the library's seeds: an integer in [0, 2^64), never masked
     assert (
         _small_report(seed=np.uint64(3)).to_json_obj()
         == _small_report(seed=3).to_json_obj()
     )
     assert _small_report(seed=2**64 - 1).parameters["seed"] == 2**64 - 1
     for bad in (-1, 2**64, 3.0, True, "3"):
-        with pytest.raises(DomainError, match="seed must be an integer"):
+        with pytest.raises(DomainError, match=f"^seed: expected an integer from 0 to {2**64 - 1}, got "):
             _small_report(seed=bad)
 
 

@@ -89,6 +89,44 @@ def test_non_finite_tau_is_exit_two(capsys, tmp_path, method):
     assert "tau" in err
 
 
+@pytest.mark.parametrize(
+    "field, text, message",
+    [
+        ("weights", "[NaN, 1]", "weights: expected finite numbers, got nan"),
+        ("distribution", '{"atoms": [-Infinity, 1], "weights": [0.5, 0.5]}',
+         "distribution: atoms: expected finite numbers, got -inf"),
+        ("distribution", '{"atoms": [-1, 1], "weights": [Infinity, 0.5]}',
+         "distribution: weights: expected finite numbers, got inf"),
+    ],
+    ids=["nan-weight", "infinite-atom", "infinite-atom-weight"],
+)
+def test_non_finite_array_entry_is_exit_two_naming_the_array(capsys, tmp_path, field, text, message):
+    # Python's json reads NaN and Infinity; the array rule refuses them
+    inst = tmp_path / "inst.json"
+    fields = {"distribution": '"rademacher"', "weights": "[1, 2]", field: text}
+    inst.write_text(
+        '{"id": "bad", "distribution": %(distribution)s, "weights": %(weights)s, '
+        '"parameters": {"tau": 1}}' % fields
+    )
+    code, out, err = run(["q", str(inst)], capsys)
+    assert code == 2 and out == ""
+    assert err.strip() == f"error: {inst}: instance 'bad': {message}"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_exact_q_near_the_float_maximum_raises_no_warning(capsys, tmp_path):
+    # the atoms -1e308 and 1e308 lie 2e308 apart, past the float range: an
+    # infinite merge gap is far, not an overflow warning
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({
+        "id": "huge", "distribution": "rademacher", "weights": [1e308, 1],
+        "parameters": {"tau": 0.5},
+    }))
+    code, out, _ = run(["q", str(inst), "--method", "exact"], capsys)
+    assert code == 0
+    assert json.loads(out)["value"] == 0.5
+
+
 def test_non_converged_quadrature_is_exit_one(capsys, tmp_path):
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps({

@@ -10,34 +10,54 @@ from hypothesis import strategies as st
 import _oracles as O
 from anticonc._common import (
     as_points,
+    check_count,
     check_scale,
     dedupe_points,
     distinct_rows,
     float_array,
     json_number,
+    make_rng,
 )
-from anticonc.bounds import build_bound_report, smoothing_law, verify_pointwise_chain
+from anticonc.bounds import (
+    build_bound_report,
+    h_char_fn,
+    smoothing_law,
+    verify_pointwise_chain,
+)
 from anticonc.concentration import (
     ConcentrationEstimate,
     WeightVector,
     WeightedSum,
     esseen_upper_q,
+    exact_q,
     exact_q_of_distribution,
     mc_q,
     regularity_check,
     weighted_sum_char_fn,
+    weighted_sum_distribution,
 )
 from anticonc.distributions import (
     CompoundPoisson,
     DiscreteDistribution,
+    cp_sample_rng,
+    half_empirical_measure,
     lambda_d,
     spectral_measure,
     tail_mass,
     truncated_second_moment,
 )
 from anticonc.errors import DomainError, InputError
-from anticonc.lcd import LcdParams
-from anticonc.progressions import beta_rm, gamma_rs, uncovered_mass
+from anticonc.lcd import LcdParams, violation_condition
+from anticonc.progressions import (
+    Cgap,
+    Gap,
+    GapImageProgression,
+    beta_rm,
+    check_caps,
+    gamma_rs,
+    uncovered_mass,
+)
+from anticonc.verify import run_verification
 
 
 def _bits(a):
@@ -190,8 +210,14 @@ def _numeric_lists(draw):
 @given(_numeric_lists())
 @settings(max_examples=300, deadline=None)
 def test_float_array_reads_numeric_lists_as_numpy_does(v):
-    got = float_array(v)
     want = np.asarray(v, dtype=float)
+    if not np.isfinite(want).all():
+        # the array rule: NaN and +-inf are refused, naming the first of them
+        first = float(want[~np.isfinite(want)][0])
+        with pytest.raises(DomainError, match=f"^expected finite numbers, got {first}$"):
+            float_array(v)
+        return
+    got = float_array(v)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 
@@ -328,3 +354,121 @@ _SCALE_KEPT = [(site, v, want) for site, edges in _SCALE_EDGES.items()
 )
 def test_every_scale_site_keeps_its_value_at_the_accepted_edges(site, value, want):
     assert _SCALE_SITES[site][1](value) == want
+
+
+# --- the array rule ------------------------------------------------------------
+
+# Every array argument of the public entry points: a finite list it accepts,
+# and the call with that list (or an array of it) in its place.  The refusal
+# names the non-finite entry, so it is the entry that fails, not the list.
+_ARRAY_SITES = {
+    "weights": ([1.0, 2.0, 3.5], lambda v: WeightVector(v)),
+    "atoms": ([-1.0, 1.0], lambda v: DiscreteDistribution(v, [0.5, 0.5])),
+    "atom-weights": ([0.5, 0.5], lambda v: DiscreteDistribution([-1.0, 1.0], v)),
+    "gap-radii": ([1.0, 2.0], lambda v: Gap(v, np.eye(2))),
+    "gap-generators": ([1.0, 0.0, 0.0, 1.0], lambda v: Gap([1.0, 2.0], np.reshape(v, (2, 2)))),
+    "cgap-step": ([0.5, 1.5], lambda v: Cgap(v, [1.0, 1.0], 9)),
+    "cgap-box": ([1.0, 1.0], lambda v: Cgap([0.5, 1.5], v, 9)),
+    "image-step": ([1.5], lambda v: GapImageProgression(Gap([1.0], [[1.0]]), tuple(v))),
+    "progression-points": ([-1.0, 0.0, 1.0], lambda v: uncovered_mass(_W, v, 0.5)),
+    "chain-grid": ([-3.0, -1.0, 0.5, 2.0], lambda v: verify_pointwise_chain(_A, v)),
+    "lcd-point": ([0.25], lambda v: violation_condition(v, WeightVector([1.0]), LcdParams(0.5, 1.0))),
+    "phases": ([0.5, 1.0], lambda v: _A.phases(v)),
+    "char-fn": ([0.5, 1.0], lambda v: weighted_sum_char_fn(_RAD, _A)(v)),
+    "h-char-fn": ([0.5, 1.0], lambda v: h_char_fn(_A)(v)),
+    "spectral-measure": ([1.0, 2.0], lambda v: spectral_measure(v)),
+    "half-empirical": ([1.0, 2.0], lambda v: half_empirical_measure(v)),
+}
+
+
+@given(
+    st.sampled_from(sorted(_ARRAY_SITES)),
+    st.integers(0, 3),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_a_non_finite_entry_in_any_array_argument_is_refused(site, at, bad, as_array):
+    base, call = _ARRAY_SITES[site]
+    v = list(base)
+    v[at % len(v)] = bad
+    with pytest.raises(DomainError, match=f"expected finite numbers, got {bad}$"):
+        call(np.asarray(v) if as_array else v)
+
+
+def test_dedupe_points_reads_a_gap_past_the_float_range_as_far():
+    # 1e308 - (-1e308) overflows to inf: no merge, and no RuntimeWarning
+    pts, w = dedupe_points(np.array([[-1e308], [1e308]]), np.array([0.5, 0.5]), 1e-12)
+    np.testing.assert_array_equal(pts, [[-1e308], [1e308]])
+    pts, w = dedupe_points(np.array([[-1e308, 0.0], [1e308, 0.0]]), np.array([0.5, 0.5]), 1e-12)
+    assert pts.shape == (2, 2)
+
+
+# --- the count rule ------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "value, minimum, maximum, message",
+    [
+        (True, 0, None, "expected an integer of at least 0, got True"),
+        (1.0, 0, None, "expected an integer of at least 0, got 1.0"),
+        (math.nan, 0, None, "expected an integer of at least 0, got nan"),
+        ("3", 0, None, "expected an integer of at least 0, got '3'"),
+        (None, 0, None, "expected an integer of at least 0, got None"),
+        (0, 1, None, "expected an integer of at least 1, got 0"),
+        (np.int64(-1), 0, None, "expected an integer of at least 0, got np.int64(-1)"),
+        (4, 1, 3, "expected an integer from 1 to 3, got 4"),
+        (2**64, 0, 2**64 - 1, "expected an integer from 0 to 18446744073709551615, got "
+         "18446744073709551616"),
+    ],
+    ids=["bool", "float", "nan", "string", "null", "below", "numpy-below", "above", "past-2^64"],
+)
+def test_count_rule_refuses_naming_the_argument_and_the_value(value, minimum, maximum, message):
+    with pytest.raises(DomainError) as exc:
+        check_count(value, "x", minimum, maximum)
+    assert str(exc.value) == "x: " + message
+
+
+@pytest.mark.parametrize("value", [0, 3, np.int8(3), np.uint64(2**64 - 1), 2**64 - 1])
+def test_count_rule_returns_the_int(value):
+    got = check_count(value, "x", 0, 2**64 - 1)
+    assert type(got) is int and got == int(value)
+
+
+_X = DiscreteDistribution.rademacher()
+# Every site of the count rule: its call with the count argument set to v,
+# and the argument's name.
+_COUNT_SITES = {
+    "mc-seed": ("seed", lambda v: mc_q(WeightedSum(_RAD, _A), 1.0, 1000, v)),
+    "report-seed": ("seed", lambda v: build_bound_report(_RAD, _A, 1.0, 1.0, 0.5, seed=v,
+                                                         mc_samples=1000)),
+    "make_rng": ("seed", lambda v: make_rng(v)),
+    "rank": ("rank r", lambda v: check_caps(v, m=3)),
+    "beta-rank": ("rank r", lambda v: beta_rm(_W, 0.5, v, 3)),
+    "beta-cap": ("cap m", lambda v: beta_rm(_W, 0.5, 1, v)),
+    "gamma-cap": ("cap s", lambda v: gamma_rs(_W, 0.5, 1, v)),
+    "cgap-cap": ("cap m", lambda v: Cgap([1.0], [1.0], v)),
+    "esseen-dim": ("dim", lambda v: esseen_upper_q(weighted_sum_char_fn(_RAD, _A), 1.0, v)),
+    "lambda_d": ("d", lambda v: lambda_d(_G, 1.0, v)),
+    "ambient-dim": ("ambient dimension", lambda v: Gap([], [], ambient_dim=v)),
+    "coordinate": ("coordinate", lambda v: WeightVector([[1.0, 2.0]]).coordinate(v)),
+    "mc-samples": ("n_samples", lambda v: mc_q(WeightedSum(_RAD, _A), 1.0, v, 1)),
+    "cp-samples": ("n_samples", lambda v: cp_sample_rng(CompoundPoisson(1.0, _RAD), v,
+                                                        make_rng(1))),
+    "convolution-budget": ("budget", lambda v: weighted_sum_distribution(_X, _A, v)),
+    "sweep-budget": ("budget", lambda v: exact_q_of_distribution(_G, 1.0, v)),
+    "exact_q-budget": ("budget", lambda v: exact_q(_X, _A, 1.0, v)),
+    "regularity-budget": ("budget", lambda v: regularity_check(_G, 1.0, 2.0, v)),
+    "verify-budget": ("budget", lambda v: run_verification(exact_budget=v)),
+}
+
+
+@given(
+    st.sampled_from(sorted(_COUNT_SITES)),
+    st.one_of(st.booleans(), st.floats(), st.just(math.nan)),
+)
+@settings(max_examples=200, deadline=None)
+def test_a_bool_float_or_nan_in_any_count_argument_is_refused(site, value):
+    name, call = _COUNT_SITES[site]
+    with pytest.raises(DomainError, match=f"{name}: expected an integer"):
+        call(value)

@@ -49,6 +49,13 @@ def test_weight_vector_basics():
     np.testing.assert_array_equal(back.rows, b.rows)
 
 
+@pytest.mark.parametrize("j", [True, 0.5, -1, 2])
+def test_coordinate_refuses_an_index_that_is_not_a_column(j):
+    # True indexed a new axis (a garbled ndim=3 message), 0.5 raised IndexError
+    with pytest.raises(DomainError, match=f"^coordinate: expected an integer from 0 to 1, got {j}$"):
+        WeightVector([[1.0, 2.0]]).coordinate(j)
+
+
 def test_gram_det_clamped_nonnegative():
     a = WeightVector([[1.0, 1.0], [2.0, 2.0]])
     _, det = a.gram()
@@ -278,6 +285,18 @@ def test_weighted_sum_distribution_merges():
     dist = weighted_sum_distribution(RAD, WeightVector([[1.0], [1.0]]))
     assert dist.n_atoms == 3
     assert abs(dist.total_mass - 1.0) < 1e-12
+
+
+def test_weighted_sum_distribution_refuses_a_nan_budget():
+    # every comparison with NaN is false: the convolution ran with no cap
+    with pytest.raises(DomainError, match="^budget: expected an integer of at least 0, got nan$"):
+        weighted_sum_distribution(RAD, WeightVector([1.0, 2.0]), math.nan)
+
+
+def test_mc_q_refuses_a_fractional_sample_count():
+    # 1000.5 passed the minimum and ended in a numpy TypeError
+    with pytest.raises(DomainError, match="^n_samples: expected an integer of at least 0, got 1000.5$"):
+        mc_q(WeightedSum(RAD, WeightVector([1.0, 2.0])), 1.0, 1000.5, 1)
 
 
 def test_mc_q_agrees_with_exact_and_is_seeded():
@@ -628,7 +647,7 @@ def test_esseen_dual_radius_limit_holds_every_sum_in_the_float_range(dim):
 
 def test_esseen_refuses_a_bool_dimension():
     # True == 1 would run the 1-D rule
-    with pytest.raises(DomainError, match="^dim must be an integer, got True$"):
+    with pytest.raises(DomainError, match="^dim: expected an integer of at least 0, got True$"):
         esseen_upper_q(weighted_sum_char_fn(RAD, WeightVector([[1.0]])), 2.0, True)
 
 

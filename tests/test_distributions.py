@@ -118,7 +118,7 @@ def test_lambda_d_matches_oracle(ratio, d):
 def test_lambda_d_refuses_a_bool_dimension():
     # True == 1 would give the d = 1 value
     g = symmetrize(DiscreteDistribution.rademacher())
-    with pytest.raises(DomainError, match="^d must be a positive integer$"):
+    with pytest.raises(DomainError, match="^d: expected an integer of at least 1, got True$"):
         lambda_d(g, 1.0, True)
 
 

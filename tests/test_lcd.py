@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -89,6 +90,25 @@ def test_high_dim_returns_no_bracket():
         assert res.witness_t is None
         assert not res.certified and not res.converged
         assert res.ceiling_hit and res.iterations == 0
+
+
+def test_tiny_weight_bracket_closes_relative_to_its_scale():
+    # the LCD of [1e-12] is (2/3) 1e12, where the absolute 1e-6 is below one
+    # ulp: the search ran to its node cap (about 80 s)
+    a, params = WeightVector([1e-12]), LcdParams(0.5, 10.0)
+    start = time.perf_counter()
+    res = compute_lcd(a, params)
+    assert time.perf_counter() - start < 1.0
+    assert res.converged and res.certified and not res.ceiling_hit
+    assert res.d_lower <= 2e12 / 3 <= res.d_upper
+    assert res.d_upper - res.d_lower <= 2.0**-40 * res.d_lower
+    assert violation_condition(res.witness_t, a, params)
+
+
+def test_violation_condition_refuses_a_nan_point():
+    # every comparison with NaN is false: it said "no violation"
+    with pytest.raises(DomainError, match="^expected finite numbers, got nan$"):
+        violation_condition([math.nan], WeightVector([1.0]), LcdParams(0.5, 10.0))
 
 
 def test_result_json_obj():

@@ -56,6 +56,21 @@ def test_gap_rank_zero():
     assert p.size() == 1 and p.is_proper()
 
 
+@pytest.mark.parametrize("dims, gens", [([], []), ([1.0], [[1.0]])], ids=["rank-0", "rank-1"])
+def test_gap_refuses_a_bool_ambient_dimension(dims, gens):
+    # True == 1 passed the range check: numpy's TypeError at rank zero, a gap
+    # in R^1 above it
+    with pytest.raises(DomainError, match="^ambient dimension: expected an integer from 1 to .*, got True$"):
+        Gap(dims, gens, ambient_dim=True)
+
+
+def test_uncovered_mass_refuses_a_nan_progression_point():
+    # a NaN point is near no atom and far from none: the mass read 0.0
+    w = half_empirical_measure([[1.0], [2.0]])
+    with pytest.raises(DomainError, match="^expected finite numbers, got nan$"):
+        uncovered_mass(w, [math.nan], 0.5)
+
+
 def test_gap_capacity():
     # 20,001^2 coefficients exceed GAP_ENUM_BUDGET: refused before any is listed
     p = Gap([10_000.0, 10_000.0], [[1.0], [np.sqrt(2.0)]])
