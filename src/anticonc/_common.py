@@ -21,6 +21,8 @@ GEOM_TOL = 1e-12
 # Slack for closed 1-d window sweeps.  Must dominate GEOM_TOL so that uniform
 # window inflation can never break covering inequalities between dimensions.
 WINDOW_TOL = 3e-12
+# Consecutive gaps that one block of the merge scan forms at once.
+_MERGE_BLOCK = 1 << 12
 
 _MASK64 = (1 << 64) - 1
 # The scalar types the number rules read as numbers; a bool is refused apart.
@@ -114,45 +116,58 @@ def as_vector(t, dim: int) -> np.ndarray:
 
 
 def dedupe_points(points: np.ndarray, weights: np.ndarray, tol: float):
-    """Merge points closer than ``tol`` in max norm along the lexicographic sweep.
-
-    Groups are maximal runs of lex-sorted points whose consecutive gaps stay
-    within ``tol``; each group collapses to its weighted mean.  The run rule is
-    invariant under negation of the whole point set, which keeps symmetrized
-    supports symmetric.  Points on the line that are already ascending are
-    not sorted again (a stable sort of them is the identity), and when none
-    of them merge the inputs come back as they are, not copied.
+    """Merge points closer than ``tol`` in max norm along the lexicographic
+    sweep: a stable lexicographic sort, then :func:`merge_sorted`.  Points on
+    the line that are already ascending are not sorted again (a stable sort
+    of them is the identity), and when none of them merge the inputs come
+    back as they are, not copied.
     """
     points = np.asarray(points, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    if points.shape[0] <= 1:
-        return points.copy(), weights.copy()
-    p, w = points, weights
-    line = points.shape[1] == 1
-    if not (line and np.all(points[1:, 0] >= points[:-1, 0])):
+    if not (points.shape[1] == 1 and np.all(points[1:, 0] >= points[:-1, 0])):
         order = np.lexsort(points.T[::-1])
-        p = points[order]
-        w = weights[order]
+        points = points[order]
+        weights = weights[order]
         del order  # the permutation is as big as the points: free it early
+    return merge_sorted(points, weights, tol)
+
+
+def merge_sorted(p: np.ndarray, w: np.ndarray, tol: float):
+    """Merge the lexicographically sorted points ``p`` closer than ``tol`` in
+    max norm, with weights ``w``.
+
+    Groups are maximal runs of points whose consecutive gaps stay within
+    ``tol``; each group collapses to its weighted mean.  The run rule is
+    invariant under negation of the whole point set, which keeps symmetrized
+    supports symmetric.  The gaps are formed ``_MERGE_BLOCK`` at a time, so
+    the scan holds one flag per point, and when none merge ``p`` and ``w``
+    come back as they are, not copied.
+    """
+    n = p.shape[0]
+    starts = np.ones(n, dtype=bool)
     with np.errstate(over="ignore"):  # a gap past the float range is inf: no merge
-        if line:
-            # sorted points on the line: the max-norm gaps are their differences
-            gaps = np.diff(p[:, 0])
-        else:
-            gaps = np.max(np.abs(np.diff(p, axis=0)), axis=1)
-    starts = np.concatenate([[True], gaps > tol])
+        for lo in range(0, n - 1, _MERGE_BLOCK):
+            hi = min(lo + _MERGE_BLOCK, n - 1)
+            gaps = p[lo + 1 : hi + 1] - p[lo:hi]
+            # on the line the max-norm gaps are the differences themselves
+            gaps = gaps[:, 0] if p.shape[1] == 1 else np.max(np.abs(gaps), axis=1)
+            np.greater(gaps, tol, out=starts[lo + 1 : hi + 1])
     if starts.all():
         return p, w
-    group = np.cumsum(starts) - 1
+    group = np.cumsum(starts)
+    group -= 1
     k = int(group[-1]) + 1
     wsum = np.bincount(group, weights=w, minlength=k)
     merged = np.empty((k, p.shape[1]))
     for j in range(p.shape[1]):
         merged[:, j] = np.bincount(group, weights=w * p[:, j], minlength=k)
+    del group
     pos = wsum > 0
-    merged[pos] /= wsum[pos, None]
-    # zero-weight groups keep their first member verbatim
-    if not pos.all():
+    if pos.all():
+        merged /= wsum[:, None]  # in place: no masked copies
+    else:
+        merged[pos] /= wsum[pos, None]
+        # zero-weight groups keep their first member verbatim
         merged[~pos] = p[starts][~pos]
     return merged, wsum
 
@@ -185,15 +200,20 @@ def derive_seed(master: int, stream: int = 0) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def check_count(value, what: str, minimum: int = 0, maximum: int | None = None) -> int:
+def check_count(value, what: str, minimum: int | None = 0, maximum: int | None = None) -> int:
     """The one count rule of the library, for every seed, rank, cap, dimension,
     index, budget and sample count: an integer (a Python or numpy integer, not
-    a bool) from ``minimum`` to ``maximum``.  DomainError naming ``what``
-    otherwise; returns the int."""
+    a bool) from ``minimum`` to ``maximum``, where None is no bound.
+    DomainError naming ``what`` otherwise; returns the int."""
     is_int = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-    if not (is_int and minimum <= int(value) <= (math.inf if maximum is None else maximum)):
-        wanted = f"of at least {minimum}" if maximum is None else f"from {minimum} to {maximum}"
-        raise DomainError(f"{what}: expected an integer {wanted}, got {value!r:.60}")
+    lo = -math.inf if minimum is None else minimum
+    if not (is_int and lo <= int(value) <= (math.inf if maximum is None else maximum)):
+        wanted = "an integer"
+        if maximum is not None:
+            wanted += f" from {minimum} to {maximum}"
+        elif minimum is not None:
+            wanted += f" of at least {minimum}"
+        raise DomainError(f"{what}: expected {wanted}, got {value!r:.60}")
     return int(value)
 
 

@@ -24,9 +24,9 @@ from ._common import (
     as_points,
     check_count,
     check_scale,
-    dedupe_points,
     distinct_rows,
     make_rng,
+    merge_sorted,
 )
 from .distributions import (
     CompoundPoisson,
@@ -164,6 +164,14 @@ def weighted_sum_distribution(
 
     Atoms closer than 1e-9 in max norm merge after every step.  Raises
     CapacityError when an intermediate support would exceed ``budget``.
+
+    Each step holds one copy of its points and weights: the previous step's
+    arrays go as soon as the new ones are formed, a step whose weights are
+    all equal sorts its points on the line in place (any permutation leaves
+    its weights as they are), and any other step rebinds both arrays
+    through one stable lexicographic permutation.  The law adopts the
+    merged arrays uncopied.  Atoms and weights are those of the stable
+    lexicographic sort and merge of ``dedupe_points``, bit for bit.
     """
     _check_summand(x)
     check_count(budget, "budget")
@@ -177,10 +185,20 @@ def weighted_sum_distribution(
                 f"convolution support would exceed budget {budget} at step {k}"
             )
         shift = np.multiply.outer(xv, a.rows[k])  # (s, d)
+        # each rebinding frees the previous step's array
         pts = (shift[:, None, :] + pts[None, :, :]).reshape(-1, a.dim)
         w = (xw[:, None] * w[None, :]).reshape(-1)
-        pts, w = dedupe_points(pts, w, CONVOLUTION_MERGE_TOL)
-    return DiscreteDistribution(pts, w)
+        equal = w.min() == w.max()
+        if equal and a.dim == 1:
+            pts[:, 0].sort(kind="stable")
+        else:
+            order = np.lexsort(pts.T[::-1])
+            pts = pts.take(order, axis=0)
+            if not equal:
+                w = w.take(order)
+            del order  # as big as the points: free it before the merge
+        pts, w = merge_sorted(pts, w, CONVOLUTION_MERGE_TOL)
+    return DiscreteDistribution._adopt(pts, w)
 
 
 def _max_window_mass_1d(z: np.ndarray, w: np.ndarray, tau: float) -> float:

@@ -49,6 +49,18 @@ class DiscreteDistribution:
     __slots__ = ("_atoms", "_weights", "_normalized")
 
     def __init__(self, atoms, weights, normalized: bool = True):
+        self._build(atoms, weights, normalized, adopt=False)
+
+    @classmethod
+    def _adopt(cls, atoms: np.ndarray, weights: np.ndarray, normalized: bool = True):
+        """The distribution of fresh float arrays that no one else holds, which
+        it takes as its own, uncopied (and freezes), after the same checks
+        and merge as the constructor's."""
+        law = cls.__new__(cls)
+        law._build(atoms, weights, normalized, adopt=True)
+        return law
+
+    def _build(self, atoms, weights, normalized, adopt):
         with naming_field("atoms", DomainError):
             pts = as_points(atoms)
         with naming_field("weights", DomainError):
@@ -62,10 +74,10 @@ class DiscreteDistribution:
         if np.any(w < 0):
             raise DomainError("weights must be nonnegative")
         merged, mw = dedupe_points(pts, w, DEDUP_TOL)
-        # sorted, separated atoms come back as they went in: copy them then,
-        # so that no caller's array backs (or is frozen by) the distribution
-        pts = merged.copy() if merged is pts else merged
-        w = mw.copy() if mw is w else mw
+        # sorted, separated atoms come back as they went in: copy a caller's
+        # arrays then, so that none backs (or is frozen by) the distribution
+        pts = merged.copy() if merged is pts and not adopt else merged
+        w = mw.copy() if mw is w and not adopt else mw
         if normalized and abs(float(w.sum()) - 1.0) > WEIGHT_SUM_TOL:
             raise DomainError(
                 f"weights sum to {float(w.sum())!r}; "

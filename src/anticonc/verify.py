@@ -16,7 +16,7 @@ from functools import cache, partial
 
 import numpy as np
 
-from ._common import derive_seed, json_number, json_object, make_rng
+from ._common import check_count, derive_seed, json_number, json_object, make_rng
 from .bounds import verify_pointwise_chain
 from .concentration import (
     exact_q,
@@ -466,13 +466,15 @@ def _check_lcd_agreement(spec, res, skipped) -> list:
 def run_verification(
     corpus_dir=None, seed: int = 0, exact_budget: int = 2_000_000
 ) -> VerificationReport:
-    """Run every check over the corpus; the verdict is seed-independent."""
+    """Run every check over the corpus; the verdict is seed-independent.  The
+    seed is any integer (masked to 64 bits where child seeds are derived)."""
+    seed = check_count(seed, "seed", minimum=None)
     specs = load_corpus(corpus_dir)
     results = []
     skipped = Counter()
     for idx, spec in enumerate(sorted(specs, key=lambda s: s.id)):
         with naming_instance(spec.id):
-            inst_seed = derive_seed(int(seed), idx)
+            inst_seed = derive_seed(seed, idx)
             bracket = None if spec.lcd is None else compute_lcd(spec.a, spec.lcd)
             searches = _witness_searches(spec)
             # the instance's exact law, convolved at its first use: every exact Q
@@ -490,7 +492,7 @@ def run_verification(
             if bracket is not None:
                 results.extend(_check_lcd_agreement(spec, bracket, skipped))
     return VerificationReport(
-        results=results, n_instances=len(specs), seed=int(seed), skipped=dict(skipped)
+        results=results, n_instances=len(specs), seed=seed, skipped=dict(skipped)
     )
 
 

@@ -106,6 +106,23 @@ def oracle_dedupe_points(points, weights, tol):
     return merged, wsum
 
 
+def oracle_weighted_sum_distribution(support, probs, rows):
+    """Atoms and weights of the law of sum_k X_k a_k by the plain route: each
+    step concatenates one shifted copy of the points per step atom, in the
+    atoms' order, and merges them within 1e-9 by ``oracle_dedupe_points``; the
+    result merges once more within 1e-12, as a law's construction does."""
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim == 1:
+        rows = rows[:, None]
+    pts = np.zeros((1, rows.shape[1]))
+    w = np.ones(1)
+    for row in rows:
+        pts = np.concatenate([x * row + pts for x in support])
+        w = np.concatenate([p * w for p in probs])
+        pts, w = oracle_dedupe_points(pts, w, 1e-9)
+    return oracle_dedupe_points(pts, w, 1e-12)
+
+
 def _circumcenter(pts):
     """Center equidistant from all rows of pts, or None when degenerate."""
     pts = np.asarray(pts, dtype=float)

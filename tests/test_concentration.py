@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -291,6 +292,69 @@ def test_weighted_sum_distribution_refuses_a_nan_budget():
     # every comparison with NaN is false: the convolution ran with no cap
     with pytest.raises(DomainError, match="^budget: expected an integer of at least 0, got nan$"):
         weighted_sum_distribution(RAD, WeightVector([1.0, 2.0]), math.nan)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    step=st.sampled_from(["rademacher", "uniform3", "bernoulli"]),
+    p=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+    dim=st.integers(1, 3),
+    generic=st.booleans(),
+)
+def test_weighted_sum_distribution_matches_the_plain_route_bit_for_bit(data, step, p, dim, generic):
+    # equal step weights sort in place, unequal ones through one permutation;
+    # small integer and half-integer rows, zero rows, repeats and negative
+    # rows force merges, and bernoulli(0) or (1) leaves zero-weight atoms
+    x = {
+        "rademacher": RAD,
+        "uniform3": U3,
+        "bernoulli": DiscreteDistribution.from_shorthand(f"bernoulli({p})"),
+    }[step]
+    n = data.draw(st.integers(1, {1: 9, 2: 7, 3: 5}[dim] - (step == "uniform3")), label="n")
+    if generic:
+        entry = st.floats(-2.0, 2.0, allow_nan=False, allow_subnormal=False)
+    else:
+        entry = st.integers(-4, 4).map(lambda v: v / 2)
+    rows = np.array(
+        data.draw(
+            st.lists(st.lists(entry, min_size=dim, max_size=dim), min_size=n, max_size=n),
+            label="rows",
+        ),
+        dtype=float,
+    )
+    assume(np.any(rows))
+    got = weighted_sum_distribution(x, WeightVector(rows))
+    want_pts, want_w = O.oracle_weighted_sum_distribution(x.atoms[:, 0], x.weights, rows)
+    assert got.atoms.tobytes() == want_pts.tobytes()
+    assert got.weights.tobytes() == want_w.tobytes()
+
+
+def _traced_peak_ratio(x, rows):
+    tracemalloc.start()
+    try:
+        law = weighted_sum_distribution(x, WeightVector(rows))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert law.n_atoms == 2 ** len(rows)  # generic: no merge
+    return peak / (law.atoms.nbytes + law.weights.nbytes)
+
+
+def test_convolution_holds_one_copy_of_each_step():
+    # a step holds one copy of its arrays, and with unequal weights one
+    # permutation and one gathered copy more; a step that also held sorted
+    # copies and a full-size diff, and a law that copied them, read 2.63
+    rows = np.random.default_rng(0).uniform(0.3, 2.0, 16)
+    assert _traced_peak_ratio(RAD, rows) <= 1.55
+    assert _traced_peak_ratio(B3, rows) <= 2.05
+
+
+def test_convolved_law_is_read_only():
+    # the law adopts the convolution's arrays uncopied and must still freeze them
+    for x in (RAD, B3):
+        law = weighted_sum_distribution(x, WeightVector([1.0, 2.5, -0.5]))
+        assert not law.atoms.flags.writeable and not law.weights.flags.writeable
 
 
 def test_mc_q_refuses_a_fractional_sample_count():

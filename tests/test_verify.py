@@ -10,7 +10,7 @@ import pytest
 
 from anticonc import concentration, progressions, verify
 from anticonc.concentration import WeightVector
-from anticonc.errors import InputError
+from anticonc.errors import DomainError, InputError
 from anticonc.cli import main
 from anticonc.instances import load_corpus, load_instances
 from anticonc.lcd import LcdParams, violation_condition
@@ -60,6 +60,25 @@ def test_verdict_is_seed_independent():
     b = run_verification(seed=123456)
     assert a.passed == b.passed
     assert a.counts() == b.counts()
+
+
+@pytest.mark.parametrize("seed", [1.5, True, "1", None])
+def test_seed_that_is_not_an_integer_is_refused(seed):
+    # int(seed) read 1.5 and True as seed 1, and the report said seed 1
+    with pytest.raises(DomainError, match="^seed: expected an integer, got "):
+        run_verification(seed=seed)
+
+
+def test_any_integer_seed_runs_masked_to_64_bits(tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    shutil.copy(CORPUS / "02-ones-10.json", corpus)
+    a = run_verification(corpus, seed=-3).to_json_obj()
+    b = run_verification(corpus, seed=np.int64(-3)).to_json_obj()
+    c = run_verification(corpus, seed=2**64 - 3).to_json_obj()
+    assert json.dumps(a) == json.dumps(b)
+    assert a["seed"] == -3 and c["seed"] == 2**64 - 3
+    assert json.dumps(a["results"]) == json.dumps(c["results"])
 
 
 def test_corrupted_expected_value_is_caught(tmp_path):
