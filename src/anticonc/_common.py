@@ -21,8 +21,6 @@ GEOM_TOL = 1e-12
 # Slack for closed 1-d window sweeps.  Must dominate GEOM_TOL so that uniform
 # window inflation can never break covering inequalities between dimensions.
 WINDOW_TOL = 3e-12
-# Consecutive gaps that one block of the merge scan forms at once.
-_MERGE_BLOCK = 1 << 12
 
 _MASK64 = (1 << 64) - 1
 # The scalar types the number rules read as numbers; a bool is refused apart.
@@ -139,19 +137,16 @@ def merge_sorted(p: np.ndarray, w: np.ndarray, tol: float):
     Groups are maximal runs of points whose consecutive gaps stay within
     ``tol``; each group collapses to its weighted mean.  The run rule is
     invariant under negation of the whole point set, which keeps symmetrized
-    supports symmetric.  The gaps are formed ``_MERGE_BLOCK`` at a time, so
-    the scan holds one flag per point, and when none merge ``p`` and ``w``
-    come back as they are, not copied.
+    supports symmetric.  When none merge ``p`` and ``w`` come back as they
+    are, not copied.
     """
-    n = p.shape[0]
-    starts = np.ones(n, dtype=bool)
+    starts = np.ones(p.shape[0], dtype=bool)
     with np.errstate(over="ignore"):  # a gap past the float range is inf: no merge
-        for lo in range(0, n - 1, _MERGE_BLOCK):
-            hi = min(lo + _MERGE_BLOCK, n - 1)
-            gaps = p[lo + 1 : hi + 1] - p[lo:hi]
-            # on the line the max-norm gaps are the differences themselves
-            gaps = gaps[:, 0] if p.shape[1] == 1 else np.max(np.abs(gaps), axis=1)
-            np.greater(gaps, tol, out=starts[lo + 1 : hi + 1])
+        gaps = np.diff(p, axis=0)
+        # on the line the max-norm gaps are the differences themselves
+        gaps = gaps[:, 0] if p.shape[1] == 1 else np.max(np.abs(gaps), axis=1)
+        np.greater(gaps, tol, out=starts[1:])
+    del gaps
     if starts.all():
         return p, w
     group = np.cumsum(starts)
@@ -163,10 +158,8 @@ def merge_sorted(p: np.ndarray, w: np.ndarray, tol: float):
         merged[:, j] = np.bincount(group, weights=w * p[:, j], minlength=k)
     del group
     pos = wsum > 0
-    if pos.all():
-        merged /= wsum[:, None]  # in place: no masked copies
-    else:
-        merged[pos] /= wsum[pos, None]
+    np.divide(merged, wsum[:, None], out=merged, where=pos[:, None])
+    if not pos.all():
         # zero-weight groups keep their first member verbatim
         merged[~pos] = p[starts][~pos]
     return merged, wsum

@@ -1,7 +1,6 @@
 import math
 import struct
 import sys
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles as O
-from anticonc import _common
 from anticonc._common import (
     as_points,
     check_count,
@@ -114,12 +112,10 @@ def test_dedupe_on_the_line_matches_the_lexsort_route(
     dim=st.integers(1, 3),
     ties=st.booleans(),
     zero_weights=st.booleans(),
-    block=st.sampled_from([1, 2, 3, 7, 4096]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_merge_scans_its_gaps_in_blocks_as_one_scan(n, dim, ties, zero_weights, block, seed):
-    # runs closer than the tolerance that cross a block boundary merge as in
-    # one full-size scan
+def test_merge_of_sorted_rows_matches_the_plain_merge(n, dim, ties, zero_weights, seed):
+    # lexsorted rows, with runs closer than the tolerance and zero-weight groups
     rng = np.random.default_rng(seed)
     p = rng.integers(-2, 3, size=(n, dim)) * 0.5 if ties else rng.uniform(-2.0, 2.0, (n, dim))
     p[rng.random(n) < 0.3] += 1e-13
@@ -127,8 +123,7 @@ def test_merge_scans_its_gaps_in_blocks_as_one_scan(n, dim, ties, zero_weights, 
     w = rng.uniform(0.0, 1.0, size=n)
     if zero_weights:
         w[::2] = 0.0
-    with mock.patch.object(_common, "_MERGE_BLOCK", block):
-        pts, wts = merge_sorted(p, w, 1e-12)
+    pts, wts = merge_sorted(p, w, 1e-12)
     want_pts, want_wts = O.oracle_dedupe_points(p, w, 1e-12)
     np.testing.assert_array_equal(_bits(pts), _bits(want_pts))
     np.testing.assert_array_equal(_bits(wts), _bits(want_wts))

@@ -342,11 +342,12 @@ def _traced_peak_ratio(x, rows):
 
 
 def test_convolution_holds_one_copy_of_each_step():
-    # a step holds one copy of its arrays, and with unequal weights one
+    # a step holds one copy of its arrays, and the merge scan one gap and one
+    # flag per point more (1.5625); with unequal weights a step holds one
     # permutation and one gathered copy more; a step that also held sorted
-    # copies and a full-size diff, and a law that copied them, read 2.63
+    # copies, and a law that copied them, read 2.63
     rows = np.random.default_rng(0).uniform(0.3, 2.0, 16)
-    assert _traced_peak_ratio(RAD, rows) <= 1.55
+    assert _traced_peak_ratio(RAD, rows) <= 1.6
     assert _traced_peak_ratio(B3, rows) <= 2.05
 
 
