@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cache
 
 import numpy as np
 
@@ -378,21 +379,23 @@ def _reference_entry(est: ConcentrationEstimate) -> dict:
 
 
 def _smoothed_reference(
-    a: WeightVector,
+    h: CompoundPoisson,
+    h_hat,
     power: float,
     window: float,
     mc_samples: int,
     seed: int,
     constants: ConstantsConfig,
 ) -> dict:
-    """Monte Carlo estimate of Q(H^power, window) with a smoothing-integral cross-check."""
-    law = smoothing_law(a, power)
-    est = mc_q(law, window, mc_samples, seed)
-    f_hat = h_char_fn(a)
+    """Monte Carlo estimate of Q(H^power, window) with a smoothing-integral
+    cross-check, H = ``smoothing_law(a)`` and ``h_hat = h_char_fn(a)``; H with
+    its intensity scaled by ``power`` is ``smoothing_law(a, power)`` bit for bit."""
+    power = check_scale(power, "power", finite=True)
+    est = mc_q(CompoundPoisson(h.intensity * power, h.base), window, mc_samples, seed)
     entry = _reference_entry(est)
     try:
         cross = esseen_upper_q(
-            lambda ts: f_hat(ts) ** power, window, a.dim, constants.c_esseen
+            lambda ts: h_hat(ts) ** power, window, h.dim, constants.c_esseen
         )
         entry["esseen_upper"] = cross.value
     except DomainError as exc:
@@ -486,22 +489,20 @@ def build_bound_report(
     q_est = _estimate_q(x, a, tau, mc_samples, derive_seed(seed_int, 1))
     references["q"] = _reference_entry(q_est)
 
-    # Smoothed references Q(H^power, window), each made once per (power,
-    # window, seed stream) and handed out as its own entry.  The kappa-window
-    # pair for the plain and refined transfers shares seed stream 2 so their
-    # comparison is coupled; with equal powers they are one computation.
-    memo = {}
+    # Smoothed references Q(H^power, window) of one smoothing law H, each made
+    # once per (power, window, seed stream) and handed out as its own entry.
+    # The kappa-window pair for the plain and refined transfers shares seed
+    # stream 2 so their comparison is coupled; with equal powers they are one.
+    h, h_hat = smoothing_law(a), h_char_fn(a)
 
+    @cache
     def smoothed(power, window, stream):
-        if (power, window, stream) not in memo:
-            memo[power, window, stream] = _smoothed_reference(
-                a, power, window, mc_samples, derive_seed(seed_int, stream), constants
-            )
-        return dict(memo[power, window, stream])
+        seed = derive_seed(seed_int, stream)
+        return _smoothed_reference(h, h_hat, power, window, mc_samples, seed, constants)
 
-    references["q_h_p_kappa"] = q_h_p_kappa = smoothed(p_val, kappa, 2)
-    references["q_h_lambda_kappa"] = q_h_lambda_kappa = smoothed(lam_transfer, kappa, 2)
-    references["q_h_p_delta"] = q_h_p_delta = smoothed(p_val, delta, 3)
+    references["q_h_p_kappa"] = q_h_p_kappa = dict(smoothed(p_val, kappa, 2))
+    references["q_h_lambda_kappa"] = q_h_lambda_kappa = dict(smoothed(lam_transfer, kappa, 2))
+    references["q_h_p_delta"] = q_h_p_delta = dict(smoothed(p_val, delta, 3))
 
     c_d = constants.c_d
     window = _window(kappa, delta, d)  # inf past the float range, even at a zero mass
@@ -514,14 +515,11 @@ def build_bound_report(
     )
 
     if d == 1:
-        m_star = spectral_measure(a.rows)
-        # gamma_rs searches beta_rm's family, so gamma* at cap s is the beta search at cap s
-        star = {
-            (t, k): beta_rm(m_star, t, r, k).value
-            for t, k in {(t, k) for t in (delta, kappa) for k in (m, s)}
-        }
-        beta_delta, gamma_delta = star[delta, m], star[delta, s]
-        beta_kappa, gamma_kappa = star[kappa, m], star[kappa, s]
+        # one search per (window, cap) on H's base, the spectral measure; gamma_rs
+        # searches beta_rm's family, so gamma* at cap s is the beta search at cap s
+        star = cache(lambda t, k: beta_rm(h.base, t, r, k).value)
+        beta_delta, gamma_delta = star(delta, m), star(delta, s)
+        beta_kappa, gamma_kappa = star(kappa, m), star(kappa, s)
         guards.update(beta_star_delta=beta_delta, gamma_star_delta=gamma_delta,
                       beta_star_kappa=beta_kappa, gamma_star_kappa=gamma_kappa)
 
@@ -556,7 +554,7 @@ def build_bound_report(
             guards["p_tau_d"] = p_td
             guards["lambda_tau_d"] = lam_td
             guards["m2_tau_d"] = m2_td
-            references["q_h_b_invd"] = smoothed(smoothing_power, 1.0 / big_d, 5)
+            references["q_h_b_invd"] = dict(smoothed(smoothing_power, 1.0 / big_d, 5))
         _, det_gram = a.gram()
 
         def lcd_form(mass, exp_coeff=4.0):

@@ -25,6 +25,7 @@ from ._common import (
     check_count,
     check_scale,
     distinct_rows,
+    float_array,
     make_rng,
     merge_sorted,
 )
@@ -86,7 +87,9 @@ class WeightVector:
         passed as a (1, d) array.
         """
         grid = as_points(ts, self.dim)
-        return grid, grid @ self._rows.T
+        # a phase past the float range is refused by the array rule, not a warning
+        with np.errstate(over="ignore"), naming_field("phases <t, a_k>", DomainError):
+            return grid, float_array(grid @ self._rows.T)
 
     def spectral_norm(self) -> float:
         return float(np.linalg.norm(self._rows, 2))

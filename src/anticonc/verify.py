@@ -13,6 +13,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache, partial
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .distributions import (
 from .errors import CapacityError, ChainViolationError, DomainError, InputError, naming_instance
 from .instances import EXPECTED_FIELDS, load_corpus
 from .lcd import LcdParams, compute_lcd, violation_condition
-from .progressions import beta_rm, gamma_rs, uncovered_mass
+from .progressions import _check_search_args, beta_rm, uncovered_mass
 
 CHECK_NAMES = (
     "expected",
@@ -136,9 +137,9 @@ def _functional_ratios(g) -> list:
     return sorted(p for p in probes if p > 0)
 
 
-def _check_expected(spec, law, budget, skipped, bracket, searches) -> list:
+def _check_expected(spec, rec) -> list:
     results = []
-    g = symmetrize(spec.x)
+    g = rec.g()
     for key, entries in sorted(spec.expected.items()):
         if isinstance(entries, dict):
             entries = [entries]
@@ -147,13 +148,9 @@ def _check_expected(spec, law, budget, skipped, bracket, searches) -> list:
             continue
         for entry in entries:
             try:
-                results.append(
-                    _check_expected_entry(
-                        spec, g, key, entry, law, budget, bracket, searches
-                    )
-                )
+                results.append(_check_expected_entry(spec, g, key, entry, rec))
             except CapacityError:
-                skipped["expected"] += 1
+                rec.skipped["expected"] += 1
             except (InputError, DomainError) as exc:
                 results.append(_fail(spec.id, "expected", field=key, reason=str(exc)))
     return results
@@ -167,14 +164,12 @@ def _entry_field(entry, name, kind=float, default=None):
     return json_number(entry[name], f"field {name!r}", kind)
 
 
-def _check_expected_entry(
-    spec, g, key, entry, law, budget, bracket, searches
-) -> CheckResult:
+def _check_expected_entry(spec, g, key, entry, rec) -> CheckResult:
     json_object(entry, *EXPECTED_FIELDS[key])
     num = partial(_entry_field, entry)
     if key == "q":
         tau = num("tau")
-        got = exact_q_of_distribution(law(), tau, budget)
+        got = exact_q_of_distribution(rec.law(), tau, rec.budget)
     elif key == "p":
         got = tail_mass(g, num("ratio"))
     elif key == "lambda1":
@@ -189,8 +184,7 @@ def _check_expected_entry(
         )
         value = num("value")
         tol = num("tol", default=1e-5)
-        # an entry with the instance's parameters reads the instance's bracket
-        res = bracket if params == spec.lcd else compute_lcd(spec.a, params)
+        res = rec.bracket(params)
         inside = res.d_lower - tol <= value and (
             math.isinf(res.d_upper) or value <= res.d_upper + tol
         )
@@ -206,15 +200,12 @@ def _check_expected_entry(
             converged=res.converged,
         )
     else:  # beta or gamma_fit
-        search = (num("tau"), num("r", int), num("m" if key == "beta" else "s", int))
-        # both classes share one search: an entry with the window, rank and
-        # cap of one of the instance's witness searches reads its value
-        if search in searches:
-            got = searches[search].value
-        else:
-            got = (beta_rm if key == "beta" else gamma_rs)(
-                spectral_measure(spec.a.rows), *search
-            ).value
+        tau, r, k = num("tau"), num("r", int), num("m" if key == "beta" else "s", int)
+        if key == "gamma_fit":
+            # gamma_rs states beta_rm's winner at the same cap, so the entry reads
+            # that search after gamma_rs's own argument check, which names cap s
+            _check_search_args(rec.measure(), tau, r, s=k)
+        got = rec.search(tau, r, k).value
     want = num("value")
     tol = num("tol", default=1e-12 if key in ("beta", "gamma_fit") else 1e-9)
     if abs(got - want) <= tol:
@@ -222,18 +213,18 @@ def _check_expected_entry(
     return _fail(spec.id, "expected", field=key, want=want, got=got, tol=tol)
 
 
-def _check_regularity(spec, law, budget, skipped) -> list:
+def _check_regularity(spec, rec) -> list:
     tau = spec.parameters.get("tau")
     # the pairs scale tau, and both radii of a regularity check must be positive
     if tau is None or tau <= 0:
         return []
     try:
         checks = [
-            regularity_check(law(), mu_f * tau, lam_f * tau, budget)
+            regularity_check(rec.law(), mu_f * tau, lam_f * tau, rec.budget)
             for mu_f, lam_f in _REGULARITY_PAIRS
         ]
     except CapacityError:
-        skipped["regularity"] += len(_REGULARITY_PAIRS)
+        rec.skipped["regularity"] += len(_REGULARITY_PAIRS)
         return []
     results = []
     for (mu_f, lam_f), rc in zip(_REGULARITY_PAIRS, checks):
@@ -272,8 +263,9 @@ def _chain_grid(spec, rng, lcd_radius) -> np.ndarray:
     return np.vstack([base, extra])
 
 
-def _check_chain(spec, seed, bracket) -> list:
-    rng = make_rng(derive_seed(seed, 17))
+def _check_chain(spec, rec) -> list:
+    bracket = None if spec.lcd is None else rec.bracket(spec.lcd)
+    rng = make_rng(derive_seed(rec.seed, 17))
     grid = _chain_grid(spec, rng, None if bracket is None else bracket.d_lower)
     try:
         if bracket is not None and bracket.d_lower > 0:
@@ -304,8 +296,8 @@ def _check_chain(spec, seed, bracket) -> list:
     return [_ok(spec.id, "chain", n_points=rep.n_points, lcd_checks=rep.lcd_checks)]
 
 
-def _check_functionals(spec) -> list:
-    g = symmetrize(spec.x)
+def _check_functionals(spec, rec) -> list:
+    g = rec.g()
     results = []
     for ratio in _functional_ratios(g):
         p = tail_mass(g, ratio)
@@ -325,18 +317,18 @@ def _check_functionals(spec) -> list:
     return results
 
 
-def _check_projection(spec, law, budget, skipped) -> list:
+def _check_projection(spec, rec) -> list:
     tau = spec.parameters.get("tau")
     if spec.a.dim < 2 or tau is None:
         return []
     try:
-        full = exact_q_of_distribution(law(), tau, budget)
+        full = exact_q_of_distribution(rec.law(), tau, rec.budget)
         coords = [
-            exact_q(spec.x, spec.a.coordinate(j), tau, budget=budget).value
+            exact_q(spec.x, spec.a.coordinate(j), tau, budget=rec.budget).value
             for j in range(spec.a.dim)
         ]
     except CapacityError:
-        skipped["projection"] += 1
+        rec.skipped["projection"] += 1
         return []
     bound = min(coords)
     if full <= bound + _SLACK:
@@ -344,23 +336,15 @@ def _check_projection(spec, law, budget, skipped) -> list:
     return [_fail(spec.id, "projection", q=full, coordinate_min=bound)]
 
 
-def _witness_searches(spec) -> dict:
-    """The instance's ``beta_rm`` results keyed by (window, rank, cap): first
-    its witness search, then the rank-zero search at cap 1; none off the line
-    or without a window."""
+def _check_witness(spec, rec) -> list:
+    """Replay the search at the instance's caps and check the rank-zero search
+    at cap 1 against the tail mass; none off the line or without a window."""
     window = spec.window
     if spec.a.dim != 1 or window is None:
-        return {}
-    w = spectral_measure(spec.a.rows)
-    searches = ((window, *spec.caps[:2]), (window, 0, 1))
-    return {search: beta_rm(w, *search) for search in dict.fromkeys(searches)}
-
-
-def _check_witness(spec, searches) -> list:
-    if not searches:
         return []
-    w = spectral_measure(spec.a.rows)
-    (window, _, _), res = next(iter(searches.items()))  # the witness search
+    res = rec.search(window, *spec.caps[:2])
+    base = rec.search(window, 0, 1)
+    w = rec.measure()
     results = []
 
     again = uncovered_mass(w, res.witness.points(), window)
@@ -371,7 +355,6 @@ def _check_witness(spec, searches) -> list:
             _fail(spec.id, "witness", kind="replay", value=res.value, replayed=again)
         )
 
-    base = searches[window, 0, 1]
     tail = tail_mass(w, window)
     if base.value == tail and base.exact:
         results.append(_ok(spec.id, "witness", kind="rank_zero", value=tail))
@@ -434,7 +417,10 @@ def _scan_first_violation(a, params, theta, step) -> float | None:
     return hi
 
 
-def _check_lcd_agreement(spec, res, skipped) -> list:
+def _check_lcd_agreement(spec, rec) -> list:
+    if spec.lcd is None:
+        return []
+    res = rec.bracket(spec.lcd)
     results = []
     if res.witness_t is not None:
         if violation_condition(res.witness_t, spec.a, spec.lcd):
@@ -449,7 +435,7 @@ def _check_lcd_agreement(spec, res, skipped) -> list:
         theta = res.d_upper if math.isfinite(res.d_upper) else res.d_lower
         theta = theta * 1.001 + 1e-9
         if theta / _SCAN_STEP > _SCAN_POINTS:
-            skipped["lcd_agreement"] += 1
+            rec.skipped["lcd_agreement"] += 1
             return results
         scan = _scan_first_violation(spec.a, spec.lcd, theta, _SCAN_STEP)
         if scan is not None and scan < res.d_lower - 1e-6:
@@ -463,6 +449,24 @@ def _check_lcd_agreement(spec, res, skipped) -> list:
     return results
 
 
+def _instance_record(spec, seed, budget, skipped) -> SimpleNamespace:
+    """What the checks of one instance share, each made at its first use: the
+    exact law at ``budget``, the symmetrized step law, the spectral measure, a
+    ``beta_rm`` search per (window, rank, cap) and an LCD bracket per parameter
+    set.  Nothing that raises is kept, so each check counts its own skips."""
+    measure = cache(partial(spectral_measure, spec.a.rows))
+    return SimpleNamespace(
+        law=cache(partial(weighted_sum_distribution, spec.x, spec.a, budget)),
+        g=cache(partial(symmetrize, spec.x)),
+        measure=measure,
+        search=cache(lambda window, r, cap: beta_rm(measure(), window, r, cap)),
+        bracket=cache(partial(compute_lcd, spec.a)),
+        seed=seed,
+        budget=budget,
+        skipped=skipped,
+    )
+
+
 def run_verification(
     corpus_dir=None, seed: int = 0, exact_budget: int = 2_000_000
 ) -> VerificationReport:
@@ -474,23 +478,10 @@ def run_verification(
     skipped = Counter()
     for idx, spec in enumerate(sorted(specs, key=lambda s: s.id)):
         with naming_instance(spec.id):
-            inst_seed = derive_seed(seed, idx)
-            bracket = None if spec.lcd is None else compute_lcd(spec.a, spec.lcd)
-            searches = _witness_searches(spec)
-            # the instance's exact law, convolved at its first use: every exact Q
-            # of the instance sweeps it, and a law past the budget raises
-            # CapacityError at each use, so each check counts its own skips
-            law = cache(partial(weighted_sum_distribution, spec.x, spec.a, exact_budget))
-            results.extend(
-                _check_expected(spec, law, exact_budget, skipped, bracket, searches)
-            )
-            results.extend(_check_regularity(spec, law, exact_budget, skipped))
-            results.extend(_check_chain(spec, inst_seed, bracket))
-            results.extend(_check_functionals(spec))
-            results.extend(_check_projection(spec, law, exact_budget, skipped))
-            results.extend(_check_witness(spec, searches))
-            if bracket is not None:
-                results.extend(_check_lcd_agreement(spec, bracket, skipped))
+            rec = _instance_record(spec, derive_seed(seed, idx), exact_budget, skipped)
+            for check in (_check_expected, _check_regularity, _check_chain, _check_functionals,
+                          _check_projection, _check_witness, _check_lcd_agreement):
+                results.extend(check(spec, rec))
     return VerificationReport(
         results=results, n_instances=len(specs), seed=seed, skipped=dict(skipped)
     )

@@ -19,7 +19,7 @@ from anticonc.bounds import (
     smoothing_law,
     verify_pointwise_chain,
 )
-from anticonc.concentration import WeightVector
+from anticonc.concentration import WeightVector, mc_q
 from anticonc.distributions import DiscreteDistribution, spectral_measure
 from anticonc.errors import ChainViolationError, DomainError, InputError
 from anticonc.instances import load_corpus
@@ -246,6 +246,26 @@ def test_chain_refuses_a_nan_grid_point():
         verify_pointwise_chain(WeightVector([[1.0], [2.0]]), [math.nan])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("weight", [5e307, 1e308])
+def test_chain_refuses_phases_past_the_float_range(weight):
+    # 8 * 5e307 overflows: every comparison on the inf phase ran on NaN, and the chain passed
+    with pytest.raises(DomainError, match=r"^phases <t, a_k>: expected finite numbers, got -inf$"):
+        verify_pointwise_chain(WeightVector([[weight], [1.0]]), np.linspace(-8.0, 8.0, 17))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_report_skips_the_esseen_cross_check_where_phases_overflow():
+    # at window 0.01 the quadrature reads t up to about 628: 628 * 1e307 is past the float range
+    a = WeightVector([[1e307], [1.0]])
+    rep = build_bound_report(RAD, a, tau=0.01, kappa=0.01, delta=0.01, mc_samples=2000)
+    for name in ("q_h_p_kappa", "q_h_lambda_kappa", "q_h_p_delta"):
+        ref = rep.references[name]
+        assert ref["esseen_upper"] is None
+        assert ref["esseen_skipped"].startswith("phases <t, a_k>: expected finite numbers, got ")
+        assert 0.0 <= ref["value"] <= 1.0
+
+
 def test_chain_lcd_branch_counts_premise_failures():
     a = WeightVector(np.ones((4, 1)))
     # D far above the true denominator: the premise must fail somewhere
@@ -367,11 +387,39 @@ def test_report_computes_equal_kappa_references_once(x, calls):
     )
     # the entry the report would hold had the kappa reference been recomputed
     direct = bounds._smoothed_reference(
-        a, rep.guards["lambda_tau_over_kappa"], 1.0, 2000, derive_seed(4, 2),
-        ConstantsConfig(),
+        smoothing_law(a), h_char_fn(a), rep.guards["lambda_tau_over_kappa"], 1.0, 2000,
+        derive_seed(4, 2), ConstantsConfig(),
     )
     assert rep.references["q_h_lambda_kappa"] == direct
     assert rep.references["q_h_lambda_kappa"] is not rep.references["q_h_p_kappa"]
+
+
+def test_report_builds_its_smoothing_law_once():
+    # uniform{-1,0,1} gives three distinct references (p != lambda at kappa),
+    # all drawn from one H; the coverage searches read H's spectral measure
+    a = WeightVector(np.ones((6, 1)))
+    spies = {
+        name: mock.patch.object(bounds, name, wraps=getattr(bounds, name))
+        for name in ("spectral_measure", "smoothing_law", "h_char_fn", "_smoothed_reference")
+    }
+    with spies["spectral_measure"] as measure, spies["smoothing_law"] as law, \
+         spies["h_char_fn"] as char_fn, spies["_smoothed_reference"] as refs:
+        build_bound_report(UNIFORM3, a, tau=1.5, kappa=1.0, delta=0.5, mc_samples=2000)
+    assert refs.call_count == 3
+    assert (measure.call_count, law.call_count, char_fn.call_count) == (1, 1, 1)
+
+
+@pytest.mark.parametrize("power", [0.0, 0.25, 1.0, 1.7, 3.0])
+def test_smoothed_reference_draws_from_the_scaled_smoothing_law(power):
+    # H with its intensity scaled by power is smoothing_law(a, power) bit for bit
+    a = WeightVector(np.array([[0.7], [1.3], [1.9]]))
+    h = smoothing_law(a)
+    scaled = smoothing_law(a, power)
+    entry = bounds._smoothed_reference(h, h_char_fn(a), power, 0.5, 2000, 9, ConstantsConfig())
+    assert h.intensity * power == scaled.intensity
+    assert entry["value"] == mc_q(scaled, 0.5, 2000, 9).value
+    with pytest.raises(DomainError, match="^power: "):
+        bounds._smoothed_reference(h, h_char_fn(a), -power - 1.0, 0.5, 2000, 9, ConstantsConfig())
 
 
 _GENERIC = WeightVector(np.array([[0.7], [1.3], [1.9], [0.45], [2.6], [3.3]]))

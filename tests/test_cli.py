@@ -127,6 +127,29 @@ def test_exact_q_near_the_float_maximum_raises_no_warning(capsys, tmp_path):
     assert json.loads(out)["value"] == 0.5
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "weight, argv",
+    [(5e307, ["verify"]), (1e308, ["q", "--method", "esseen"])],
+    ids=["verify", "q-esseen"],
+)
+def test_phases_past_the_float_range_exit_two(capsys, tmp_path, weight, argv):
+    # a chain or quadrature phase t * weight overflows: verify passed its chain on
+    # NaN phases, and the quadrature ran out of its interval budget
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "huge.json").write_text(json.dumps({
+        "id": "huge", "distribution": "rademacher", "weights": [weight, 1],
+        "parameters": {"tau": 0.5, "kappa": 1, "delta": 0.5},
+    }))
+    target = corpus if argv[0] == "verify" else corpus / "huge.json"
+    code, out, err = run([argv[0], str(target), *argv[1:]], capsys)
+    assert code == 2 and out == ""
+    assert err.strip().endswith(
+        "instance 'huge': phases <t, a_k>: expected finite numbers, got -inf"
+    )
+
+
 def test_non_converged_quadrature_is_exit_one(capsys, tmp_path):
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps({

@@ -12,7 +12,7 @@ from anticonc import concentration, progressions, verify
 from anticonc.concentration import WeightVector
 from anticonc.errors import DomainError, InputError
 from anticonc.cli import main
-from anticonc.instances import load_corpus, load_instances
+from anticonc.instances import load_corpus
 from anticonc.lcd import LcdParams, violation_condition
 from anticonc.verify import CHECK_NAMES, run_verification
 
@@ -124,6 +124,13 @@ def test_corrupted_lcd_expectation_is_caught(tmp_path):
          "gamma must lie strictly between 0 and 1"),
         ("beta", {"tau": 0.5, "r": 1.5, "m": 1, "value": 1.0},
          "field 'r': expected an integer, got 1.5"),
+        # a gamma_fit entry reads the beta_rm search at its cap, which keeps its own name
+        ("gamma_fit", {"tau": 0.5, "r": 1, "s": 0, "value": 0.0},
+         "cap s: expected an integer of at least 1, got 0"),
+        ("gamma_fit", {"tau": -1.0, "r": 1, "s": 0, "value": 0.0},
+         "tau: expected a nonnegative number, got -1.0"),
+        ("beta", {"tau": 0.5, "r": 1, "m": 0, "value": 0.0},
+         "cap m: expected an integer of at least 1, got 0"),
         ("q", [3], "expected an object, got 3"),
         # Python's json reads Infinity and NaN: an infinite tol would pass any value
         ("q", {"tau": 1.5, "value": 0.999, "tol": float("inf")},
@@ -132,7 +139,7 @@ def test_corrupted_lcd_expectation_is_caught(tmp_path):
          "field 'value': expected a finite number, got nan"),
     ],
     ids=["missing", "non-numeric", "lcd-non-numeric", "out-of-domain", "non-integer",
-         "list-item", "tol-inf", "value-nan"],
+         "gamma-fit-cap", "gamma-fit-tau-first", "beta-cap", "list-item", "tol-inf", "value-nan"],
 )
 def test_malformed_expected_entry_fails_with_reason(tmp_path, key, entry, reason):
     corpus = tmp_path / "corpus"
@@ -179,10 +186,10 @@ def test_lcd_entry_with_the_instance_parameters_reuses_its_bracket(tmp_path):
     (corpus / "11.json").write_text(json.dumps(obj))
     with mock.patch.object(verify, "compute_lcd", wraps=verify.compute_lcd) as spy:
         report = run_verification(corpus)
-    # one bracket for the instance (and the entry sharing its parameters), one
-    # for each gamma = 0.5 entry, each judged against its own bracket
+    # one bracket per parameter set: the instance's (shared by the entry with its
+    # parameters) and one that both gamma = 0.5 entries are judged against
     gammas = [call.args[1].gamma for call in spy.call_args_list]
-    assert gammas == [0.9, 0.5, 0.5]
+    assert gammas == [0.9, 0.5]
     lcd = [r for r in report.results if r.detail.get("field") == "lcd"]
     assert [r.passed for r in lcd] == [True, True, False]
     assert lcd[2].detail["d_lower"] == pytest.approx(2.0 / 3.0, abs=1e-5)
@@ -210,8 +217,10 @@ def test_search_entry_with_a_witness_search_key_reuses_its_result(tmp_path):
     search = progressions._coverage_search
     with mock.patch.object(progressions, "_coverage_search", wraps=search) as spy:
         report = run_verification(corpus)
+    # each distinct search runs once, in the order of first use: the entries
+    # (beta, then gamma_fit at the witness key) come before the witness check
     assert [call.args[1:4] for call in spy.call_args_list] == [
-        (0.5, 1, 3), (0.5, 0, 1), (0.5, 1, 5)
+        (0.5, 0, 1), (0.5, 1, 5), (0.5, 1, 3)
     ]
     entries = [r for r in report.results if r.check == "expected"]
     assert [r.passed for r in entries] == [True, True, True, False]
@@ -273,10 +282,32 @@ def test_duplicate_ids_rejected_by_bounds(tmp_path, capsys):
     assert "duplicate instance ids ['01-ones-04']" in out.err
 
 
-def test_witness_search_reads_the_instance_caps():
-    # 03-steps-08 sets no caps: r = 1 and m = 3 by default, window delta = 0.5
-    (spec,) = load_instances(CORPUS / "03-steps-08.json")
-    assert list(verify._witness_searches(spec)) == [(0.5, 1, 3), (0.5, 0, 1)]
+def test_witness_search_reads_the_instance_caps(tmp_path):
+    # 03-steps-08 sets no caps and no search entry: r = 1 and m = 3 by default,
+    # window delta = 0.5, then the rank-zero search at cap 1
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    shutil.copy(CORPUS / "03-steps-08.json", corpus)
+    with mock.patch.object(verify, "beta_rm", wraps=progressions.beta_rm) as spy:
+        report = run_verification(corpus)
+    assert [call.args[1:] for call in spy.call_args_list] == [(0.5, 1, 3), (0.5, 0, 1)]
+    assert report.counts()["witness"] == [2, 0]
+
+
+def test_instance_builds_each_shared_law_once(tmp_path):
+    # a 1-D instance with a window and a beta entry off the witness key: one
+    # symmetrized step law and one spectral measure serve every check
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    obj = json.loads((CORPUS / "02-ones-10.json").read_text())
+    obj["expected"]["beta"] = {"m": 5, "r": 1, "tau": 0.5, "value": 0.0}
+    (corpus / "02.json").write_text(json.dumps(obj))
+    with mock.patch.object(verify, "symmetrize", wraps=verify.symmetrize) as sym, \
+         mock.patch.object(verify, "spectral_measure", wraps=verify.spectral_measure) as measure:
+        report = run_verification(corpus)
+    assert report.passed
+    assert sym.call_count == 1
+    assert measure.call_count == 1
 
 
 def test_lcd_scan_past_its_grid_budget_is_skipped(tmp_path):
