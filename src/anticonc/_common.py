@@ -100,6 +100,8 @@ def as_points(arr, dim: int | None = None) -> np.ndarray:
         a = a.reshape(-1, 1)
     elif a.ndim != 2:
         raise DomainError(f"expected a point array, got ndim={a.ndim}")
+    elif a.shape[1] == 0:
+        raise DomainError("expected points in R^d for some d >= 1, got R^0")
     if dim is not None and a.shape[1] != dim:
         raise DomainError(f"expected points in R^{dim}, got R^{a.shape[1]}")
     return a
@@ -115,19 +117,24 @@ def as_vector(t, dim: int) -> np.ndarray:
 
 def dedupe_points(points: np.ndarray, weights: np.ndarray, tol: float):
     """Merge points closer than ``tol`` in max norm along the lexicographic
-    sweep: a stable lexicographic sort, then :func:`merge_sorted`.  Points on
-    the line that are already ascending are not sorted again (a stable sort
-    of them is the identity), and when none of them merge the inputs come
-    back as they are, not copied.
+    sweep: :func:`lex_sorted`, then :func:`merge_sorted`.  When none merge,
+    points already in lexicographic order come back as they are, not copied.
     """
-    points = np.asarray(points, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    if not (points.shape[1] == 1 and np.all(points[1:, 0] >= points[:-1, 0])):
-        order = np.lexsort(points.T[::-1])
-        points = points[order]
-        weights = weights[order]
-        del order  # the permutation is as big as the points: free it early
-    return merge_sorted(points, weights, tol)
+    return merge_sorted(*lex_sorted(points, weights), tol)
+
+
+def lex_sorted(points: np.ndarray, weights: np.ndarray):
+    """``points`` and ``weights`` in stable lexicographic row order; rows
+    already in it come back uncopied (a stable sort of them is the identity)."""
+    # ordered[i]: row i + 1 is not below row i on the columns from j on
+    ordered = points[1:, -1] >= points[:-1, -1]
+    for j in reversed(range(points.shape[1] - 1)):
+        ordered &= points[1:, j] == points[:-1, j]
+        ordered |= points[1:, j] > points[:-1, j]
+    if ordered.all():
+        return points, weights
+    order = np.lexsort(points.T[::-1])
+    return points[order], weights[order]
 
 
 def merge_sorted(p: np.ndarray, w: np.ndarray, tol: float):

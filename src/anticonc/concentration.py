@@ -26,6 +26,7 @@ from ._common import (
     check_scale,
     distinct_rows,
     float_array,
+    lex_sorted,
     make_rng,
     merge_sorted,
 )
@@ -187,9 +188,11 @@ def weighted_sum_distribution(
             raise CapacityError(
                 f"convolution support would exceed budget {budget} at step {k}"
             )
-        shift = np.multiply.outer(xv, a.rows[k])  # (s, d)
-        # each rebinding frees the previous step's array
-        pts = (shift[:, None, :] + pts[None, :, :]).reshape(-1, a.dim)
+        # an atom past the float range is refused by the law's array rule
+        with np.errstate(over="ignore", invalid="ignore"):
+            shift = np.multiply.outer(xv, a.rows[k])  # (s, d)
+            # each rebinding frees the previous step's array
+            pts = (shift[:, None, :] + pts[None, :, :]).reshape(-1, a.dim)
         w = (xw[:, None] * w[None, :]).reshape(-1)
         equal = w.min() == w.max()
         if equal and a.dim == 1:
@@ -200,7 +203,8 @@ def weighted_sum_distribution(
             if not equal:
                 w = w.take(order)
             del order  # as big as the points: free it before the merge
-        pts, w = merge_sorted(pts, w, CONVOLUTION_MERGE_TOL)
+        with np.errstate(invalid="ignore"):
+            pts, w = merge_sorted(pts, w, CONVOLUTION_MERGE_TOL)
     return DiscreteDistribution._adopt(pts, w)
 
 
@@ -215,10 +219,8 @@ def _max_window_mass_1d(z: np.ndarray, w: np.ndarray, tau: float) -> float:
     swept in falling order of their bounds until no bound beats the best
     mass, which is then the full sweep's maximum, bit for bit.
     """
-    if not np.all(z[1:] >= z[:-1]):
-        order = np.argsort(z, kind="stable")
-        z = z[order]
-        w = w[order]
+    z, w = lex_sorted(z[:, None], w)
+    z = z[:, 0]
     n = len(z)
     cw = np.empty(n + 1)
     cw[0] = 0.0
@@ -569,7 +571,9 @@ def mc_q(
     if check_count(n_samples, "n_samples") < _MC_MIN_SAMPLES:
         raise DomainError(f"Monte Carlo needs at least {_MC_MIN_SAMPLES} samples")
     rng = make_rng(seed)
-    samples = _sample_from(sampler, n_samples, rng)
+    # a sample past the float range is refused by the array rule, not a warning
+    with np.errstate(over="ignore", invalid="ignore"), naming_field("samples", DomainError):
+        samples = float_array(_sample_from(sampler, n_samples, rng))
     dim = samples.shape[1]
     if dim > 1:
         # counting draws nothing, so taking the subsample first keeps the stream
@@ -691,24 +695,28 @@ def esseen_upper_q(
     smoothing inequality; the default 1.0 is audited empirically elsewhere.
     The value may exceed 1, in which case the bound is vacuous.  The dual
     radius 1/tau may not exceed (float max / 2^11)^(1/dim): every sum of
-    |f_hat| <= 1 the rules form then stays in the float range.
+    |f_hat| <= 1 the rules form then stays in the float range.  Nor may tau
+    exceed float max^(1/dim), so that tau^dim does.
     """
     check_count(dim, "dim")
-    radius = 1.0 / check_scale(tau, "tau", positive=True, finite=True)
+    t = check_scale(tau, "tau", positive=True, finite=True)
     if dim not in (1, 2, 3):
         raise DomainError("the dual-ball quadrature supports dimensions 1 to 3")
-    limit = (sys.float_info.max / 2**11) ** (1 / dim)
-    if radius > limit:
-        raise DomainError(
-            f"tau: in dimension {dim} the dual radius 1/tau must not exceed {limit:.2g}, "
-            f"got {tau!r:.60}"
-        )
+    radius = 1.0 / t
+    for what, value, limit in (
+        ("the dual radius 1/tau", radius, (sys.float_info.max / 2**11) ** (1 / dim)),
+        ("tau", t, sys.float_info.max ** (1 / dim)),
+    ):
+        if value > limit:
+            raise DomainError(
+                f"tau: in dimension {dim} {what} must not exceed {limit:.2g}, got {tau!r:.60}"
+            )
     check_scale(c_esseen, "c_esseen", positive=True, finite=True)
     if dim == 1:
         integral = _adaptive_simpson_abs(f_hat, -radius, radius, 1e-8)
     else:
         integral = _ball_integral(f_hat, radius, dim, 1e-5)
-    value = c_esseen * tau**dim * integral
+    value = c_esseen * t**dim * integral
     return ConcentrationEstimate(value, "esseen_upper", 0.0, tau)
 
 

@@ -21,6 +21,7 @@ from ._common import (
     dedupe_points,
     float_array,
     json_object,
+    lex_sorted,
 )
 from .errors import DomainError, InputError, naming_field
 
@@ -170,15 +171,13 @@ def _symmetric_law(points: np.ndarray, weights: np.ndarray) -> DiscreteDistribut
 
     After the merge each lex-sorted atom is paired with its mirror (reverse
     order) and the pair averaged, so z and -z carry identical weights bit
-    for bit.
+    for bit.  Both are halved before they are subtracted, so no atom of a
+    law in the float range overflows.
     """
-    pts, w = dedupe_points(points, weights, DEDUP_TOL)
-    order = np.lexsort(pts.T[::-1])
-    p = pts[order]
-    w = w[order]
+    p, w = lex_sorted(*dedupe_points(points, weights, DEDUP_TOL))
     if not np.allclose(p, -p[::-1], atol=1e-9, rtol=0.0):
         raise DomainError("support is not symmetric up to tolerance")
-    return DiscreteDistribution((p - p[::-1]) / 2.0, (w + w[::-1]) / 2.0)
+    return DiscreteDistribution(p / 2.0 - p[::-1] / 2.0, (w + w[::-1]) / 2.0)
 
 
 def symmetrize(f: DiscreteDistribution) -> DiscreteDistribution:

@@ -17,11 +17,10 @@ memoised per measure, and builds the coefficient lattice of each box
 allocation once per block of step sets.  It scores the block: one
 ``coeffs @ h`` per candidate, rows sorted, and one binary search of all
 points into the sorted atoms gives every atom's two neighbouring points in
-every row (rows with points within 1e-12 take the merge instead).  A float
-sum of the uncovered weights screens candidates; the exact ``math.fsum``
-runs only where that sum, less a rigorous rounding slack, does not exceed
-the best value so far.  Witness points come from the same helper
-(``coeffs @ h``, then the 1e-12 merge), so re-evaluating ``uncovered_mass``
+every row.  A float sum of the uncovered weights screens candidates; the
+exact ``math.fsum`` runs only where that sum, less a rigorous rounding
+slack, does not exceed the best value so far.  Witness points come from the
+same helper (``coeffs @ h``, sorted), so re-evaluating ``uncovered_mass``
 on a reported witness reproduces its value bit for bit.  Coverage is
 defined on the line only.
 """
@@ -228,7 +227,8 @@ class Cgap:
         return pts
 
     def points(self) -> np.ndarray:
-        """Distinct progression values as a (s, 1) array, sorted."""
+        """Progression values as a sorted (s, 1) array, one per lattice point:
+        a value two lattice points share is listed twice."""
         return _line_points(self.lattice_points().astype(float), self._h)
 
     def to_json_obj(self) -> dict:
@@ -272,6 +272,8 @@ class GapImageProgression:
         return self.gap.size()
 
     def points(self) -> np.ndarray:
+        """Progression values as a sorted (s, 1) array, one per point of the
+        gap's image: a value two image points share is listed twice."""
         return _line_points(self.gap.image(), np.asarray(self.h))
 
     def to_json_obj(self) -> dict:
@@ -279,14 +281,13 @@ class GapImageProgression:
 
 
 def _line_points(coeffs: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Distinct values of ``coeffs @ h`` as a sorted (s, 1) array.
+    """The values of ``coeffs @ h``, one per row, as a sorted (s, 1) array.
 
-    Values within 1e-12 merge to their mean.  The searches and the witness
-    classes both go through here, so a witness replays to its search value.
+    Equal values are not merged: coverage reads only the distance to the
+    nearest point.  The searches and the witness classes both go through
+    here, so a witness replays to its search value.
     """
-    vals = coeffs @ h
-    pts, _ = dedupe_points(vals.reshape(-1, 1), np.ones(len(vals)), 1e-12)
-    return pts
+    return np.sort(coeffs @ h).reshape(-1, 1)
 
 
 def _line_values(points, what: str) -> np.ndarray:
@@ -438,21 +439,13 @@ def _far_atoms(pts: np.ndarray, x: np.ndarray, tau: float) -> np.ndarray:
 
 
 def _block_far(coeffs: np.ndarray, hs: list, x: np.ndarray, tau: float) -> np.ndarray:
-    """``_far_atoms`` for the points ``_line_points(coeffs, h)`` of each h in ``hs``.
-
-    Each row is its own ``coeffs @ h`` (one product per step vector, as in
-    ``_line_points``), so the points are the witness points bit for bit.  A
-    row with two points within 1e-12 goes through ``_line_points`` itself;
-    every other row is already its merged point set once sorted.
-    """
+    """``_far_atoms`` for the points ``_line_points(coeffs, h)`` of each h in
+    ``hs``: each row is its own ``coeffs @ h``, sorted, so the points are the
+    witness points bit for bit."""
     vals = np.empty((len(hs), len(coeffs)))
     for i, h in enumerate(hs):
         vals[i] = coeffs @ h
-    pts = np.sort(vals, axis=1)
-    far = _far_atoms(pts, x, tau)
-    for i in np.flatnonzero(np.any(np.diff(pts, axis=1) <= 1e-12, axis=1)):
-        far[i] = _far_atoms(_line_points(coeffs, hs[i]).T, x, tau)[0]
-    return far
+    return _far_atoms(np.sort(vals, axis=1), x, tau)
 
 
 def _sum_slack(weights: np.ndarray) -> float:

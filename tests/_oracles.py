@@ -463,17 +463,14 @@ def oracle_candidate_steps(atoms, cap=96):
 def oracle_witness_points(wit):
     """Points of a Cgap or GapImageProgression: coefficient rows times h.
 
-    The product is one matrix-vector product, and values within 1e-12 merge
-    to their mean (the package's ``dedupe_points``).
+    The product is one matrix-vector product, sorted, with no merge: a value
+    two coefficient rows share is listed twice.
     """
-    from anticonc._common import dedupe_points
-
     if hasattr(wit, "gap"):
         vals = wit.gap.image() @ np.asarray(wit.h)
     else:
         vals = wit.lattice_points().astype(float) @ wit.h
-    pts, _ = dedupe_points(vals.reshape(-1, 1), np.ones(len(vals)), 1e-12)
-    return pts
+    return np.sort(vals).reshape(-1, 1)
 
 
 def oracle_box_allocations(rank, cap):

@@ -578,3 +578,16 @@ def test_report_records_skipped_esseen_past_the_dual_radius_limit():
         "tau: in dimension 2 the dual radius 1/tau must not exceed 3e+152, got 1e-160"
     )
     assert rep.references["q_h_p_kappa"]["esseen_upper"] > 0.0
+
+
+def test_report_records_skipped_esseen_past_the_tau_limit():
+    # a 3-D kappa window of 1e120 puts tau^3 past the float range: both kappa
+    # references record the skip, and the report completes
+    rep = build_bound_report(
+        RAD, WeightVector(np.eye(3)), tau=1.0, kappa=1e120, delta=0.5, mc_samples=2000,
+    )
+    for name in ("q_h_p_kappa", "q_h_lambda_kappa"):
+        ref = rep.references[name]
+        assert ref["esseen_upper"] is None
+        assert ref["esseen_skipped"] == "tau: in dimension 3 tau must not exceed 5.6e+102, got 1e+120"
+    assert rep.references["q_h_p_delta"]["esseen_upper"] > 0.0

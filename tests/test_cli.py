@@ -254,13 +254,25 @@ _BALL_RANGE = "in dimension >= 2, coordinates and tau/2 must not exceed 1e+150"
          "tau: in dimension 2 the dual radius 1/tau must not exceed 3e+152, got 1e-160"),
         (["q", "--method", "esseen"], _SPACE, {"tau": 1e-110}, 2,
          "tau: in dimension 3 the dual radius 1/tau must not exceed 4.4e+101, got 1e-110"),
+        (["q", "--method", "esseen"], _SPACE, {"tau": 1e300}, 2,
+         "tau: in dimension 3 tau must not exceed 5.6e+102, got 1e+300"),
+        # sums past the float range are refused by the array rule, not warned about
+        (["q", "--method", "mc", "--budget", "2000"], [[1e308], [1e308]], {"tau": 0.5}, 2,
+         "samples: expected finite numbers, got inf"),
+        (["q"], [[1e308], [1e308]], {"tau": 0.5}, 2, "atoms: expected finite numbers, got -inf"),
+        (["q"], [[1e308, 1.0], [1e308, 2.0]], {"tau": 0.5}, 2,
+         "atoms: expected finite numbers, got -inf"),
+        # the spectral measure halves before it subtracts: the smoothing samples overflow
+        (["bounds", "--budget", "2000"], [[1e308], [1.0]], {"tau": 0.5, "kappa": 1.0,
+         "delta": 0.5}, 2, "samples: expected finite numbers, got -inf"),
         (["q", "--budget", "5000"], _GENERIC_40, {"tau": 1.0}, 3,
          "convolution support would exceed budget 5000"),
         (["lcd"], [[1.0]], {"tau": 1.0}, 2, "missing required parameter 'gamma'"),
         (["gapfit"], [[1.0]], {"kappa": 1.0}, 2, "needs parameter delta (or tau)"),
     ],
     ids=["q-exact", "q-mc", "bounds", "gapfit-2d", "q-esseen-tiny-tau", "q-esseen-1d-limit",
-         "q-esseen-2d-limit", "q-esseen-3d-limit", "q-capacity", "lcd-missing",
+         "q-esseen-2d-limit", "q-esseen-3d-limit", "q-esseen-3d-wide-tau", "q-mc-huge-samples",
+         "q-huge-atoms", "q-huge-atoms-2d", "bounds-huge-samples", "q-capacity", "lcd-missing",
          "gapfit-no-window"],
 )
 def test_error_while_computing_names_the_instance_under_every_command(

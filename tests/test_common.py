@@ -129,6 +129,44 @@ def test_merge_of_sorted_rows_matches_the_plain_merge(n, dim, ties, zero_weights
     np.testing.assert_array_equal(_bits(wts), _bits(want_wts))
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 60),
+    dim=st.integers(1, 3),
+    ties=st.booleans(),
+    shuffle=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_dedupe_keeps_lex_ordered_rows_in_every_dimension(n, dim, ties, shuffle, seed):
+    rng = np.random.default_rng(seed)
+    p = rng.integers(-2, 3, size=(n, dim)) * 0.5 if ties else rng.uniform(-2.0, 2.0, (n, dim))
+    # distinct rows in lexicographic order, none within the tolerance: the very arrays back
+    rows, _ = distinct_rows(p)
+    w = rng.uniform(0.0, 1.0, size=len(rows))
+    pts, wts = dedupe_points(rows, w, 1e-12)
+    assert pts is rows and wts is w
+    # rows with ties, signed zeros and runs within the tolerance, in lexicographic
+    # order or shuffled: the lexsort route bit for bit
+    p[rng.random((n, dim)) < 0.2] = -0.0
+    p[rng.random((n, dim)) < 0.2] = 0.0
+    p[rng.random(n) < 0.3] += 1e-13
+    p = p[rng.permutation(n)] if shuffle else p[np.lexsort(p.T[::-1])]
+    w = rng.uniform(0.0, 1.0, size=n)
+    pts, wts = dedupe_points(p, w, 1e-12)
+    want_pts, want_wts = O.oracle_dedupe_points(p, w, 1e-12)
+    np.testing.assert_array_equal(_bits(pts), _bits(want_pts))
+    np.testing.assert_array_equal(_bits(wts), _bits(want_wts))
+
+
+def test_points_in_r0_are_refused():
+    # a (k, 0) array has no coordinate to order by: the law's constructor
+    # raised a TypeError from the lexsort, a traceback under the CLI
+    with pytest.raises(DomainError, match=r"^expected points in R\^d for some d >= 1, got R\^0$"):
+        as_points([[], []])
+    with pytest.raises(DomainError, match=r"^atoms: expected points in R\^d"):
+        DiscreteDistribution([[]], [1.0])
+
+
 def test_dedupe_keeps_ascending_separated_input_and_the_law_copies_it():
     z = np.array([[-1.0], [-0.0], [0.5], [2.0]])
     w = np.full(4, 0.25)

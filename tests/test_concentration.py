@@ -288,6 +288,44 @@ def test_weighted_sum_distribution_merges():
     assert abs(dist.total_mass - 1.0) < 1e-12
 
 
+def test_convolved_2d_law_is_not_sorted_again(monkeypatch):
+    # each step sorts its rows once; the law's constructor finds them in
+    # lexicographic order and sorts nothing
+    calls = []
+    lexsort = np.lexsort
+
+    def spy(keys):
+        calls.append(len(keys))
+        return lexsort(keys)
+
+    a = WeightVector(np.random.default_rng(0).uniform(0.3, 2.0, (8, 2)))
+    monkeypatch.setattr(np, "lexsort", spy)
+    law = weighted_sum_distribution(RAD, a)
+    assert calls == [2] * a.n
+    calls.clear()
+    DiscreteDistribution(law.atoms, law.weights)
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "rows", [[[1e308], [1e308]], [[1e308, 1.0], [1e308, 2.0]], [[-1e308], [2.0]]]
+)
+def test_convolution_past_the_float_range_is_refused_without_a_warning(rows):
+    # RuntimeWarnings are errors here: the sums overflow inside the step and the
+    # law's array rule refuses them
+    with pytest.raises(DomainError, match=r"^atoms: expected finite numbers, got -?inf$"):
+        weighted_sum_distribution(DiscreteDistribution([-2.0, 1.0], [0.5, 0.5]), WeightVector(rows))
+
+
+def test_mc_samples_past_the_float_range_are_refused_without_a_warning():
+    sampler = WeightedSum(RAD, WeightVector([[1e308], [1e308]]))
+    with pytest.raises(DomainError, match="^samples: expected finite numbers, got -?inf$"):
+        mc_q(sampler, 0.5, 2000, 0)
+    base = DiscreteDistribution([-1e308, 1e308], [0.5, 0.5])
+    with pytest.raises(DomainError, match="^samples: expected finite numbers, got -?inf$"):
+        mc_q(CompoundPoisson(4.0, base), 0.5, 2000, 0)
+
+
 def test_weighted_sum_distribution_refuses_a_nan_budget():
     # every comparison with NaN is false: the convolution ran with no cap
     with pytest.raises(DomainError, match="^budget: expected an integer of at least 0, got nan$"):
@@ -708,6 +746,28 @@ def test_esseen_dual_radius_limit_holds_every_sum_in_the_float_range(dim):
         f"tau: in dimension {dim} the dual radius 1/tau must not exceed "
         f"{_DUAL_LIMITS[dim]}, got {tau!r}"
     )
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_esseen_tau_limit_keeps_tau_to_the_dim_in_the_float_range(dim):
+    # tau^dim at the largest tau is finite (an OverflowError past it); the
+    # next tau up is refused
+    limit = sys.float_info.max ** (1 / dim)
+    one = lambda ts: np.ones(len(ts))  # noqa: E731
+    assert math.isfinite(limit**dim)
+    assert esseen_upper_q(one, limit, dim).value > 0.0
+    tau = float(np.nextafter(limit, math.inf))
+    with pytest.raises(DomainError) as exc:
+        esseen_upper_q(one, tau, dim)
+    assert str(exc.value) == (
+        f"tau: in dimension {dim} tau must not exceed {limit:.2g}, got {tau!r}"
+    )
+
+
+def test_esseen_on_the_line_takes_every_finite_tau():
+    f_hat = weighted_sum_char_fn(RAD, WeightVector([[1.0]]))
+    assert esseen_upper_q(f_hat, 1e300, 1).value == 2.0
+    assert esseen_upper_q(f_hat, sys.float_info.max, 1).value > 0.0
 
 
 def test_esseen_refuses_a_bool_dimension():

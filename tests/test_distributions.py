@@ -156,6 +156,32 @@ def test_spectral_measure_merges_duplicates():
     )
 
 
+def test_spectral_measure_sorts_its_rows_once(monkeypatch):
+    # the merged rows are already in lexicographic order: the symmetric law
+    # does not sort them again, and its constructor does not either
+    calls = []
+    lexsort = np.lexsort
+
+    def spy(keys):
+        calls.append(len(keys))
+        return lexsort(keys)
+
+    monkeypatch.setattr(np, "lexsort", spy)
+    m = spectral_measure(np.array([[1.0, 2.0], [3.0, -1.0], [1.0, 2.0], [0.5, 0.0]]))
+    assert calls == [2]
+    assert m.atoms.tolist() == [
+        [-3.0, 1.0], [-1.0, -2.0], [-0.5, 0.0], [0.5, 0.0], [1.0, 2.0], [3.0, -1.0]
+    ]
+
+
+def test_spectral_measure_near_the_float_maximum():
+    # each atom and its mirror are halved before they are subtracted: the
+    # difference of 1e308 and -1e308 overflowed
+    m = spectral_measure(np.array([[1e308], [1.0]]))
+    assert m.atoms[:, 0].tolist() == [-1e308, -1.0, 1.0, 1e308]
+    assert m.weights.tolist() == [0.25] * 4
+
+
 def test_half_empirical_measure_mass():
     m = half_empirical_measure(np.array([[1.0], [3.0]]))
     assert not m.normalized
