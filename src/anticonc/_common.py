@@ -117,24 +117,25 @@ def as_vector(t, dim: int) -> np.ndarray:
 
 def dedupe_points(points: np.ndarray, weights: np.ndarray, tol: float):
     """Merge points closer than ``tol`` in max norm along the lexicographic
-    sweep: :func:`lex_sorted`, then :func:`merge_sorted`.  When none merge,
-    points already in lexicographic order come back as they are, not copied.
-    """
-    return merge_sorted(*lex_sorted(points, weights), tol)
-
-
-def lex_sorted(points: np.ndarray, weights: np.ndarray):
-    """``points`` and ``weights`` in stable lexicographic row order; rows
-    already in it come back uncopied (a stable sort of them is the identity)."""
-    # ordered[i]: row i + 1 is not below row i on the columns from j on
-    ordered = points[1:, -1] >= points[:-1, -1]
-    for j in reversed(range(points.shape[1] - 1)):
-        ordered &= points[1:, j] == points[:-1, j]
-        ordered |= points[1:, j] > points[:-1, j]
-    if ordered.all():
-        return points, weights
-    order = np.lexsort(points.T[::-1])
-    return points[order], weights[order]
+    sweep: a stable lexsort and :func:`merge_sorted`, repeated until a pass
+    merges nothing (a merged mean can round onto or past its neighbour).
+    Rows come back in lexicographic order, every consecutive max-norm gap
+    above ``tol``; rows already so come back as they are, not copied."""
+    while True:
+        # ordered[i]: row i + 1 is not below row i on the columns from j on
+        ordered = points[1:, -1] >= points[:-1, -1]
+        for j in reversed(range(points.shape[1] - 1)):
+            ordered &= points[1:, j] == points[:-1, j]
+            ordered |= points[1:, j] > points[:-1, j]
+        if not ordered.all():  # a stable sort of ordered rows is the identity
+            order = np.lexsort(points.T[::-1])
+            points, weights = points[order], weights[order]
+            del order
+        del ordered  # as long as the rows: free it before the merge
+        merged, weights = merge_sorted(points, weights, tol)
+        if merged is points:
+            return points, weights
+        points = merged
 
 
 def merge_sorted(p: np.ndarray, w: np.ndarray, tol: float):

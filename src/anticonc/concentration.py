@@ -26,7 +26,6 @@ from ._common import (
     check_scale,
     distinct_rows,
     float_array,
-    lex_sorted,
     make_rng,
     merge_sorted,
 )
@@ -174,8 +173,8 @@ def weighted_sum_distribution(
     all equal sorts its points on the line in place (any permutation leaves
     its weights as they are), and any other step rebinds both arrays
     through one stable lexicographic permutation.  The law adopts the
-    merged arrays uncopied.  Atoms and weights are those of the stable
-    lexicographic sort and merge of ``dedupe_points``, bit for bit.
+    merged arrays uncopied.  Each step's atoms and weights are those of one
+    sort and merge pass of ``dedupe_points`` (the next step sorts), bit for bit.
     """
     _check_summand(x)
     check_count(budget, "budget")
@@ -211,16 +210,15 @@ def weighted_sum_distribution(
 def _max_window_mass_1d(z: np.ndarray, w: np.ndarray, tau: float) -> float:
     """Largest mass of a closed length-``tau`` window, left edge at an atom.
 
-    The sorted anchors are taken in blocks of ``_SWEEP_BLOCK``.  Every window
-    of a block ends at or before the window end of its last anchor with the
-    slack of its largest |z| (rounding is monotone), so the mass up to there
-    less the mass before the block bounds each of them: cumulative sums of
-    nonnegative weights rise, and float subtraction is monotone.  Blocks are
-    swept in falling order of their bounds until no bound beats the best
-    mass, which is then the full sweep's maximum, bit for bit.
+    The anchors must ascend, as a law's atoms do; none are sorted here.  They
+    go in blocks of ``_SWEEP_BLOCK``.  Every window of a block ends at or
+    before the window end of its last anchor with the slack of its largest
+    |z| (rounding is monotone), so the mass up to there less the mass before
+    the block bounds each of them: cumulative sums of nonnegative weights
+    rise, and float subtraction is monotone.  Blocks are swept in falling
+    order of their bounds until no bound beats the best mass, which is then
+    the full sweep's maximum, bit for bit.
     """
-    z, w = lex_sorted(z[:, None], w)
-    z = z[:, 0]
     n = len(z)
     cw = np.empty(n + 1)
     cw[0] = 0.0
@@ -727,13 +725,15 @@ def weighted_sum_char_fn(x: DiscreteDistribution, a: WeightVector):
     the scalar characteristic function of X at <t, a_k>.
     """
     _check_summand(x)
-    xv = x.atoms[:, 0].astype(complex)
+    xv = x.atoms[:, 0]
     xw = x.weights.astype(complex)
 
     def f_hat(ts):
         _, u = a.phases(ts)  # (m, n)
-        phi = np.exp(1j * u[:, :, None] * xv[None, None, :]) @ xw
-        return np.prod(phi, axis=1)
+        # a product past the float range is refused by the array rule, not a warning
+        with np.errstate(over="ignore"), naming_field("phases <t, a_k> times atoms", DomainError):
+            ux = float_array(u[:, :, None] * xv)
+        return np.prod(np.exp(1j * ux) @ xw, axis=1)
 
     return f_hat
 

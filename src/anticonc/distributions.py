@@ -21,7 +21,7 @@ from ._common import (
     dedupe_points,
     float_array,
     json_object,
-    lex_sorted,
+    merge_sorted,
 )
 from .errors import DomainError, InputError, naming_field
 
@@ -43,8 +43,8 @@ class DiscreteDistribution:
 
     ``normalized=True`` marks a probability distribution (weights sum to one
     within 1e-12); ``normalized=False`` marks a plain nonnegative measure whose
-    total mass stands as given.  Atoms closer than 1e-12 in max norm are merged
-    at construction and their weights added.
+    total mass stands as given.  ``dedupe_points`` merges atoms closer than
+    1e-12 in max norm, adding their weights, and sorts them lexicographically.
     """
 
     __slots__ = ("_atoms", "_weights", "_normalized")
@@ -169,12 +169,14 @@ def _symmetric_law(points: np.ndarray, weights: np.ndarray) -> DiscreteDistribut
     """The probability distribution of ``points`` and ``weights``, which must be
     symmetric up to float noise, made exactly negation-invariant.
 
-    After the merge each lex-sorted atom is paired with its mirror (reverse
-    order) and the pair averaged, so z and -z carry identical weights bit
-    for bit.  Both are halved before they are subtracted, so no atom of a
-    law in the float range overflows.
+    One stable lexicographic sort and merge pass leaves the groups of a
+    symmetric point set mirrored, group j and the j-th from the end, with no
+    re-sort that an ulp could tip; each pair is averaged, so z and -z carry
+    identical weights bit for bit.  Both are halved before they are
+    subtracted, so no atom of a law in the float range overflows.
     """
-    p, w = lex_sorted(*dedupe_points(points, weights, DEDUP_TOL))
+    order = np.lexsort(points.T[::-1])
+    p, w = merge_sorted(points[order], weights[order], DEDUP_TOL)
     if not np.allclose(p, -p[::-1], atol=1e-9, rtol=0.0):
         raise DomainError("support is not symmetric up to tolerance")
     return DiscreteDistribution(p / 2.0 - p[::-1] / 2.0, (w + w[::-1]) / 2.0)

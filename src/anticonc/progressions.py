@@ -118,9 +118,9 @@ class Gap:
         return math.prod(2 * int(math.floor(L)) + 1 for L in self._dims)
 
     def image(self) -> np.ndarray:
-        """All distinct progression points, lexicographically sorted.
-
-        Generator relations within 1e-9 count as collisions.  Raises
+        """All distinct progression points, lexicographically sorted, every
+        consecutive max-norm gap above 1e-9: ``dedupe_points`` merges points
+        within 1e-9 (generator relations) until none are left.  Raises
         CapacityError when the coefficient box exceeds ``GAP_ENUM_BUDGET``.
         """
         if self.box_total() > GAP_ENUM_BUDGET:
@@ -128,8 +128,7 @@ class Gap:
                 f"coefficient box {self.box_total()} exceeds budget {GAP_ENUM_BUDGET}"
             )
         pts = _integer_box(self._dims).astype(float) @ self._gens
-        pts, _ = dedupe_points(pts, np.ones(len(pts)), CONVOLUTION_MERGE_TOL)
-        return pts
+        return dedupe_points(pts, np.ones(len(pts)), CONVOLUTION_MERGE_TOL)[0]
 
     def size(self) -> int:
         return int(self.image().shape[0])
@@ -300,7 +299,8 @@ def _line_values(points, what: str) -> np.ndarray:
 def uncovered_mass(w: DiscreteDistribution, k_points, tau: float) -> float:
     """Mass of ``w`` strictly outside the closed tau-neighborhood of K.
 
-    ``w`` and K lie on the line.  The searches find the same distances and
+    ``w`` and K lie on the line; ``w``'s atoms ascend (``dedupe_points``)
+    and are not sorted again.  The searches find the same distances and
     take the same fsum, so witness values reproduce exactly.
     """
     check_scale(tau, "tau")
@@ -352,20 +352,21 @@ def _pool_of(z_bytes: bytes, cap: int) -> np.ndarray:
     # past 1e6.  A remainder below 1e-12 (zero included) would make the next
     # partial quotient, and so q, exceed 1e12, so the cap also ends every
     # expansion whose remainder has vanished.
-    x = zj / zi
-    a = np.floor(x)
-    h0, k0, h1, k1 = np.ones_like(x), np.zeros_like(x), a, np.ones_like(x)
-    frac = x - a
-    steps = [zj / h1, zi / k1]
-    for _ in range(11):
-        with np.errstate(divide="ignore", invalid="ignore"):
+    # a ratio past the float range is inf: its step zj / inf is 0, its fraction NaN
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        x = zj / zi
+        a = np.floor(x)
+        h0, k0, h1, k1 = np.ones_like(x), np.zeros_like(x), a, np.ones_like(x)
+        frac = x - a
+        steps = [zj / h1, zi / k1]
+        for _ in range(11):
             x = 1.0 / frac
             a = np.floor(x)
             hn, kn = a * h1 + h0, a * k1 + k0
             frac = x - a
-        go = (kn <= 1_000_000) & (hn <= 1_000_000)
-        zi, zj, frac, h0, k0, h1, k1 = (v[go] for v in (zi, zj, frac, h1, k1, hn, kn))
-        steps += [zj / h1, zi / k1]
+            go = (kn <= 1_000_000) & (hn <= 1_000_000)
+            zi, zj, frac, h0, k0, h1, k1 = (v[go] for v in (zi, zj, frac, h1, k1, hn, kn))
+            steps += [zj / h1, zi / k1]
     parts += [v[v > 1e-12] for v in steps]
     vals = np.unique(np.concatenate(parts))
     # drop near-duplicates (relative 1e-12)
@@ -510,7 +511,7 @@ def _coverage_search(w: DiscreteDistribution, tau: float, r: int, cap: int) -> A
         return ApproxResult(best_v, _box_cgap((), (), 0, cap), True, 1)
     pool = _candidate_steps(w)
     best = ((), ())
-    # the atoms of a DiscreteDistribution are sorted (lexsorted at construction)
+    # a law's atoms ascend, each gap above 1e-12 (dedupe_points at construction)
     x, weights = w.atoms[:, 0], w.weights
     slack = _sum_slack(weights)
     evals = 1

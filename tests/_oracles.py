@@ -80,9 +80,19 @@ def oracle_max_window_mass(z, w, tau):
 
 
 def oracle_dedupe_points(points, weights, tol):
-    """Points merged along the lexicographic sweep, every input lex-sorted:
-    runs whose consecutive max-norm gaps stay within ``tol`` collapse to their
-    weighted mean (a zero-weight run to its first member)."""
+    """``oracle_merge_pass`` repeated until a pass merges nothing: a merged
+    mean can round onto or past its neighbour."""
+    while True:
+        n = len(points)
+        points, weights = oracle_merge_pass(points, weights, tol)
+        if len(points) == n:
+            return points, weights
+
+
+def oracle_merge_pass(points, weights, tol):
+    """Points merged once along the lexicographic sweep, every input
+    lex-sorted: runs whose consecutive max-norm gaps stay within ``tol``
+    collapse to their weighted mean (a zero-weight run to its first member)."""
     points = np.asarray(points, dtype=float)
     weights = np.asarray(weights, dtype=float)
     if points.shape[0] <= 1:
@@ -109,8 +119,9 @@ def oracle_dedupe_points(points, weights, tol):
 def oracle_weighted_sum_distribution(support, probs, rows):
     """Atoms and weights of the law of sum_k X_k a_k by the plain route: each
     step concatenates one shifted copy of the points per step atom, in the
-    atoms' order, and merges them within 1e-9 by ``oracle_dedupe_points``; the
-    result merges once more within 1e-12, as a law's construction does."""
+    atoms' order, and merges them within 1e-9 in one ``oracle_merge_pass``;
+    the result merges within 1e-12 until nothing merges, as a law's
+    construction does."""
     rows = np.asarray(rows, dtype=float)
     if rows.ndim == 1:
         rows = rows[:, None]
@@ -119,7 +130,7 @@ def oracle_weighted_sum_distribution(support, probs, rows):
     for row in rows:
         pts = np.concatenate([x * row + pts for x in support])
         w = np.concatenate([p * w for p in probs])
-        pts, w = oracle_dedupe_points(pts, w, 1e-9)
+        pts, w = oracle_merge_pass(pts, w, 1e-9)
     return oracle_dedupe_points(pts, w, 1e-12)
 
 

@@ -150,6 +150,38 @@ def test_phases_past_the_float_range_exit_two(capsys, tmp_path, weight, argv):
     )
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_step_law_phases_past_the_float_range_exit_two(capsys, tmp_path):
+    # the phases <t, a_k> are finite, but -2 times the phase of [1e308, 1e6] is not
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({
+        "id": "huge", "distribution": {"atoms": [-2, 0.5], "weights": [0.5, 0.5]},
+        "weights": [[1e308, 1e6], [1e-300, 0.5]], "parameters": {"tau": 1},
+    }))
+    code, out, err = run(["q", str(inst), "--method", "esseen"], capsys)
+    assert code == 2 and out == ""
+    assert err.strip().endswith(
+        "instance 'huge': phases <t, a_k> times atoms: expected finite numbers, got -inf"
+    )
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "weights, law",
+    [([1e300, 1e-12, 1e-12, 1e-300], "bernoulli(0.3)"), ([-1, -1e308, 1e-12], "rademacher")],
+    ids=["ratio-1e312", "ratio-1e320"],
+)
+def test_step_pool_ratios_past_the_float_range_run(capsys, tmp_path, weights, law):
+    # the first continued-fraction ratio zj / zi overflows to inf: its step
+    # zj / inf is 0 and dropped, with no overflow warning
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({
+        "id": "ratio", "distribution": law, "weights": weights, "parameters": {"delta": 0.5},
+    }))
+    code, _, err = run(["gapfit", str(inst)], capsys)
+    assert (code, err) == (0, "")
+
+
 def test_non_converged_quadrature_is_exit_one(capsys, tmp_path):
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps({

@@ -124,7 +124,7 @@ def test_merge_of_sorted_rows_matches_the_plain_merge(n, dim, ties, zero_weights
     if zero_weights:
         w[::2] = 0.0
     pts, wts = merge_sorted(p, w, 1e-12)
-    want_pts, want_wts = O.oracle_dedupe_points(p, w, 1e-12)
+    want_pts, want_wts = O.oracle_merge_pass(p, w, 1e-12)
     np.testing.assert_array_equal(_bits(pts), _bits(want_pts))
     np.testing.assert_array_equal(_bits(wts), _bits(want_wts))
 

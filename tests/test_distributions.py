@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import _oracles as O
 from anticonc._common import make_rng
 from anticonc.bounds import h_char_fn, smoothing_law
-from anticonc.concentration import WeightVector
+from anticonc.concentration import WeightVector, weighted_sum_distribution
 from anticonc.distributions import (
     CompoundPoisson,
     DiscreteDistribution,
@@ -24,6 +24,7 @@ from anticonc.distributions import (
     truncated_second_moment,
 )
 from anticonc.errors import DomainError, InputError
+from anticonc.progressions import Gap
 
 
 def test_shorthand_rademacher():
@@ -327,3 +328,49 @@ def test_poisson_pmf_oracle_sanity():
     # oracle self-check used when freezing sampler expectations
     total = sum(O.oracle_poisson_pmf(3.0, k) for k in range(40))
     assert abs(total - 1.0) < 1e-12
+
+
+def _assert_ordered_and_separated(points, tol):
+    # strictly ascending rows (a signed zero ties its opposite), and every
+    # consecutive max-norm gap above the merge tolerance
+    rows = [tuple(r) for r in points.tolist()]
+    assert all(a < b for a, b in zip(rows, rows[1:])), rows
+    assert np.all(np.max(np.abs(np.diff(points, axis=0)), axis=1) > tol)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(1, 3), n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_every_law_is_ordered_and_separated(dim, n, seed):
+    # half-integer rows with signed zeros and 30% of them shifted within the
+    # tolerance: a merged mean used to round onto or past its neighbour
+    rng = np.random.default_rng(seed)
+    p = rng.integers(-4, 5, size=(n, dim)) * 0.5
+    p[rng.random((n, dim)) < 0.2] = -0.0
+    p[rng.random((n, dim)) < 0.2] = 0.0
+    p[rng.random(n) < 0.3] += 1e-13
+    w = rng.uniform(0.1, 1.0, size=n)
+    law = DiscreteDistribution(p, w, normalized=False)
+    _assert_ordered_and_separated(law.atoms, 1e-12)
+    _assert_ordered_and_separated(symmetrize(DiscreteDistribution(p, w / w.sum())).atoms, 1e-12)
+    _assert_ordered_and_separated(spectral_measure(p).atoms, 1e-12)
+    # integer rows in [-3, 3] convolved with Bernoulli steps
+    rows = rng.integers(-3, 4, size=(min(n, 8), dim))
+    rows[0, 0] = 1  # a nonzero row
+    bernoulli = DiscreteDistribution.from_shorthand("bernoulli(0.3)")
+    summed = weighted_sum_distribution(bernoulli, WeightVector(rows))
+    _assert_ordered_and_separated(summed.atoms, 1e-12)
+    # generators with relations within the collision tolerance
+    rank = int(rng.integers(1, 4))
+    gens = rng.integers(-4, 5, size=(rank, dim)) * 0.5 + (rng.random((rank, dim)) < 0.5) * 1e-10
+    gens[:, 0] += 0.25  # nonzero generators
+    _assert_ordered_and_separated(Gap(rng.integers(1, 4, size=rank), gens).image(), 1e-9)
+
+
+def test_a_merged_mean_past_its_neighbour_is_sorted_again():
+    # the group {x, x} averages to y, and the group {y} to x: the second pass
+    # puts them back in order (each merged mean may still move by an ulp)
+    x = 2075202.8952853116
+    y = np.nextafter(x, np.inf)
+    law = DiscreteDistribution([x, x, y], [0.1, 0.45, 0.45])
+    assert law.atoms[:, 0].tolist() == [x, y]
+    _assert_ordered_and_separated(law.atoms, 1e-12)
