@@ -54,31 +54,28 @@ _CELL_CENTERS = 4
 _MAX_BALL_SCALE = 1e150
 
 
+@dataclass(frozen=True, eq=False)
 class WeightVector:
     """Coefficient rows a_1, ..., a_n in R^d; at least one row must be nonzero."""
 
-    __slots__ = ("_rows",)
+    rows: np.ndarray
 
-    def __init__(self, rows):
-        r = as_points(rows)
+    def __post_init__(self):
+        r = as_points(self.rows)
         if r.shape[0] == 0:
             raise DomainError("weight vector needs at least one row")
         if not np.any(r):
             raise DomainError("weight vector must have a nonzero row")
         r.flags.writeable = False
-        self._rows = r
-
-    @property
-    def rows(self) -> np.ndarray:
-        return self._rows
+        object.__setattr__(self, "rows", r)
 
     @property
     def n(self) -> int:
-        return self._rows.shape[0]
+        return self.rows.shape[0]
 
     @property
     def dim(self) -> int:
-        return self._rows.shape[1]
+        return self.rows.shape[1]
 
     def phases(self, ts) -> tuple:
         """The grid ``ts`` as (m, d) points and their phases <t, a_k>, (m, n).
@@ -89,14 +86,14 @@ class WeightVector:
         grid = as_points(ts, self.dim)
         # a phase past the float range is refused by the array rule, not a warning
         with np.errstate(over="ignore"), naming_field("phases <t, a_k>", DomainError):
-            return grid, float_array(grid @ self._rows.T)
+            return grid, float_array(grid @ self.rows.T)
 
     def spectral_norm(self) -> float:
-        return float(np.linalg.norm(self._rows, 2))
+        return float(np.linalg.norm(self.rows, 2))
 
     def gram(self):
         """Gram matrix sum_k a_k a_k^T and its determinant (clamped at 0)."""
-        mat = self._rows.T @ self._rows
+        mat = self.rows.T @ self.rows
         det = float(np.linalg.det(mat))
         if det < 0.0:
             # the matrix is positive semidefinite; a negative det is roundoff
@@ -105,7 +102,7 @@ class WeightVector:
 
     def coordinate(self, j: int) -> "WeightVector":
         """The j-th coordinate column as a one-dimensional weight vector."""
-        return WeightVector(self._rows[:, check_count(j, "coordinate", maximum=self.dim - 1)])
+        return WeightVector(self.rows[:, check_count(j, "coordinate", maximum=self.dim - 1)])
 
     @classmethod
     def from_json_obj(cls, obj) -> "WeightVector":

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import re
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,6 +39,7 @@ _BUCKET_LO = np.arange(1 << _GUIDE_BITS) / (1 << _GUIDE_BITS)
 _BUCKET_HI = np.nextafter(_BUCKET_LO + 2.0**-_GUIDE_BITS, 0.0)
 
 
+@dataclass(frozen=True, eq=False)
 class DiscreteDistribution:
     """Finitely supported measure on R^d.
 
@@ -47,10 +49,12 @@ class DiscreteDistribution:
     1e-12 in max norm, adding their weights, and sorts them lexicographically.
     """
 
-    __slots__ = ("_atoms", "_weights", "_normalized")
+    atoms: np.ndarray
+    weights: np.ndarray
+    normalized: bool = True
 
-    def __init__(self, atoms, weights, normalized: bool = True):
-        self._build(atoms, weights, normalized, adopt=False)
+    def __post_init__(self):
+        self._build(self.atoms, self.weights, self.normalized, adopt=False)
 
     @classmethod
     def _adopt(cls, atoms: np.ndarray, weights: np.ndarray, normalized: bool = True):
@@ -86,33 +90,21 @@ class DiscreteDistribution:
             )
         pts.flags.writeable = False
         w.flags.writeable = False
-        self._atoms = pts
-        self._weights = w
-        self._normalized = bool(normalized)
-
-    @property
-    def atoms(self) -> np.ndarray:
-        return self._atoms
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self._weights
-
-    @property
-    def normalized(self) -> bool:
-        return self._normalized
+        object.__setattr__(self, "atoms", pts)
+        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "normalized", bool(normalized))
 
     @property
     def dim(self) -> int:
-        return self._atoms.shape[1]
+        return self.atoms.shape[1]
 
     @property
     def n_atoms(self) -> int:
-        return self._atoms.shape[0]
+        return self.atoms.shape[0]
 
     @property
     def total_mass(self) -> float:
-        return float(self._weights.sum())
+        return float(self.weights.sum())
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "DiscreteDistribution":
@@ -158,7 +150,7 @@ class DiscreteDistribution:
         return cls([-1.0, 1.0], [0.5, 0.5])
 
     def __repr__(self):
-        kind = "distribution" if self._normalized else "measure"
+        kind = "distribution" if self.normalized else "measure"
         return (
             f"DiscreteDistribution({self.n_atoms} atoms in R^{self.dim}, "
             f"{kind}, mass={self.total_mass:.6g})"
@@ -228,6 +220,7 @@ def lambda_d(g: DiscreteDistribution, ratio: float, d: int = 1) -> float:
     return math.fsum(g.weights[nz] * terms)
 
 
+@dataclass(frozen=True, eq=False)
 class CompoundPoisson:
     """Law with characteristic function exp(intensity * (base_char(t) - 1)).
 
@@ -235,29 +228,20 @@ class CompoundPoisson:
     by lam gives the law whose characteristic function is the lam-th power.
     """
 
-    __slots__ = ("_intensity", "_base")
+    intensity: float
+    base: DiscreteDistribution
 
-    def __init__(self, intensity: float, base: DiscreteDistribution):
-        intensity = check_scale(intensity, "intensity", finite=True)
-        if not base.normalized:
+    def __post_init__(self):
+        object.__setattr__(self, "intensity", check_scale(self.intensity, "intensity", finite=True))
+        if not self.base.normalized:
             raise DomainError("compound Poisson base must be a probability distribution")
-        self._intensity = intensity
-        self._base = base
-
-    @property
-    def intensity(self) -> float:
-        return self._intensity
-
-    @property
-    def base(self) -> DiscreteDistribution:
-        return self._base
 
     @property
     def dim(self) -> int:
-        return self._base.dim
+        return self.base.dim
 
     def __repr__(self):
-        return f"CompoundPoisson(intensity={self._intensity:.6g}, base={self._base!r})"
+        return f"CompoundPoisson(intensity={self.intensity:.6g}, base={self.base!r})"
 
 
 def _poisson_inversion(rng: np.random.Generator, lam: float, size: int) -> np.ndarray:

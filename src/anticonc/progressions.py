@@ -69,6 +69,7 @@ _BLOCK_ELEMENTS = 1 << 20
 _MAX_AMBIENT_DIM = np.iinfo(np.intp).max // 8
 
 
+@dataclass(frozen=True, eq=False)
 class Gap:
     """Symmetric progression with real box radii ``dims`` and generators ``gens``.
 
@@ -76,7 +77,8 @@ class Gap:
     array.  Rank zero is allowed; pass ``ambient_dim`` to fix d in that case.
     """
 
-    __slots__ = ("_dims", "_gens")
+    dims: tuple
+    gens: np.ndarray
 
     def __init__(self, dims, gens, ambient_dim: int | None = None):
         dims = tuple(float(v) for v in float_array(dims).reshape(-1))
@@ -95,27 +97,19 @@ class Gap:
                 f"{len(dims)} radii but {gens_arr.shape[0]} generators"
             )
         gens_arr.flags.writeable = False
-        self._dims = dims
-        self._gens = gens_arr
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "gens", gens_arr)
 
     @property
     def rank(self) -> int:
-        return len(self._dims)
+        return len(self.dims)
 
     @property
     def ambient_dim(self) -> int:
-        return self._gens.shape[1]
-
-    @property
-    def dims(self) -> tuple:
-        return self._dims
-
-    @property
-    def gens(self) -> np.ndarray:
-        return self._gens
+        return self.gens.shape[1]
 
     def box_total(self) -> int:
-        return math.prod(2 * int(math.floor(L)) + 1 for L in self._dims)
+        return math.prod(2 * int(math.floor(L)) + 1 for L in self.dims)
 
     def image(self) -> np.ndarray:
         """All distinct progression points, lexicographically sorted, every
@@ -127,7 +121,7 @@ class Gap:
             raise CapacityError(
                 f"coefficient box {self.box_total()} exceeds budget {GAP_ENUM_BUDGET}"
             )
-        pts = _integer_box(self._dims).astype(float) @ self._gens
+        pts = _integer_box(self.dims).astype(float) @ self.gens
         return dedupe_points(pts, np.ones(len(pts)), CONVOLUTION_MERGE_TOL)[0]
 
     def size(self) -> int:
@@ -139,8 +133,8 @@ class Gap:
 
     def to_json_obj(self) -> dict:
         return {
-            "L": list(self._dims),
-            "g": self._gens.tolist(),
+            "L": list(self.dims),
+            "g": self.gens.tolist(),
             "dim": self.ambient_dim,
         }
 
@@ -152,7 +146,7 @@ class Gap:
             return cls(obj["L"], obj["g"], dim)
 
     def __repr__(self):
-        return f"Gap(rank={self.rank}, dims={self._dims}, ambient_dim={self.ambient_dim})"
+        return f"Gap(rank={self.rank}, dims={self.dims}, ambient_dim={self.ambient_dim})"
 
 
 def _integer_box(bounds) -> np.ndarray:
@@ -167,6 +161,7 @@ def _integer_box(bounds) -> np.ndarray:
     return grid.T - radii
 
 
+@dataclass(frozen=True, eq=False)
 class Cgap:
     """Convex-body progression: K = {<nu, h> : nu in Z^r intersect V}.
 
@@ -175,66 +170,56 @@ class Cgap:
     ClassCapError beyond it.  Rank zero degenerates to K = {0}.
     """
 
-    __slots__ = ("_h", "_box", "_cap")
+    h: np.ndarray
+    box: np.ndarray
+    cap: int
 
-    def __init__(self, h, box, cap: int):
+    def __post_init__(self):
         with naming_field("V", DomainError):  # the box is the body V of the JSON form
-            b = float_array(box).reshape(-1)
+            b = float_array(self.box).reshape(-1)
             if np.any(b < 0):
                 raise DomainError("box bounds must be nonnegative")
-        hv = float_array(h).reshape(-1)
+        hv = float_array(self.h).reshape(-1)
         if b.size != hv.size:
             raise DomainError(
                 f"step vector has {hv.size} entries but the box lives in R^{b.size}"
             )
-        check_caps(hv.size, m=cap)
+        check_caps(hv.size, m=self.cap)
         hv.flags.writeable = False
         b.flags.writeable = False
-        self._h = hv
-        self._box = b
-        self._cap = int(cap)
-
-    @property
-    def h(self) -> np.ndarray:
-        return self._h
-
-    @property
-    def box(self) -> np.ndarray:
-        return self._box
-
-    @property
-    def cap(self) -> int:
-        return self._cap
+        object.__setattr__(self, "h", hv)
+        object.__setattr__(self, "box", b)
+        object.__setattr__(self, "cap", int(self.cap))
 
     @property
     def rank(self) -> int:
-        return self._h.size
+        return self.h.size
 
     def lattice_points(self) -> np.ndarray:
         """Integer points of Z^r inside the closed box, with 1e-12 of slack."""
-        bbox = self._box + 1e-12
+        bbox = self.box + 1e-12
         total = math.prod(2 * int(math.floor(b)) + 1 for b in bbox)
         if total > GAP_ENUM_BUDGET:
             raise CapacityError(
                 f"bounding-box lattice enumeration {total} exceeds budget {GAP_ENUM_BUDGET}"
             )
         pts = _integer_box(bbox)
-        if pts.shape[0] > self._cap:
+        if pts.shape[0] > self.cap:
             raise ClassCapError(
-                f"body holds {pts.shape[0]} lattice points, cap is {self._cap}"
+                f"body holds {pts.shape[0]} lattice points, cap is {self.cap}"
             )
         return pts
 
     def points(self) -> np.ndarray:
         """Progression values as a sorted (s, 1) array, one per lattice point:
         a value two lattice points share is listed twice."""
-        return _line_points(self.lattice_points().astype(float), self._h)
+        return _line_points(self.lattice_points().astype(float), self.h)
 
     def to_json_obj(self) -> dict:
         return {
-            "h": self._h.tolist(),
-            "V": {"box": self._box.tolist()},
-            "m": self._cap,
+            "h": self.h.tolist(),
+            "V": {"box": self.box.tolist()},
+            "m": self.cap,
         }
 
     @classmethod
@@ -247,7 +232,7 @@ class Cgap:
             return cls(obj["h"], body["box"], m)
 
     def __repr__(self):
-        return f"Cgap(rank={self.rank}, cap={self._cap}, box={self._box.tolist()})"
+        return f"Cgap(rank={self.rank}, cap={self.cap}, box={self.box.tolist()})"
 
 
 @dataclass(frozen=True)
