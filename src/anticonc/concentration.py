@@ -92,9 +92,17 @@ class WeightVector:
         return float(np.linalg.norm(self.rows, 2))
 
     def gram(self):
-        """Gram matrix sum_k a_k a_k^T and its determinant (clamped at 0)."""
-        mat = self.rows.T @ self.rows
-        det = float(np.linalg.det(mat))
+        """Gram matrix sum_k a_k a_k^T and its determinant (clamped at 0).
+        Past the float range the determinant is that of the rows scaled by
+        their largest entry s, times s^(2d), so it is never NaN."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            mat = self.rows.T @ self.rows
+            det = float(np.linalg.det(mat))
+            if not math.isfinite(det):
+                s = float(np.abs(self.rows).max())
+                scaled = (self.rows / s).T @ (self.rows / s)
+                # det(s^2 M) = s^(2d) det(M), multiplied up from det(M): a zero stays 0
+                det = math.prod([float(np.linalg.det(scaled))] + [s] * (2 * self.dim))
         if det < 0.0:
             # the matrix is positive semidefinite; a negative det is roundoff
             det = 0.0
@@ -162,8 +170,10 @@ def weighted_sum_distribution(
 ) -> DiscreteDistribution:
     """Exact law of sum_k X_k a_k by sequential convolution with atom merging.
 
-    Atoms closer than 1e-9 in max norm merge after every step.  Raises
-    CapacityError when an intermediate support would exceed ``budget``.
+    After every step the atoms are sorted lexicographically and consecutive
+    atoms within 1e-9 in max norm merge (in d >= 2 a closer pair that is not
+    consecutive stays apart).  Raises CapacityError when an intermediate
+    support would exceed ``budget``.
 
     Each step holds one copy of its points and weights: the previous step's
     arrays go as soon as the new ones are formed, a step whose weights are

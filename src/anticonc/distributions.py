@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,8 +46,11 @@ class DiscreteDistribution:
 
     ``normalized=True`` marks a probability distribution (weights sum to one
     within 1e-12); ``normalized=False`` marks a plain nonnegative measure whose
-    total mass stands as given.  ``dedupe_points`` merges atoms closer than
-    1e-12 in max norm, adding their weights, and sorts them lexicographically.
+    total mass stands as given.  ``dedupe_points`` sorts the atoms
+    lexicographically and merges consecutive ones within 1e-12 in max norm,
+    adding their weights.  In d >= 2 atoms that close but not consecutive stay
+    apart: of (0, 0), (0, 1) and (1e-13, 0) all three are kept.  The fields
+    are frozen, the arrays read-only, and equality is identity.
     """
 
     atoms: np.ndarray
@@ -165,13 +169,23 @@ def _symmetric_law(points: np.ndarray, weights: np.ndarray) -> DiscreteDistribut
     symmetric point set mirrored, group j and the j-th from the end, with no
     re-sort that an ulp could tip; each pair is averaged, so z and -z carry
     identical weights bit for bit.  Both are halved before they are
-    subtracted, so no atom of a law in the float range overflows.
+    subtracted, so no atom of a law in the float range overflows.  The
+    averaged rows need not stay in order, so only the upper half of the
+    groups is merged again (``dedupe_points``) and then mirrored, with the
+    middle group of an odd count at 0: no merge can tip one side.
     """
     order = np.lexsort(points.T[::-1])
     p, w = merge_sorted(points[order], weights[order], DEDUP_TOL)
     if not np.allclose(p, -p[::-1], atol=1e-9, rtol=0.0):
         raise DomainError("support is not symmetric up to tolerance")
-    return DiscreteDistribution(p / 2.0 - p[::-1] / 2.0, (w + w[::-1]) / 2.0)
+    q, v = p / 2.0 - p[::-1] / 2.0, (w + w[::-1]) / 2.0
+    h = (len(p) + 1) // 2  # q[h - 1] is the zero middle group when the count is odd
+    up, uw = dedupe_points(q[h:], v[h:], DEDUP_TOL)
+    mid = slice(len(p) - h, h)
+    # 0.0 - x, not -x: a zero coordinate stays +0.0 on both sides, as in q
+    return DiscreteDistribution(
+        np.vstack([0.0 - up[::-1], q[mid], up]), np.concatenate([uw[::-1], v[mid], uw])
+    )
 
 
 def symmetrize(f: DiscreteDistribution) -> DiscreteDistribution:
@@ -201,7 +215,11 @@ def truncated_second_moment(g: DiscreteDistribution, tau: float) -> float:
     if g.dim != 1:
         raise DomainError("truncated second moment is defined on the line")
     z = g.atoms[:, 0]
-    return math.fsum(g.weights * np.minimum(z * z / (tau * tau), 1.0))
+    with np.errstate(over="ignore"):  # z^2 / tau^2 past the float range is above 1
+        if sys.float_info.min <= tau * tau < math.inf:
+            return math.fsum(g.weights * np.minimum(z * z / (tau * tau), 1.0))
+        # tau^2 is subnormal, zero or infinite: square the clipped ratio instead
+        return math.fsum(g.weights * np.minimum(np.abs(z) / tau, 1.0) ** 2)
 
 
 def lambda_d(g: DiscreteDistribution, ratio: float, d: int = 1) -> float:

@@ -94,10 +94,22 @@ def default_theta_max(a: WeightVector) -> float:
 
 
 def _violation_margin(t: np.ndarray, rows: np.ndarray, gamma: float, alpha: float) -> float:
-    """dist(t.a, Z^n) - min(gamma |t.a|, alpha); negative means violation."""
-    v = rows @ t
-    dist = float(np.linalg.norm(v - np.rint(v)))
-    return dist - min(gamma * float(np.linalg.norm(v)), alpha)
+    """dist(t.a, Z^n) - min(gamma |t.a|, alpha); negative means violation.
+
+    A phase past the float range counts as an integer.  Where the squares of
+    finite phases overflow, |t.a| is the scaled norm s |t.a / s|, s = max |t.a|.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = rows @ t
+        frac = v - np.rint(v)
+        norm = math.sqrt(v.dot(v))
+    if norm == math.inf:
+        finite = np.isfinite(v)
+        frac = frac[finite]
+        if finite.all():
+            s = float(np.abs(v).max())
+            norm = s * float(np.linalg.norm(v / s))
+    return math.sqrt(frac.dot(frac)) - min(gamma * norm, alpha)
 
 
 def violation_condition(t, a: WeightVector, params: LcdParams) -> bool:

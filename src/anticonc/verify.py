@@ -381,9 +381,16 @@ def _near_violations(ts, w, params):
     one-dimensional weights ``w`` is below ``_SCAN_SLACK``."""
     for i in range(0, len(ts), _SCAN_CHUNK):
         chunk = ts[i : i + _SCAN_CHUNK]
-        v = np.multiply.outer(chunk, w)
-        dist = np.sqrt(((v - np.rint(v)) ** 2).sum(axis=1))
-        bar = np.minimum(params.gamma * np.sqrt((v**2).sum(axis=1)), params.alpha)
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = np.multiply.outer(chunk, w)
+            frac = v - np.rint(v)
+            # a norm past the float range is inf and sets the bar to alpha, no
+            # lower than the check's bar: the screen keeps more points, not fewer
+            norm = np.sqrt((v**2).sum(axis=1))
+        if np.isinf(norm).any():
+            frac[np.isinf(v)] = 0.0  # an infinite phase counts as an integer, as in the check
+        dist = np.sqrt((frac**2).sum(axis=1))
+        bar = np.minimum(params.gamma * norm, params.alpha)
         yield from chunk[dist - bar < _SCAN_SLACK]
 
 

@@ -182,6 +182,73 @@ def test_step_pool_ratios_past_the_float_range_run(capsys, tmp_path, weights, la
     assert (code, err) == (0, "")
 
 
+# valid instances whose second moment or LCD scan leaves the float range
+_FAR_INSTANCES = {
+    "m2-huge": {
+        "distribution": {"atoms": [-1e300, 1e300], "weights": [0.5, 0.5]},
+        "weights": [-3, -0.5, 1],
+        "parameters": {"tau": 1e-300, "kappa": 1e-300, "delta": 1},
+    },
+    "m2-tiny": {
+        "distribution": "bernoulli(0.3)",
+        "weights": [[-1e-12, -0.5]],
+        "parameters": {
+            "tau": 1e-300, "kappa": 0.5, "delta": 1e-300,
+            "gamma": 0.1, "alpha": 1, "theta_max": 10,
+        },
+    },
+    "lcd-huge": {
+        "distribution": "rademacher",
+        "weights": [1e300],
+        "parameters": {
+            "tau": 0.5, "kappa": 3, "delta": 3, "gamma": 0.1, "alpha": 0.02, "theta_max": 10,
+        },
+    },
+    "lcd-huge-2d": {
+        "distribution": "rademacher",
+        "weights": [[1e308, 1e6], [3, 1e300]],
+        "parameters": {"tau": 1, "gamma": 0.5, "alpha": 1, "theta_max": 1},
+    },
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "command, name",
+    [
+        ("verify", "m2-huge"),
+        ("bounds", "m2-tiny"),
+        ("lcd", "lcd-huge"),
+        ("bounds", "lcd-huge"),
+        ("verify", "lcd-huge"),
+        ("lcd", "lcd-huge-2d"),
+    ],
+)
+def test_values_past_the_float_range_run(capsys, tmp_path, command, name):
+    # m2 was inf / inf or 0 / 0 (verify failed m2_ge_p on NaN, bounds printed
+    # NaN), and the LCD margin, the Gram determinant and the LCD scan overflowed
+    inst = tmp_path / name / f"{name}.json"
+    inst.parent.mkdir()
+    inst.write_text(json.dumps({"id": name, **_FAR_INSTANCES[name]}))
+    # m2-tiny's 2-D LCD search runs to its node cap, 2M nodes in over a minute
+    with mock.patch("anticonc.lcd._MAX_NODES", 20_000):
+        code, out, err = run([command, str(inst.parent if command == "verify" else inst)], capsys)
+    assert (code, err) == (0, "")
+    assert "NaN" not in out
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "name, d_upper", [("lcd-huge", 5.960464477539062e-07), ("lcd-huge-2d", 6.743495761743046e-07)]
+)
+def test_lcd_bracket_past_the_float_range_is_unchanged(capsys, tmp_path, name, d_upper):
+    inst = tmp_path / f"{name}.json"
+    inst.write_text(json.dumps({"id": name, **_FAR_INSTANCES[name]}))
+    code, out, _ = run(["lcd", str(inst)], capsys)
+    bracket = json.loads(out)["lcd"]
+    assert code == 0 and (bracket["d_lower"], bracket["d_upper"]) == (0.0, d_upper)
+
+
 def test_non_converged_quadrature_is_exit_one(capsys, tmp_path):
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps({

@@ -63,6 +63,22 @@ def test_gram_det_clamped_nonnegative():
     assert det == 0.0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "rows, want",
+    [
+        ([[1e300]], math.inf),
+        ([[1e300, 1e300], [1e300, 1e300]], 0.0),
+        ([[1e308, 1e6], [3.0, 1e300]], math.inf),
+    ],
+    ids=["1d", "singular", "2d"],
+)
+def test_gram_det_past_the_float_range_is_a_number(rows, want):
+    # the Gram matrix overflowed, and its determinant was inf or NaN with a warning
+    _, det = WeightVector(rows).gram()
+    assert det == pytest.approx(want, rel=1e-12)
+
+
 def test_exact_q_1d_random_instances_match_oracle():
     rng = np.random.default_rng(42)
     for trial in range(40):

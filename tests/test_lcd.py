@@ -32,6 +32,19 @@ def test_gram_matrix_matches_outer_sum():
     assert abs(det - np.linalg.det(rows.T @ rows)) < 1e-9
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_violation_condition_past_the_float_range():
+    # t = 4e10 puts the phase 1e300 * t past the float range, where it counts as
+    # an integer, and 0.25 * t on one: the lattice distance is 0, the bar alpha
+    a = WeightVector([[1e300], [0.25]])
+    assert violation_condition(np.array([4e10]), a, LcdParams(gamma=0.5, alpha=1.0))
+    # the phases 1e154 are finite but the sum of their squares is not: the scaled
+    # norm puts the bar at gamma * 1.4e154 = 1.4e-6, below the lattice distance 0.5
+    # of the phase 0.5 (an infinite norm put it at alpha = 1, a violation)
+    a = WeightVector([[1e154], [1e154], [0.5]])
+    assert not violation_condition(np.array([1.0]), a, LcdParams(gamma=1e-160, alpha=1.0))
+
+
 @pytest.mark.parametrize(
     "n,gamma,alpha",
     [(4, 0.3, 10.0), (9, 0.5, 10.0), (16, 0.9, 0.02), (9, 0.9, 0.02)],
