@@ -100,9 +100,9 @@ class WeightVector:
             det = float(np.linalg.det(mat))
             if not math.isfinite(det):
                 s = float(np.abs(self.rows).max())
-                scaled = (self.rows / s).T @ (self.rows / s)
+                r = self.rows / s
                 # det(s^2 M) = s^(2d) det(M), multiplied up from det(M): a zero stays 0
-                det = math.prod([float(np.linalg.det(scaled))] + [s] * (2 * self.dim))
+                det = math.prod([float(np.linalg.det(r.T @ r))] + [s] * (2 * self.dim))
         if det < 0.0:
             # the matrix is positive semidefinite; a negative det is roundoff
             det = 0.0
