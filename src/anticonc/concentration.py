@@ -40,6 +40,9 @@ from .errors import CapacityError, DomainError, NumericsError, naming_field
 DEFAULT_EXACT_BUDGET = 20_000_000
 _MC_MIN_SAMPLES = 1000
 _MC_CHUNK = 65536
+# Uniforms drawn per sampler chunk at most; chunks are whole powers of two
+# of rows, since the matrix product's rounding depends on the row count.
+_MC_CHUNK_ENTRIES = 1 << 22
 # Ball hits held at once while summing multiplicities in mc_q.
 _BALL_HIT_BUDGET = 1 << 20
 # Largest pair or centre-point table decided in one numpy array; larger
@@ -175,13 +178,17 @@ def weighted_sum_distribution(
     consecutive stays apart).  Raises CapacityError when an intermediate
     support would exceed ``budget``.
 
-    Each step holds one copy of its points and weights: the previous step's
-    arrays go as soon as the new ones are formed, a step whose weights are
-    all equal sorts its points on the line in place (any permutation leaves
-    its weights as they are), and any other step rebinds both arrays
-    through one stable lexicographic permutation.  The law adopts the
+    Each step holds one copy of its points and at most one of its weights:
+    the previous step's arrays go as soon as the new ones are formed, a
+    step whose weights are all equal sorts its points on the line in place
+    (any permutation leaves its weights as they are), and any other step
+    rebinds both arrays through one stable lexicographic permutation.
+    While every step law's weights are equal and nothing has merged, the
+    weights are one value, held as a read-only zero-stride view
+    (``np.broadcast_to``); a merge returns a full array.  The law adopts the
     merged arrays uncopied.  Each step's atoms and weights are those of one
-    sort and merge pass of ``dedupe_points`` (the next step sorts), bit for bit.
+    sort and merge pass of ``dedupe_points`` (the next step sorts), bit for
+    bit.
     """
     _check_summand(x)
     check_count(budget, "budget")
@@ -189,6 +196,7 @@ def weighted_sum_distribution(
     xw = x.weights
     pts = np.zeros((1, a.dim))
     w = np.ones(1)
+    flat = xw.min() == xw.max()  # while set, every weight is xw[0] * w[0]: never scanned
     for k in range(a.n):
         if pts.shape[0] * xv.size > budget:
             raise CapacityError(
@@ -199,8 +207,11 @@ def weighted_sum_distribution(
             shift = np.multiply.outer(xv, a.rows[k])  # (s, d)
             # each rebinding frees the previous step's array
             pts = (shift[:, None, :] + pts[None, :, :]).reshape(-1, a.dim)
-        w = (xw[:, None] * w[None, :]).reshape(-1)
-        equal = w.min() == w.max()
+        if flat:
+            w = np.broadcast_to(xw[0] * w[0], len(pts))
+        else:
+            w = (xw[:, None] * w[None, :]).reshape(-1)
+        equal = flat or w.min() == w.max()
         if equal and a.dim == 1:
             pts[:, 0].sort(kind="stable")
         else:
@@ -211,6 +222,7 @@ def weighted_sum_distribution(
             del order  # as big as the points: free it before the merge
         with np.errstate(invalid="ignore"):
             pts, w = merge_sorted(pts, w, CONVOLUTION_MERGE_TOL)
+        flat = flat and w.strides == (0,)  # a merge's sums are a full array
     return DiscreteDistribution._adopt(pts, w)
 
 
@@ -542,8 +554,10 @@ class WeightedSum:
     def sample(self, n_samples: int, rng: np.random.Generator) -> np.ndarray:
         xv = self.x.atoms[:, 0]
         out = np.empty((n_samples, self.a.dim))
-        for i in range(0, n_samples, _MC_CHUNK):
-            m = min(_MC_CHUNK, n_samples - i)
+        # the largest power of two up to _MC_CHUNK rows within the entry cap
+        chunk = min(_MC_CHUNK, 1 << max(0, (_MC_CHUNK_ENTRIES // self.a.n).bit_length() - 1))
+        for i in range(0, n_samples, chunk):
+            m = min(chunk, n_samples - i)
             idx = atom_indices(self.x, rng.random((m, self.a.n)))
             out[i : i + m] = xv[idx] @ self.a.rows
         return out

@@ -50,7 +50,10 @@ class DiscreteDistribution:
     lexicographically and merges consecutive ones within 1e-12 in max norm,
     adding their weights.  In d >= 2 atoms that close but not consecutive stay
     apart: of (0, 0), (0, 1) and (1e-13, 0) all three are kept.  The fields
-    are frozen, the arrays read-only, and equality is identity.
+    are frozen, the arrays read-only, and equality is identity.  Equal
+    weights may be held as one value, a read-only broadcast view of stride
+    0 (a convolution's, see ``weighted_sum_distribution``); ``.copy()``
+    gives a plain array.
     """
 
     atoms: np.ndarray

@@ -74,7 +74,8 @@ class Gap:
     """Symmetric progression with real box radii ``dims`` and generators ``gens``.
 
     ``dims`` is a tuple of positive floats (the L_j), ``gens`` a (rank, d)
-    array.  Rank zero is allowed; pass ``ambient_dim`` to fix d in that case.
+    array.  Rank zero is allowed; pass ``ambient_dim``, or ``gens`` as a (0, d)
+    array (as ``dataclasses.replace`` does), to fix d in that case.
     """
 
     dims: tuple
@@ -84,6 +85,8 @@ class Gap:
         dims = tuple(float(v) for v in float_array(dims).reshape(-1))
         if any(v <= 0 for v in dims):
             raise DomainError("progression radii must be positive")
+        if ambient_dim is None and not dims and isinstance(gens, np.ndarray) and gens.ndim == 2:
+            ambient_dim = gens.shape[1] or None  # np.eye(0) is (0, 0): d = 1
         if ambient_dim is not None:
             check_count(ambient_dim, "ambient dimension", 1, _MAX_AMBIENT_DIM)
         if len(dims) == 0:

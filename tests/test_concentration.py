@@ -1,7 +1,10 @@
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -24,7 +27,7 @@ from anticonc.concentration import (
     weighted_sum_char_fn,
     weighted_sum_distribution,
 )
-from anticonc.distributions import CompoundPoisson, DiscreteDistribution, cp_sample_rng
+from anticonc.distributions import CompoundPoisson, DiscreteDistribution, cp_sample_rng, symmetrize
 from anticonc.errors import CapacityError, DomainError
 from anticonc.instances import load_corpus
 
@@ -391,17 +394,74 @@ def _traced_peak_ratio(x, rows):
     finally:
         tracemalloc.stop()
     assert law.n_atoms == 2 ** len(rows)  # generic: no merge
-    return peak / (law.atoms.nbytes + law.weights.nbytes)
+    # over the atoms alone: a broadcast weight's nbytes counts bytes it does not hold
+    return peak / law.atoms.nbytes, law.weights.strides
 
 
 def test_convolution_holds_one_copy_of_each_step():
-    # a step holds one copy of its arrays, and the merge scan one gap and one
-    # flag per point more (1.5625); with unequal weights a step holds one
-    # permutation and one gathered copy more; a step that also held sorted
-    # copies, and a law that copied them, read 2.63
+    # equal weights are one value; a step holds one copy of its points, and
+    # the merge scan one gap and one flag per point more (2.125); with unequal
+    # weights a step also holds its weights, one permutation and one gathered
+    # copy (4.0); a full weight array at every step read 3.13, and a step that
+    # also held sorted copies, and a law that copied them, read 5.25
     rows = np.random.default_rng(0).uniform(0.3, 2.0, 16)
-    assert _traced_peak_ratio(RAD, rows) <= 1.6
-    assert _traced_peak_ratio(B3, rows) <= 2.05
+    ratio, strides = _traced_peak_ratio(RAD, rows)
+    assert ratio <= 2.2 and strides == (0,)
+    ratio, strides = _traced_peak_ratio(B3, rows)
+    assert ratio <= 4.1 and strides == (8,)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 3), k=st.integers(2, 4), lattice=st.booleans())
+def test_equal_weight_convolution_holds_one_weight_until_a_merge(data, dim, k, lattice):
+    # rademacher or uniform{...} steps; half-integer atoms and rows make
+    # lattice sums that merge, generic rows keep every sum apart
+    if k == 2 and data.draw(st.booleans(), label="rademacher"):
+        x = RAD
+    else:
+        vals = data.draw(st.lists(st.integers(-6, 6), min_size=k, max_size=k, unique=True))
+        x = DiscreteDistribution.from_shorthand("uniform{%s}" % ",".join(str(v / 2) for v in vals))
+    bits = {1: 9, 2: 7, 3: 5}[dim]
+    n = data.draw(st.integers(1, max(1, int(bits * math.log(2) / math.log(k)))), label="n")
+    if lattice:
+        entry = st.integers(-4, 4).map(lambda v: v / 2)
+    else:
+        entry = st.floats(-2.0, 2.0, allow_nan=False, allow_subnormal=False)
+    rows = np.array(
+        data.draw(
+            st.lists(st.lists(entry, min_size=dim, max_size=dim), min_size=n, max_size=n),
+            label="rows",
+        ),
+        dtype=float,
+    )
+    assume(np.any(rows))
+    law = weighted_sum_distribution(x, WeightVector(rows))
+    want_pts, want_w = O.oracle_weighted_sum_distribution(x.atoms[:, 0], x.weights, rows)
+    assert law.atoms.tobytes() == want_pts.tobytes()
+    assert law.weights.tobytes() == want_w.tobytes()
+    assert not law.weights.flags.writeable
+    # merges only shrink the support: k^n atoms means no step merged
+    assert (law.weights.strides == (0,)) == (law.n_atoms == k**n)
+
+
+@pytest.mark.parametrize("dim, n", [(1, 10), (2, 7), (3, 5)])
+def test_a_broadcast_weight_reads_as_its_plain_copy(dim, n):
+    rows = np.random.default_rng(dim).uniform(0.3, 2.0, (n, dim))
+    law = weighted_sum_distribution(RAD, WeightVector(rows))
+    plain = DiscreteDistribution(law.atoms, law.weights.copy())
+    assert law.weights.strides == (0,) and plain.weights.strides == (8,)
+    for tau in (0.5, 1.0, 3.0):
+        assert exact_q_of_distribution(law, tau) == exact_q_of_distribution(plain, tau)
+    assert regularity_check(law, 2.0, 0.5) == regularity_check(plain, 2.0, 0.5)
+    got, want = symmetrize(law), symmetrize(plain)
+    assert got.atoms.tobytes() == want.atoms.tobytes()
+    assert got.weights.tobytes() == want.weights.tobytes()
+    samplers = [(CompoundPoisson(3.0, law), CompoundPoisson(3.0, plain))]
+    if dim == 1:  # a law on the line is also a step law
+        a = WeightVector([1.0, -0.5, 2.0])
+        samplers.append((WeightedSum(law, a), WeightedSum(plain, a)))
+    for s, t in samplers:
+        assert mc_q(s, 1.0, 3000, 7) == mc_q(t, 1.0, 3000, 7)
 
 
 def test_convolved_law_is_read_only():
@@ -499,6 +559,59 @@ def test_samplers_match_the_oracles_across_poisson_and_sample_chunks():
         got = WeightedSum(U3, WeightVector(rows)).sample(3000, rng)
     want = O.oracle_weighted_sum_sample(U3.atoms[:, 0], U3.weights, rows, 3000, rng_o, 700)
     _same_draws(got, want, rng, rng_o)
+
+
+_CHUNK_SCRIPT = """
+import numpy as np
+import _oracles as O
+from anticonc._common import make_rng
+from anticonc.concentration import WeightVector, WeightedSum
+from anticonc.distributions import DiscreteDistribution
+
+x = DiscreteDistribution.rademacher()
+for n, d in [(100, 1), (100, 2), (300, 3), (1000, 2), (1000, 3), (3000, 1)]:
+    rows = np.random.default_rng(n * d).uniform(-2.0, 2.0, (n, d))
+    chunk = 65536 >> max(0, (n - 1).bit_length() - 6)  # 32768 at n = 100, 1024 at 3000
+    samples = chunk + chunk // 2 + 3  # two chunks and a partial third
+    got = WeightedSum(x, WeightVector(rows)).sample(samples, make_rng(5))
+    want = O.oracle_weighted_sum_sample(x.atoms[:, 0], x.weights, rows, samples, make_rng(5), 65536)
+    assert got.tobytes() == want.tobytes(), (n, d)
+"""
+
+
+def test_sampler_chunks_give_the_draws_of_65536_row_chunks():
+    # past n = 64 a chunk is the largest power of two of rows that holds at
+    # most 2^22 uniforms; the product's rounding depends on the row count
+    # and on the BLAS thread count, so the check runs with one BLAS thread
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(
+            [str(Path(concentration.__file__).parents[1]), str(Path(__file__).parent)]
+        ),
+        **{v: "1" for v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")},
+    }
+    subprocess.run([sys.executable, "-c", _CHUNK_SCRIPT], env=env, check=True)
+
+
+def test_sampler_chunks_hold_at_most_2_22_uniforms():
+    # n = 1000 draws 4096-row chunks: 117 MiB traced at 20k samples, where
+    # 65,536-row chunks held 420 MiB
+    sampler = WeightedSum(RAD, WeightVector(np.random.default_rng(0).uniform(0.3, 2.0, 1000)))
+    rng, shapes = make_rng(1), []
+
+    class Spy:
+        def random(self, shape):
+            shapes.append(shape)
+            return rng.random(shape)
+
+    tracemalloc.start()
+    try:
+        sampler.sample(20_000, Spy())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert shapes == [(4096, 1000)] * 4 + [(3616, 1000)]
+    assert peak < 150 * 2**20, peak / 2**20
 
 
 @pytest.mark.parametrize(

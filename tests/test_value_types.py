@@ -129,3 +129,11 @@ def test_replace_runs_the_checks_again():
         dataclasses.replace(Gap([1.0], [[2.0]]), dims=(-1.0,))
     with pytest.raises(DomainError, match="intensity"):
         dataclasses.replace(CompoundPoisson(1.0, DiscreteDistribution.rademacher()), intensity=-1)
+
+
+def test_replace_keeps_a_rank_zero_gap_in_its_dimension():
+    # the (0, d) generator array carries d; it read ambient_dim=1
+    gap = dataclasses.replace(Gap([], [], ambient_dim=3))
+    assert repr(gap) == "Gap(rank=0, dims=(), ambient_dim=3)"
+    assert gap.gens.shape == (0, 3)
+    assert Gap([], np.eye(0)).ambient_dim == 1

@@ -10,6 +10,7 @@ import pytest
 
 from anticonc import concentration, progressions, verify
 from anticonc.concentration import WeightVector
+from anticonc.distributions import DiscreteDistribution
 from anticonc.errors import DomainError, InputError
 from anticonc.cli import main
 from anticonc.instances import load_corpus
@@ -232,6 +233,24 @@ def test_bundled_verify_runs_each_witness_search_once():
     with mock.patch.object(progressions, "_coverage_search", wraps=search) as spy:
         run_verification()
     assert spy.call_count == 43
+
+
+def test_verify_reads_a_broadcast_weight_as_its_plain_copy():
+    # convolved laws of equal-weight steps hold one broadcast weight until a
+    # merge; the report is the same bytes when every law holds a full array
+    conv = concentration.weighted_sum_distribution
+    flat = []
+
+    def plain(x, a, budget):
+        law = conv(x, a, budget)
+        flat.append(law.weights.strides == (0,))
+        return DiscreteDistribution(law.atoms, law.weights.copy())
+
+    want = json.dumps(run_verification().to_json_obj())
+    with mock.patch.object(verify, "weighted_sum_distribution", plain):
+        got = json.dumps(run_verification().to_json_obj())
+    assert got == want
+    assert any(flat) and not all(flat)
 
 
 def test_bundled_verify_convolves_each_law_once_at_the_verify_budget():
