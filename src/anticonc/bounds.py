@@ -19,11 +19,20 @@ from functools import cache
 
 import numpy as np
 
-from ._common import _MASK64, check_count, check_scale, derive_seed, json_number, json_object
+from ._common import (
+    _MASK64,
+    WINDOW_TOL,
+    check_count,
+    check_scale,
+    derive_seed,
+    json_number,
+    json_object,
+)
 from .concentration import (
     ConcentrationEstimate,
     WeightVector,
     WeightedSum,
+    _check_mc_samples,
     _check_summand,
     esseen_upper_q,
     exact_q,
@@ -50,6 +59,13 @@ from .lcd import LcdParams, compute_lcd
 from .progressions import DEFAULT_CAPS, beta_rm
 
 _TWO_PI = 2.0 * math.pi
+# Unit roundoff of a double.
+_U = 2.0**-53
+# Largest grid, in points per period, of a lattice smoothed reference; a
+# larger one is estimated by Monte Carlo.
+_LATTICE_GRID = 1 << 20
+# Poisson tail past the jump count a lattice reference's grid holds.
+_LATTICE_TAIL = 1e-15
 # Monte Carlo sample count of every estimate of a bound report.
 DEFAULT_MC_SAMPLES = 100_000
 # Tolerance of every comparison of the pointwise chain check.
@@ -155,6 +171,18 @@ def _lcd_core(
     return c_d * (first + math.exp(-exp_coeff * b * lcd.alpha * lcd.alpha))
 
 
+@dataclass(frozen=True, eq=False)
+class _SmoothingCharFn:
+    """hat H of ``smoothing_law(a)``, callable on a grid; it keeps ``a``,
+    whose rows the lattice route of a smoothed reference reads."""
+
+    a: WeightVector
+
+    def __call__(self, ts):
+        _, ph = self.a.phases(ts)
+        return np.exp(-0.5 * np.sum(1.0 - np.cos(ph), axis=-1))
+
+
 def h_char_fn(a: WeightVector):
     """Characteristic function of the spectral smoothing law of ``a``.
 
@@ -162,12 +190,7 @@ def h_char_fn(a: WeightVector):
     (0, 1].  The returned callable is vectorized over a grid read by
     ``WeightVector.phases``.
     """
-
-    def f_hat(ts):
-        _, ph = a.phases(ts)
-        return np.exp(-0.5 * np.sum(1.0 - np.cos(ph), axis=-1))
-
-    return f_hat
+    return _SmoothingCharFn(a)
 
 
 def smoothing_law(a: WeightVector, power: float = 1.0) -> CompoundPoisson:
@@ -378,6 +401,99 @@ def _reference_entry(est: ConcentrationEstimate) -> dict:
     return {"value": est.value, "method": est.method, "stderr": est.stderr}
 
 
+def _lattice_steps(a: WeightVector):
+    """The largest power of two h = 2^e that divides every weight of ``a``
+    on the line (every finite double is dyadic), and the distinct nonzero
+    |a_k| / h with their counts, as pairs of Python integers."""
+    vals, counts = np.unique(np.abs(a.rows[:, 0]), return_counts=True)
+    ratios = [(v.as_integer_ratio(), c) for v, c in zip(vals.tolist(), counts.tolist()) if v]
+    # num / den, den = 2^b, is divided by 2^(v2(num) - b) and no higher power
+    e = min((num & -num).bit_length() - den.bit_length() for (num, den), _ in ratios)
+    steps = []
+    for (num, den), c in ratios:
+        shift = e + den.bit_length() - 1
+        steps.append((num >> shift if shift >= 0 else num << -shift, c))
+    return math.ldexp(1.0, e), steps
+
+
+def _poisson_cut(lam: float, most: int):
+    """The first jump count J >= ceil(lam) - 1 whose bound on P(N > J), N
+    Poisson(lam), is at most ``_LATTICE_TAIL``, and that bound; None past
+    ``most``.  Past lam the pmf falls at least geometrically, so P(N > J) <=
+    pmf(J + 1) (J + 2) / (J + 2 - lam)."""
+    if lam == 0.0:
+        return 0, 0.0
+    if lam > most + 1:
+        return None
+    j = max(0, math.ceil(lam) - 1)
+    pmf = math.exp((j + 1) * math.log(lam) - lam - math.lgamma(j + 2))
+    while (tail := pmf * (j + 2) / (j + 2 - lam)) > _LATTICE_TAIL:
+        j += 1
+        if j > most:
+            return None
+        pmf *= lam / (j + 1)
+    return j, tail
+
+
+def _lattice_fft_q(a: WeightVector, power: float, window: float):
+    """Bracket (lower, upper) of Q(H^power, window), H = ``smoothing_law(a)``
+    for weights on the line, from the law on a grid of N points of their
+    lattice h Z; None when N would pass ``_LATTICE_GRID``.
+
+    H^power is compound Poisson with intensity n power / 2 and jumps +-a_k,
+    so its mass lies in [-J M h, J M h] up to the Poisson tail past J
+    jumps, M h the largest |a_k|.  A window holds at most L lattice points:
+    L counts the length with ``_max_window_mass_1d``'s slack at the widest
+    anchor |z| = J M h, and a margin for the sweep's own rounding (a window
+    anchored further out holds at most the tail, far below the largest
+    one, which is at least 1/N less E).  N is the
+    first power of two at least 2 J M + L.  hat H^power is real and even,
+    so ``irfft`` of its values on the grid, with every phase 2 pi (l m mod
+    N) / N taken from exact integers m = |a_k| / h, gives the law wrapped
+    onto Z/N.  Wrapping only adds mass to a window, so the largest circular
+    L-point window sum, plus a rounding bound E, is an upper end; a
+    circular window meets [-J M, J M] in one run of at most L points, so
+    less E and the tail it is a lower end.  E sums a priori bounds: each
+    grid value of hat H^power is off by at most err_char (phases, cosines,
+    the grouped sum and exp), the FFT adds 17 (log2 N + 2) units in the
+    2-norm (the inverse map has norm 1/sqrt(N)), and the cumulative sums
+    their own; it is at least 4 (N + L) units, far above the rounding of
+    the tail bound (relative, under 1e-8).  ``numpy.fft`` is imported on
+    first use.
+    """
+    h, steps = _lattice_steps(a)
+    top = max(m for m, _ in steps)
+    cut = _poisson_cut(0.5 * a.n * power, (_LATTICE_GRID - 1) // (2 * top))
+    if cut is None:
+        return None
+    jumps, tail = cut
+    if jumps == 0:
+        return 1.0 - tail, 1.0  # the atom at 0 holds P(N = 0) >= 1 - tail
+    z_max = jumps * top * h
+    reach = window + WINDOW_TOL * max(1.0, z_max)
+    points = (reach + 4 * _U * (z_max + reach)) / h
+    if not points < _LATTICE_GRID:
+        return None
+    width = math.floor(points) + 1
+    size = 1 << (2 * jumps * top + width - 1).bit_length()
+    if size > _LATTICE_GRID:
+        return None
+    freq = np.arange(size // 2 + 1)
+    # 1 - cos(2 pi r / N) for r in [0, N/2]: cos is even, so every phase reads it
+    one_minus_cos = 1.0 - np.cos(freq * (_TWO_PI / size))
+    total = np.zeros(len(freq))
+    for m, c in steps:
+        r = (freq * m) & (size - 1)  # mod N, a power of two
+        total += c * one_minus_cos[np.minimum(r, size - r, out=r)]
+    law = np.fft.irfft(np.exp(-0.5 * power * total), size)
+    cum = np.concatenate([[0.0], np.cumsum(np.concatenate([law, law[: width - 1]]))])
+    best = float(np.max(cum[width:] - cum[:size]))
+    err_char = _U * (power * a.n * (16 + 2 * len(steps)) + 16)
+    err_point = err_char + 17 * _U * (size.bit_length() + 1)
+    err = width * err_point + 4 * _U * (size + width + 2) * (1.0 + size * err_point)
+    return max(0.0, best - err - tail), min(1.0, best + err)
+
+
 def _smoothed_reference(
     h: CompoundPoisson,
     h_hat,
@@ -387,12 +503,21 @@ def _smoothed_reference(
     seed: int,
     constants: ConstantsConfig,
 ) -> dict:
-    """Monte Carlo estimate of Q(H^power, window) with a smoothing-integral
-    cross-check, H = ``smoothing_law(a)`` and ``h_hat = h_char_fn(a)``; H with
-    its intensity scaled by ``power`` is ``smoothing_law(a, power)`` bit for bit."""
+    """Q(H^power, window) with a smoothing-integral cross-check, H =
+    ``smoothing_law(a)`` and ``h_hat = h_char_fn(a)``.  On the line it is the
+    ``lattice_fft`` bracket of ``_lattice_fft_q`` where that has one: the
+    upper end is the entry's ``value`` and the lower end its ``lower``.
+    Otherwise it is a Monte Carlo estimate from H with its intensity scaled
+    by ``power``, which is ``smoothing_law(a, power)`` bit for bit."""
     power = check_scale(power, "power", finite=True)
-    est = mc_q(CompoundPoisson(h.intensity * power, h.base), window, mc_samples, seed)
-    entry = _reference_entry(est)
+    bracket = _lattice_fft_q(h_hat.a, power, window) if h.dim == 1 else None
+    if bracket is None:
+        est = mc_q(CompoundPoisson(h.intensity * power, h.base), window, mc_samples, seed)
+        entry = _reference_entry(est)
+    else:
+        lower, upper = bracket
+        entry = _reference_entry(ConcentrationEstimate(upper, "lattice_fft", 0.0, window))
+        entry["lower"] = lower
     try:
         cross = esseen_upper_q(
             lambda ts: h_hat(ts) ** power, window, h.dim, constants.c_esseen
@@ -455,6 +580,8 @@ def build_bound_report(
     for what, window in (("tau", tau), ("kappa", kappa), ("delta", delta)):
         check_scale(window, what, positive=True)
     seed_int = check_count(seed, "seed", maximum=_MASK64)
+    # checked even where every reference takes an exact or lattice route
+    _check_mc_samples(mc_samples)
     d = a.dim
     n = a.n
 

@@ -96,16 +96,27 @@ class WeightVector:
 
     def gram(self):
         """Gram matrix sum_k a_k a_k^T and its determinant (clamped at 0).
-        Past the float range the determinant is that of the rows scaled by
-        their largest entry s, times s^(2d), so it is never NaN."""
+        Where that determinant leaves the float range it is det(R^T R) prod_j
+        c_j^2, R the rows with column j divided by its largest entry c_j,
+        multiplied out in mantissas and binary exponents: it is inf only
+        past the float range and never NaN, and a column of small entries
+        keeps its share."""
         with np.errstate(over="ignore", invalid="ignore"):
             mat = self.rows.T @ self.rows
             det = float(np.linalg.det(mat))
-            if not math.isfinite(det):
-                s = float(np.abs(self.rows).max())
-                r = self.rows / s
-                # det(s^2 M) = s^(2d) det(M), multiplied up from det(M): a zero stays 0
-                det = math.prod([float(np.linalg.det(r.T @ r))] + [s] * (2 * self.dim))
+        if not math.isfinite(det):
+            c = np.abs(self.rows).max(axis=0)
+            det = 0.0  # a zero column makes the matrix singular
+            if c.all():
+                r = self.rows / c
+                mant, exp = math.frexp(float(np.linalg.det(r.T @ r)))
+                for cj in c.tolist():
+                    m, e = math.frexp(cj)
+                    mant, exp = mant * m * m, exp + 2 * e
+                try:
+                    det = math.ldexp(mant, exp)
+                except OverflowError:
+                    det = math.copysign(math.inf, mant)
         if det < 0.0:
             # the matrix is positive semidefinite; a negative det is roundoff
             det = 0.0
@@ -124,14 +135,15 @@ class WeightVector:
         return f"WeightVector(n={self.n}, dim={self.dim})"
 
 
-_METHODS = ("exact", "monte_carlo", "esseen_upper")
+_METHODS = ("exact", "monte_carlo", "esseen_upper", "lattice_fft")
 
 
 @dataclass(frozen=True)
 class ConcentrationEstimate:
     """A concentration value at radius ``tau`` with its provenance.
 
-    ``exact`` and ``monte_carlo`` values are probabilities in [0, 1];
+    ``exact`` and ``monte_carlo`` values are probabilities in [0, 1], and
+    so is ``lattice_fft``, the upper end of a certified bracket;
     ``esseen_upper`` is a bound shape and may exceed 1 (vacuous bound).
     """
 
@@ -146,7 +158,7 @@ class ConcentrationEstimate:
         check_scale(self.value, "value", finite=True)
         check_scale(self.stderr, "stderr")
         check_scale(self.tau, "tau")
-        if self.method in ("exact", "monte_carlo"):
+        if self.method != "esseen_upper":
             if self.value > 1.0 + 1e-9:
                 raise DomainError("probability estimate exceeds 1")
             object.__setattr__(self, "value", min(self.value, 1.0))
@@ -571,6 +583,13 @@ def _sample_from(sampler, n_samples: int, rng: np.random.Generator) -> np.ndarra
     raise DomainError("sampler must be a WeightedSum or a CompoundPoisson")
 
 
+def _check_mc_samples(n_samples) -> None:
+    """The sample count rule of every Monte Carlo estimate: an integer of at
+    least ``_MC_MIN_SAMPLES``."""
+    if check_count(n_samples, "n_samples") < _MC_MIN_SAMPLES:
+        raise DomainError(f"Monte Carlo needs at least {_MC_MIN_SAMPLES} samples")
+
+
 def mc_q(
     sampler, tau: float, n_samples: int, seed
 ) -> ConcentrationEstimate:
@@ -587,8 +606,7 @@ def mc_q(
     optimum.
     """
     check_scale(tau, "tau")
-    if check_count(n_samples, "n_samples") < _MC_MIN_SAMPLES:
-        raise DomainError(f"Monte Carlo needs at least {_MC_MIN_SAMPLES} samples")
+    _check_mc_samples(n_samples)
     rng = make_rng(seed)
     # a sample past the float range is refused by the array rule, not a warning
     with np.errstate(over="ignore", invalid="ignore"), naming_field("samples", DomainError):

@@ -617,6 +617,28 @@ def oracle_poisson_pmf(mean, k):
     return math.exp(-mean) * mean**k / math.factorial(k)
 
 
+def oracle_cp_law_1d(steps, unit, intensity, tail=1e-18):
+    """Atoms and masses of the compound Poisson law of ``intensity`` whose
+    jumps are uniform on +-steps[k] * unit (integer steps), truncated:
+    sum_{j <= J} Pois(intensity; j) nu^{*j}, J the first count past the mean
+    with Poisson mass below ``tail``, each nu^{*j} by direct convolution of
+    arrays indexed by the integer lattice."""
+    top = max(abs(int(s)) for s in steps)
+    nu = np.zeros(2 * top + 1)
+    for s in steps:
+        nu[top + int(s)] += 0.5 / len(steps)
+        nu[top - int(s)] += 0.5 / len(steps)
+    power_j = np.ones(1)  # nu^{*j}, centred
+    law = oracle_poisson_pmf(intensity, 0) * power_j
+    j = 0
+    while not (j > intensity and oracle_poisson_pmf(intensity, j) < tail):
+        j += 1
+        power_j = np.convolve(power_j, nu)
+        law = np.pad(law, top) + oracle_poisson_pmf(intensity, j) * power_j
+    centre = (len(law) - 1) // 2
+    return (np.arange(len(law)) - centre) * unit, law
+
+
 RADEMACHER = ((-1.0, 1.0), (Fraction(1, 2), Fraction(1, 2)))
 UNIFORM3 = ((-1.0, 0.0, 1.0), (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)))
 

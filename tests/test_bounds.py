@@ -334,13 +334,26 @@ def test_report_csv_layout():
 
 
 def test_report_seed_changes_mc_not_exact():
+    # the all-ones weights lie on Z: like the exact q, every smoothed
+    # reference is a lattice bracket, the same under every seed
     rep1 = _small_report(seed=1)
     rep2 = _small_report(seed=2)
-    assert rep1.references["q"]["value"] == rep2.references["q"]["value"]
-    assert (
-        rep1.references["q_h_p_kappa"]["value"]
-        != rep2.references["q_h_p_kappa"]["value"]
+    assert rep1.references == rep2.references
+    smoothed = [name for name in rep1.references if name.startswith("q_h_")]
+    assert len(smoothed) == 4  # with q_h_b_invd of the lcd tags
+    assert all(rep1.references[name]["method"] == "lattice_fft" for name in smoothed)
+    # off the lattice (09-irr-04) they are Monte Carlo estimates that move with the seed
+    spec = next(spec for spec in load_corpus() if spec.id == "09-irr-04")
+    irr1, irr2 = (
+        build_bound_report(
+            spec.x, spec.a, *spec.require("tau", "kappa", "delta"), seed=seed, mc_samples=2000
+        )
+        for seed in (1, 2)
     )
+    assert irr1.references["q"] == irr2.references["q"]
+    for name in ("q_h_p_kappa", "q_h_p_delta"):
+        assert irr1.references[name]["method"] == "monte_carlo"
+        assert irr1.references[name]["value"] != irr2.references[name]["value"]
 
 
 def test_report_seed_is_a_64_bit_integer():
@@ -420,6 +433,62 @@ def test_smoothed_reference_draws_from_the_scaled_smoothing_law(power):
     assert entry["value"] == mc_q(scaled, 0.5, 2000, 9).value
     with pytest.raises(DomainError, match="^power: "):
         bounds._smoothed_reference(h, h_char_fn(a), -power - 1.0, 0.5, 2000, 9, ConstantsConfig())
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    steps=st.lists(st.integers(-8, 8), min_size=1, max_size=5).filter(any),
+    shift=st.integers(0, 3),
+    power=st.floats(0.0, 3.0, exclude_min=True),
+    window=st.sampled_from([0.5, 1.0, 1.5, 2.75]),
+)
+def test_lattice_bracket_holds_the_window_mass_of_the_law(steps, shift, power, window):
+    # integer and dyadic weights m_k / 2^shift; the tolerance is the oracle's
+    # own rounding, the bracket's width its a priori rounding bound
+    unit = 2.0**-shift
+    a = WeightVector([[m * unit] for m in steps])
+    lower, upper = bounds._lattice_fft_q(a, power, window)
+    points, masses = O.oracle_cp_law_1d(steps, unit, 0.5 * len(steps) * power)
+    q = O.oracle_max_window_mass(points, masses, window)
+    assert lower - 1e-14 <= q <= upper + 1e-14
+    assert 0.0 <= upper - lower <= 1e-10
+
+
+def test_lattice_reference_at_power_zero_is_one():
+    # H^0 is the point mass at 0, whatever the weights
+    for a in (WeightVector([[1.0], [2.0]]), WeightVector([[1.0], [2**0.5]])):
+        entry = bounds._smoothed_reference(
+            smoothing_law(a), h_char_fn(a), 0.0, 0.5, 2000, 9, ConstantsConfig()
+        )
+        assert (entry["method"], entry["lower"], entry["value"]) == ("lattice_fft", 1.0, 1.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_lattice_grid_past_its_cap_falls_back_to_monte_carlo():
+    # weights [1e308, 1] lie on Z, but their span needs about 1e308 grid
+    # points: the references are Monte Carlo, whose samples leave the float range
+    a = WeightVector([[1e308], [1.0]])
+    assert bounds._lattice_fft_q(a, 1.0, 1.0) is None
+    with pytest.raises(DomainError, match="^samples: expected finite numbers"):
+        build_bound_report(RAD, a, tau=0.5, kappa=1.0, delta=0.5, mc_samples=2000)
+
+
+def test_corpus_references_on_the_line_and_a_lattice_are_brackets():
+    for spec in load_corpus():
+        rep = build_bound_report(
+            spec.x, spec.a, *spec.require("tau", "kappa", "delta"), lcd=spec.lcd,
+            seed=0, mc_samples=2000,
+        )
+        lattice = spec.a.dim == 1 and np.all(spec.a.rows == np.rint(spec.a.rows))
+        for name, ref in rep.references.items():
+            if name == "q":
+                continue
+            if lattice:
+                assert ref["method"] == "lattice_fft", (spec.id, name)
+                assert 0.0 <= ref["lower"] <= ref["value"] <= 1.0, (spec.id, name)
+                assert ref["value"] - ref["lower"] < 1e-9, (spec.id, name)
+            else:
+                assert ref["method"] == "monte_carlo", (spec.id, name)
 
 
 _GENERIC = WeightVector(np.array([[0.7], [1.3], [1.9], [0.45], [2.6], [3.3]]))

@@ -73,13 +73,23 @@ def test_gram_det_clamped_nonnegative():
         ([[1e300]], math.inf),
         ([[1e300, 1e300], [1e300, 1e300]], 0.0),
         ([[1e308, 1e6], [3.0, 1e300]], math.inf),
+        # one scale for all columns sent the 1e-100 column to 0: det 0.0, lcd_* vacuous
+        ([[1e200, 0.0], [0.0, 1e-100]], 1e200),
     ],
-    ids=["1d", "singular", "2d"],
+    ids=["1d", "singular", "2d", "column-scales"],
 )
 def test_gram_det_past_the_float_range_is_a_number(rows, want):
     # the Gram matrix overflowed, and its determinant was inf or NaN with a warning
     _, det = WeightVector(rows).gram()
     assert det == pytest.approx(want, rel=1e-12)
+
+
+def test_gram_det_in_the_float_range_is_the_plain_determinant():
+    # the rescaled route runs only where the plain determinant is not finite
+    for rows in (np.random.default_rng(3).uniform(-2.0, 2.0, (7, 3)), [[3.0], [4.0]]):
+        _, det = WeightVector(rows).gram()
+        rows = np.asarray(rows)
+        assert det == float(np.linalg.det(rows.T @ rows))
 
 
 def test_exact_q_1d_random_instances_match_oracle():
