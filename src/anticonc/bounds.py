@@ -171,26 +171,19 @@ def _lcd_core(
     return c_d * (first + math.exp(-exp_coeff * b * lcd.alpha * lcd.alpha))
 
 
-@dataclass(frozen=True, eq=False)
-class _SmoothingCharFn:
-    """hat H of ``smoothing_law(a)``, callable on a grid; it keeps ``a``,
-    whose rows the lattice route of a smoothed reference reads."""
-
-    a: WeightVector
-
-    def __call__(self, ts):
-        _, ph = self.a.phases(ts)
-        return np.exp(-0.5 * np.sum(1.0 - np.cos(ph), axis=-1))
-
-
 def h_char_fn(a: WeightVector):
     """Characteristic function of the spectral smoothing law of ``a``.
 
     hat H(t) = exp(-(1/2) sum_k (1 - cos<t, a_k>)), real with values in
-    (0, 1].  The returned callable is vectorized over a grid read by
+    (0, 1].  The returned function is vectorized over a grid read by
     ``WeightVector.phases``.
     """
-    return _SmoothingCharFn(a)
+
+    def f_hat(ts):
+        _, ph = a.phases(ts)
+        return np.exp(-0.5 * np.sum(1.0 - np.cos(ph), axis=-1))
+
+    return f_hat
 
 
 def smoothing_law(a: WeightVector, power: float = 1.0) -> CompoundPoisson:
@@ -402,18 +395,16 @@ def _reference_entry(est: ConcentrationEstimate) -> dict:
 
 
 def _lattice_steps(a: WeightVector):
-    """The largest power of two h = 2^e that divides every weight of ``a``
-    on the line (every finite double is dyadic), and the distinct nonzero
+    """The greatest common divisor h of the weights of ``a`` on the line as
+    exact rationals (every finite double is one), and the distinct nonzero
     |a_k| / h with their counts, as pairs of Python integers."""
     vals, counts = np.unique(np.abs(a.rows[:, 0]), return_counts=True)
     ratios = [(v.as_integer_ratio(), c) for v, c in zip(vals.tolist(), counts.tolist()) if v]
-    # num / den, den = 2^b, is divided by 2^(v2(num) - b) and no higher power
-    e = min((num & -num).bit_length() - den.bit_length() for (num, den), _ in ratios)
-    steps = []
-    for (num, den), c in ratios:
-        shift = e + den.bit_length() - 1
-        steps.append((num >> shift if shift >= 0 else num << -shift, c))
-    return math.ldexp(1.0, e), steps
+    # every denominator is a power of two, so each divides the largest
+    den = max(d for (_, d), _ in ratios)
+    nums = [num * (den // d) for (num, d), _ in ratios]
+    g = math.gcd(*nums)
+    return g / den, [(num // g, c) for num, (_, c) in zip(nums, ratios)]
 
 
 def _poisson_cut(lam: float, most: int):
@@ -495,6 +486,7 @@ def _lattice_fft_q(a: WeightVector, power: float, window: float):
 
 
 def _smoothed_reference(
+    a: WeightVector,
     h: CompoundPoisson,
     h_hat,
     power: float,
@@ -510,14 +502,13 @@ def _smoothed_reference(
     Otherwise it is a Monte Carlo estimate from H with its intensity scaled
     by ``power``, which is ``smoothing_law(a, power)`` bit for bit."""
     power = check_scale(power, "power", finite=True)
-    bracket = _lattice_fft_q(h_hat.a, power, window) if h.dim == 1 else None
+    bracket = _lattice_fft_q(a, power, window) if a.dim == 1 else None
     if bracket is None:
         est = mc_q(CompoundPoisson(h.intensity * power, h.base), window, mc_samples, seed)
         entry = _reference_entry(est)
     else:
         lower, upper = bracket
-        entry = _reference_entry(ConcentrationEstimate(upper, "lattice_fft", 0.0, window))
-        entry["lower"] = lower
+        entry = {"value": upper, "method": "lattice_fft", "stderr": 0.0, "lower": lower}
     try:
         cross = esseen_upper_q(
             lambda ts: h_hat(ts) ** power, window, h.dim, constants.c_esseen
@@ -625,7 +616,7 @@ def build_bound_report(
     @cache
     def smoothed(power, window, stream):
         seed = derive_seed(seed_int, stream)
-        return _smoothed_reference(h, h_hat, power, window, mc_samples, seed, constants)
+        return _smoothed_reference(a, h, h_hat, power, window, mc_samples, seed, constants)
 
     references["q_h_p_kappa"] = q_h_p_kappa = dict(smoothed(p_val, kappa, 2))
     references["q_h_lambda_kappa"] = q_h_lambda_kappa = dict(smoothed(lam_transfer, kappa, 2))

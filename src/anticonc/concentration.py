@@ -96,16 +96,18 @@ class WeightVector:
 
     def gram(self):
         """Gram matrix sum_k a_k a_k^T and its determinant (clamped at 0).
-        Where that determinant leaves the float range it is det(R^T R) prod_j
-        c_j^2, R the rows with column j divided by its largest entry c_j,
-        multiplied out in mantissas and binary exponents: it is inf only
+        Where that determinant leaves the float range, or a nonzero column's
+        diagonal entry falls below the smallest normal double, it is det(R^T
+        R) prod_j c_j^2, R the rows with column j divided by its largest entry
+        c_j, multiplied out in mantissas and binary exponents: it is inf only
         past the float range and never NaN, and a column of small entries
         keeps its share."""
         with np.errstate(over="ignore", invalid="ignore"):
             mat = self.rows.T @ self.rows
             det = float(np.linalg.det(mat))
-        if not math.isfinite(det):
-            c = np.abs(self.rows).max(axis=0)
+        c = np.abs(self.rows).max(axis=0)
+        # a nonzero column whose Gram entry is subnormal or zero has underflowed
+        if not math.isfinite(det) or np.any((np.diag(mat) < sys.float_info.min) & (c > 0.0)):
             det = 0.0  # a zero column makes the matrix singular
             if c.all():
                 r = self.rows / c
@@ -135,15 +137,14 @@ class WeightVector:
         return f"WeightVector(n={self.n}, dim={self.dim})"
 
 
-_METHODS = ("exact", "monte_carlo", "esseen_upper", "lattice_fft")
+_METHODS = ("exact", "monte_carlo", "esseen_upper")
 
 
 @dataclass(frozen=True)
 class ConcentrationEstimate:
     """A concentration value at radius ``tau`` with its provenance.
 
-    ``exact`` and ``monte_carlo`` values are probabilities in [0, 1], and
-    so is ``lattice_fft``, the upper end of a certified bracket;
+    ``exact`` and ``monte_carlo`` values are probabilities in [0, 1];
     ``esseen_upper`` is a bound shape and may exceed 1 (vacuous bound).
     """
 

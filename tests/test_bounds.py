@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -400,7 +401,7 @@ def test_report_computes_equal_kappa_references_once(x, calls):
     )
     # the entry the report would hold had the kappa reference been recomputed
     direct = bounds._smoothed_reference(
-        smoothing_law(a), h_char_fn(a), rep.guards["lambda_tau_over_kappa"], 1.0, 2000,
+        a, smoothing_law(a), h_char_fn(a), rep.guards["lambda_tau_over_kappa"], 1.0, 2000,
         derive_seed(4, 2), ConstantsConfig(),
     )
     assert rep.references["q_h_lambda_kappa"] == direct
@@ -428,25 +429,39 @@ def test_smoothed_reference_draws_from_the_scaled_smoothing_law(power):
     a = WeightVector(np.array([[0.7], [1.3], [1.9]]))
     h = smoothing_law(a)
     scaled = smoothing_law(a, power)
-    entry = bounds._smoothed_reference(h, h_char_fn(a), power, 0.5, 2000, 9, ConstantsConfig())
+    entry = bounds._smoothed_reference(a, h, h_char_fn(a), power, 0.5, 2000, 9, ConstantsConfig())
     assert h.intensity * power == scaled.intensity
     assert entry["value"] == mc_q(scaled, 0.5, 2000, 9).value
     with pytest.raises(DomainError, match="^power: "):
-        bounds._smoothed_reference(h, h_char_fn(a), -power - 1.0, 0.5, 2000, 9, ConstantsConfig())
+        bounds._smoothed_reference(a, h, h_char_fn(a), -power - 1.0, 0.5, 2000, 9, ConstantsConfig())
 
 
-@settings(max_examples=80, deadline=None)
+_STEPS = st.lists(st.integers(-8, 8), min_size=1, max_size=5).filter(any)
+
+
+@settings(max_examples=120, deadline=None)
 @given(
-    steps=st.lists(st.integers(-8, 8), min_size=1, max_size=5).filter(any),
-    shift=st.integers(0, 3),
+    lattice=st.one_of(
+        # integer and dyadic weights m_k / 2^shift
+        st.tuples(_STEPS, st.integers(0, 3).map(lambda shift: 2.0**-shift)),
+        # weights m_k u whose gcd is not a power of two: units whose products
+        # with every m_k are exact, and power-of-two multiples of decimal units
+        st.tuples(_STEPS, st.sampled_from([3.0, 5.0, 2.5, 0.375, 7.0])),
+        st.tuples(
+            st.lists(st.sampled_from([-8, -4, -2, -1, 1, 2, 4, 8]), min_size=1, max_size=5),
+            st.sampled_from([0.1, 0.3, 1 / 3]),
+        ),
+    ),
     power=st.floats(0.0, 3.0, exclude_min=True),
     window=st.sampled_from([0.5, 1.0, 1.5, 2.75]),
 )
-def test_lattice_bracket_holds_the_window_mass_of_the_law(steps, shift, power, window):
-    # integer and dyadic weights m_k / 2^shift; the tolerance is the oracle's
-    # own rounding, the bracket's width its a priori rounding bound
-    unit = 2.0**-shift
+def test_lattice_bracket_holds_the_window_mass_of_the_law(lattice, power, window):
+    # the tolerance is the oracle's own rounding, the bracket's width its a
+    # priori rounding bound
+    steps, unit = lattice
+    assert all(Fraction(m * unit) == m * Fraction(unit) for m in steps)
     a = WeightVector([[m * unit] for m in steps])
+    assert bounds._lattice_steps(a)[0] == math.gcd(*steps) * unit
     lower, upper = bounds._lattice_fft_q(a, power, window)
     points, masses = O.oracle_cp_law_1d(steps, unit, 0.5 * len(steps) * power)
     q = O.oracle_max_window_mass(points, masses, window)
@@ -458,9 +473,26 @@ def test_lattice_reference_at_power_zero_is_one():
     # H^0 is the point mass at 0, whatever the weights
     for a in (WeightVector([[1.0], [2.0]]), WeightVector([[1.0], [2**0.5]])):
         entry = bounds._smoothed_reference(
-            smoothing_law(a), h_char_fn(a), 0.0, 0.5, 2000, 9, ConstantsConfig()
+            a, smoothing_law(a), h_char_fn(a), 0.0, 0.5, 2000, 9, ConstantsConfig()
         )
         assert (entry["method"], entry["lower"], entry["value"]) == ("lattice_fft", 1.0, 1.0)
+
+
+def test_lattice_is_the_gcd_of_the_weights_as_rationals():
+    # 0.1 is 3602879701896397 / 2^55: the largest power of two dividing it is
+    # 2^-55, but every weight is one multiple of that one double
+    a = WeightVector([[0.1]] * 10)
+    assert bounds._lattice_steps(a) == (0.1, [(1, 10)])
+    assert bounds._lattice_steps(WeightVector([[3.0], [6.0], [9.0]])) == (
+        3.0, [(1, 1), (2, 1), (3, 1)]
+    )
+    rep = build_bound_report(RAD, a, tau=0.1, kappa=0.2, delta=0.1, mc_samples=2000)
+    smoothed = [name for name in rep.references if name.startswith("q_h_")]
+    assert len(smoothed) == 3
+    for name in smoothed:
+        ref = rep.references[name]
+        assert ref["method"] == "lattice_fft", name
+        assert 0.0 <= ref["lower"] <= ref["value"] <= ref["lower"] + 1e-9, name
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

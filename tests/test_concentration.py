@@ -75,13 +75,17 @@ def test_gram_det_clamped_nonnegative():
         ([[1e308, 1e6], [3.0, 1e300]], math.inf),
         # one scale for all columns sent the 1e-100 column to 0: det 0.0, lcd_* vacuous
         ([[1e200, 0.0], [0.0, 1e-100]], 1e200),
+        # the Gram entry 1e-400 underflowed to 0, and so did the plain determinant
+        ([[1e150, 0.0], [0.0, 1e-200]], 1e-100),
+        ([[1e-200, 1e-200], [2e-200, 2e-200]], 0.0),
     ],
-    ids=["1d", "singular", "2d", "column-scales"],
+    ids=["1d", "singular", "2d", "column-scales", "column-underflow", "underflow-singular"],
 )
 def test_gram_det_past_the_float_range_is_a_number(rows, want):
-    # the Gram matrix overflowed, and its determinant was inf or NaN with a warning
+    # the Gram matrix overflowed or underflowed, and its determinant was inf
+    # or NaN with a warning, or 0.0; abs=0 so that 0.0 never passes for 1e-100
     _, det = WeightVector(rows).gram()
-    assert det == pytest.approx(want, rel=1e-12)
+    assert det == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_gram_det_in_the_float_range_is_the_plain_determinant():
@@ -90,6 +94,20 @@ def test_gram_det_in_the_float_range_is_the_plain_determinant():
         _, det = WeightVector(rows).gram()
         rows = np.asarray(rows)
         assert det == float(np.linalg.det(rows.T @ rows))
+
+
+def test_gram_det_of_rank_deficient_integer_rows_is_the_plain_determinant():
+    # a nonzero integer column's Gram entry is at least 1, so the rescaled
+    # route never turns the roundoff of an exactly singular matrix into a det
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        n, d = int(rng.integers(1, 6)), int(rng.integers(2, 4))
+        rows = rng.integers(-4, 5, (n, d)).astype(float)
+        rows[:, -1] = rows[:, :-1] @ rng.integers(-3, 4, d - 1)
+        if not rows.any():
+            continue  # a weight vector needs a nonzero row
+        _, det = WeightVector(rows).gram()
+        assert det == max(0.0, float(np.linalg.det(rows.T @ rows)))
 
 
 def test_exact_q_1d_random_instances_match_oracle():
